@@ -423,10 +423,10 @@ impl<'a> FlowAnalysis<'a> {
                             stmt.line,
                             format!(
                                 "`{name}` holds a counted reference (acquired at line {}) \
-                                 but escapes through a return type with no raw pointer; \
-                                 the §5 transfer convention needs a raw-pointer return \
-                                 or a `// COUNT:` contract",
-                                var.line
+                                 but escapes fn `{}` through a return type with no raw \
+                                 pointer; the §5 transfer convention needs a raw-pointer \
+                                 return or a `// COUNT:` contract",
+                                var.line, self.def.item.name
                             ),
                             vec![(var.line, format!("`{name}` acquires its count here"))],
                         );

@@ -17,7 +17,6 @@
 //! | `shim-import` | atomics only via `valois_sync::shim` | shim dir itself |
 //! | `relaxed-ptr-order` | no unjustified relaxed pointer orderings | `// ORDER:` |
 //! | `unsafe-comment` | every unsafe site carries a justification | `// SAFETY:` / `# Safety` |
-//! | `refcount-pairing` | acquires are released or transferred | `// COUNT:` |
 //! | `cas-progress` | CAS retry loops back off | `// WAIT-FREE:` |
 //! | `spin-guard` | no spinlock guard across protocol calls | (baselines by path) |
 //! | `probe-discipline` | probes via `valois_trace::probe!`, never bare `record` calls | trace crate itself |
@@ -230,9 +229,6 @@ fn analyze_file(
     }
     timed(timings, "unsafe-comment", &mut out, || {
         passes::unsafe_audit::run(&file)
-    });
-    timed(timings, "refcount-pairing", &mut out, || {
-        passes::refcount::run(&file)
     });
     if !ex.progress_exempt {
         timed(timings, "cas-progress/spin-guard", &mut out, || {

@@ -1,17 +1,16 @@
-//! `refcount-balance`: the dataflow-backed successor to the heuristic
-//! `refcount-pairing` pass. Where the old pass asks "does this function
-//! *mention* a release or carry a comment?", this one lowers the body to
-//! a CFG and proves per path that every count acquired by
-//! `safe_read`/`safe_read_tallied`/`alloc` is released, transferred to
-//! the caller through a raw-pointer return, stored into the structure,
-//! or covered by a `// COUNT:` contract. It also checks the contract
-//! text itself: a function-level `// COUNT: ... transfers to caller ...`
-//! whose signature has no raw-pointer return cannot be honored and is
-//! reported (`declared-transfer-not-returned`).
+//! `refcount-balance`: the reference-count rule. Rather than asking
+//! "does this function *mention* a release or carry a comment?", it
+//! lowers the body to a CFG and proves per path that every count
+//! acquired by `safe_read`/`safe_read_tallied`/`alloc` is released,
+//! transferred to the caller through a raw-pointer return, stored into
+//! the structure, or covered by a `// COUNT:` contract. It also checks
+//! the contract text itself: a function-level `// COUNT: ... transfers
+//! to caller ...` whose signature has no raw-pointer return cannot be
+//! honored and is reported (`declared-transfer-not-returned`).
 //!
-//! Both passes run; this one is the stricter superset and reports at
-//! `Error` severity because a leaked count permanently wedges Fig. 17's
-//! reclamation (the cell never reaches refcount 1 again).
+//! It reports at `Error` severity because a leaked count permanently
+//! wedges Fig. 17's reclamation (the cell never reaches refcount 1
+//! again).
 
 use crate::cfg;
 use crate::dataflow::{fn_count_contract, FlowAnalysis, Summaries};

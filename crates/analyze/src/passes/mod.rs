@@ -6,7 +6,6 @@
 
 pub mod probes;
 pub mod progress;
-pub mod refcount;
 pub mod shim;
 pub mod unsafe_audit;
 

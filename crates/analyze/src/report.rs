@@ -107,12 +107,6 @@ pub const RULES: &[RuleInfo] = &[
         severity: Severity::Warning,
     },
     RuleInfo {
-        id: "refcount-pairing",
-        summary: "a function acquiring counted references (safe_read/alloc) must \
-                  release/transfer them or carry a // COUNT: justification",
-        severity: Severity::Warning,
-    },
-    RuleInfo {
         id: "cas-progress",
         summary: "a CAS retry loop must invoke Backoff or carry a // WAIT-FREE: \
                   justification",
@@ -224,15 +218,6 @@ pub const RULE_DOCS: &[RuleDoc] = &[
         good: "// SAFETY: p was acquired via safe_read and not yet released,\n\
                // so the §5 window keeps the node alive.\n\
                let k = unsafe { (*p).key };",
-    },
-    RuleDoc {
-        id: "refcount-pairing",
-        rationale: "Token-level sanity check (the dataflow refcount-balance pass \
-                    is the strong version): a fn calling safe_read/alloc must \
-                    also call release, return a raw pointer (transfer), or carry \
-                    a // COUNT: justification, otherwise counts leak.",
-        bad: "fn peek(&self) -> u64 {\n    let p = self.arena.safe_read(&self.head);\n    unsafe { (*p).key }\n}",
-        good: "fn peek(&self) -> u64 {\n    let p = self.arena.safe_read(&self.head);\n    let k = unsafe { (*p).key };\n    unsafe { self.arena.release(p) };\n    k\n}",
     },
     RuleDoc {
         id: "cas-progress",

@@ -403,11 +403,11 @@ fn parse_stmt(file: &SourceFile, pos: usize, hi: usize) -> (Node, usize, bool) {
             "let" => return parse_let(file, pos, hi),
             "if" => {
                 let (node, next) = parse_if(file, pos, hi);
-                return (node, skip_semi(file, next, hi), false);
+                return block_like(file, node, next, hi);
             }
             "match" => {
                 let (node, next) = parse_match(file, pos, hi);
-                return (node, skip_semi(file, next, hi), false);
+                return block_like(file, node, next, hi);
             }
             "loop" | "while" | "for" => {
                 let (node, next) = parse_loop_like(file, pos, hi);
@@ -422,7 +422,7 @@ fn parse_stmt(file: &SourceFile, pos: usize, hi: usize) -> (Node, usize, bool) {
                             body: parse_block(file, n + 1, close),
                             kw: pos,
                         };
-                        return (node, skip_semi(file, close + 1, hi), false);
+                        return block_like(file, node, close + 1, hi);
                     }
                 }
                 let end = skip_item(file, pos, hi);
@@ -461,7 +461,7 @@ fn parse_stmt(file: &SourceFile, pos: usize, hi: usize) -> (Node, usize, bool) {
         // Bare block statement.
         let close = file.partner[pos].unwrap_or(pos);
         let node = Node::Blk(parse_block(file, pos + 1, close));
-        return (node, skip_semi(file, close + 1, hi), false);
+        return block_like(file, node, close + 1, hi);
     }
     // Leaf or assignment: scan to the statement-terminating `;`.
     let (end, semi) = scan_to_semi(file, pos, hi);
@@ -782,6 +782,14 @@ fn brace_after(file: &SourceFile, pos: usize, hi: usize) -> Option<(usize, usize
         j = n;
     }
     None
+}
+
+/// Finishes a block-like statement (`if`, `match`, `unsafe { .. }`, bare
+/// block) ending at `next`: with nothing significant after it before
+/// `hi` it is the enclosing block's tail expression, as in Rust.
+fn block_like(file: &SourceFile, node: Node, next: usize, hi: usize) -> (Node, usize, bool) {
+    let tail = first_sig_in(file, next, hi).is_none();
+    (node, skip_semi(file, next, hi), tail)
 }
 
 /// If the token at `pos` is a `;`, returns `pos + 1`; otherwise `pos`.

@@ -229,7 +229,7 @@ mod tests {\n\
     assert_eq!(count(LIB, src, "unsafe-comment"), 0);
 }
 
-// ---- refcount-pairing ----------------------------------------------------
+// ---- refcount-balance: acquire/release shapes -----------------------------
 
 const LEAKY_READER: &str = "\
 impl S {\n\
@@ -245,7 +245,7 @@ fn refcount_flags_acquire_without_release() {
     let findings = analyze_source(LIB, LEAKY_READER);
     let f = findings
         .iter()
-        .find(|f| f.rule == "refcount-pairing")
+        .find(|f| f.rule == "refcount-balance")
         .expect("unreleased safe_read must be flagged");
     assert!(
         f.message.contains("peek_len"),
@@ -257,7 +257,7 @@ fn refcount_flags_acquire_without_release() {
 #[test]
 fn refcount_accepts_balanced_release() {
     let src = LEAKY_READER.replace("p as usize", "unsafe { self.arena.release(p) };\n        0");
-    assert_eq!(count(LIB, &src, "refcount-pairing"), 0);
+    assert_eq!(count(LIB, &src, "refcount-balance"), 0);
 }
 
 #[test]
@@ -271,7 +271,7 @@ impl S {\n\
         unsafe { self.arena.safe_read(&self.head) }\n\
     }\n\
 }\n";
-    assert_eq!(count(LIB, src, "refcount-pairing"), 0);
+    assert_eq!(count(LIB, src, "refcount-balance"), 0);
 }
 
 #[test]
@@ -280,7 +280,7 @@ fn refcount_accepts_count_comment() {
         "fn peek_len",
         "// COUNT: the count is parked in self.cache; drop() releases it.\n    fn peek_len",
     );
-    assert_eq!(count(LIB, &src, "refcount-pairing"), 0);
+    assert_eq!(count(LIB, &src, "refcount-balance"), 0);
 }
 
 #[test]
@@ -306,7 +306,7 @@ impl S {\n\
         }\n\
     }\n\
 }\n";
-    assert_eq!(count(LIB, src, "refcount-pairing"), 0);
+    assert_eq!(count(LIB, src, "refcount-balance"), 0);
 }
 
 #[test]
@@ -332,7 +332,7 @@ impl S {\n\
     let findings = analyze_source(LIB, src);
     let f = findings
         .iter()
-        .find(|f| f.rule == "refcount-pairing")
+        .find(|f| f.rule == "refcount-balance")
         .expect("leaked resume walk must be flagged");
     assert!(
         f.message.contains("resume_leaky"),

@@ -4,7 +4,7 @@
 use valois_bench::criterion::{black_box, Criterion};
 use valois_bench::{criterion_group, criterion_main};
 use valois_core::List;
-use valois_mem::{ArenaConfig, BuddyAllocator};
+use valois_mem::ArenaConfig;
 
 fn bench_alloc_reclaim_cycle(c: &mut Criterion) {
     let mut group = c.benchmark_group("freelist");
@@ -56,49 +56,5 @@ fn bench_contended_alloc(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_buddy(c: &mut Criterion) {
-    // The §5.2 lock-free buddy system: variable-size alloc/free cycles.
-    let mut group = c.benchmark_group("buddy_system");
-    let buddy = BuddyAllocator::new(16); // 64k units
-    group.bench_function("alloc_free_order0", |b| {
-        b.iter(|| {
-            let blk = buddy.alloc(0).unwrap();
-            buddy.free(black_box(blk));
-        });
-    });
-    group.bench_function("alloc_free_mixed_orders", |b| {
-        let mut i = 0u32;
-        b.iter(|| {
-            i = (i + 1) % 6;
-            let blk = buddy.alloc(i).unwrap();
-            buddy.free(black_box(blk));
-        });
-    });
-    group.bench_function("contended_2t_mixed", |b| {
-        b.iter(|| {
-            let buddy = BuddyAllocator::new(14);
-            std::thread::scope(|s| {
-                for t in 0..2u32 {
-                    let buddy = &buddy;
-                    s.spawn(move || {
-                        for i in 0..2_000u32 {
-                            if let Ok(blk) = buddy.alloc((i + t) % 5) {
-                                buddy.free(blk);
-                            }
-                        }
-                    });
-                }
-            });
-            black_box(buddy.allocated_units())
-        });
-    });
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_alloc_reclaim_cycle,
-    bench_contended_alloc,
-    bench_buddy
-);
+criterion_group!(benches, bench_alloc_reclaim_cycle, bench_contended_alloc);
 criterion_main!(benches);

@@ -134,15 +134,10 @@ impl<T: Ord + Send + Sync + Clone> PriorityQueue<T> {
         let mut prepared = self.list.prepare_insert(value)?;
         loop {
             // Position before the first item >= value (keeps the list
-            // sorted; FindFrom's positioning contract, Fig. 11).
-            while let Some(existing) = cursor.get() {
-                if existing >= prepared.value() {
-                    break;
-                }
-                if !cursor.next() {
-                    break;
-                }
-            }
+            // sorted; FindFrom's positioning contract, Fig. 11). Equal
+            // items are allowed, so the hit flag is irrelevant.
+            let value = prepared.value();
+            let _ = cursor.find_from(|existing| existing.cmp(value));
             match cursor.try_insert(prepared) {
                 Ok(()) => return Ok(()),
                 Err(back) => {

@@ -15,7 +15,11 @@
 //! | Fig. 7 `Next`      | [`Cursor::next`] |
 //! | Fig. 9 `TryInsert` | [`Cursor::try_insert`] |
 //! | Fig. 10 `TryDelete`| [`Cursor::try_delete`] |
+//! | Fig. 11 `FindFrom` | [`Cursor::find_from`] |
+//! | Fig. 12 `Insert`   | [`Cursor::insert_unique`] |
+//! | Fig. 13 `Delete`   | [`Cursor::find_and_delete`] |
 
+use std::cmp::Ordering;
 use std::fmt;
 
 use valois_mem::{AllocError, DeferredReleases, MemTally, Reclaimer, RefCount};
@@ -655,6 +659,106 @@ impl<'a, T: Send + Sync, R: Reclaimer> Cursor<'a, T, R> {
             arena.unprotect(s);
             arena.unprotect(n);
             true
+        }
+    }
+
+    /// Fig. 11 `FindFrom`: advances until the cursor visits the first
+    /// item that `cmp` does not order `Less` (or the end position),
+    /// stepping over dummies. `cmp(item)` orders a visited item against
+    /// the sought key. Returns `true` iff that item is `Equal`.
+    ///
+    /// On a `false` return, inserting before the cursor keeps a list
+    /// sorted under `cmp` — the positioning contract of
+    /// [`Cursor::insert_unique`].
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use valois_core::List;
+    ///
+    /// let list: List<u32> = [10, 20, 30].into_iter().collect();
+    /// let mut cur = list.cursor();
+    /// assert!(cur.find_from(|x| x.cmp(&20)));
+    /// assert_eq!(cur.get(), Some(&20));
+    /// assert!(!cur.find_from(|x| x.cmp(&25)), "stops at the first item > 25");
+    /// assert_eq!(cur.get(), Some(&30));
+    /// ```
+    pub fn find_from(&mut self, mut cmp: impl FnMut(&T) -> Ordering) -> bool {
+        // Fig. 11 lines 1-8.
+        while !self.is_at_end() {
+            match self.get() {
+                Some(item) => match cmp(item) {
+                    Ordering::Equal => return true,
+                    Ordering::Greater => return false,
+                    Ordering::Less => {
+                        if !self.next() {
+                            return false;
+                        }
+                    }
+                },
+                // A dummy under the cursor (transient mid-reposition
+                // state): step forward.
+                None => {
+                    if !self.next() {
+                        return false;
+                    }
+                }
+            }
+        }
+        false
+    }
+
+    /// Fig. 12 lines 8-12: links `prepared` before the cursor unless an
+    /// item equal to it is present. `cmp(item, new)` orders a visited
+    /// item against the prepared value. The cursor must already be
+    /// positioned by a [`Cursor::find_from`] that returned `false`.
+    ///
+    /// Returns `true` once the cell is linked (the cursor is left
+    /// invalid, as after [`Cursor::try_insert`]). Returns `false` — and
+    /// drops `prepared`, returning its counts — when an equal item won
+    /// a race; the cursor then visits that item.
+    pub fn insert_unique(
+        &mut self,
+        mut prepared: PreparedInsert<'a, T, R>,
+        mut cmp: impl FnMut(&T, &T) -> Ordering,
+    ) -> bool {
+        // WAIT-FREE: lock-free, not wait-free — each failed TryInsert
+        // means another operation's CAS succeeded at this position
+        // (§4.1's <= p-1 amortized retries).
+        loop {
+            match self.try_insert(prepared) {
+                Ok(()) => return true,
+                Err(back) => prepared = back,
+            }
+            // Revalidate from the nearest undeleted predecessor, then
+            // re-check uniqueness before retrying.
+            // INVARIANT: I10
+            self.resume();
+            let new = prepared.value();
+            if self.find_from(|item| cmp(item, new)) {
+                return false;
+            }
+        }
+    }
+
+    /// Fig. 13: finds the item `cmp` orders `Equal` (see
+    /// [`Cursor::find_from`]) and deletes it, retrying until the delete
+    /// lands or the item is gone. Returns whether this call deleted it.
+    pub fn find_and_delete(&mut self, mut cmp: impl FnMut(&T) -> Ordering) -> bool {
+        // WAIT-FREE: lock-free, not wait-free — a failed TryDelete means
+        // a concurrent operation's CAS invalidated the cursor.
+        loop {
+            // Fig. 13 lines 2-4.
+            if !self.find_from(&mut cmp) {
+                return false;
+            }
+            // Fig. 13 lines 5-7.
+            if self.try_delete() {
+                return true;
+            }
+            // Fig. 13 lines 8-9, resuming instead of restarting.
+            // INVARIANT: I10
+            self.resume();
         }
     }
 

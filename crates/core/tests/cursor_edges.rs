@@ -4,8 +4,12 @@
 //! deleted cell's value stays readable through the stale cursor until it
 //! repositions — and the instantaneous invariants
 //! ([`List::check_invariants`]) must stay clean throughout.
+//!
+//! The last group pins the shared Fig. 12 loop
+//! ([`Cursor::insert_unique`](valois_core::Cursor::insert_unique)) once
+//! per reclamation backend, as `refcount::…` / `epoch::…`.
 
-use valois_core::List;
+use valois_core::{List, Reclaimer};
 
 /// A cursor visiting the **head** cell keeps working after a concurrent
 /// `TryDelete` removes that cell: the value persists until `update`, and
@@ -183,3 +187,59 @@ fn head_cursor_survives_full_concurrent_drain() {
     list.check_structure().unwrap();
     list.audit_refcounts().unwrap();
 }
+
+/// Fig. 12's lost-race exit, made deterministic on one thread: cursor A
+/// positions for `20`, cursor B links `20` first, and A's
+/// `insert_unique` must fail its CAS, resume, find B's item and return
+/// `false` — dropping A's prepared cell without leaking a count.
+fn insert_unique_lost_race_drops_prepared_cell<R: Reclaimer>() {
+    let mut list: List<u64, R> = [10, 30].into_iter().collect();
+    {
+        let mut a = list.cursor();
+        assert!(!a.find_from(|x| x.cmp(&20)));
+        let prepared = list.prepare_insert(20).expect("pool is uncapped");
+
+        let mut b = list.cursor();
+        assert!(!b.find_from(|x| x.cmp(&20)));
+        let winner = list.prepare_insert(20).expect("pool is uncapped");
+        assert!(b.insert_unique(winner, |x, new| x.cmp(new)));
+        drop(b);
+
+        assert!(
+            !a.insert_unique(prepared, |x, new| x.cmp(new)),
+            "an equal item won the race"
+        );
+        assert_eq!(a.get(), Some(&20), "the loser visits the winner's item");
+    }
+    assert_eq!(list.iter().collect::<Vec<u64>>(), vec![10, 20, 30]);
+    list.quiescent_collect();
+    list.check_structure().unwrap();
+    list.flush_node_caches();
+    list.audit_refcounts().unwrap();
+}
+
+/// Instantiates each generic test body once per backend, as
+/// `refcount::<name>` and `epoch::<name>` (the `backend_matrix.rs`
+/// naming).
+macro_rules! backend_matrix {
+    ($($name:ident),+ $(,)?) => {
+        mod refcount {
+            $(
+                #[test]
+                fn $name() {
+                    super::$name::<valois_core::RefCount>();
+                }
+            )+
+        }
+        mod epoch {
+            $(
+                #[test]
+                fn $name() {
+                    super::$name::<valois_core::Epoch>();
+                }
+            )+
+        }
+    };
+}
+
+backend_matrix!(insert_unique_lost_race_drops_prepared_cell);

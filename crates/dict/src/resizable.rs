@@ -109,36 +109,12 @@ fn cmp_item<K: Ord>(item_so: u64, item_key: Option<&K>, so: u64, key: Option<&K>
     })
 }
 
-/// `FindFrom` (Fig. 11) over split order: advances `cursor` to the first
-/// position ≥ `(so, key)`; `true` iff that position holds exactly
-/// `(so, key)`. On `false` the cursor is positioned so that inserting
-/// before it keeps the list split-ordered.
-fn find_so<K, V, R>(cursor: &mut Cursor<'_, SplitItem<K, V>, R>, so: u64, key: Option<&K>) -> bool
-where
-    K: Ord + Send + Sync,
-    V: Send + Sync,
-    R: Reclaimer,
-{
-    while !cursor.is_at_end() {
-        match cursor.get() {
-            Some(item) => match cmp_item(item.so, item.key.as_ref(), so, key) {
-                CmpOrdering::Equal => return true,
-                CmpOrdering::Greater => return false,
-                CmpOrdering::Less => {
-                    if !cursor.next() {
-                        return false;
-                    }
-                }
-            },
-            // Dummy under the cursor (transient mid-reposition state).
-            None => {
-                if !cursor.next() {
-                    return false;
-                }
-            }
-        }
+impl<K: Ord, V> SplitItem<K, V> {
+    /// This item's position relative to `(so, key)` under `cmp_item`:
+    /// the comparator every `FindFrom` over split order uses.
+    fn cmp_to(&self, so: u64, key: Option<&K>) -> CmpOrdering {
+        cmp_item(self.so, self.key.as_ref(), so, key)
     }
-    false
 }
 
 /// A lock-free hash table that grows by splitting buckets, never by
@@ -278,7 +254,7 @@ where
     /// the list's least position, so the head cursor *is* its parent.
     ///
     /// A sentinel is a traversal *shortcut*, never a correctness
-    /// requirement: after `find_so` the cursor already sits at the first
+    /// requirement: after `find_from` the cursor already sits at the first
     /// position `>=` the sentinel's split order, which is exactly where
     /// any search inside this bucket must start. So when the sentinel
     /// allocation hits an exhausted capped pool, the initialization
@@ -293,8 +269,8 @@ where
             self.bucket_cursor(parent_bucket(bucket))
         };
         let so = sentinel_order(bucket);
-        if !find_so(&mut cursor, so, None) {
-            let mut prepared = match self.list.try_prepare_insert(SplitItem {
+        if !cursor.find_from(|item| item.cmp_to(so, None)) {
+            let prepared = match self.list.try_prepare_insert(SplitItem {
                 so,
                 key: None,
                 value: None,
@@ -305,21 +281,10 @@ where
                 // thread's own epoch pin still protects (I12).
                 Err((_, AllocError)) => return cursor,
             };
-            loop {
-                match cursor.try_insert(prepared) {
-                    Ok(()) => {
-                        cursor.update(); // visit the sentinel we inserted
-                        break;
-                    }
-                    Err(back) => prepared = back,
-                }
-                // Resume from the nearest undeleted predecessor, never
-                // the bucket root (let alone the head).
-                // INVARIANT: I10
-                cursor.resume();
-                if find_so(&mut cursor, so, None) {
-                    break; // a racing initializer's sentinel won; drop ours
-                }
+            // A lost race leaves the cursor at the racing initializer's
+            // sentinel and drops ours.
+            if cursor.insert_unique(prepared, |item, new| item.cmp_to(new.so, new.key.as_ref())) {
+                cursor.update(); // visit the sentinel we inserted
             }
         }
         let root = self.buckets.get_or_alloc(bucket as usize);
@@ -384,10 +349,10 @@ where
         let (hash, so) = self.split_key(&key);
         let size = self.size.load(Ordering::Acquire);
         let mut cursor = self.bucket_cursor(hash & (size - 1));
-        if find_so(&mut cursor, so, Some(&key)) {
+        if cursor.find_from(|item| item.cmp_to(so, Some(&key))) {
             return Ok(false);
         }
-        let mut prepared = match self.list.try_prepare_insert(SplitItem {
+        let prepared = match self.list.try_prepare_insert(SplitItem {
             so,
             key: Some(key),
             value: Some(value),
@@ -407,25 +372,11 @@ where
         // counter; charging first keeps every decrement matched by an
         // earlier increment, so `count` never wraps below zero.
         self.count.fetch_add(1, Ordering::AcqRel);
-        // WAIT-FREE: lock-free, not wait-free — each retry means another
-        // operation's CAS succeeded at this position (§4.1's <= p-1
-        // amortized retries); the fetch_sub below runs at most once, on
-        // the exit path, and RMWs cannot fail.
-        loop {
-            match cursor.try_insert(prepared) {
-                Ok(()) => break,
-                Err(back) => prepared = back,
-            }
-            // Back_link-guided retry: revalidate at the nearest undeleted
-            // predecessor instead of re-deriving the bucket.
-            // INVARIANT: I10
-            cursor.resume();
-            if find_so(&mut cursor, so, prepared.value().key.as_ref()) {
-                // Concurrent insert won with the same key: give back our
-                // own pre-charge (matched, so this cannot underflow).
-                self.count.fetch_sub(1, Ordering::AcqRel);
-                return Ok(false);
-            }
+        if !cursor.insert_unique(prepared, |item, new| item.cmp_to(new.so, new.key.as_ref())) {
+            // Concurrent insert won with the same key: give back our own
+            // pre-charge (matched, so this cannot underflow).
+            self.count.fetch_sub(1, Ordering::AcqRel);
+            return Ok(false);
         }
         drop(cursor);
         self.published_insert();
@@ -457,22 +408,11 @@ where
         let (hash, so) = self.split_key(key);
         let size = self.size.load(Ordering::Acquire);
         let mut cursor = self.bucket_cursor(hash & (size - 1));
-        // WAIT-FREE: lock-free, not wait-free — a failed TryDelete means
-        // a concurrent operation invalidated the cursor (its CAS
-        // succeeded), so retrying is the Fig. 13 loop; the fetch_sub is
-        // one unconditional RMW on the success path.
-        loop {
-            if !find_so(&mut cursor, so, Some(key)) {
-                return false;
-            }
-            if cursor.try_delete() {
-                self.count.fetch_sub(1, Ordering::AcqRel);
-                return true;
-            }
-            // Back_link-guided retry.
-            // INVARIANT: I10
-            cursor.resume();
+        if !cursor.find_and_delete(|item| item.cmp_to(so, Some(key))) {
+            return false;
         }
+        self.count.fetch_sub(1, Ordering::AcqRel);
+        true
     }
 
     /// Runs `f` on the value stored under `key`, without cloning.
@@ -480,7 +420,7 @@ where
         let (hash, so) = self.split_key(key);
         let size = self.size.load(Ordering::Acquire);
         let mut cursor = self.bucket_cursor(hash & (size - 1));
-        if find_so(&mut cursor, so, Some(key)) {
+        if cursor.find_from(|item| item.cmp_to(so, Some(key))) {
             cursor.get().and_then(|item| item.value.as_ref()).map(f)
         } else {
             None
@@ -704,7 +644,7 @@ where
         let (hash, so) = self.split_key(key);
         let size = self.size.load(Ordering::Acquire);
         let mut cursor = self.bucket_cursor(hash & (size - 1));
-        find_so(&mut cursor, so, Some(key))
+        cursor.find_from(|item| item.cmp_to(so, Some(key)))
     }
 
     fn len(&self) -> usize {

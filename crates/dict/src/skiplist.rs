@@ -390,7 +390,7 @@ where
     /// # Safety
     ///
     /// `c` must hold counted references obtained from this arena at `lvl`.
-    unsafe fn find_from(&self, lvl: usize, c: &mut LevelCursor<K, V>, key: &K) -> bool {
+    unsafe fn find_at_level(&self, lvl: usize, c: &mut LevelCursor<K, V>, key: &K) -> bool {
         loop {
             if c.target == self.last {
                 return false;
@@ -537,7 +537,7 @@ where
         for lvl in (0..MAX_LEVELS).rev() {
             let mut c = self.cursor_at(lvl, entry);
             self.arena.release(entry);
-            let _ = self.find_from(lvl, &mut c, key);
+            let _ = self.find_at_level(lvl, &mut c, key);
             if lvl == 0 {
                 return c;
             }
@@ -574,7 +574,7 @@ where
                     self.arena.release(p);
                 }
             };
-            if self.find_from(0, &mut c0, &key) {
+            if self.find_at_level(0, &mut c0, &key) {
                 self.release_cursor(c0);
                 release_saved(&saved);
                 valois_trace::probe!(DictInsert, 0u64, 0u64);
@@ -604,7 +604,7 @@ where
                 backoff.spin();
                 // INVARIANT: I10
                 self.resume(0, &mut c0);
-                if self.find_from(0, &mut c0, key) {
+                if self.find_at_level(0, &mut c0, key) {
                     // A concurrent insert of the same key won: roll back.
                     self.release_cursor(c0);
                     release_saved(&saved);
@@ -632,7 +632,7 @@ where
                         self.release_cursor(c);
                         break 'levels;
                     }
-                    if self.find_from(lvl, &mut c, key) {
+                    if self.find_at_level(lvl, &mut c, key) {
                         if c.target == cell {
                             // Already linked here (shouldn't happen — we
                             // are the only linker — but harmless).
@@ -677,7 +677,7 @@ where
                 if !(*cell).back_link[0].read().is_null() {
                     let mut cc = self.cursor_at(lvl, self.first);
                     loop {
-                        if !self.find_from(lvl, &mut cc, key) {
+                        if !self.find_at_level(lvl, &mut cc, key) {
                             break;
                         }
                         if cc.target != cell {
@@ -721,7 +721,7 @@ where
                 let mut c = self.cursor_at(lvl, entry);
                 self.arena.release(entry);
                 loop {
-                    if !self.find_from(lvl, &mut c, key) {
+                    if !self.find_at_level(lvl, &mut c, key) {
                         break;
                     }
                     if self.try_delete(lvl, &mut c) {
@@ -797,10 +797,10 @@ where
             // changed this level's chain around `d` (system-wide
             // progress), and at most one other actor ever targets `d`
             // here (its inserter's self-undo) — once either side's
-            // unlink wins, `find_from` stops seeing `d` and the loop
+            // unlink wins, `find_at_level` stops seeing `d` and the loop
             // exits, so retries are bounded, not contended.
             loop {
-                if !self.find_from(lvl, &mut c, key) {
+                if !self.find_at_level(lvl, &mut c, key) {
                     break;
                 }
                 if c.target != d {
@@ -828,7 +828,7 @@ where
         // SAFETY: protocol invariants as documented on each helper.
         unsafe {
             let mut c = self.descend(key, None);
-            let result = if self.find_from(0, &mut c, key) {
+            let result = if self.find_at_level(0, &mut c, key) {
                 Some(f((*c.target).value()))
             } else {
                 None
@@ -857,7 +857,7 @@ where
         // SAFETY: protocol invariants as documented on each helper.
         unsafe {
             let mut c = self.descend(lo, None);
-            let _ = self.find_from(0, &mut c, lo);
+            let _ = self.find_at_level(0, &mut c, lo);
             loop {
                 if c.target == self.last {
                     break;

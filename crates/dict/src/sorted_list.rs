@@ -1,11 +1,12 @@
 //! The sorted-list dictionary (paper §4.1, Figs. 11–13).
 //!
 //! Items are kept sorted by key in a single Valois list, which makes key
-//! uniqueness checkable during the positioning scan: `FindFrom` (Fig. 11)
-//! stops at the first cell with key ≥ k, leaving the cursor exactly where a
-//! new cell must be inserted. The §4.1 amortized analysis (each completed
-//! operation forces at most p−1 retries on others; total work O(n²) for n
-//! operations by p processes) is measurable through
+//! uniqueness checkable during the positioning scan: `FindFrom` (Fig. 11,
+//! [`Cursor::find_from`]) stops at the first cell with key ≥ k, leaving
+//! the cursor exactly where a new cell must be inserted. The §4.1
+//! amortized analysis (each completed operation forces at most p−1
+//! retries on others; total work O(n²) for n operations by p processes)
+//! is measurable through
 //! [`SortedListDict::list_stats`] — experiment E3.
 
 use std::fmt;
@@ -25,46 +26,6 @@ pub struct Entry<K, V> {
     pub key: K,
     /// The associated value.
     pub value: V,
-}
-
-/// `FindFrom` (Fig. 11): advances `cursor` until it visits a cell with key
-/// ≥ `key` (or the end position). Returns `true` iff the visited cell's key
-/// equals `key`.
-///
-/// On a `false` return the cursor is positioned so that inserting before it
-/// keeps the list sorted — the positioning contract Fig. 12 relies on.
-pub(crate) fn find_from<K, V, Q, R>(cursor: &mut Cursor<'_, Entry<K, V>, R>, key: &Q) -> bool
-where
-    K: Ord + std::borrow::Borrow<Q> + Send + Sync,
-    Q: Ord + ?Sized,
-    V: Send + Sync,
-    R: Reclaimer,
-{
-    // Fig. 11 lines 1-8.
-    while !cursor.is_at_end() {
-        match cursor.get() {
-            Some(entry) => {
-                let k = entry.key.borrow();
-                if k == key {
-                    return true;
-                }
-                if k > key {
-                    return false;
-                }
-                if !cursor.next() {
-                    return false;
-                }
-            }
-            // The visited node is a dummy (transient mid-reposition state);
-            // step forward.
-            None => {
-                if !cursor.next() {
-                    return false;
-                }
-            }
-        }
-    }
-    false
 }
 
 /// A non-blocking dictionary as a single sorted lock-free list
@@ -158,17 +119,19 @@ where
 
     /// The paper's `Insert` (Fig. 12), with two departures: positioning
     /// starts from the thread's cached cursor instead of the head, and
-    /// a failed CAS retries via [`Cursor::resume`] (back_link-guided,
-    /// O(distance-to-conflict)) instead of `Update` alone.
+    /// a failed CAS retries inside [`Cursor::insert_unique`] via
+    /// [`Cursor::resume`] (back_link-guided, O(distance-to-conflict))
+    /// instead of `Update` alone.
     fn insert_impl(&self, key: K, value: V) -> bool {
-        let mut cursor = self.cursor_for(&key); // Fig. 12 line 1
-                                                // First positioning scan before paying for allocation.
-        if find_from(&mut cursor, &key) {
+        // Fig. 12 line 1. The first positioning scan runs before paying
+        // for allocation.
+        let mut cursor = self.cursor_for(&key);
+        if cursor.find_from(|e| e.key.cmp(&key)) {
             self.save_position(&cursor);
             return false; // Fig. 12 lines 6-7
         }
         // Fig. 12 lines 2-4: allocate and initialize the new cell + aux.
-        let mut prepared = match self.list.try_prepare_insert(Entry { key, value }) {
+        let prepared = match self.list.try_prepare_insert(Entry { key, value }) {
             Ok(prepared) => prepared,
             Err((entry, _)) => {
                 // Capped arena ran dry. Cached anchors pin cells (and
@@ -177,7 +140,7 @@ where
                 drop(cursor);
                 self.cache.retire_all(&self.list);
                 cursor = self.list.cursor();
-                if find_from(&mut cursor, &entry.key) {
+                if cursor.find_from(|e| e.key.cmp(&entry.key)) {
                     return false;
                 }
                 self.list
@@ -185,51 +148,25 @@ where
                     .expect("node pool exhausted")
             }
         };
-        loop {
-            // Fig. 12 lines 8-10.
-            match cursor.try_insert(prepared) {
-                Ok(()) => {
-                    self.save_position(&cursor);
-                    return true;
-                }
-                Err(back) => prepared = back,
-            }
-            // Fig. 12 lines 11-12: revalidate (resuming from the nearest
-            // undeleted predecessor), re-check uniqueness, retry.
-            // INVARIANT: I10
-            cursor.resume();
-            if find_from(&mut cursor, &prepared.value().key) {
-                self.save_position(&cursor);
-                return false; // concurrent insert won with the same key
-            }
-        }
+        // Fig. 12 lines 8-12.
+        let won = cursor.insert_unique(prepared, |e, new| e.key.cmp(&new.key));
+        self.save_position(&cursor);
+        won
     }
 
-    /// The paper's `Delete` (Fig. 13), retrying via [`Cursor::resume`]
-    /// (see [`SortedListDict::insert_impl`]).
+    /// The paper's `Delete` (Fig. 13) via [`Cursor::find_and_delete`],
+    /// positioned like [`SortedListDict::insert_impl`].
     fn remove_impl(&self, key: &K) -> bool {
         let mut cursor = self.cursor_for(key); // Fig. 13 line 1
-        loop {
-            // Fig. 13 lines 2-4.
-            if !find_from(&mut cursor, key) {
-                self.save_position(&cursor);
-                return false;
-            }
-            // Fig. 13 lines 5-7.
-            if cursor.try_delete() {
-                self.save_position(&cursor);
-                return true;
-            }
-            // Fig. 13 lines 8-9, resuming instead of restarting.
-            // INVARIANT: I10
-            cursor.resume();
-        }
+        let hit = cursor.find_and_delete(|e| e.key.cmp(key));
+        self.save_position(&cursor);
+        hit
     }
 
     /// Runs `f` on the value stored under `key`, without cloning.
     pub fn with_value<O>(&self, key: &K, f: impl FnOnce(&V) -> O) -> Option<O> {
         let mut cursor = self.cursor_for(key);
-        let out = if find_from(&mut cursor, key) {
+        let out = if cursor.find_from(|e| e.key.cmp(key)) {
             cursor.get().map(|e| f(&e.value))
         } else {
             None
@@ -255,7 +192,7 @@ where
     pub fn for_each_range(&self, lo: &K, hi: &K, mut f: impl FnMut(&K, &V)) {
         let mut cursor = self.cursor_for(lo);
         // Position at the first key >= lo (FindFrom's stop condition).
-        let _ = find_from(&mut cursor, lo);
+        let _ = cursor.find_from(|e| e.key.cmp(lo));
         loop {
             match cursor.get() {
                 Some(entry) if entry.key < *hi => {
@@ -373,7 +310,7 @@ where
 
     fn contains(&self, key: &K) -> bool {
         let mut cursor = self.cursor_for(key);
-        let hit = find_from(&mut cursor, key);
+        let hit = cursor.find_from(|e| e.key.cmp(key));
         self.save_position(&cursor);
         hit
     }

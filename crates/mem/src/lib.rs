@@ -105,7 +105,6 @@
 #![warn(missing_debug_implementations)]
 
 pub mod arena;
-pub mod buddy;
 pub mod defer;
 pub mod epoch;
 pub(crate) mod magazine;
@@ -115,7 +114,6 @@ pub mod segtable;
 pub mod stats;
 
 pub use arena::{AllocError, Arena, ArenaConfig, EpochGuard};
-pub use buddy::{Block, BuddyAllocator, BuddyExhausted};
 pub use defer::DeferredReleases;
 pub use epoch::EpochDomain;
 pub use managed::{Link, Managed, NodeHeader, ReclaimedLinks, MAX_LINKS};

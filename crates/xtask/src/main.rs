@@ -54,7 +54,7 @@ fn usage() -> ExitCode {
     eprintln!();
     eprintln!("  analyze     run the valois-analyze protocol linter over library");
     eprintln!("              sources: shim discipline, pointer-ordering discipline,");
-    eprintln!("              unsafe/SAFETY audit, refcount pairing + dataflow balance,");
+    eprintln!("              unsafe/SAFETY audit, dataflow refcount balance,");
     eprintln!("              CAS-loop progress, probe discipline, spinlock-guard");
     eprintln!("              hygiene, the acquire/release ordering graph, protection");
     eprintln!("              windows + GUARD contracts, and PROTOCOL.md invariant");
@@ -206,9 +206,9 @@ fn main() -> ExitCode {
     let warnings = findings.len() - errors;
     if findings.is_empty() {
         eprintln!(
-            "xtask analyze: OK (shim, ordering, unsafe-audit, refcount-pairing, \
-             cas-progress, spin-guard, probe-discipline, refcount-balance, \
-             order-graph, invariant-refs, protection-window, guard-contract)"
+            "xtask analyze: OK (shim, ordering, unsafe-audit, cas-progress, \
+             spin-guard, probe-discipline, refcount-balance, order-graph, \
+             invariant-refs, protection-window, guard-contract)"
         );
         ExitCode::SUCCESS
     } else {

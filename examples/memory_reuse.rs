@@ -7,14 +7,12 @@
 //!    alive (and readable) until the reader moves on — then, and only
 //!    then, the node is recycled;
 //! 3. the **ABA scenario** the §5.1 reference counts prevent, shown as
-//!    counters: nodes are never re-allocated while referenced;
-//! 4. the §5.2 **buddy system** for variable-sized cells.
+//!    counters: nodes are never re-allocated while referenced.
 //!
 //! ```sh
 //! cargo run --release --example memory_reuse
 //! ```
 
-use valois::mem::BuddyAllocator;
 use valois::{ArenaConfig, List};
 
 fn main() {
@@ -83,27 +81,4 @@ fn main() {
         "dropping the pin freed exactly one cell+aux pair"
     );
     println!("after dropping the pin, one more item fits — reuse is reference-gated (§5.1)");
-
-    // --- 4. Variable-sized cells: the §5.2 buddy system ----------------
-    let buddy = BuddyAllocator::new(10); // 1024 units
-    let big = buddy.alloc(8).unwrap(); // 256 units
-    let mid = buddy.alloc(6).unwrap(); // 64
-    let small = buddy.alloc(2).unwrap(); // 4
-    println!(
-        "buddy: allocated {}+{}+{} of {} units",
-        big.units(),
-        mid.units(),
-        small.units(),
-        buddy.capacity_units()
-    );
-    buddy.free(big);
-    buddy.free(small);
-    buddy.free(mid);
-    assert_eq!(buddy.allocated_units(), 0);
-    assert_eq!(
-        buddy.probe_max_free_order(),
-        Some(10),
-        "all blocks merged back into one maximal region"
-    );
-    println!("buddy: all blocks freed and coalesced back to a single 1024-unit region");
 }

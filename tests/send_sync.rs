@@ -6,7 +6,7 @@
 use valois::baseline::{LockedBstDict, LockedHashDict, LockedListDict, MutexListDict, NaiveList};
 use valois::core::{Cursor, PreparedInsert};
 use valois::harness::LatencyHistogram;
-use valois::mem::{Arena, BuddyAllocator};
+use valois::mem::Arena;
 use valois::{
     AndersonLock, BstDict, ClhLock, FifoQueue, HashDict, List, PriorityQueue, Receiver, Sender,
     SkipListDict, SortedListDict, Stack, TasLock, TicketLock, TtasLock,
@@ -41,12 +41,11 @@ fn cursors_and_prepared_inserts_move_across_threads() {
 #[test]
 fn memory_manager_is_send_sync() {
     // Arena is generic over the node type; the facade list's node type is
-    // private, so assert through a structure instead plus the buddy.
+    // private, so assert through a structure instead.
     fn arena_send_sync<N: valois::mem::Managed + Send + Sync>() {
         assert_send_sync::<Arena<N>>();
     }
     let _ = arena_send_sync::<DummyNode>;
-    assert_send_sync::<BuddyAllocator>();
 }
 
 #[test]
