@@ -254,12 +254,7 @@ impl<'a> Lower<'a> {
                 alt,
             } => {
                 self.push(cur, StmtKind::Expr, *cond, cond.0);
-                let guard = null_guard(self.file, *cond);
-                let (g_then, g_else) = match guard {
-                    Some((name, true)) => (Guard::Null(name.clone()), Guard::NonNull(name)),
-                    Some((name, false)) => (Guard::NonNull(name.clone()), Guard::Null(name)),
-                    None => (Guard::Always, Guard::Always),
-                };
+                let (g_then, g_else) = null_guards(self.file, *cond);
                 let join = self.new_block();
                 let then_b = self.new_block();
                 self.edge(cur, then_b, g_then);
@@ -330,11 +325,7 @@ impl<'a> Lower<'a> {
                 self.push(head, StmtKind::Expr, *cond, cond.0);
                 let after = self.new_block();
                 let body_b = self.new_block();
-                let (g_body, g_exit) = match null_guard(self.file, *cond) {
-                    Some((name, true)) => (Guard::Null(name.clone()), Guard::NonNull(name)),
-                    Some((name, false)) => (Guard::NonNull(name.clone()), Guard::Null(name)),
-                    None => (Guard::Always, Guard::Always),
-                };
+                let (g_body, g_exit) = null_guards(self.file, *cond);
                 self.edge(head, body_b, g_body);
                 self.edge(head, after, g_exit);
                 self.loops.push((head, after));
@@ -383,23 +374,22 @@ impl<'a> Lower<'a> {
     }
 }
 
-/// Recognizes the simple null-test condition forms:
-/// `x.is_null()` → `Some((x, true))` (then-branch = null) and
-/// `!x.is_null()` → `Some((x, false))`. Compound conditions return
-/// `None` (no kill — conservative).
-fn null_guard(file: &SourceFile, range: (usize, usize)) -> Option<(String, bool)> {
+/// Edge guards `(when true, when false)` for a condition in the simple
+/// null-test forms `x.is_null()` and `!x.is_null()`. Compound conditions
+/// get `Always` on both edges (no kill — conservative).
+fn null_guards(file: &SourceFile, range: (usize, usize)) -> (Guard, Guard) {
     let sig: Vec<usize> = (range.0..range.1.min(file.toks.len()))
         .filter(|&i| !file.toks[i].is_comment())
         .collect();
     let texts: Vec<&str> = sig.iter().map(|&i| file.toks[i].text.as_str()).collect();
     match texts.as_slice() {
         [v, ".", "is_null", "(", ")"] if file.toks[sig[0]].kind == TokKind::Ident => {
-            Some(((*v).to_string(), true))
+            (Guard::Null(v.to_string()), Guard::NonNull(v.to_string()))
         }
         ["!", v, ".", "is_null", "(", ")"] if file.toks[sig[1]].kind == TokKind::Ident => {
-            Some(((*v).to_string(), false))
+            (Guard::NonNull(v.to_string()), Guard::Null(v.to_string()))
         }
-        _ => None,
+        _ => (Guard::Always, Guard::Always),
     }
 }
 

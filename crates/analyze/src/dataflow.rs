@@ -1,4 +1,4 @@
-//! Refcount-balance dataflow over the per-function CFG.
+//! The refcount-balance lattice for the [`crate::flow`] engine.
 //!
 //! The §5 protocol's central obligation: every count acquired by
 //! `safe_read`/`safe_read_tallied`/`alloc` is eventually released
@@ -10,208 +10,39 @@
 //! * **State** maps local names to `Held` (holds a count on every path
 //!   to here) or `Mixed` (holds one on at least one path), remembering
 //!   the acquire line for diagnostics. Absent = no count.
-//! * **Transfer** interprets each [`Stmt`](crate::cfg::Stmt) by token
-//!   scan: consume calls drop state, acquires bind it to the statement's
-//!   sink, single-identifier binds are *moves* (raw pointers are `Copy`,
-//!   but the workspace idiom treats `t = next` as handing the count
-//!   over — the old name is no longer released), place-stores transfer
-//!   into the structure, null-constant binds kill (null carries no
-//!   count, Fig. 17's `Release` no-ops on it).
-//! * **Guards** on CFG edges kill along `is_null` branches.
-//! * **Calls** consume through the workspace call graph: a function
-//!   summarized as releasing its `i`-th raw-pointer parameter consumes
-//!   the tracked argument at that position (see [`Summaries`]).
+//! * **Transfer** interprets each [`Stmt`] by token scan: consume calls
+//!   drop state, acquires bind it to the statement's sink,
+//!   single-identifier binds are *moves* (raw pointers are `Copy`, but
+//!   the workspace idiom treats `t = next` as handing the count over —
+//!   the old name is no longer released), place-stores transfer into the
+//!   structure, null-constant binds kill (null carries no count).
+//! * **Calls** are classified by the §5 table [`CALLS`](crate::flow::CALLS)
+//!   and consume through the workspace call graph: a function summarized
+//!   as releasing its `i`-th raw-pointer parameter consumes the tracked
+//!   argument at that position (see [`Summaries`]).
+//! * **Exit**: whatever is still held when the function returns leaks.
 //! * `// COUNT:` comments are *contracts*, not mute buttons: a blessed
 //!   statement exempts its acquisition, and a function-level
 //!   `// COUNT: ... transfers to caller ...` is checked against the
 //!   signature — declaring a transfer without a raw-pointer return is
 //!   itself an error.
-//!
-//! Fixpoint first, findings second: the worklist runs to convergence,
-//! then one reporting sweep over reachable blocks (so loop iterations do
-//! not duplicate findings).
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
-
-use crate::cfg::{Cfg, Guard, Stmt, StmtKind};
-use crate::lexer::{Delim, TokKind};
+use crate::cfg::{Stmt, StmtKind};
+use crate::flow::{
+    all_calls, plain_ident, route_arm, tracked_idents, Analysis, Call, Count, Findings,
+    FlowFinding, State, Summaries, DESTRUCTURED, SCRUT,
+};
+use crate::lexer::TokKind;
 use crate::source::SourceFile;
-use crate::syntax::{Ast, FnDef};
-
-/// Calls that acquire a counted reference.
-pub const ACQUIRES: &[&str] = &["safe_read", "safe_read_tallied", "alloc"];
-
-/// Calls that consume (release or hand off) a counted reference passed
-/// as an argument. `swing`/`store_link` are deliberately absent: they
-/// *publish* a pointer but the workspace always releases the local
-/// explicitly afterwards — counting them as consumers would hide leaks.
-pub const CONSUMES: &[&str] = &[
-    "release",
-    "release_into",
-    "release_deferred",
-    "drain_deferred",
-    "reclaim_detached",
-    "push_free",
-    "push_free_global",
-    "splice_free_global",
-    // Backend-neutral process-reference forms (refcount: decrement;
-    // epoch: no-op — the count being balanced is the refcount arm's).
-    "unprotect",
-    "unprotect_deferred",
-];
-
-/// The synthetic variable holding a count acquired by a match scrutinee
-/// while the arms decide where it binds.
-const SCRUT: &str = "#scrut";
-
-/// Workspace call-graph consumption summaries: function name → indices of
-/// raw-pointer parameters (receiver excluded) that the body releases.
-#[derive(Debug, Default)]
-pub struct Summaries {
-    consumed: BTreeMap<String, BTreeSet<usize>>,
-}
-
-impl Summaries {
-    /// Builds summaries from every parsed file. A parameter is
-    /// "consumed" when a [`CONSUMES`] call anywhere in the body mentions
-    /// it as an argument — an any-path approximation, which is the right
-    /// polarity: a summary only ever *removes* a leak report.
-    pub fn build<'a>(units: impl IntoIterator<Item = (&'a SourceFile, &'a Ast)>) -> Summaries {
-        let mut consumed: BTreeMap<String, BTreeSet<usize>> = BTreeMap::new();
-        for (file, ast) in units {
-            for def in &ast.fns {
-                let Some((open, close)) = def.item.body else {
-                    continue;
-                };
-                for (idx, param) in def.params.iter().enumerate() {
-                    let (Some(name), true) = (&param.name, param.raw_ptr) else {
-                        continue;
-                    };
-                    let released = calls_in(file, open + 1, close, CONSUMES)
-                        .into_iter()
-                        .any(|c| (c.open + 1..c.close).any(|i| file.toks[i].is_ident(name)));
-                    if released {
-                        consumed
-                            .entry(def.item.name.clone())
-                            .or_default()
-                            .insert(idx);
-                    }
-                }
-            }
-        }
-        Summaries { consumed }
-    }
-
-    /// Consumed parameter indices of `name`, if summarized.
-    pub fn consumed_params(&self, name: &str) -> Option<&BTreeSet<usize>> {
-        self.consumed.get(name)
-    }
-}
+use crate::syntax::FnDef;
 
 /// Tracked state of one local.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-struct Var {
+pub(crate) struct Var {
     /// Held on some-but-not-all paths.
     mixed: bool,
     /// Line of the (earliest) acquisition, for diagnostics.
     line: usize,
-}
-
-type State = BTreeMap<String, Var>;
-
-/// One dataflow finding, rule-agnostic (the pass assigns the rule id).
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-pub struct FlowFinding {
-    /// Primary line.
-    pub line: usize,
-    /// Message.
-    pub message: String,
-    /// Related locations: `(line, note)` pairs (e.g. the acquire site).
-    pub related: Vec<(usize, String)>,
-}
-
-/// A call site in a token range.
-struct Call {
-    name_idx: usize,
-    open: usize,
-    close: usize,
-}
-
-/// Calls to any of `names` inside `[lo, hi)`.
-fn calls_in(file: &SourceFile, lo: usize, hi: usize, names: &[&str]) -> Vec<Call> {
-    let mut out = Vec::new();
-    for i in lo..hi.min(file.toks.len()) {
-        let t = &file.toks[i];
-        if t.kind != TokKind::Ident || !names.iter().any(|n| t.is_ident(n)) {
-            continue;
-        }
-        let Some(n) = file.next_sig(i) else { continue };
-        if file.toks[n].kind != TokKind::Open(Delim::Paren) {
-            continue;
-        }
-        out.push(Call {
-            name_idx: i,
-            open: n,
-            close: file.partner[n].unwrap_or(n),
-        });
-    }
-    out
-}
-
-/// All calls (`ident (`) inside `[lo, hi)`.
-fn all_calls(file: &SourceFile, lo: usize, hi: usize) -> Vec<Call> {
-    let mut out = Vec::new();
-    for i in lo..hi.min(file.toks.len()) {
-        if file.toks[i].kind != TokKind::Ident {
-            continue;
-        }
-        let Some(n) = file.next_sig(i) else { continue };
-        if file.toks[n].kind != TokKind::Open(Delim::Paren) {
-            continue;
-        }
-        out.push(Call {
-            name_idx: i,
-            open: n,
-            close: file.partner[n].unwrap_or(n),
-        });
-    }
-    out
-}
-
-/// Splits a call's argument list `[open+1, close)` at depth-0 commas.
-fn split_args(file: &SourceFile, open: usize, close: usize) -> Vec<(usize, usize)> {
-    let mut args = Vec::new();
-    let mut start = open + 1;
-    let mut i = open + 1;
-    while i < close {
-        match file.toks[i].kind {
-            TokKind::Open(_) => {
-                i = file.partner[i].map(|p| p + 1).unwrap_or(i + 1);
-                continue;
-            }
-            TokKind::Punct if file.toks[i].text == "," => {
-                args.push((start, i));
-                start = i + 1;
-            }
-            _ => {}
-        }
-        i += 1;
-    }
-    if start < close {
-        args.push((start, close));
-    }
-    args
-}
-
-/// Analysis driver for one function.
-pub struct FlowAnalysis<'a> {
-    file: &'a SourceFile,
-    def: &'a FnDef,
-    summaries: &'a Summaries,
-    /// Return type carries a raw pointer (the transfer convention).
-    ret_raw: bool,
-    /// Function-level `// COUNT:` blessing.
-    fn_blessed: bool,
 }
 
 /// Whether the fn's leading comments carry a `// COUNT:` contract, and
@@ -239,140 +70,138 @@ pub fn fn_count_contract(file: &SourceFile, def: &FnDef) -> Option<String> {
     Some(text)
 }
 
-impl<'a> FlowAnalysis<'a> {
+/// Whether `def`'s return type carries a raw pointer (the §5 transfer
+/// convention).
+pub fn returns_raw_ptr(file: &SourceFile, def: &FnDef) -> bool {
+    let (rlo, rhi) = def.item.return_type;
+    file.toks[rlo..rhi.min(file.toks.len())]
+        .iter()
+        .any(|t| t.kind == TokKind::Punct && t.text == "*")
+}
+
+/// The balance analysis of one function.
+pub(crate) struct Balance<'a> {
+    file: &'a SourceFile,
+    def: &'a FnDef,
+    summaries: &'a Summaries,
+    /// Return type carries a raw pointer (the transfer convention).
+    ret_raw: bool,
+    /// Function-level `// COUNT:` blessing.
+    fn_blessed: bool,
+}
+
+impl<'a> Balance<'a> {
     /// Prepares the analysis of `def`.
-    pub fn new(file: &'a SourceFile, def: &'a FnDef, summaries: &'a Summaries) -> FlowAnalysis<'a> {
-        let (rlo, rhi) = def.item.return_type;
-        let ret_raw = file.toks[rlo..rhi.min(file.toks.len())]
-            .iter()
-            .any(|t| t.kind == TokKind::Punct && t.text == "*");
-        FlowAnalysis {
+    pub fn new(file: &'a SourceFile, def: &'a FnDef, summaries: &'a Summaries) -> Balance<'a> {
+        Balance {
             file,
             def,
             summaries,
-            ret_raw,
+            ret_raw: returns_raw_ptr(file, def),
             fn_blessed: fn_count_contract(file, def).is_some(),
         }
     }
 
-    /// Runs the fixpoint + reporting sweep over `cfg`.
-    pub fn run(&self, cfg: &Cfg) -> Vec<FlowFinding> {
-        // Fixpoint.
-        let mut ins: Vec<Option<State>> = vec![None; cfg.blocks.len()];
-        ins[cfg.entry] = Some(State::new());
-        let mut work: VecDeque<usize> = VecDeque::from([cfg.entry]);
-        let mut iters = 0usize;
-        while let Some(b) = work.pop_front() {
-            // Defensive bound: the lattice is finite so this terminates,
-            // but a linter must not hang on adversarial input.
-            iters += 1;
-            if iters > 64 * cfg.blocks.len() + 1024 {
-                break;
+    fn rebind_check(
+        &self,
+        key: &str,
+        stmt: &Stmt,
+        state: &State<Var>,
+        findings: &mut Option<&mut Findings>,
+    ) {
+        if stmt.blessed {
+            return;
+        }
+        if let Some(var) = state.get(key) {
+            if !var.mixed {
+                report(
+                    findings,
+                    stmt.line,
+                    format!(
+                        "{} is rebound while still holding a counted reference \
+                         (acquired at line {}); the old count leaks",
+                        display_name(key),
+                        var.line
+                    ),
+                    vec![(var.line, "previous count acquired here".into())],
+                );
             }
-            let Some(state) = ins[b].clone() else {
+        }
+    }
+
+    /// Applies consumption from [`Count::Consume`] calls and summarized
+    /// callees.
+    fn consume_calls(&self, calls: &[Call], state: &mut State<Var>) {
+        for call in calls {
+            let ranges = if call.effect(self.file).0 == Count::Consume {
+                vec![(call.open + 1, call.close)]
+            } else if let Some(positions) = self.summaries.consumed_params(call.name(self.file)) {
+                let args = call.args(self.file);
+                positions
+                    .iter()
+                    .filter_map(|&p| args.get(p).copied())
+                    .collect()
+            } else {
                 continue;
             };
-            let out = self.transfer(&cfg.blocks[b].stmts, state, None);
-            for edge in &cfg.blocks[b].succs {
-                let mut s = out.clone();
-                apply_guard(&mut s, &edge.guard);
-                let merged = match &ins[edge.to] {
-                    None => s,
-                    Some(prev) => merge(prev, &s),
-                };
-                if ins[edge.to].as_ref() != Some(&merged) {
-                    ins[edge.to] = Some(merged);
-                    if !work.contains(&edge.to) {
-                        work.push_back(edge.to);
-                    }
+            for (alo, ahi) in ranges {
+                for name in tracked_idents(self.file, alo, ahi, state) {
+                    state.remove(&name);
                 }
             }
         }
-        // Reporting sweep.
-        let mut findings: BTreeSet<FlowFinding> = BTreeSet::new();
-        for (b, input) in ins.iter().enumerate() {
-            let Some(state) = input else { continue };
-            if b == cfg.exit {
-                continue;
-            }
-            self.transfer(&cfg.blocks[b].stmts, state.clone(), Some(&mut findings));
-        }
-        // Exit leaks.
-        if let Some(exit_state) = &ins[cfg.exit] {
-            for (name, var) in exit_state {
-                let shown = display_name(name);
-                let paths = if var.mixed {
-                    "at least one path through"
-                } else {
-                    "every path through"
-                };
-                findings.insert(FlowFinding {
-                    line: var.line,
-                    message: format!(
-                        "counted reference in {shown} (acquired here) is leaked on \
-                         {paths} fn `{}`: no release, no raw-pointer transfer, and no \
-                         `// COUNT:` contract on the acquiring statement",
-                        self.def.item.name
-                    ),
-                    related: vec![(var.line, format!("{shown} acquires its count here"))],
-                });
-            }
-        }
-        findings.into_iter().collect()
+    }
+}
+
+impl Analysis for Balance<'_> {
+    type Var = Var;
+
+    fn entry(&self) -> State<Var> {
+        State::new()
     }
 
-    /// Interprets one block's statements. When `findings` is given, the
-    /// sweep also reports (fixpoint passes leave it `None`).
-    fn transfer(
-        &self,
-        stmts: &[Stmt],
-        mut state: State,
-        mut findings: Option<&mut BTreeSet<FlowFinding>>,
-    ) -> State {
-        for stmt in stmts {
-            self.step(stmt, &mut state, findings.as_deref_mut());
-        }
-        state
-    }
-
-    fn step(
-        &self,
-        stmt: &Stmt,
-        state: &mut State,
-        mut findings: Option<&mut BTreeSet<FlowFinding>>,
-    ) {
+    fn step(&self, stmt: &Stmt, state: &mut State<Var>, mut findings: Option<&mut Findings>) {
         let (lo, hi) = stmt.range;
         if matches!(stmt.kind, StmtKind::ArmOpen) {
-            self.arm_open(stmt, state);
+            // An arm that binds nothing drops the count: keep it pending
+            // so it surfaces as a leak.
+            if let Some(var) = route_arm(self.file, stmt.range, state) {
+                state.insert(SCRUT.into(), var);
+            }
             return;
         }
         // 1. Consumption: release-family calls and summarized callees.
-        self.consume_calls(lo, hi, state);
+        let calls = all_calls(self.file, lo, hi);
+        self.consume_calls(&calls, state);
         // 2. Acquisition + value flow by sink.
-        let acquires = calls_in(self.file, lo, hi, ACQUIRES);
-        let acq_line = acquires.first().map(|c| self.file.toks[c.name_idx].line);
-        let acq_name = acquires
-            .first()
-            .map(|c| self.file.toks[c.name_idx].text.clone());
+        let acquire = calls
+            .iter()
+            .find(|c| c.effect(self.file).0 == Count::Acquire)
+            .map(|c| {
+                (
+                    self.file.toks[c.name_idx].line,
+                    c.name(self.file).to_string(),
+                )
+            });
+        let acq_line = acquire.as_ref().map(|a| a.0);
         match &stmt.kind {
             StmtKind::Expr => {
-                if let (Some(line), Some(name)) = (acq_line, &acq_name) {
-                    if !stmt.blessed {
-                        self.report(
-                            &mut findings,
-                            line,
-                            format!(
-                                "count acquired by `{name}` is discarded: the value is \
-                                 neither bound, released, nor covered by a `// COUNT:` \
-                                 contract"
-                            ),
-                            vec![],
-                        );
-                    }
+                if let (Some((line, name)), false) = (&acquire, stmt.blessed) {
+                    report(
+                        &mut findings,
+                        *line,
+                        format!(
+                            "count acquired by `{name}` is discarded: the value is \
+                             neither bound, released, nor covered by a `// COUNT:` \
+                             contract"
+                        ),
+                        vec![],
+                    );
                 }
             }
             StmtKind::Bind(target) => {
-                let key = target.clone().unwrap_or_else(|| "#destructured".into());
+                let key = target.clone().unwrap_or_else(|| DESTRUCTURED.into());
+                let moved = plain_ident(self.file, lo, hi).filter(|n| state.contains_key(n));
                 if let Some(line) = acq_line {
                     self.rebind_check(&key, stmt, state, &mut findings);
                     if stmt.blessed {
@@ -380,13 +209,12 @@ impl<'a> FlowAnalysis<'a> {
                     } else {
                         state.insert(key, Var { mixed: false, line });
                     }
-                } else if let Some(moved) = self.single_tracked_ident(lo, hi, state) {
+                } else if let Some(moved) = moved {
                     if moved != key {
                         self.rebind_check(&key, stmt, state, &mut findings);
                         let var = state.remove(&moved).expect("checked tracked");
-                        if stmt.blessed {
-                            // Contract: the comment says where it goes.
-                        } else {
+                        // A blessed move: the contract says where it goes.
+                        if !stmt.blessed {
                             state.insert(key, var);
                         }
                     }
@@ -399,7 +227,7 @@ impl<'a> FlowAnalysis<'a> {
             StmtKind::PlaceBind => {
                 // Transfer into the structure: acquires are committed,
                 // tracked locals mentioned on the RHS are handed over.
-                for name in self.tracked_idents(lo, hi, state) {
+                for name in tracked_idents(self.file, lo, hi, state) {
                     state.remove(&name);
                 }
             }
@@ -415,10 +243,10 @@ impl<'a> FlowAnalysis<'a> {
             }
             StmtKind::Return => {
                 let ok = self.ret_raw || self.fn_blessed || stmt.blessed;
-                for name in self.tracked_idents(lo, hi, state) {
+                for name in tracked_idents(self.file, lo, hi, state) {
                     let var = state.remove(&name).expect("tracked");
                     if !ok {
-                        self.report(
+                        report(
                             &mut findings,
                             stmt.line,
                             format!(
@@ -432,155 +260,71 @@ impl<'a> FlowAnalysis<'a> {
                         );
                     }
                 }
-                if let Some(line) = acq_line {
-                    if !ok {
-                        self.report(
-                            &mut findings,
-                            line,
-                            "count acquired in return position escapes through a \
-                             return type with no raw pointer; add `// COUNT:` or \
-                             return the raw pointer"
-                                .into(),
-                            vec![],
-                        );
-                    }
+                if let (Some(line), false) = (acq_line, ok) {
+                    report(
+                        &mut findings,
+                        line,
+                        "count acquired in return position escapes through a \
+                         return type with no raw pointer; add `// COUNT:` or \
+                         return the raw pointer"
+                            .into(),
+                        vec![],
+                    );
                 }
             }
             StmtKind::ArmOpen => unreachable!("handled above"),
         }
     }
 
-    /// Match-arm entry: routes the pending scrutinee count through the
-    /// pattern. `Err`/`None` arms carry no count (the acquire failed);
-    /// other arms move it into the first lowercase binding identifier.
-    fn arm_open(&self, stmt: &Stmt, state: &mut State) {
-        let (lo, hi) = stmt.range;
-        let mut sig: Vec<usize> = (lo..hi.min(self.file.toks.len()))
-            .filter(|&i| !self.file.toks[i].is_comment())
-            .collect();
-        // Cut at an `if` guard: its condition identifiers are not bindings.
-        if let Some(p) = sig.iter().position(|&i| self.file.toks[i].is_ident("if")) {
-            sig.truncate(p);
-        }
-        let first = sig
-            .iter()
-            .find(|&&i| self.file.toks[i].kind == TokKind::Ident);
-        let Some(&first) = first else { return };
-        let head = self.file.toks[first].text.as_str();
-        if head == "Err" || head == "None" {
-            state.remove(SCRUT);
-            return;
-        }
-        if !state.contains_key(SCRUT) {
-            return;
-        }
-        let binding = sig.iter().find(|&&i| {
-            let t = &self.file.toks[i];
-            t.kind == TokKind::Ident
-                && t.text != "_"
-                && !t.is_ident("mut")
-                && !t.is_ident("ref")
-                && t.text.chars().next().is_some_and(|c| c.is_lowercase())
-        });
-        let var = state.remove(SCRUT).expect("checked present");
-        if let Some(&b) = binding {
-            state.insert(self.file.toks[b].text.clone(), var);
-        } else {
-            // No binding (`_ => ..`, unit variant): the count is dropped
-            // in this arm — keep it pending so it surfaces as a leak.
-            state.insert(SCRUT.into(), var);
+    fn join(a: &Var, b: &Var) -> Var {
+        Var {
+            mixed: a.mixed || b.mixed,
+            line: a.line.min(b.line),
         }
     }
 
-    fn rebind_check(
-        &self,
-        key: &str,
-        stmt: &Stmt,
-        state: &State,
-        findings: &mut Option<&mut BTreeSet<FlowFinding>>,
-    ) {
-        if stmt.blessed {
-            return;
-        }
-        if let Some(var) = state.get(key) {
-            if !var.mixed {
-                self.report(
-                    findings,
-                    stmt.line,
-                    format!(
-                        "{} is rebound while still holding a counted reference \
-                         (acquired at line {}); the old count leaks",
-                        display_name(key),
-                        var.line
-                    ),
-                    vec![(var.line, "previous count acquired here".into())],
-                );
-            }
+    fn one_sided(v: &Var) -> Var {
+        Var {
+            mixed: true,
+            line: v.line,
         }
     }
 
-    /// Applies consumption from [`CONSUMES`] calls and summarized callees.
-    fn consume_calls(&self, lo: usize, hi: usize, state: &mut State) {
-        for call in all_calls(self.file, lo, hi) {
-            let name = self.file.toks[call.name_idx].text.as_str();
-            if CONSUMES.contains(&name) {
-                for name in self.tracked_idents(call.open + 1, call.close, state) {
-                    state.remove(&name);
-                }
-            } else if let Some(positions) = self.summaries.consumed_params(name) {
-                let args = split_args(self.file, call.open, call.close);
-                for &p in positions {
-                    if let Some(&(alo, ahi)) = args.get(p) {
-                        for name in self.tracked_idents(alo, ahi, state) {
-                            state.remove(&name);
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Tracked variable names mentioned as identifiers in `[lo, hi)`.
-    fn tracked_idents(&self, lo: usize, hi: usize, state: &State) -> Vec<String> {
-        let mut out = Vec::new();
-        for i in lo..hi.min(self.file.toks.len()) {
-            let t = &self.file.toks[i];
-            if t.kind == TokKind::Ident && state.contains_key(&t.text) && !out.contains(&t.text) {
-                out.push(t.text.clone());
-            }
-        }
-        out
-    }
-
-    /// If the significant tokens of `[lo, hi)` are exactly one tracked
-    /// identifier, returns it (a move).
-    fn single_tracked_ident(&self, lo: usize, hi: usize, state: &State) -> Option<String> {
-        let sig: Vec<usize> = (lo..hi.min(self.file.toks.len()))
-            .filter(|&i| !self.file.toks[i].is_comment())
-            .collect();
-        match sig.as_slice() {
-            [i] => {
-                let t = &self.file.toks[*i];
-                (t.kind == TokKind::Ident && state.contains_key(&t.text)).then(|| t.text.clone())
-            }
-            _ => None,
-        }
-    }
-
-    fn report(
-        &self,
-        findings: &mut Option<&mut BTreeSet<FlowFinding>>,
-        line: usize,
-        message: String,
-        related: Vec<(usize, String)>,
-    ) {
-        if let Some(f) = findings {
-            f.insert(FlowFinding {
-                line,
-                message,
-                related,
+    /// Every count still held at the exit leaks.
+    fn exit(&self, state: &State<Var>, findings: &mut Findings) {
+        for (name, var) in state {
+            let shown = display_name(name);
+            let paths = if var.mixed {
+                "at least one path through"
+            } else {
+                "every path through"
+            };
+            findings.insert(FlowFinding {
+                line: var.line,
+                message: format!(
+                    "counted reference in {shown} (acquired here) is leaked on \
+                     {paths} fn `{}`: no release, no raw-pointer transfer, and no \
+                     `// COUNT:` contract on the acquiring statement",
+                    self.def.item.name
+                ),
+                related: vec![(var.line, format!("{shown} acquires its count here"))],
             });
         }
+    }
+}
+
+fn report(
+    findings: &mut Option<&mut Findings>,
+    line: usize,
+    message: String,
+    related: Vec<(usize, String)>,
+) {
+    if let Some(f) = findings {
+        f.insert(FlowFinding {
+            line,
+            message,
+            related,
+        });
     }
 }
 
@@ -588,60 +332,15 @@ impl<'a> FlowAnalysis<'a> {
 fn display_name(key: &str) -> String {
     match key {
         SCRUT => "the match scrutinee's value".to_string(),
-        "#destructured" => "the destructured value".to_string(),
+        DESTRUCTURED => "the destructured value".to_string(),
         _ => format!("`{key}`"),
     }
-}
-
-fn apply_guard(state: &mut State, guard: &Guard) {
-    if let Guard::Null(name) = guard {
-        // A null pointer carries no count: Release(null) is a no-op.
-        state.remove(name);
-    }
-}
-
-fn merge(a: &State, b: &State) -> State {
-    let mut out = State::new();
-    for (k, va) in a {
-        match b.get(k) {
-            Some(vb) => {
-                out.insert(
-                    k.clone(),
-                    Var {
-                        mixed: va.mixed || vb.mixed,
-                        line: va.line.min(vb.line),
-                    },
-                );
-            }
-            None => {
-                out.insert(
-                    k.clone(),
-                    Var {
-                        mixed: true,
-                        line: va.line,
-                    },
-                );
-            }
-        }
-    }
-    for (k, vb) in b {
-        if !a.contains_key(k) {
-            out.insert(
-                k.clone(),
-                Var {
-                    mixed: true,
-                    line: vb.line,
-                },
-            );
-        }
-    }
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{cfg, syntax};
+    use crate::{cfg, flow::solve, syntax};
 
     fn analyze(src: &str) -> Vec<FlowFinding> {
         analyze_named(src, 0)
@@ -653,7 +352,7 @@ mod tests {
         let summaries = Summaries::build([(&file, &ast)]);
         let def = &ast.fns[fn_index];
         let cfg = cfg::build(&file, def).expect("body");
-        FlowAnalysis::new(&file, def, &summaries).run(&cfg)
+        solve(&Balance::new(&file, def, &summaries), &cfg)
     }
 
     #[test]

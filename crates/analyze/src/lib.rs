@@ -32,6 +32,12 @@
 //! [`passes::order_graph`]; the legacy token-level pass was folded into
 //! it in PR 8 with rule ids unchanged.
 //!
+//! `refcount-balance` ([`dataflow`]) and `protection-window`
+//! ([`protect`]) are two lattices on one count-flow engine ([`flow`]):
+//! each file is parsed once per run, each function's [`cfg`] is built
+//! once, and one solver, one §5 call table and one workspace summary
+//! walk serve both.
+//!
 //! See `docs/ANALYSIS.md` for the comment contracts and
 //! `docs/VERIFICATION.md` for where this layer sits among the others.
 //!
@@ -43,6 +49,7 @@
 
 pub mod cfg;
 pub mod dataflow;
+pub mod flow;
 pub mod lexer;
 pub mod passes;
 pub mod protect;
@@ -60,6 +67,7 @@ pub use report::{
     RULES,
 };
 use source::SourceFile;
+use syntax::{Ast, FnDef};
 
 /// Workspace-level analysis context: what the dataflow passes need beyond
 /// one file's tokens.
@@ -68,53 +76,57 @@ pub struct Context {
     /// headers). `None` when no PROTOCOL.md is available — the
     /// `invariant-ref` check is skipped, not vacuously failed.
     pub invariants: Option<BTreeSet<u32>>,
-    /// Call-graph consumption summaries for the balance pass.
-    pub summaries: dataflow::Summaries,
-    /// `// GUARD:` contracts + deref summaries for the protection pass.
-    pub guards: protect::GuardSummaries,
+    /// Call-graph summaries for `refcount-balance` and
+    /// `protection-window`.
+    pub summaries: flow::Summaries,
 }
 
 impl Context {
     /// A context with no workspace knowledge: invariant cross-references
-    /// unchecked, no cross-function consumption. Used by fixtures and the
+    /// unchecked, no cross-file summaries. Used by fixtures and the
     /// single-file [`analyze_source`] entry point.
     pub fn empty() -> Context {
         Context {
             invariants: None,
-            summaries: dataflow::Summaries::default(),
-            guards: protect::GuardSummaries::default(),
+            summaries: flow::Summaries::default(),
         }
     }
 
     /// Builds the full context for the workspace at `root`: parses
     /// `docs/PROTOCOL.md` for defined invariants and summarizes every
-    /// source file's consumption behavior.
+    /// source file's call-graph behavior.
     pub fn for_workspace(root: &Path) -> Context {
-        let invariants = std::fs::read_to_string(root.join("docs/PROTOCOL.md"))
-            .ok()
-            .map(|text| protocol_invariants(&text));
-        let mut parsed = Vec::new();
-        for path in source_files(root) {
-            let Ok(content) = std::fs::read_to_string(&path) else {
-                continue;
-            };
-            let label = path
-                .strip_prefix(root)
-                .unwrap_or(&path)
-                .display()
-                .to_string();
-            let file = SourceFile::parse(&label, &content);
-            let ast = syntax::parse(&file);
-            parsed.push((file, ast));
-        }
-        let summaries = dataflow::Summaries::build(parsed.iter().map(|(f, a)| (f, a)));
-        let guards = protect::GuardSummaries::build(parsed.iter().map(|(f, a)| (f, a)));
+        Context::from_parsed(root, &parse_workspace(root))
+    }
+
+    fn from_parsed(root: &Path, units: &[(SourceFile, Ast)]) -> Context {
         Context {
-            invariants,
-            summaries,
-            guards,
+            invariants: std::fs::read_to_string(root.join("docs/PROTOCOL.md"))
+                .ok()
+                .map(|text| protocol_invariants(&text)),
+            summaries: flow::Summaries::build(units.iter().map(|(f, a)| (f, a))),
         }
     }
+}
+
+/// Reads and parses every file of [`source_files`], labeled
+/// workspace-relative.
+fn parse_workspace(root: &Path) -> Vec<(SourceFile, Ast)> {
+    let mut units = Vec::new();
+    for path in source_files(root) {
+        let Ok(content) = std::fs::read_to_string(&path) else {
+            continue;
+        };
+        let label = path
+            .strip_prefix(root)
+            .unwrap_or(&path)
+            .display()
+            .to_string();
+        let file = SourceFile::parse(&label, &content);
+        let ast = syntax::parse(&file);
+        units.push((file, ast));
+    }
+    units
 }
 
 /// Invariant numbers defined in PROTOCOL.md text: every `**I<digits>`
@@ -162,13 +174,22 @@ pub fn analyze_source(label: &str, content: &str) -> Vec<Finding> {
 }
 
 /// [`analyze_source`] with a workspace [`Context`]: enables the
-/// cross-function consumption summaries of `refcount-balance`, the
-/// `invariant-ref` cross-check, and collects sites for the workspace
-/// `order-pairing` graph (returned separately by [`analyze_workspace`]).
+/// cross-file call-graph summaries of `refcount-balance` and
+/// `protection-window` and the `invariant-ref` cross-check. The
+/// workspace `order-pairing` graph needs every file, so only
+/// [`analyze_workspace`] reports it.
 pub fn analyze_source_with(label: &str, content: &str, ctx: &Context) -> Vec<Finding> {
-    let mut timings = BTreeMap::new();
-    let (findings, _) = analyze_file(label, content, ctx, &mut timings);
-    findings
+    let file = SourceFile::parse(label, content);
+    let ast = syntax::parse(&file);
+    // Fold the file's own fns into the summaries so calls to local
+    // helpers are seen (a workspace context already holds them).
+    let mut summaries = ctx.summaries.clone();
+    summaries.absorb(&file, &ast);
+    let ctx = Context {
+        invariants: ctx.invariants.clone(),
+        summaries,
+    };
+    analyze_file(&file, &ast, &ctx, &mut BTreeMap::new()).0
 }
 
 /// Path-keyed exemptions for one file. The shim directory is additionally
@@ -198,68 +219,74 @@ impl Exemptions {
     }
 }
 
+/// Every non-test fn of `file` with its CFG (`None` when bodiless),
+/// lowered once and shared by the count-flow passes.
+pub(crate) fn lower_fns<'a>(file: &SourceFile, ast: &'a Ast) -> Vec<(&'a FnDef, Option<cfg::Cfg>)> {
+    ast.fns
+        .iter()
+        .filter(|def| !file.in_test_mod(def.item.fn_idx))
+        .map(|def| (def, cfg::build(file, def)))
+        .collect()
+}
+
 /// Runs every per-file pass, timing each, and returns the findings plus
 /// this file's ordering-graph sites (for the workspace pairing check).
+/// `ctx.summaries` must already cover `file`.
 fn analyze_file(
-    label: &str,
-    content: &str,
+    file: &SourceFile,
+    ast: &Ast,
     ctx: &Context,
     timings: &mut BTreeMap<&'static str, Duration>,
 ) -> (Vec<Finding>, Vec<passes::order_graph::OpSite>) {
-    fn timed(
+    fn timed<T>(
         timings: &mut BTreeMap<&'static str, Duration>,
         name: &'static str,
-        out: &mut Vec<Finding>,
-        f: impl FnOnce() -> Vec<Finding>,
-    ) {
+        f: impl FnOnce() -> T,
+    ) -> T {
         let t0 = Instant::now();
-        out.extend(f());
+        let out = f();
         *timings.entry(name).or_default() += t0.elapsed();
+        out
     }
-    let t0 = Instant::now();
-    let file = SourceFile::parse(label, content);
-    let ast = syntax::parse(&file);
-    *timings.entry("parse").or_default() += t0.elapsed();
-    let ex = Exemptions::for_label(label);
+    let ex = Exemptions::for_label(&file.label);
     let mut out = Vec::new();
     if !ex.is_shim && !ex.is_trace {
-        timed(timings, "shim-import", &mut out, || {
-            passes::shim::run(&file)
-        });
+        out.extend(timed(timings, "shim-import", || passes::shim::run(file)));
     }
-    timed(timings, "unsafe-comment", &mut out, || {
-        passes::unsafe_audit::run(&file)
-    });
+    out.extend(timed(timings, "unsafe-comment", || {
+        passes::unsafe_audit::run(file)
+    }));
     if !ex.progress_exempt {
-        timed(timings, "cas-progress/spin-guard", &mut out, || {
-            passes::progress::run(&file)
-        });
+        out.extend(timed(timings, "cas-progress/spin-guard", || {
+            passes::progress::run(file)
+        }));
     }
     if !ex.is_trace {
-        timed(timings, "probe-discipline", &mut out, || {
-            passes::probes::run(&file)
-        });
+        out.extend(timed(timings, "probe-discipline", || {
+            passes::probes::run(file)
+        }));
     }
-    timed(timings, "refcount-balance", &mut out, || {
-        passes::balance::run(&file, &ast, &ctx.summaries)
-    });
-    timed(timings, "protection-window", &mut out, || {
-        passes::protection::run(&file, &ast, &ctx.guards)
-    });
+    let fns = timed(timings, "cfg", || lower_fns(file, ast));
+    out.extend(timed(timings, "refcount-balance", || {
+        passes::balance::run(file, &fns, &ctx.summaries)
+    }));
+    out.extend(timed(timings, "protection-window", || {
+        passes::protection::run(file, &fns, &ctx.summaries)
+    }));
     // Sites are collected for every file so the token-level
     // `relaxed-ptr-order` rule (folded into the ordering graph) keeps its
     // original scope; the shim/trace exemption applies only to the
     // protocol-decision rules (SeqCst, invariants, workspace pairing) —
     // those wrappers forward caller orderings verbatim.
     let t0 = Instant::now();
-    let mut sites = passes::order_graph::collect(&file);
+    let mut sites = passes::order_graph::collect(file);
     out.extend(passes::order_graph::relaxed_findings(&sites));
     if ex.order_graph_exempt() {
         sites = Vec::new();
     } else {
         out.extend(passes::order_graph::seqcst_findings(&sites));
         out.extend(passes::order_graph::invariant_findings(
-            &file,
+            file,
             ctx.invariants.as_ref(),
         ));
     }
@@ -321,26 +348,19 @@ pub fn analyze_workspace(root: &Path) -> Vec<Finding> {
 /// [`analyze_workspace`] plus per-pass timing statistics.
 pub fn analyze_workspace_timed(root: &Path) -> (Vec<Finding>, PassStats) {
     let run0 = Instant::now();
-    let t0 = Instant::now();
-    let ctx = Context::for_workspace(root);
     let mut timings: BTreeMap<&'static str, Duration> = BTreeMap::new();
+    let t0 = Instant::now();
+    let units = parse_workspace(root);
+    timings.insert("parse", t0.elapsed());
+    let t0 = Instant::now();
+    let ctx = Context::from_parsed(root, &units);
     timings.insert("context-build", t0.elapsed());
     let mut out = Vec::new();
     let mut all_sites = Vec::new();
-    let mut files = 0usize;
-    for file in source_files(root) {
-        let Ok(content) = std::fs::read_to_string(&file) else {
-            continue;
-        };
-        let label = file
-            .strip_prefix(root)
-            .unwrap_or(&file)
-            .display()
-            .to_string();
-        let (findings, sites) = analyze_file(&label, &content, &ctx, &mut timings);
+    for (file, ast) in &units {
+        let (findings, sites) = analyze_file(file, ast, &ctx, &mut timings);
         out.extend(findings);
         all_sites.extend(sites);
-        files += 1;
     }
     let t0 = Instant::now();
     out.extend(passes::order_graph::pairing_findings(&all_sites));
@@ -348,7 +368,7 @@ pub fn analyze_workspace_timed(root: &Path) -> (Vec<Finding>, PassStats) {
     out.sort_by(|a, b| (a.file.as_str(), a.line, a.rule).cmp(&(b.file.as_str(), b.line, b.rule)));
     let stats = PassStats {
         timings: timings.into_iter().collect(),
-        files,
+        files: units.len(),
         total: run0.elapsed(),
     };
     (out, stats)

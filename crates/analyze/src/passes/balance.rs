@@ -1,43 +1,44 @@
 //! `refcount-balance`: the reference-count rule. Rather than asking
-//! "does this function *mention* a release or carry a comment?", it
-//! lowers the body to a CFG and proves per path that every count
-//! acquired by `safe_read`/`safe_read_tallied`/`alloc` is released,
-//! transferred to the caller through a raw-pointer return, stored into
-//! the structure, or covered by a `// COUNT:` contract. It also checks
-//! the contract text itself: a function-level `// COUNT: ... transfers
-//! to caller ...` whose signature has no raw-pointer return cannot be
-//! honored and is reported (`declared-transfer-not-returned`).
+//! "does this function *mention* a release or carry a comment?", it runs
+//! the balance lattice ([`crate::dataflow`]) over each function's CFG and
+//! proves per path that every count acquired by
+//! `safe_read`/`safe_read_tallied`/`alloc` is released, transferred to
+//! the caller through a raw-pointer return, stored into the structure, or
+//! covered by a `// COUNT:` contract. It also checks the contract text
+//! itself: a function-level `// COUNT: ... transfers to caller ...` whose
+//! signature has no raw-pointer return cannot be honored and is reported
+//! (`declared-transfer-not-returned`).
 //!
 //! It reports at `Error` severity because a leaked count permanently
 //! wedges Fig. 17's reclamation (the cell never reaches refcount 1
 //! again).
 
-use crate::cfg;
-use crate::dataflow::{fn_count_contract, FlowAnalysis, Summaries};
-use crate::report::{Finding, Related};
+use crate::cfg::Cfg;
+use crate::dataflow::{fn_count_contract, returns_raw_ptr, Balance};
+use crate::flow::{solve, Summaries};
+use crate::passes::{finding, flow_finding};
+use crate::report::Finding;
 use crate::source::SourceFile;
-use crate::syntax::Ast;
+use crate::syntax::FnDef;
 
-/// Runs the balance analysis over every non-test function in `file`.
-/// `summaries` must come from [`Summaries::build`] over the whole
-/// workspace so cross-crate consumers (e.g. `release_deferred`) are seen.
-pub fn run(file: &SourceFile, ast: &Ast, summaries: &Summaries) -> Vec<Finding> {
+/// Runs the balance analysis over `fns`, every non-test fn of `file` with
+/// its CFG. `summaries` must cover the whole workspace so cross-crate
+/// consumers (e.g. `release_deferred`) are seen.
+pub fn run(
+    file: &SourceFile,
+    fns: &[(&FnDef, Option<Cfg>)],
+    summaries: &Summaries,
+) -> Vec<Finding> {
     let mut out = Vec::new();
-    for def in &ast.fns {
-        if file.in_test_mod(def.item.fn_idx) {
-            continue;
-        }
+    for (def, graph) in fns {
         // A function-level COUNT contract replaces path analysis with a
         // contract check: a declared transfer-to-caller must be
         // realizable, i.e. the return type carries a raw pointer.
         if let Some(text) = fn_count_contract(file, def) {
             let lower = text.to_lowercase();
-            let (rlo, rhi) = def.item.return_type;
-            let ret_raw = file.toks[rlo..rhi.min(file.toks.len())]
-                .iter()
-                .any(|t| t.text == "*");
-            if lower.contains("transfer") && lower.contains("caller") && !ret_raw {
-                out.push(super::finding(
+            if lower.contains("transfer") && lower.contains("caller") && !returns_raw_ptr(file, def)
+            {
+                out.push(finding(
                     "refcount-balance",
                     file,
                     def.item.line,
@@ -51,30 +52,9 @@ pub fn run(file: &SourceFile, ast: &Ast, summaries: &Summaries) -> Vec<Finding> 
             }
             continue;
         }
-        if def.item.body.is_none() {
-            continue;
-        }
-        let Some(graph) = cfg::build(file, def) else {
-            continue;
-        };
-        let analysis = FlowAnalysis::new(file, def, summaries);
-        for f in analysis.run(&graph) {
-            let related = f
-                .related
-                .into_iter()
-                .map(|(line, note)| Related {
-                    file: file.label.clone(),
-                    line,
-                    note,
-                })
-                .collect();
-            out.push(super::finding_with_related(
-                "refcount-balance",
-                file,
-                f.line,
-                f.message,
-                related,
-            ));
+        let Some(graph) = graph else { continue };
+        for f in solve(&Balance::new(file, def, summaries), graph) {
+            out.push(flow_finding("refcount-balance", file, f));
         }
     }
     out
@@ -89,7 +69,7 @@ mod tests {
         let file = SourceFile::parse("t.rs", src);
         let ast = syntax::parse(&file);
         let summaries = Summaries::build([(&file, &ast)]);
-        run(&file, &ast, &summaries)
+        run(&file, &crate::lower_fns(&file, &ast), &summaries)
     }
 
     #[test]

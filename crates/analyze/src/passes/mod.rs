@@ -13,6 +13,7 @@ pub mod balance;
 pub mod order_graph;
 pub mod protection;
 
+use crate::flow::FlowFinding;
 use crate::report::{rule_info, Finding, Related};
 use crate::source::SourceFile;
 
@@ -34,15 +35,17 @@ pub(crate) fn finding(
     }
 }
 
-/// Builds a finding with secondary locations attached.
-pub(crate) fn finding_with_related(
-    rule: &'static str,
-    file: &SourceFile,
-    line: usize,
-    message: String,
-    related: Vec<Related>,
-) -> Finding {
-    let mut f = finding(rule, file, line, message);
-    f.related = related;
+/// Maps a count-flow finding to `rule`, its related lines in `file`.
+pub(crate) fn flow_finding(rule: &'static str, file: &SourceFile, flow: FlowFinding) -> Finding {
+    let mut f = finding(rule, file, flow.line, flow.message);
+    f.related = flow
+        .related
+        .into_iter()
+        .map(|(line, note)| Related {
+            file: file.label.clone(),
+            line,
+            note,
+        })
+        .collect();
     f
 }

@@ -2,37 +2,30 @@
 //! counted node pointer must stay inside its §5 protection window
 //! (invariant I11, docs/PROTOCOL.md), and `unsafe fn`s that deref
 //! raw-pointer parameters must declare the caller's obligation with a
-//! `// GUARD:` contract. The dataflow itself lives in
-//! [`crate::protect`]; this wrapper maps its findings to rules and adds
-//! the contract-hygiene checks.
+//! `// GUARD:` contract. The lattice lives in [`crate::protect`]; this
+//! wrapper runs it, maps its findings to rules and adds the
+//! contract-hygiene checks.
 
-use crate::cfg;
-use crate::passes::{finding, finding_with_related};
-use crate::protect::{deref_sites, fn_guard_contract, GuardSummaries, ProtectAnalysis};
-use crate::report::{Finding, Related};
+use crate::cfg::Cfg;
+use crate::flow::{solve, Summaries};
+use crate::passes::{finding, flow_finding};
+use crate::protect::{deref_sites, fn_guard_contract, Protection};
+use crate::report::Finding;
 use crate::source::SourceFile;
-use crate::syntax::Ast;
+use crate::syntax::FnDef;
 
-/// Runs both checks over one file. `workspace` carries cross-file
-/// `// GUARD:`/deref summaries; the file's own fns are folded in so
-/// single-file (fixture) runs still check local helper calls.
-pub fn run(file: &SourceFile, ast: &Ast, workspace: &GuardSummaries) -> Vec<Finding> {
-    let mut guards = workspace.clone();
-    guards.absorb(file, ast);
+/// Runs both checks over `fns`, every non-test fn of `file` with its
+/// CFG. `summaries` carries the `// GUARD:`/deref facts of every fn the
+/// file can call, its own included.
+pub fn run(
+    file: &SourceFile,
+    fns: &[(&FnDef, Option<Cfg>)],
+    summaries: &Summaries,
+) -> Vec<Finding> {
     let mut out = Vec::new();
-    for def in &ast.fns {
-        if file.in_test_mod(def.item.fn_idx) {
-            continue;
-        }
+    for (def, graph) in fns {
         let declared = fn_guard_contract(file, def);
-        let raw_params: Vec<&str> = def
-            .params
-            .iter()
-            .filter_map(|p| match (&p.name, p.raw_ptr) {
-                (Some(n), true) => Some(n.as_str()),
-                _ => None,
-            })
-            .collect();
+        let raw_params: Vec<&str> = def.raw_params().map(|(_, n)| n).collect();
         // An unsafe fn that derefs a raw-pointer param must state the
         // caller's obligation; safe fns get summarized automatically.
         if def.item.is_unsafe {
@@ -90,26 +83,9 @@ pub fn run(file: &SourceFile, ast: &Ast, workspace: &GuardSummaries) -> Vec<Find
                 }
             }
         }
-        let Some(graph) = cfg::build(file, def) else {
-            continue;
-        };
-        for flow in ProtectAnalysis::new(file, def, &guards).run(&graph) {
-            let related = flow
-                .related
-                .into_iter()
-                .map(|(line, note)| Related {
-                    file: file.label.clone(),
-                    line,
-                    note,
-                })
-                .collect();
-            out.push(finding_with_related(
-                "protection-window",
-                file,
-                flow.line,
-                flow.message,
-                related,
-            ));
+        let Some(graph) = graph else { continue };
+        for f in solve(&Protection::new(file, def, summaries), graph) {
+            out.push(flow_finding("protection-window", file, f));
         }
     }
     out

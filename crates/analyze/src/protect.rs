@@ -1,23 +1,23 @@
-//! Pointer-provenance protection analysis: every dereference of a
-//! counted node pointer must sit *inside* its protection window.
+//! The protection-window lattice for the [`crate::flow`] engine: every
+//! dereference of a counted node pointer must sit *inside* its
+//! protection window.
 //!
 //! [`crate::dataflow`] proves counts are eventually released (no leaks);
 //! this module proves the complementary direction — no *use after* the
 //! protecting count is consumed, the exact use-after-reclamation/ABA
 //! hazard the §5 scheme exists to prevent (invariant I11,
-//! docs/PROTOCOL.md). It is a forward dataflow over the same
-//! [`Cfg`](crate::cfg::Cfg), with a per-variable provenance lattice:
+//! docs/PROTOCOL.md). It runs on the same [`Cfg`](crate::cfg::Cfg) and
+//! solver, with a per-variable provenance lattice:
 //!
-//! * `Protected` — the local holds a live count, acquired by
-//!   `safe_read`/`safe_read_tallied`/`alloc`/`incr_ref` or guaranteed by
-//!   the enclosing fn's `// GUARD:` contract.
+//! * `Protected` — the local holds a live count, acquired by a
+//!   [`Window::Open`] call, re-opened by a [`Window::Reacquire`] call, or
+//!   guaranteed by the enclosing fn's `// GUARD:` contract.
 //! * `Parked` — the count was handed to a deferred-release buffer
-//!   (`release_deferred`). A parked release is still a live process
+//!   ([`Window::Park`]). A parked release is still a live process
 //!   reference under I1: deref remains legal. The *flush*
-//!   (`drain_deferred`/`flush_stats`) is the kill, not the park.
-//! * `Released` — the protecting count was consumed (`release`,
-//!   `release_into`, `reclaim_detached`, free-list pushes, a deferred
-//!   flush). A dereference in this state — on *any* path — is reported.
+//!   ([`Window::Flush`]) is the kill, not the park.
+//! * `Released` — the protecting count was consumed ([`Window::Kill`] or
+//!   a flush). A dereference in this state — on *any* path — is reported.
 //! * `Moved` — the count was handed off (to another binding, into the
 //!   structure through a place-store, or to the caller via return).
 //!   Deref through the old name stays silent: the window is owned
@@ -25,16 +25,16 @@
 //! * Unknown (absent from the map) — not a tracked provenance; never
 //!   reported.
 //!
-//! The polarity is the inverse of the balance pass: there, consuming too
-//! eagerly only *removes* leak reports, so any-path call summaries are
-//! safe. Here a spurious kill would *invent* a use-after-release, so only
-//! the explicit release-family calls (with the pointer as a plain
+//! The polarity is the inverse of the balance lattice: there, consuming
+//! too eagerly only *removes* leak reports, so any-path call summaries
+//! are safe. Here a spurious kill would *invent* a use-after-release, so
+//! only the explicit calls of the §5 table (with the pointer as a plain
 //! argument) close a window — a summarized callee that mentions a release
 //! does not, because it may be releasing a *different* count on the same
 //! node (e.g. `swing` dropping the link's count while the caller keeps
 //! its process reference).
 //!
-//! Interprocedural checking goes through [`GuardSummaries`] and the
+//! Interprocedural checking goes through [`Summaries`] and the
 //! `// GUARD:` contract comment (see docs/ANALYSIS.md for the grammar):
 //! a fn declaring `// GUARD: p` promises the caller holds a count on `p`
 //! for the duration of the call, so `p` starts `Protected` in the callee
@@ -44,117 +44,14 @@
 //! too; the *requirement* to write `// GUARD:` applies to `unsafe fn`s
 //! (enforced by the `guard-contract` rule in the pass wrapper).
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
-
-use crate::cfg::{Cfg, Guard, Stmt, StmtKind};
-use crate::dataflow::{FlowFinding, ACQUIRES};
-use crate::lexer::{Delim, TokKind};
+use crate::cfg::{Stmt, StmtKind};
+use crate::flow::{
+    all_calls, plain_ident, route_arm, tracked_idents, Analysis, Call, Findings, FlowFinding,
+    State, Summaries, Window, DESTRUCTURED, SCRUT,
+};
+use crate::lexer::TokKind;
 use crate::source::SourceFile;
-use crate::syntax::{Ast, FnDef};
-
-/// Calls that close a protection window immediately: the plain-identifier
-/// argument's count is consumed at the call.
-pub const KILLS: &[&str] = &[
-    "release",
-    "release_into",
-    "reclaim_detached",
-    "push_free",
-    "push_free_global",
-    "splice_free_global",
-    "from_raw",
-    // Backend-neutral process-reference release: a refcount decrement
-    // under `RefCount`, a no-op under `Epoch` — either way the caller's
-    // claim on the pointer ends here (I11/I12).
-    "unprotect",
-];
-
-/// Calls that *park* a release in a deferred buffer: the count is still
-/// live (deref stays legal) until a flush.
-pub const PARKS: &[&str] = &["release_deferred", "unprotect_deferred"];
-
-/// Calls that flush deferred buffers: every parked window closes here.
-pub const FLUSHES: &[&str] = &["drain_deferred", "flush_stats"];
-
-/// Calls that (re)open a window on an existing pointer argument.
-pub const REACQUIRES: &[&str] = &["incr_ref", "protect_dup"];
-
-/// The synthetic variable for a match scrutinee's pending value.
-const SCRUT: &str = "#scrut";
-
-/// Workspace `// GUARD:` contracts and deref summaries: fn name → indices
-/// of raw-pointer parameters (receiver excluded).
-#[derive(Debug, Default, Clone)]
-pub struct GuardSummaries {
-    /// Params declared in a `// GUARD:` contract comment.
-    guards: BTreeMap<String, BTreeSet<usize>>,
-    /// Raw-pointer params the body dereferences (directly; one level).
-    derefs: BTreeMap<String, BTreeSet<usize>>,
-}
-
-impl GuardSummaries {
-    /// Builds summaries from parsed files.
-    pub fn build<'a>(units: impl IntoIterator<Item = (&'a SourceFile, &'a Ast)>) -> GuardSummaries {
-        let mut out = GuardSummaries::default();
-        for (file, ast) in units {
-            out.absorb(file, ast);
-        }
-        out
-    }
-
-    /// Adds `file`'s fns to the summaries (used to fold a fixture file
-    /// into a possibly-empty workspace view).
-    pub fn absorb(&mut self, file: &SourceFile, ast: &Ast) {
-        for def in &ast.fns {
-            let raw_params: Vec<(usize, &str)> = def
-                .params
-                .iter()
-                .enumerate()
-                .filter_map(|(i, p)| match (&p.name, p.raw_ptr) {
-                    (Some(n), true) => Some((i, n.as_str())),
-                    _ => None,
-                })
-                .collect();
-            if raw_params.is_empty() {
-                continue;
-            }
-            if let Some(names) = fn_guard_contract(file, def) {
-                for (i, n) in &raw_params {
-                    if names.iter().any(|g| g == n) {
-                        self.guards
-                            .entry(def.item.name.clone())
-                            .or_default()
-                            .insert(*i);
-                    }
-                }
-            }
-            if let Some((open, close)) = def.item.body {
-                for (i, n) in &raw_params {
-                    if !deref_sites(file, open + 1, close, n).is_empty() {
-                        self.derefs
-                            .entry(def.item.name.clone())
-                            .or_default()
-                            .insert(*i);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Param indices of `name` the caller must keep protected: the
-    /// union of GUARD-declared and observed-dereferencing params.
-    pub fn protected_params(&self, name: &str) -> BTreeSet<usize> {
-        let mut out = self.guards.get(name).cloned().unwrap_or_default();
-        if let Some(d) = self.derefs.get(name) {
-            out.extend(d.iter().copied());
-        }
-        out
-    }
-
-    /// Whether `name` declares a `// GUARD:` contract for param `idx`.
-    pub fn guard_declared(&self, name: &str, idx: usize) -> bool {
-        self.guards.get(name).is_some_and(|s| s.contains(&idx))
-    }
-}
+use crate::syntax::FnDef;
 
 /// Parses the fn's leading `// GUARD:` contract, returning the declared
 /// parameter names. Grammar (see docs/ANALYSIS.md): the marker is
@@ -195,7 +92,7 @@ pub fn fn_guard_contract(file: &SourceFile, def: &FnDef) -> Option<Vec<String>> 
 
 /// How a tracked pointer's window can stand.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-enum Prov {
+pub(crate) enum Prov {
     /// Live count held by this local.
     Protected,
     /// Release parked in a deferred buffer; still live until a flush.
@@ -208,7 +105,7 @@ enum Prov {
 
 /// Tracked state of one local.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-struct PVar {
+pub(crate) struct PVar {
     prov: Prov,
     /// Line where the window opened (acquire site or fn signature for
     /// GUARD params).
@@ -216,8 +113,6 @@ struct PVar {
     /// What opened it, for diagnostics.
     origin: &'static str,
 }
-
-type State = BTreeMap<String, PVar>;
 
 /// Identifier keywords that can legally precede a unary `*` deref.
 const UNARY_PREFIX_KEYWORDS: &[&str] = &[
@@ -262,57 +157,6 @@ pub fn deref_sites(file: &SourceFile, lo: usize, hi: usize, name: &str) -> Vec<u
     out
 }
 
-/// A call site (`ident (`) in a token range.
-struct Call {
-    name_idx: usize,
-    open: usize,
-    close: usize,
-}
-
-fn all_calls(file: &SourceFile, lo: usize, hi: usize) -> Vec<Call> {
-    let mut out = Vec::new();
-    for i in lo..hi.min(file.toks.len()) {
-        if file.toks[i].kind != TokKind::Ident {
-            continue;
-        }
-        let Some(n) = file.next_sig(i) else { continue };
-        if file.toks[n].kind != TokKind::Open(Delim::Paren) {
-            continue;
-        }
-        out.push(Call {
-            name_idx: i,
-            open: n,
-            close: file.partner[n].unwrap_or(n),
-        });
-    }
-    out
-}
-
-/// Splits a call's arguments at depth-0 commas.
-fn split_args(file: &SourceFile, open: usize, close: usize) -> Vec<(usize, usize)> {
-    let mut args = Vec::new();
-    let mut start = open + 1;
-    let mut i = open + 1;
-    while i < close {
-        match file.toks[i].kind {
-            TokKind::Open(_) => {
-                i = file.partner[i].map(|p| p + 1).unwrap_or(i + 1);
-                continue;
-            }
-            TokKind::Punct if file.toks[i].text == "," => {
-                args.push((start, i));
-                start = i + 1;
-            }
-            _ => {}
-        }
-        i += 1;
-    }
-    if start < close {
-        args.push((start, close));
-    }
-    args
-}
-
 /// Detects a plain assignment `name = rhs` in `[lo, hi)` and returns the
 /// target with the RHS token range (trailing `,`/`;` trimmed). A single
 /// `=` only — `==` and `=>` are excluded. Match-arm bodies lower as bare
@@ -347,127 +191,31 @@ fn assign_target(file: &SourceFile, lo: usize, hi: usize) -> Option<(String, usi
     Some((file.toks[first].text.clone(), after, rhs_hi))
 }
 
-/// If `[lo, hi)`'s significant tokens are exactly one identifier (modulo
-/// a leading `&`/`&mut`), returns it.
-fn plain_ident(file: &SourceFile, lo: usize, hi: usize) -> Option<String> {
-    let sig: Vec<usize> = (lo..hi.min(file.toks.len()))
-        .filter(|&i| !file.toks[i].is_comment())
-        .collect();
-    match sig.as_slice() {
-        [i] if file.toks[*i].kind == TokKind::Ident => Some(file.toks[*i].text.clone()),
-        _ => None,
-    }
-}
-
-/// The protection analysis for one function.
-pub struct ProtectAnalysis<'a> {
+/// The protection analysis of one function.
+pub(crate) struct Protection<'a> {
     file: &'a SourceFile,
     def: &'a FnDef,
-    guards: &'a GuardSummaries,
+    summaries: &'a Summaries,
     /// Lines of `// GUARD:` comments (precomputed: the bless check runs
     /// per statement and must not rescan the whole token stream).
     guard_lines: Vec<usize>,
 }
 
-impl<'a> ProtectAnalysis<'a> {
-    /// Prepares the analysis of `def` against workspace `guards`.
-    pub fn new(
-        file: &'a SourceFile,
-        def: &'a FnDef,
-        guards: &'a GuardSummaries,
-    ) -> ProtectAnalysis<'a> {
+impl<'a> Protection<'a> {
+    /// Prepares the analysis of `def` against workspace `summaries`.
+    pub fn new(file: &'a SourceFile, def: &'a FnDef, summaries: &'a Summaries) -> Protection<'a> {
         let guard_lines = file
             .toks
             .iter()
             .filter(|t| t.is_comment() && t.text.contains("GUARD:"))
             .map(|t| t.line)
             .collect();
-        ProtectAnalysis {
+        Protection {
             file,
             def,
-            guards,
+            summaries,
             guard_lines,
         }
-    }
-
-    /// Entry state: GUARD-declared raw-pointer params start protected.
-    fn entry_state(&self) -> State {
-        let mut state = State::new();
-        let Some(declared) = fn_guard_contract(self.file, self.def) else {
-            return state;
-        };
-        for p in &self.def.params {
-            if let (Some(name), true) = (&p.name, p.raw_ptr) {
-                if declared.iter().any(|d| d == name) {
-                    state.insert(
-                        name.clone(),
-                        PVar {
-                            prov: Prov::Protected,
-                            origin_line: self.def.item.line,
-                            origin: "protected by the caller per this fn's `// GUARD:` contract",
-                        },
-                    );
-                }
-            }
-        }
-        state
-    }
-
-    /// Runs the fixpoint + reporting sweep over `cfg`.
-    pub fn run(&self, cfg: &Cfg) -> Vec<FlowFinding> {
-        let mut ins: Vec<Option<State>> = vec![None; cfg.blocks.len()];
-        ins[cfg.entry] = Some(self.entry_state());
-        let mut work: VecDeque<usize> = VecDeque::from([cfg.entry]);
-        let mut iters = 0usize;
-        while let Some(b) = work.pop_front() {
-            iters += 1;
-            if iters > 64 * cfg.blocks.len() + 1024 {
-                break;
-            }
-            let Some(state) = ins[b].clone() else {
-                continue;
-            };
-            let out = self.transfer(&cfg.blocks[b].stmts, state, None);
-            for edge in &cfg.blocks[b].succs {
-                let mut s = out.clone();
-                if let Guard::Null(name) = &edge.guard {
-                    // Null carries no count and is never dereferenced on
-                    // the guarded path.
-                    s.remove(name);
-                }
-                let merged = match &ins[edge.to] {
-                    None => s,
-                    Some(prev) => merge(prev, &s),
-                };
-                if ins[edge.to].as_ref() != Some(&merged) {
-                    ins[edge.to] = Some(merged);
-                    if !work.contains(&edge.to) {
-                        work.push_back(edge.to);
-                    }
-                }
-            }
-        }
-        let mut findings: BTreeSet<FlowFinding> = BTreeSet::new();
-        for (b, input) in ins.iter().enumerate() {
-            let Some(state) = input else { continue };
-            if b == cfg.exit {
-                continue;
-            }
-            self.transfer(&cfg.blocks[b].stmts, state.clone(), Some(&mut findings));
-        }
-        findings.into_iter().collect()
-    }
-
-    fn transfer(
-        &self,
-        stmts: &[Stmt],
-        mut state: State,
-        mut findings: Option<&mut BTreeSet<FlowFinding>>,
-    ) -> State {
-        for stmt in stmts {
-            self.step(stmt, &mut state, findings.as_deref_mut());
-        }
-        state
     }
 
     /// A statement-attached `// GUARD:` comment blesses its dereferences
@@ -487,82 +235,6 @@ impl<'a> ProtectAnalysis<'a> {
             .any(|&line| line + 1 >= first && line <= last)
     }
 
-    fn step(&self, stmt: &Stmt, state: &mut State, findings: Option<&mut BTreeSet<FlowFinding>>) {
-        let (lo, hi) = stmt.range;
-        if matches!(stmt.kind, StmtKind::ArmOpen) {
-            self.arm_open(stmt, state);
-            return;
-        }
-        let blessed = findings.is_some() && self.stmt_guard_blessed(stmt);
-        let calls = all_calls(self.file, lo, hi);
-        // 1. Dereference checks against the pre-kill state: a release in
-        //    this statement consumes *after* its arguments are read.
-        if let Some(f) = findings {
-            if !blessed {
-                self.check_derefs(lo, hi, state, f);
-                self.check_call_args(&calls, state, f);
-            }
-        }
-        // 2. Window transitions from calls.
-        self.apply_calls(&calls, state);
-        // 3. Value flow by statement kind.
-        let acq_line = calls
-            .iter()
-            .find(|c| {
-                let t = &self.file.toks[c.name_idx];
-                ACQUIRES.iter().any(|a| t.is_ident(a))
-            })
-            .map(|c| self.file.toks[c.name_idx].line);
-        match &stmt.kind {
-            StmtKind::Bind(target) => {
-                let key = target.clone().unwrap_or_else(|| "#destructured".into());
-                self.flow_into(key, acq_line, lo, hi, state);
-            }
-            StmtKind::PlaceBind => {
-                // Store into the structure: the window transfers to the
-                // link that now holds the count.
-                for name in tracked_idents(self.file, lo, hi, state) {
-                    if let Some(v) = state.get_mut(&name) {
-                        if !matches!(v.prov, Prov::Released { .. }) {
-                            v.prov = Prov::Moved;
-                        }
-                    }
-                }
-            }
-            StmtKind::Scrut => {
-                if let Some(line) = acq_line {
-                    state.insert(
-                        SCRUT.into(),
-                        PVar {
-                            prov: Prov::Protected,
-                            origin_line: line,
-                            origin: "the protection window opens here",
-                        },
-                    );
-                }
-            }
-            StmtKind::Return => {
-                for name in tracked_idents(self.file, lo, hi, state) {
-                    if let Some(v) = state.get_mut(&name) {
-                        if !matches!(v.prov, Prov::Released { .. }) {
-                            v.prov = Prov::Moved;
-                        }
-                    }
-                }
-            }
-            StmtKind::Expr => {
-                // Match-arm bodies lower as bare expressions, so a
-                // `name = rhs` rebind must be recognized here too
-                // (cf. `Bind` above): the rebound name takes the RHS's
-                // window, clearing any `Released` from a prior round.
-                if let Some((key, rhs_lo, rhs_hi)) = assign_target(self.file, lo, hi) {
-                    self.flow_into(key, acq_line, rhs_lo, rhs_hi, state);
-                }
-            }
-            StmtKind::ArmOpen => {}
-        }
-    }
-
     /// Value flow into `key` from the initializer/RHS range `[lo, hi)`:
     /// an acquisition opens a fresh window, a plain tracked identifier
     /// moves its window to `key`, anything else makes `key` untracked.
@@ -572,17 +244,10 @@ impl<'a> ProtectAnalysis<'a> {
         acq_line: Option<usize>,
         lo: usize,
         hi: usize,
-        state: &mut State,
+        state: &mut State<PVar>,
     ) {
         if let Some(line) = acq_line {
-            state.insert(
-                key,
-                PVar {
-                    prov: Prov::Protected,
-                    origin_line: line,
-                    origin: "the protection window opens here",
-                },
-            );
+            state.insert(key, opened(line));
         } else if let Some(moved) = plain_ident(self.file, lo, hi) {
             if let Some(var) = state.get(&moved).cloned() {
                 if moved != key {
@@ -604,7 +269,7 @@ impl<'a> ProtectAnalysis<'a> {
     }
 
     /// Reports dereferences of closed-window locals in `[lo, hi)`.
-    fn check_derefs(&self, lo: usize, hi: usize, state: &State, f: &mut BTreeSet<FlowFinding>) {
+    fn check_derefs(&self, lo: usize, hi: usize, state: &State<PVar>, f: &mut Findings) {
         for (name, var) in state {
             let Prov::Released { kill_line, mixed } = var.prov else {
                 continue;
@@ -629,14 +294,14 @@ impl<'a> ProtectAnalysis<'a> {
 
     /// Reports closed-window locals passed to callees that deref (or
     /// declare `// GUARD:` on) the corresponding parameter.
-    fn check_call_args(&self, calls: &[Call], state: &State, f: &mut BTreeSet<FlowFinding>) {
+    fn check_call_args(&self, calls: &[Call], state: &State<PVar>, f: &mut Findings) {
         for call in calls {
-            let callee = self.file.toks[call.name_idx].text.as_str();
-            let positions = self.guards.protected_params(callee);
+            let callee = call.name(self.file);
+            let positions = self.summaries.protected_params(callee);
             if positions.is_empty() {
                 continue;
             }
-            let args = split_args(self.file, call.open, call.close);
+            let args = call.args(self.file);
             for &pos in &positions {
                 let Some(&(alo, ahi)) = args.get(pos) else {
                     continue;
@@ -650,7 +315,7 @@ impl<'a> ProtectAnalysis<'a> {
                 let Prov::Released { kill_line, mixed } = var.prov else {
                     continue;
                 };
-                let why = if self.guards.guard_declared(callee, pos) {
+                let why = if self.summaries.guard_declared(callee, pos) {
                     "declares `// GUARD:` on"
                 } else {
                     "dereferences"
@@ -673,159 +338,188 @@ impl<'a> ProtectAnalysis<'a> {
         }
     }
 
-    /// Applies window transitions from release/park/flush/reacquire calls.
-    fn apply_calls(&self, calls: &[Call], state: &mut State) {
+    /// Applies the window column of the §5 table.
+    fn apply_calls(&self, calls: &[Call], state: &mut State<PVar>) {
         for call in calls {
-            let name = self.file.toks[call.name_idx].text.as_str();
             let kill_line = self.file.toks[call.name_idx].line;
-            let transition = if KILLS.contains(&name) {
-                Some(Prov::Released {
-                    kill_line,
-                    mixed: false,
-                })
-            } else if PARKS.contains(&name) {
-                Some(Prov::Parked)
-            } else if REACQUIRES.contains(&name) {
-                Some(Prov::Protected)
-            } else {
-                None
+            let closed = Prov::Released {
+                kill_line,
+                mixed: false,
             };
-            if let Some(prov) = transition {
-                for (alo, ahi) in split_args(self.file, call.open, call.close) {
-                    let Some(arg) = plain_ident(self.file, alo, ahi) else {
-                        continue;
-                    };
-                    if let Some(v) = state.get_mut(&arg) {
-                        v.prov = prov.clone();
+            let prov = match call.effect(self.file).1 {
+                Window::Kill => closed,
+                Window::Park => Prov::Parked,
+                Window::Reacquire => Prov::Protected,
+                Window::Flush => {
+                    for v in state.values_mut() {
+                        if v.prov == Prov::Parked {
+                            v.prov = closed.clone();
+                        }
                     }
+                    continue;
                 }
-            }
-            if FLUSHES.contains(&name) {
-                for v in state.values_mut() {
-                    if v.prov == Prov::Parked {
-                        v.prov = Prov::Released {
-                            kill_line,
-                            mixed: false,
-                        };
-                    }
+                Window::Open | Window::Keep => continue,
+            };
+            for (alo, ahi) in call.args(self.file) {
+                let Some(arg) = plain_ident(self.file, alo, ahi) else {
+                    continue;
+                };
+                if let Some(v) = state.get_mut(&arg) {
+                    v.prov = prov.clone();
                 }
             }
         }
     }
 
-    /// Match-arm entry: routes the pending scrutinee window through the
-    /// pattern, mirroring the balance pass's arm handling.
-    fn arm_open(&self, stmt: &Stmt, state: &mut State) {
-        let (lo, hi) = stmt.range;
-        let mut sig: Vec<usize> = (lo..hi.min(self.file.toks.len()))
-            .filter(|&i| !self.file.toks[i].is_comment())
-            .collect();
-        if let Some(p) = sig.iter().position(|&i| self.file.toks[i].is_ident("if")) {
-            sig.truncate(p);
-        }
-        let first = sig
-            .iter()
-            .find(|&&i| self.file.toks[i].kind == TokKind::Ident);
-        let Some(&first) = first else { return };
-        let head = self.file.toks[first].text.as_str();
-        if head == "Err" || head == "None" {
-            state.remove(SCRUT);
-            return;
-        }
-        let Some(var) = state.remove(SCRUT) else {
-            return;
-        };
-        let binding = sig.iter().find(|&&i| {
-            let t = &self.file.toks[i];
-            t.kind == TokKind::Ident
-                && t.text != "_"
-                && !t.is_ident("mut")
-                && !t.is_ident("ref")
-                && t.text.chars().next().is_some_and(|c| c.is_lowercase())
-        });
-        if let Some(&b) = binding {
-            state.insert(self.file.toks[b].text.clone(), var);
+    /// Hands off every tracked local mentioned in `[lo, hi)` whose window
+    /// is still open.
+    fn move_mentioned(&self, lo: usize, hi: usize, state: &mut State<PVar>) {
+        for name in tracked_idents(self.file, lo, hi, state) {
+            if let Some(v) = state.get_mut(&name) {
+                if !matches!(v.prov, Prov::Released { .. }) {
+                    v.prov = Prov::Moved;
+                }
+            }
         }
     }
 }
 
-/// Tracked variable names mentioned as identifiers in `[lo, hi)`.
-fn tracked_idents(file: &SourceFile, lo: usize, hi: usize, state: &State) -> Vec<String> {
-    let mut out = Vec::new();
-    for i in lo..hi.min(file.toks.len()) {
-        let t = &file.toks[i];
-        if t.kind == TokKind::Ident && state.contains_key(&t.text) && !out.contains(&t.text) {
-            out.push(t.text.clone());
-        }
-    }
-    out
-}
-
-/// Joins two states. `Released` dominates (a deref is wrong if the window
-/// is closed on *any* incoming path); `Parked` beats `Protected` only in
-/// being flush-sensitive; `Moved` is the bottom of the deref-safe states.
-fn merge(a: &State, b: &State) -> State {
-    let mut out = State::new();
-    let keys: BTreeSet<&String> = a.keys().chain(b.keys()).collect();
-    for k in keys {
-        let v = match (a.get(k), b.get(k)) {
-            (Some(va), Some(vb)) => join(va, vb),
-            (Some(v), None) | (None, Some(v)) => {
-                // Unknown on the other path: only a closed window is
-                // worth remembering, and then only as some-path.
-                let mut v = v.clone();
-                if let Prov::Released { kill_line, .. } = v.prov {
-                    v.prov = Prov::Released {
-                        kill_line,
-                        mixed: true,
-                    };
-                }
-                v
-            }
-            (None, None) => unreachable!(),
-        };
-        out.insert(k.clone(), v);
-    }
-    out
-}
-
-fn join(a: &PVar, b: &PVar) -> PVar {
-    let origin = if a.origin_line <= b.origin_line { a } else { b };
-    let prov = match (&a.prov, &b.prov) {
-        (
-            Prov::Released {
-                kill_line: ka,
-                mixed: ma,
-            },
-            Prov::Released {
-                kill_line: kb,
-                mixed: mb,
-            },
-        ) => Prov::Released {
-            kill_line: *ka.min(kb),
-            mixed: *ma || *mb,
-        },
-        (Prov::Released { kill_line, .. }, _) | (_, Prov::Released { kill_line, .. }) => {
-            Prov::Released {
-                kill_line: *kill_line,
-                mixed: true,
-            }
-        }
-        (Prov::Parked, _) | (_, Prov::Parked) => Prov::Parked,
-        (Prov::Protected, _) | (_, Prov::Protected) => Prov::Protected,
-        (Prov::Moved, Prov::Moved) => Prov::Moved,
-    };
+/// A window freshly opened by an acquisition at `line`.
+fn opened(line: usize) -> PVar {
     PVar {
-        prov,
-        origin_line: origin.origin_line,
-        origin: origin.origin,
+        prov: Prov::Protected,
+        origin_line: line,
+        origin: "the protection window opens here",
+    }
+}
+
+impl Analysis for Protection<'_> {
+    type Var = PVar;
+
+    /// GUARD-declared raw-pointer params start protected.
+    fn entry(&self) -> State<PVar> {
+        let mut state = State::new();
+        let Some(declared) = fn_guard_contract(self.file, self.def) else {
+            return state;
+        };
+        for (_, name) in self.def.raw_params() {
+            if declared.iter().any(|d| d == name) {
+                state.insert(
+                    name.to_string(),
+                    PVar {
+                        prov: Prov::Protected,
+                        origin_line: self.def.item.line,
+                        origin: "protected by the caller per this fn's `// GUARD:` contract",
+                    },
+                );
+            }
+        }
+        state
+    }
+
+    fn step(&self, stmt: &Stmt, state: &mut State<PVar>, findings: Option<&mut Findings>) {
+        let (lo, hi) = stmt.range;
+        if matches!(stmt.kind, StmtKind::ArmOpen) {
+            // An arm that binds nothing drops the window with the value.
+            route_arm(self.file, stmt.range, state);
+            return;
+        }
+        let calls = all_calls(self.file, lo, hi);
+        // 1. Dereference checks against the pre-kill state: a release in
+        //    this statement consumes *after* its arguments are read.
+        if let Some(f) = findings {
+            if !self.stmt_guard_blessed(stmt) {
+                self.check_derefs(lo, hi, state, f);
+                self.check_call_args(&calls, state, f);
+            }
+        }
+        // 2. Window transitions from calls.
+        self.apply_calls(&calls, state);
+        // 3. Value flow by statement kind.
+        let acq_line = calls
+            .iter()
+            .find(|c| c.effect(self.file).1 == Window::Open)
+            .map(|c| self.file.toks[c.name_idx].line);
+        match &stmt.kind {
+            StmtKind::Bind(target) => {
+                let key = target.clone().unwrap_or_else(|| DESTRUCTURED.into());
+                self.flow_into(key, acq_line, lo, hi, state);
+            }
+            // Store into the structure, or return to the caller: the
+            // window transfers with the count.
+            StmtKind::PlaceBind | StmtKind::Return => self.move_mentioned(lo, hi, state),
+            StmtKind::Scrut => {
+                if let Some(line) = acq_line {
+                    state.insert(SCRUT.into(), opened(line));
+                }
+            }
+            StmtKind::Expr => {
+                // Match-arm bodies lower as bare expressions, so a
+                // `name = rhs` rebind must be recognized here too
+                // (cf. `Bind` above): the rebound name takes the RHS's
+                // window, clearing any `Released` from a prior round.
+                if let Some((key, rhs_lo, rhs_hi)) = assign_target(self.file, lo, hi) {
+                    self.flow_into(key, acq_line, rhs_lo, rhs_hi, state);
+                }
+            }
+            StmtKind::ArmOpen => unreachable!("handled above"),
+        }
+    }
+
+    /// `Released` dominates (a deref is wrong if the window is closed on
+    /// *any* incoming path); `Parked` beats `Protected` only in being
+    /// flush-sensitive; `Moved` is the bottom of the deref-safe states.
+    fn join(a: &PVar, b: &PVar) -> PVar {
+        let origin = if a.origin_line <= b.origin_line { a } else { b };
+        let prov = match (&a.prov, &b.prov) {
+            (
+                Prov::Released {
+                    kill_line: ka,
+                    mixed: ma,
+                },
+                Prov::Released {
+                    kill_line: kb,
+                    mixed: mb,
+                },
+            ) => Prov::Released {
+                kill_line: *ka.min(kb),
+                mixed: *ma || *mb,
+            },
+            (Prov::Released { kill_line, .. }, _) | (_, Prov::Released { kill_line, .. }) => {
+                Prov::Released {
+                    kill_line: *kill_line,
+                    mixed: true,
+                }
+            }
+            (Prov::Parked, _) | (_, Prov::Parked) => Prov::Parked,
+            (Prov::Protected, _) | (_, Prov::Protected) => Prov::Protected,
+            (Prov::Moved, Prov::Moved) => Prov::Moved,
+        };
+        PVar {
+            prov,
+            origin_line: origin.origin_line,
+            origin: origin.origin,
+        }
+    }
+
+    /// Unknown on the other path: only a closed window is worth
+    /// remembering, and then only as some-path.
+    fn one_sided(v: &PVar) -> PVar {
+        let mut v = v.clone();
+        if let Prov::Released { kill_line, .. } = v.prov {
+            v.prov = Prov::Released {
+                kill_line,
+                mixed: true,
+            };
+        }
+        v
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{cfg, syntax};
+    use crate::{cfg, flow::solve, syntax};
 
     fn analyze(src: &str) -> Vec<FlowFinding> {
         analyze_named(src, 0)
@@ -834,10 +528,10 @@ mod tests {
     fn analyze_named(src: &str, fn_index: usize) -> Vec<FlowFinding> {
         let file = SourceFile::parse("t.rs", src);
         let ast = syntax::parse(&file);
-        let guards = GuardSummaries::build([(&file, &ast)]);
+        let summaries = Summaries::build([(&file, &ast)]);
         let def = &ast.fns[fn_index];
         let cfg = cfg::build(&file, def).expect("body");
-        ProtectAnalysis::new(&file, def, &guards).run(&cfg)
+        solve(&Protection::new(&file, def, &summaries), &cfg)
     }
 
     #[test]

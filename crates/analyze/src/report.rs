@@ -204,10 +204,14 @@ pub const RULE_DOCS: &[RuleDoc] = &[
                     be visible to the reader. Pointer atomics default to \
                     Acquire/Release; a deliberate Relaxed needs an adjacent \
                     // ORDER: comment saying why it is safe.",
-        bad: "let p = self.head.load(Ordering::Relaxed);",
-        good: "// ORDER: Relaxed is fine: the value is re-validated under\n\
-               // the subsequent Acquire CAS before any deref.\n\
-               let p = self.head.load(Ordering::Relaxed);",
+        bad: "struct List { head: AtomicPtr<Node> }\n\
+              impl List {\n    fn peek(&self) -> *mut Node {\n        \
+              self.head.load(Ordering::Relaxed)\n    }\n}",
+        good: "struct List { head: AtomicPtr<Node> }\n\
+               impl List {\n    fn peek(&self) -> *mut Node {\n        \
+               // ORDER: Relaxed is fine: the value is re-validated under\n        \
+               // the subsequent Acquire CAS before any deref.\n        \
+               self.head.load(Ordering::Relaxed)\n    }\n}",
     },
     RuleDoc {
         id: "unsafe-comment",
@@ -233,8 +237,13 @@ pub const RULE_DOCS: &[RuleDoc] = &[
         rationale: "Holding a spinlock guard across a call into the lock-free \
                     protocol layer reintroduces blocking: a preempted holder \
                     stalls every protocol participant spinning on the lock.",
-        bad: "let g = self.lock.lock();\nself.list.try_insert(cursor, node);",
-        good: "{\n    let g = self.lock.lock();\n    // ... touch only the locked state ...\n}\nself.list.try_insert(cursor, node);",
+        bad: "fn insert(&self, cursor: &mut Cursor, node: *mut Node) {\n    \
+              let g = self.spin.lock();\n    \
+              self.list.try_insert(cursor, node);\n}",
+        good: "fn insert(&self, cursor: &mut Cursor, node: *mut Node) {\n    {\n        \
+               let g = self.spin.lock();\n        \
+               // ... touch only the locked state ...\n    }\n    \
+               self.list.try_insert(cursor, node);\n}",
     },
     RuleDoc {
         id: "probe-discipline",
@@ -295,8 +304,15 @@ pub const RULE_DOCS: &[RuleDoc] = &[
                     the drain is the kill — and reports any deref or \
                     deref-ing-callee pass reachable after the kill on some path \
                     (invariant I11).",
-        bad: "let h = self.arena.safe_read(&self.head);\nunsafe { self.arena.release(h) };\nlet k = unsafe { (*h).key }; // window closed",
-        good: "let h = self.arena.safe_read(&self.head);\nlet k = unsafe { (*h).key };\nunsafe { self.arena.release(h) }; // deref precedes the kill",
+        bad: "fn key(&self) -> u64 {\n    \
+              let h = self.arena.safe_read(&self.head);\n    \
+              unsafe { self.arena.release(h) };\n    \
+              unsafe { (*h).key } // window closed\n}",
+        good: "fn key(&self) -> u64 {\n    \
+               let h = self.arena.safe_read(&self.head);\n    \
+               let k = unsafe { (*h).key };\n    \
+               unsafe { self.arena.release(h) }; // deref precedes the kill\n    \
+               k\n}",
     },
     RuleDoc {
         id: "guard-contract",

@@ -232,6 +232,19 @@ impl Ast {
     }
 }
 
+impl FnDef {
+    /// Named raw-pointer parameters as `(index, name)`.
+    pub fn raw_params(&self) -> impl Iterator<Item = (usize, &str)> {
+        self.params
+            .iter()
+            .enumerate()
+            .filter_map(|(i, p)| match (&p.name, p.raw_ptr) {
+                (Some(n), true) => Some((i, n.as_str())),
+                _ => None,
+            })
+    }
+}
+
 /// Parses the parameter list of `item`: the first paren group after the
 /// name at generic-angle depth 0. Tracks `<`/`>` nesting manually (they
 /// are plain puncts), treating `->` (inside `Fn(..) -> R` bounds) as a
@@ -758,10 +771,10 @@ fn parse_loop_like(file: &SourceFile, pos: usize, hi: usize) -> (Node, usize) {
     (node, close + 1)
 }
 
-/// The first `{` at head level after `pos` (paren/bracket groups in the
-/// condition are skipped), with its partner. Rust forbids bare struct
-/// literals in `if`/`while`/`match`-head position, so the first brace is
-/// the body.
+/// The first `{` at head level after `pos` (paren/bracket groups and
+/// `unsafe { .. }` blocks in the condition are skipped), with its
+/// partner. Rust forbids bare struct literals in `if`/`while`/`match`-head
+/// position, so that brace is the body.
 fn brace_after(file: &SourceFile, pos: usize, hi: usize) -> Option<(usize, usize)> {
     let mut j = pos;
     while let Some(n) = file.next_sig(j) {
@@ -769,6 +782,10 @@ fn brace_after(file: &SourceFile, pos: usize, hi: usize) -> Option<(usize, usize
             return None;
         }
         match file.toks[n].kind {
+            TokKind::Open(Delim::Brace) if file.toks[j].is_ident("unsafe") => {
+                j = file.partner[n].unwrap_or(n);
+                continue;
+            }
             TokKind::Open(Delim::Brace) => {
                 return Some((n, file.partner[n].unwrap_or(n)));
             }
@@ -1034,6 +1051,22 @@ mod tests {
             panic!("expected else-if");
         };
         assert!(matches!(&**alt2, Node::Blk(_)));
+    }
+
+    #[test]
+    fn unsafe_block_in_a_head_is_not_the_body() {
+        let (_, ast) = parse_src(
+            "fn f(p: *mut N) -> bool {\n\
+             if unsafe { (*p).key } == 0 { return true; }\n\
+             false\n\
+             }",
+        );
+        let b = ast.fns[0].body.as_ref().unwrap();
+        assert_eq!(b.stmts.len(), 2);
+        let Node::If { then_blk, .. } = &b.stmts[0] else {
+            panic!("expected if");
+        };
+        assert!(matches!(&then_blk.stmts[0], Node::Return { .. }));
     }
 
     #[test]

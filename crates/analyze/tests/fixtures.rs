@@ -625,6 +625,63 @@ fn balance_accepts_raw_pointer_transfer() {
     assert_eq!(count(LIB, src, "refcount-balance"), 0);
 }
 
+#[test]
+fn balance_sees_early_return_behind_unsafe_block_condition() {
+    // The `unsafe { .. }` in the `if` head is part of the condition, not
+    // the then-branch: the early return must still be seen as a path.
+    let src = "fn find(&self) -> bool {\n\
+        let p = self.arena.safe_read(&self.head);\n\
+        if unsafe { (*p).key } == 0 {\n\
+            return true;\n\
+        }\n\
+        unsafe { self.arena.release(p) };\n\
+        false\n\
+    }\n";
+    let lines: Vec<usize> = analyze_source(LIB, src)
+        .into_iter()
+        .filter(|f| f.rule == "refcount-balance")
+        .map(|f| f.line)
+        .collect();
+    assert_eq!(lines, vec![2], "one leak, at the acquire");
+}
+
+#[test]
+fn balance_sees_local_helper_release_in_single_file_runs() {
+    let src = "impl L {\n\
+        fn drop_it(&self, p: *mut Node) {\n\
+            self.arena.release(p)\n\
+        }\n\
+        fn f(&self) {\n\
+            let p = self.arena.safe_read(&self.head);\n\
+            self.drop_it(p);\n\
+        }\n\
+    }\n";
+    assert_eq!(analyze_source(LIB, src), vec![]);
+}
+
+#[test]
+fn one_function_feeds_both_count_flow_rules() {
+    // `a` leaks; `b` is dereferenced after its release. One CFG, one
+    // finding per rule.
+    let src = "fn f(&self) -> u64 {\n\
+        let a = self.arena.safe_read(&self.head);\n\
+        let b = self.arena.safe_read(&self.tail);\n\
+        self.arena.release(b);\n\
+        // SAFETY: fixture.\n\
+        unsafe { (*b).key }\n\
+    }\n";
+    let findings = analyze_source(LIB, src);
+    let of = |rule: &str| -> Vec<usize> {
+        findings
+            .iter()
+            .filter(|f| f.rule == rule)
+            .map(|f| f.line)
+            .collect()
+    };
+    assert_eq!(of("refcount-balance"), vec![2], "{findings:?}");
+    assert_eq!(of("protection-window"), vec![6], "{findings:?}");
+}
+
 // ---- order-graph: pairing, SeqCst, invariants ----------------------------
 
 #[test]
@@ -706,8 +763,7 @@ fn invariant_ref_flags_stale_reference() {
     }\n";
     let ctx = Context {
         invariants: Some((1..=9).collect()),
-        summaries: Default::default(),
-        guards: Default::default(),
+        ..Context::empty()
     };
     let findings = analyze_source_with(LIB, src, &ctx);
     let f = findings
@@ -727,8 +783,7 @@ fn invariant_ref_accepts_resolvable_reference() {
     }\n";
     let ctx = Context {
         invariants: Some((1..=9).collect()),
-        summaries: Default::default(),
-        guards: Default::default(),
+        ..Context::empty()
     };
     let findings = analyze_source_with(LIB, src, &ctx);
     assert!(findings.iter().all(|f| f.rule != "invariant-ref"));
@@ -962,4 +1017,35 @@ fn sarif_related_locations_round_trip() {
     let sarif = valois_analyze::render_sarif(&findings);
     assert!(sarif.contains("relatedLocations"), "{sarif}");
     assert!(sarif.contains("acquires its count here"), "{sarif}");
+}
+
+// ---- --explain examples ---------------------------------------------------
+
+#[test]
+fn every_explain_example_shows_its_rule() {
+    use valois_analyze::report::RULE_DOCS;
+    use valois_analyze::{analyze_source_with, Context};
+    let ctx = Context {
+        invariants: Some((1..=11).collect()),
+        ..Context::empty()
+    };
+    let mut wrong = Vec::new();
+    for doc in RULE_DOCS {
+        // A workspace-only rule: one file cannot pair its sites.
+        if doc.id == "order-pairing" {
+            continue;
+        }
+        let reports = |src: &str| {
+            analyze_source_with(LIB, src, &ctx)
+                .iter()
+                .any(|f| f.rule == doc.id)
+        };
+        if !reports(doc.bad) {
+            wrong.push(format!("{}: `bad` reports nothing", doc.id));
+        }
+        if reports(doc.good) {
+            wrong.push(format!("{}: `good` still reports", doc.id));
+        }
+    }
+    assert!(wrong.is_empty(), "{wrong:#?}");
 }

@@ -17,8 +17,9 @@
 //!   tree passes it);
 //! * `--output` — write the report to a file instead of stdout (the
 //!   human-readable summary still goes to stderr);
-//! * `--stats` — print per-pass wall-clock timings to stderr so analyzer
-//!   cost stays visible as the engine grows;
+//! * `--stats` — print per-phase wall-clock timings to stderr (`parse`,
+//!   `context-build`, `cfg`, then one row per pass) so analyzer cost
+//!   stays visible as the engine grows;
 //! * `--explain` — print a rule's rationale plus a minimal violating and
 //!   fixed example, then exit (no analysis runs).
 //!
@@ -63,7 +64,8 @@ fn usage() -> ExitCode {
     eprintln!("  --format    output format (default: text)");
     eprintln!("  --deny      'warn' promotes warnings to failures (CI runs this)");
     eprintln!("  --output    write the report to PATH instead of stdout");
-    eprintln!("  --stats     print per-pass timings to stderr");
+    eprintln!("  --stats     print per-phase timings to stderr (parse, context-build,");
+    eprintln!("              cfg, then one row per pass)");
     eprintln!("  --explain   print a rule's rationale and examples, then exit");
     eprintln!();
     eprintln!("  trace-dump  render a flight-recorder post-mortem (*.vtrace) as a");
