@@ -23,6 +23,7 @@
 //!
 //! [`Backoff`]: https://example.com/valois
 
+use crate::flow::{Count, CALLS};
 use crate::lexer::{Delim, TokKind};
 use crate::passes::finding;
 use crate::report::Finding;
@@ -37,19 +38,19 @@ const CAS_CALLS: &[&str] = &[
     "try_claim",
 ];
 
-/// Protocol entry points a spinlock guard must not be held across.
-const PROTOCOL_CALLS: &[&str] = &[
-    "safe_read",
-    "safe_read_tallied",
-    "release",
-    "release_deferred",
-    "drain_deferred",
-    "alloc",
-    "swing",
-    "store_link",
-    "try_insert",
-    "try_delete",
-];
+/// Link-publishing calls. They move no count in [`CALLS`] (the
+/// workspace releases the published local explicitly) but still run
+/// protocol code.
+const PUBLISH_CALLS: &[&str] = &["swing", "store_link", "try_insert", "try_delete"];
+
+/// Whether a spinlock guard must not be held across a call to `name`:
+/// every §5 call in [`CALLS`] that moves a count, plus [`PUBLISH_CALLS`].
+fn is_protocol_call(name: &str) -> bool {
+    PUBLISH_CALLS.contains(&name)
+        || CALLS
+            .iter()
+            .any(|&(call, count, _)| call == name && count != Count::Keep)
+}
 
 /// Runs both lints over one file.
 pub fn run(file: &SourceFile) -> Vec<Finding> {
@@ -182,7 +183,7 @@ fn spin_guard(file: &SourceFile) -> Vec<Finding> {
                 }
             }
             if t.kind == TokKind::Ident
-                && PROTOCOL_CALLS.iter().any(|n| t.is_ident(n))
+                && is_protocol_call(&t.text)
                 && file
                     .next_sig(j)
                     .is_some_and(|n| toks[n].kind == TokKind::Open(Delim::Paren))

@@ -446,6 +446,14 @@ impl S {\n\
 }
 
 #[test]
+fn spin_guard_flags_unprotect_under_lock() {
+    // `unprotect` moves a count in the §5 call table, so it is a protocol
+    // call like `release`.
+    let src = GUARD_ACROSS_PROTOCOL.replace("arena.release(p)", "arena.unprotect(p)");
+    assert_eq!(count(LIB, &src, "spin-guard"), 1);
+}
+
+#[test]
 fn spin_guard_ignores_non_spin_locks() {
     let src = GUARD_ACROSS_PROTOCOL.replace("spin_lock", "segments_mutex");
     assert_eq!(count(LIB, &src, "spin-guard"), 0);

@@ -22,7 +22,7 @@
 use std::cmp::Ordering;
 use std::fmt;
 
-use valois_mem::{AllocError, DeferredReleases, MemTally, Reclaimer, RefCount};
+use valois_mem::{AllocError, DeferredReleases, MemStats, Reclaimer, RefCount};
 
 /// Race-window widener: under `--features race-amplify`, yields the CPU at
 /// the algorithms' critical interleaving points so stress tests on few
@@ -53,7 +53,7 @@ fn amplify() {
 
 use crate::list::{List, PreparedInsert};
 use crate::node::Node;
-use crate::stats::ListTally;
+use crate::stats::ListStats;
 
 /// Live-stats freshness bound: a cursor publishes its batched tallies to
 /// the shared counters at least every this many `Update` calls (every
@@ -110,9 +110,9 @@ pub struct Cursor<'a, T: Send + Sync, R: Reclaimer = RefCount> {
     defer: DeferredReleases<Node<T>>,
     /// Batched §5 protocol events (folded into the arena's sharded
     /// counters on drop / [`Cursor::flush_stats`]).
-    tally: MemTally,
+    tally: MemStats,
     /// Batched list-operation events (same lifecycle).
-    ops: ListTally,
+    ops: ListStats,
     /// `Update` calls since the last tally publish; at
     /// [`STATS_FLUSH_EVERY`] the batches auto-flush so live monitoring
     /// reads fresh counters (the stale-live-stats fix).
@@ -144,8 +144,8 @@ impl<'a, T: Send + Sync, R: Reclaimer> Cursor<'a, T, R> {
             pre_aux: std::ptr::null_mut(),
             pre_cell: std::ptr::null_mut(),
             defer: DeferredReleases::new(),
-            tally: MemTally::new(),
-            ops: ListTally::default(),
+            tally: MemStats::default(),
+            ops: ListStats::default(),
             unflushed: 0,
         };
         cursor.seek_first_inner();
@@ -174,8 +174,8 @@ impl<'a, T: Send + Sync, R: Reclaimer> Cursor<'a, T, R> {
             pre_aux: std::ptr::null_mut(),
             pre_cell: std::ptr::null_mut(),
             defer: DeferredReleases::new(),
-            tally: MemTally::new(),
-            ops: ListTally::default(),
+            tally: MemStats::default(),
+            ops: ListStats::default(),
             unflushed: 0,
         };
         let arena = list.arena();
@@ -790,8 +790,8 @@ impl<T: Send + Sync, R: Reclaimer> Clone for Cursor<'_, T, R> {
             // Batches are per-cursor state, not position: the clone starts
             // with empty buffers of its own.
             defer: DeferredReleases::new(),
-            tally: MemTally::new(),
-            ops: ListTally::default(),
+            tally: MemStats::default(),
+            ops: ListStats::default(),
             unflushed: 0,
         }
     }

@@ -17,7 +17,7 @@ use valois_mem::{AllocError, Arena, ArenaConfig, Managed, MemStats, Reclaimer, R
 
 use crate::cursor::Cursor;
 use crate::node::{Node, NodeKind};
-use crate::stats::{ListCounters, ListStats, ListTally};
+use crate::stats::{ListCounters, ListStats};
 
 /// A lock-free singly-linked list of `T` (Valois, PODC 1995, §3).
 ///
@@ -814,7 +814,7 @@ impl<T: Send + Sync, R: Reclaimer> List<T, R> {
         self.last
     }
 
-    pub(crate) fn absorb(&self, tally: &mut ListTally) {
+    pub(crate) fn absorb(&self, tally: &mut ListStats) {
         if !tally.is_empty() {
             self.counters.absorb(tally);
         }

@@ -3,201 +3,60 @@
 //! Like the memory-protocol counters in `valois-mem`, the list counters
 //! used to be a single set of relaxed atomics — one shared cache line that
 //! every `Update`/`Next` on every thread bumped, a measurable fraction of
-//! the per-hop cost in experiment E8. They are now [`Sharded`]
+//! the per-hop cost in experiment E8. They are now sharded
 //! (cache-line-padded per-shard atomics, summed at snapshot time), and the
-//! cursor batches its events in a plain-integer [`ListTally`] folded into
-//! the shards when the cursor drops.
+//! cursor batches its events in a plain [`ListStats`] value folded into
+//! the shards when the cursor drops. The one field list below declares
+//! the snapshot, the batch and the sharded live counters
+//! ([`valois_sync::counter_table!`]).
 
-use std::fmt;
-use valois_sync::sharded::Sharded;
-use valois_sync::shim::atomic::{AtomicU64, Ordering};
-
-/// One shard of the list's counters (all twelve live on one padded line).
-#[derive(Default)]
-pub(crate) struct ListShard {
-    pub(crate) updates: AtomicU64,
-    pub(crate) aux_unlinked: AtomicU64,
-    pub(crate) aux_skipped: AtomicU64,
-    pub(crate) next_steps: AtomicU64,
-    pub(crate) insert_attempts: AtomicU64,
-    pub(crate) insert_successes: AtomicU64,
-    pub(crate) delete_attempts: AtomicU64,
-    pub(crate) delete_successes: AtomicU64,
-    pub(crate) backlink_hops: AtomicU64,
-    pub(crate) chain_cleanup_retries: AtomicU64,
-    pub(crate) resumes: AtomicU64,
-    pub(crate) resume_hops: AtomicU64,
-}
-
-/// Sharded live counters owned by a [`List`](crate::List).
-pub(crate) struct ListCounters {
-    shards: Sharded<ListShard>,
-}
-
-impl Default for ListCounters {
-    fn default() -> Self {
-        Self {
-            shards: Sharded::new(),
-        }
+valois_sync::counter_table! {
+    /// Point-in-time snapshot of a list's operation counters.
+    ///
+    /// The "extra work" quantities of the §4.1 amortized analysis are directly
+    /// observable here: failed `TryInsert`/`TryDelete` attempts
+    /// ([`ListStats::insert_retries`], [`ListStats::delete_retries`]) and
+    /// auxiliary-node traversal overhead ([`ListStats::aux_skipped`]).
+    ///
+    /// Cursors batch their events thread-locally and fold them in when dropped,
+    /// so a still-live cursor's recent operations may not be visible yet (call
+    /// `Cursor::flush_stats` to force them out).
+    pub struct ListStats;
+    /// Sharded live counters owned by a [`List`](crate::List).
+    pub(crate) struct ListCounters;
+    counters {
+        /// Cursor `Update` calls (Fig. 5).
+        updates,
+        /// Adjacent auxiliary nodes removed by `Update` line 7.
+        aux_unlinked,
+        /// Auxiliary nodes stepped over during `Update`.
+        aux_skipped,
+        /// Successful `Next` steps (Fig. 7).
+        next_steps,
+        /// `TryInsert` attempts (Fig. 9).
+        insert_attempts,
+        /// `TryInsert` successes.
+        insert_successes,
+        /// `TryDelete` attempts (Fig. 10).
+        delete_attempts,
+        /// `TryDelete` successes.
+        delete_successes,
+        /// Back-link hops performed during `TryDelete` recovery (Fig. 10
+        /// lines 8–11).
+        backlink_hops,
+        /// CAS retries in `TryDelete`'s auxiliary-chain cleanup loop
+        /// (Fig. 10 lines 17–21).
+        chain_cleanup_retries,
+        /// [`Cursor::resume`](crate::Cursor::resume) calls that actually
+        /// found a deleted predecessor and back-walked (cheap revalidations
+        /// that fell through to `Update` are not counted).
+        resumes,
+        /// Back-link hops performed by [`Cursor::resume`](crate::Cursor::resume)
+        /// — the "resume distance". `resume_hops / resumes` is the mean
+        /// distance-to-conflict, the quantity that replaces O(n)
+        /// restart-from-head walks.
+        resume_hops,
     }
-}
-
-impl ListCounters {
-    /// Adds 1 to one counter on the current thread's shard. Production
-    /// paths batch through [`ListTally`] + [`ListCounters::absorb`]
-    /// instead; this direct hook remains for tests.
-    #[cfg(test)]
-    pub(crate) fn bump(&self, pick: impl FnOnce(&ListShard) -> &AtomicU64) {
-        pick(self.shards.get()).fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Folds a cursor's batched events into the current thread's shard and
-    /// clears the tally. One `fetch_add` per non-zero field.
-    pub(crate) fn absorb(&self, tally: &mut ListTally) {
-        let shard = self.shards.get();
-        for (count, counter) in [
-            (tally.updates, &shard.updates),
-            (tally.aux_unlinked, &shard.aux_unlinked),
-            (tally.aux_skipped, &shard.aux_skipped),
-            (tally.next_steps, &shard.next_steps),
-            (tally.insert_attempts, &shard.insert_attempts),
-            (tally.insert_successes, &shard.insert_successes),
-            (tally.delete_attempts, &shard.delete_attempts),
-            (tally.delete_successes, &shard.delete_successes),
-            (tally.backlink_hops, &shard.backlink_hops),
-            (tally.chain_cleanup_retries, &shard.chain_cleanup_retries),
-            (tally.resumes, &shard.resumes),
-            (tally.resume_hops, &shard.resume_hops),
-        ] {
-            if count != 0 {
-                counter.fetch_add(count, Ordering::Relaxed);
-            }
-        }
-        *tally = ListTally::default();
-    }
-
-    /// Takes a point-in-time snapshot (sums every shard).
-    pub(crate) fn snapshot(&self) -> ListStats {
-        let mut s = ListStats::default();
-        for shard in self.shards.shards() {
-            s.updates += shard.updates.load(Ordering::Relaxed);
-            s.aux_unlinked += shard.aux_unlinked.load(Ordering::Relaxed);
-            s.aux_skipped += shard.aux_skipped.load(Ordering::Relaxed);
-            s.next_steps += shard.next_steps.load(Ordering::Relaxed);
-            s.insert_attempts += shard.insert_attempts.load(Ordering::Relaxed);
-            s.insert_successes += shard.insert_successes.load(Ordering::Relaxed);
-            s.delete_attempts += shard.delete_attempts.load(Ordering::Relaxed);
-            s.delete_successes += shard.delete_successes.load(Ordering::Relaxed);
-            s.backlink_hops += shard.backlink_hops.load(Ordering::Relaxed);
-            s.chain_cleanup_retries += shard.chain_cleanup_retries.load(Ordering::Relaxed);
-            s.resumes += shard.resumes.load(Ordering::Relaxed);
-            s.resume_hops += shard.resume_hops.load(Ordering::Relaxed);
-        }
-        s
-    }
-}
-
-impl fmt::Debug for ListCounters {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.snapshot().fmt(f)
-    }
-}
-
-/// A cursor-private batch of list-operation events: plain integer adds on
-/// the hot path, folded into the sharded counters when the cursor drops
-/// (or via `Cursor::flush_stats`). Until then the events are invisible to
-/// [`List::stats`](crate::List::stats).
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct ListTally {
-    pub(crate) updates: u64,
-    pub(crate) aux_unlinked: u64,
-    pub(crate) aux_skipped: u64,
-    pub(crate) next_steps: u64,
-    pub(crate) insert_attempts: u64,
-    pub(crate) insert_successes: u64,
-    pub(crate) delete_attempts: u64,
-    pub(crate) delete_successes: u64,
-    pub(crate) backlink_hops: u64,
-    pub(crate) chain_cleanup_retries: u64,
-    pub(crate) resumes: u64,
-    pub(crate) resume_hops: u64,
-}
-
-impl ListTally {
-    pub(crate) fn is_empty(&self) -> bool {
-        let Self {
-            updates,
-            aux_unlinked,
-            aux_skipped,
-            next_steps,
-            insert_attempts,
-            insert_successes,
-            delete_attempts,
-            delete_successes,
-            backlink_hops,
-            chain_cleanup_retries,
-            resumes,
-            resume_hops,
-        } = *self;
-        updates
-            | aux_unlinked
-            | aux_skipped
-            | next_steps
-            | insert_attempts
-            | insert_successes
-            | delete_attempts
-            | delete_successes
-            | backlink_hops
-            | chain_cleanup_retries
-            | resumes
-            | resume_hops
-            == 0
-    }
-}
-
-/// Point-in-time snapshot of a list's operation counters.
-///
-/// The "extra work" quantities of the §4.1 amortized analysis are directly
-/// observable here: failed `TryInsert`/`TryDelete` attempts
-/// ([`ListStats::insert_retries`], [`ListStats::delete_retries`]) and
-/// auxiliary-node traversal overhead ([`ListStats::aux_skipped`]).
-///
-/// Cursors batch their events thread-locally and fold them in when dropped,
-/// so a still-live cursor's recent operations may not be visible yet (call
-/// `Cursor::flush_stats` to force them out).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ListStats {
-    /// Cursor `Update` calls (Fig. 5).
-    pub updates: u64,
-    /// Adjacent auxiliary nodes removed by `Update` line 7.
-    pub aux_unlinked: u64,
-    /// Auxiliary nodes stepped over during `Update`.
-    pub aux_skipped: u64,
-    /// Successful `Next` steps (Fig. 7).
-    pub next_steps: u64,
-    /// `TryInsert` attempts (Fig. 9).
-    pub insert_attempts: u64,
-    /// `TryInsert` successes.
-    pub insert_successes: u64,
-    /// `TryDelete` attempts (Fig. 10).
-    pub delete_attempts: u64,
-    /// `TryDelete` successes.
-    pub delete_successes: u64,
-    /// Back-link hops performed during `TryDelete` recovery (Fig. 10
-    /// lines 8–11).
-    pub backlink_hops: u64,
-    /// CAS retries in `TryDelete`'s auxiliary-chain cleanup loop
-    /// (Fig. 10 lines 17–21).
-    pub chain_cleanup_retries: u64,
-    /// [`Cursor::resume`](crate::Cursor::resume) calls that actually
-    /// found a deleted predecessor and back-walked (cheap revalidations
-    /// that fell through to `Update` are not counted).
-    pub resumes: u64,
-    /// Back-link hops performed by [`Cursor::resume`](crate::Cursor::resume)
-    /// — the "resume distance". `resume_hops / resumes` is the mean
-    /// distance-to-conflict, the quantity that replaces O(n)
-    /// restart-from-head walks.
-    pub resume_hops: u64,
 }
 
 impl ListStats {
@@ -209,30 +68,6 @@ impl ListStats {
     /// Failed `TryDelete` attempts.
     pub fn delete_retries(&self) -> u64 {
         self.delete_attempts.saturating_sub(self.delete_successes)
-    }
-
-    /// Component-wise difference (`self - earlier`), saturating at zero.
-    pub fn since(&self, earlier: &ListStats) -> ListStats {
-        ListStats {
-            updates: self.updates.saturating_sub(earlier.updates),
-            aux_unlinked: self.aux_unlinked.saturating_sub(earlier.aux_unlinked),
-            aux_skipped: self.aux_skipped.saturating_sub(earlier.aux_skipped),
-            next_steps: self.next_steps.saturating_sub(earlier.next_steps),
-            insert_attempts: self.insert_attempts.saturating_sub(earlier.insert_attempts),
-            insert_successes: self
-                .insert_successes
-                .saturating_sub(earlier.insert_successes),
-            delete_attempts: self.delete_attempts.saturating_sub(earlier.delete_attempts),
-            delete_successes: self
-                .delete_successes
-                .saturating_sub(earlier.delete_successes),
-            backlink_hops: self.backlink_hops.saturating_sub(earlier.backlink_hops),
-            chain_cleanup_retries: self
-                .chain_cleanup_retries
-                .saturating_sub(earlier.chain_cleanup_retries),
-            resumes: self.resumes.saturating_sub(earlier.resumes),
-            resume_hops: self.resume_hops.saturating_sub(earlier.resume_hops),
-        }
     }
 }
 
@@ -251,67 +86,5 @@ mod tests {
         };
         assert_eq!(s.insert_retries(), 3);
         assert_eq!(s.delete_retries(), 0);
-    }
-
-    #[test]
-    fn since_subtracts() {
-        let a = ListStats {
-            updates: 10,
-            aux_skipped: 4,
-            ..ListStats::default()
-        };
-        let b = ListStats {
-            updates: 6,
-            aux_skipped: 4,
-            ..ListStats::default()
-        };
-        let d = a.since(&b);
-        assert_eq!(d.updates, 4);
-        assert_eq!(d.aux_skipped, 0);
-    }
-
-    #[test]
-    fn counters_snapshot() {
-        let c = ListCounters::default();
-        c.bump(|s| &s.updates);
-        c.bump(|s| &s.insert_attempts);
-        c.bump(|s| &s.insert_successes);
-        let s = c.snapshot();
-        assert_eq!(s.updates, 1);
-        assert_eq!(s.insert_retries(), 0);
-    }
-
-    #[test]
-    fn absorb_folds_and_clears_a_tally() {
-        let c = ListCounters::default();
-        let mut t = ListTally {
-            updates: 4,
-            next_steps: 3,
-            backlink_hops: 1,
-            ..ListTally::default()
-        };
-        assert!(!t.is_empty());
-        c.absorb(&mut t);
-        assert!(t.is_empty(), "absorb must clear the tally");
-        let s = c.snapshot();
-        assert_eq!(s.updates, 4);
-        assert_eq!(s.next_steps, 3);
-        assert_eq!(s.backlink_hops, 1);
-    }
-
-    #[test]
-    fn snapshot_sums_across_threads() {
-        let c = std::sync::Arc::new(ListCounters::default());
-        std::thread::scope(|s| {
-            for _ in 0..4 {
-                let c = std::sync::Arc::clone(&c);
-                s.spawn(move || {
-                    for _ in 0..500 {
-                        c.bump(|s| &s.next_steps);
-                    }
-                });
-            }
-        });
-        assert_eq!(c.snapshot().next_steps, 2000);
     }
 }

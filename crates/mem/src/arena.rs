@@ -33,7 +33,7 @@ use crate::epoch::{EpochDomain, COLLECT_EVERY};
 use crate::magazine::{MagazineGuard, MagazineSlot, MAGAZINE_CAP, MAG_SLOTS, REFILL_BATCH};
 use crate::managed::{Link, Managed};
 use crate::reclaim::{Reclaimer, RefCount};
-use crate::stats::{MemStats, MemTally, StatCounters};
+use crate::stats::{MemStats, StatCounters};
 
 /// Configuration for an [`Arena`].
 ///
@@ -232,13 +232,13 @@ impl<N: Managed + Default, R: Reclaimer> Arena<N, R> {
     ///
     /// Returns [`AllocError`] when the pool is exhausted and capped.
     pub fn alloc(&self) -> Result<*mut N, AllocError> {
-        let mut tally = MemTally::new();
+        let mut tally = MemStats::default();
         let result = self.alloc_inner(&mut tally);
-        self.counters.absorb(&mut tally);
+        self.flush_tally(&mut tally);
         result
     }
 
-    fn alloc_inner(&self, tally: &mut MemTally) -> Result<*mut N, AllocError> {
+    fn alloc_inner(&self, tally: &mut MemStats) -> Result<*mut N, AllocError> {
         loop {
             if let Some(mut mag) = self.slot().try_lock() {
                 let popped = mag.pop().or_else(|| self.refill_and_pop(&mut mag, tally));
@@ -297,7 +297,7 @@ impl<N: Managed + Default, R: Reclaimer> Arena<N, R> {
     fn refill_and_pop(
         &self,
         mag: &mut MagazineGuard<'_, N>,
-        tally: &mut MemTally,
+        tally: &mut MemStats,
     ) -> Option<*mut N> {
         let first = self.pop_free_global(tally)?;
         let mut refilled = 0u64;
@@ -317,7 +317,7 @@ impl<N: Managed + Default, R: Reclaimer> Arena<N, R> {
     /// Fig. 17 lines 1-6: SafeRead the head, CAS it to its successor.
     /// Returns a node carrying one counted reference (ours), claim set,
     /// `free_link` stale (its count was transferred to the head root).
-    fn pop_free_global(&self, tally: &mut MemTally) -> Option<*mut N> {
+    fn pop_free_global(&self, tally: &mut MemStats) -> Option<*mut N> {
         // WAIT-FREE: a failed CSW means another allocator popped the head
         // (or a reclaimer pushed one) — system-wide progress every retry.
         loop {
@@ -380,21 +380,21 @@ impl<N: Managed, R: Reclaimer> Arena<N, R> {
     /// current value always contributes 1 to its target's count (a structure
     /// root, or a field of a node the caller holds a counted reference on).
     pub unsafe fn safe_read(&self, src: &Link<N>) -> *mut N {
-        let mut tally = MemTally::new();
+        let mut tally = MemStats::default();
         let q = self.safe_read_tallied(src, &mut tally);
-        self.counters.absorb(&mut tally);
+        self.flush_tally(&mut tally);
         q
     }
 
     /// [`Arena::safe_read`] with the statistics recorded into a caller
     /// tally instead of the shared counters — the hot-path variant for
     /// loops that perform many reads before flushing once (see
-    /// [`MemTally`] and [`Arena::flush_tally`]).
+    /// [`MemStats`] and [`Arena::flush_tally`]).
     ///
     /// # Safety
     ///
     /// As [`Arena::safe_read`].
-    pub unsafe fn safe_read_tallied(&self, src: &Link<N>, tally: &mut MemTally) -> *mut N {
+    pub unsafe fn safe_read_tallied(&self, src: &Link<N>, tally: &mut MemStats) -> *mut N {
         if !R::COUNTED_READS {
             // Epoch backend: the caller's pin is the protection — a plain
             // load, zero shared RMWs. The result must not outlive the pin
@@ -421,7 +421,7 @@ impl<N: Managed, R: Reclaimer> Arena<N, R> {
     /// # Safety
     ///
     /// As [`Arena::safe_read`].
-    unsafe fn safe_read_counted(&self, src: &Link<N>, tally: &mut MemTally) -> *mut N {
+    unsafe fn safe_read_counted(&self, src: &Link<N>, tally: &mut MemStats) -> *mut N {
         loop {
             // Fig. 15 line 1: q <- Read(p).
             let q = src.read();
@@ -480,9 +480,9 @@ impl<N: Managed, R: Reclaimer> Arena<N, R> {
         if p.is_null() {
             return;
         }
-        let mut tally = MemTally::new();
+        let mut tally = MemStats::default();
         self.release_into(p, &mut tally);
-        self.counters.absorb(&mut tally);
+        self.flush_tally(&mut tally);
     }
 
     /// Fig. 16, recording statistics into `tally` (shared by the batched
@@ -492,7 +492,7 @@ impl<N: Managed, R: Reclaimer> Arena<N, R> {
     ///
     /// As [`Arena::release`], except `p` must be non-null.
     // GUARD: p — as `release`: the caller's count is consumed here.
-    unsafe fn release_into(&self, p: *mut N, tally: &mut MemTally) {
+    unsafe fn release_into(&self, p: *mut N, tally: &mut MemStats) {
         self.release_with(p, tally, true)
     }
 
@@ -504,7 +504,7 @@ impl<N: Managed, R: Reclaimer> Arena<N, R> {
     ///
     /// As [`Arena::release`], except `p` must be non-null.
     // GUARD: p — as `release`: the caller's count is consumed here.
-    unsafe fn release_with(&self, p: *mut N, tally: &mut MemTally, allow_collect: bool) {
+    unsafe fn release_with(&self, p: *mut N, tally: &mut MemStats, allow_collect: bool) {
         // The common case releases one node and touches nothing else; the
         // worklist is only needed when a reclamation cascades through the
         // dying node's outgoing links (e.g. a chain of deleted cells).
@@ -567,7 +567,7 @@ impl<N: Managed, R: Reclaimer> Arena<N, R> {
     /// deleter's `back_link` to an already-retired predecessor); such a
     /// node stays in limbo until the link is drained. Returns nodes freed.
     /// Instant no-op (0) under the refcount backend.
-    fn collect_into(&self, tally: &mut MemTally) -> usize {
+    fn collect_into(&self, tally: &mut MemStats) -> usize {
         if R::COUNTED_READS {
             return 0;
         }
@@ -619,7 +619,7 @@ impl<N: Managed, R: Reclaimer> Arena<N, R> {
     /// advance+sweep rounds so garbage retired just before the pressure
     /// can finish its two-epoch grace period. Stops early on progress.
     /// Returns nodes freed; always 0 under the refcount backend.
-    fn pressure_collect(&self, tally: &mut MemTally) -> usize {
+    fn pressure_collect(&self, tally: &mut MemStats) -> usize {
         if R::COUNTED_READS {
             return 0;
         }
@@ -670,21 +670,30 @@ impl<N: Managed, R: Reclaimer> Arena<N, R> {
             return;
         }
         valois_trace::probe!(DeferFlush, defer.len);
-        let mut tally = MemTally::new();
+        let mut tally = MemStats::default();
         for i in 0..defer.len {
             self.release_into(defer.buf[i], &mut tally);
         }
         defer.len = 0;
-        self.counters.absorb(&mut tally);
+        self.flush_tally(&mut tally);
     }
 
-    /// Folds a [`MemTally`] filled by [`Arena::safe_read_tallied`] into
+    /// Folds a [`MemStats`] tally filled by [`Arena::safe_read_tallied`] into
     /// the shared counters and clears it. Call when the batching loop ends
     /// (the list cursor calls it on drop).
-    pub fn flush_tally(&self, tally: &mut MemTally) {
-        if !tally.is_empty() {
-            self.counters.absorb(tally);
-        }
+    ///
+    /// Tallies record reads and releases only, so only `safe_reads`,
+    /// `safe_read_retries`, `releases` and `reclaims` are folded; debug
+    /// builds assert that the tally's other counters are zero.
+    pub fn flush_tally(&self, tally: &mut MemStats) {
+        self.counters.absorb_only(tally, |s| {
+            [
+                &mut s.safe_reads,
+                &mut s.safe_read_retries,
+                &mut s.releases,
+                &mut s.reclaims,
+            ]
+        });
     }
 
     /// The paper's `Reclaim` (Fig. 18): returns a claimed, drained node to
@@ -805,7 +814,7 @@ impl<N: Managed, R: Reclaimer> Arena<N, R> {
     /// pinned alloc could not free, the unpinned shed can. Calling it
     /// while still pinned is safe but sheds magazines only.
     pub fn shed_memory(&self) -> usize {
-        let mut tally = MemTally::new();
+        let mut tally = MemStats::default();
         let mut reclaimed = self.scavenge();
         if !R::COUNTED_READS {
             // Two advance+sweep rounds end any grace period that can end
@@ -824,7 +833,7 @@ impl<N: Managed, R: Reclaimer> Arena<N, R> {
             }
         }
         valois_trace::probe!(MemShed, reclaimed);
-        self.counters.absorb(&mut tally);
+        self.flush_tally(&mut tally);
         reclaimed
     }
 
@@ -983,9 +992,9 @@ impl<N: Managed, R: Reclaimer> Arena<N, R> {
     /// automatically, this is the explicit handle for tests and
     /// quiescent maintenance.
     pub fn advance_and_collect(&self) -> usize {
-        let mut tally = MemTally::new();
+        let mut tally = MemStats::default();
         let freed = self.collect_into(&mut tally);
-        self.counters.absorb(&mut tally);
+        self.flush_tally(&mut tally);
         freed
     }
 
@@ -1032,19 +1041,13 @@ impl<N: Managed, R: Reclaimer> Arena<N, R> {
 
     /// Snapshot of the protocol counters.
     ///
-    /// Hot paths batch events thread-locally ([`MemTally`]); counts parked
-    /// in un-flushed tallies (e.g. a still-live cursor's) are not yet
-    /// visible here. The `epoch_*` fields are live gauges/counters from
+    /// Hot paths batch events thread-locally (a [`MemStats`] tally);
+    /// counts parked in un-flushed tallies (e.g. a still-live cursor's)
+    /// are not yet visible here. The `epoch_*` fields are live gauges/counters from
     /// the arena's [`EpochDomain`] (all zero under the refcount backend).
     pub fn stats(&self) -> MemStats {
         let mut s = self.counters.snapshot();
-        let (pins, advances, retires, frees) = self.epoch.counters();
-        s.epoch_pins = pins;
-        s.epoch_advances = advances;
-        s.epoch_retires = retires;
-        s.epoch_frees = frees;
-        s.epoch_limbo_depth = self.epoch.limbo_depth() as u64;
-        s.epoch_pin_lag = self.epoch.pin_lag() as u64;
+        self.epoch.record(&mut s);
         s
     }
 
@@ -1645,7 +1648,7 @@ mod tests {
         let p = arena.alloc().unwrap();
         unsafe { arena.store_link(&root, p) };
         let base = arena.stats();
-        let mut tally = MemTally::new();
+        let mut tally = MemStats::default();
         for _ in 0..10 {
             let q = unsafe { arena.safe_read_tallied(&root, &mut tally) };
             unsafe { arena.release(q) };

@@ -63,6 +63,7 @@ use valois_sync::pad::CachePadded;
 use valois_sync::shim::atomic::{fence, AtomicU64, AtomicUsize, Ordering};
 
 use crate::managed::Managed;
+use crate::stats::MemStats;
 
 /// Number of pin slots (power of two). Threads hash in by
 /// `valois_sync::sharded::thread_index`; collisions are handled by the
@@ -400,14 +401,14 @@ impl<N: Managed> EpochDomain<N> {
         g - oldest
     }
 
-    /// Counter snapshot: `(pins, advances, retires, frees)`.
-    pub(crate) fn counters(&self) -> (u64, u64, u64, u64) {
-        (
-            self.pins.load(Ordering::Relaxed),
-            self.advances.load(Ordering::Relaxed),
-            self.retires.load(Ordering::Relaxed),
-            self.frees.load(Ordering::Relaxed),
-        )
+    /// Writes the `epoch_*` counters and gauges into `s`.
+    pub(crate) fn record(&self, s: &mut MemStats) {
+        s.epoch_pins = self.pins.load(Ordering::Relaxed);
+        s.epoch_advances = self.advances.load(Ordering::Relaxed);
+        s.epoch_retires = self.retires.load(Ordering::Relaxed);
+        s.epoch_frees = self.frees.load(Ordering::Relaxed);
+        s.epoch_limbo_depth = self.limbo_depth() as u64;
+        s.epoch_pin_lag = self.pin_lag() as u64;
     }
 }
 
@@ -514,8 +515,8 @@ mod tests {
         assert_eq!(d.limbo_depth(), 2, "requeue does not change the gauge");
         d.note_freed(1);
         assert_eq!(d.limbo_depth(), 1);
-        let (_, _, retires, frees) = d.counters();
-        assert_eq!(retires, 2);
-        assert_eq!(frees, 1);
+        let mut s = MemStats::default();
+        d.record(&mut s);
+        assert_eq!((s.epoch_retires, s.epoch_frees), (2, 1));
     }
 }

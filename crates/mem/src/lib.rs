@@ -119,4 +119,4 @@ pub use epoch::EpochDomain;
 pub use managed::{Link, Managed, NodeHeader, ReclaimedLinks, MAX_LINKS};
 pub use reclaim::{Epoch, Reclaimer, RefCount};
 pub use segtable::SegmentTable;
-pub use stats::{MemStats, MemTally};
+pub use stats::MemStats;

@@ -5,197 +5,75 @@
 //! counts. E8 also showed the *instrumentation itself* used to be part of
 //! the problem: a single set of relaxed atomics meant every `safe_read`
 //! from every thread bumped the same cache line. The counters are now
-//! [`Sharded`] — cache-line-padded per-shard atomics with a summing read
+//! sharded — cache-line-padded per-shard atomics with a summing read
 //! side — and the hot paths batch their events in a thread-private
-//! [`MemTally`] that is folded into the shards in one `fetch_add` per
-//! counter per batch.
+//! [`MemStats`] value that is folded into the shards in one `fetch_add`
+//! per counter per batch. The one field list below declares the
+//! snapshot, the batch and the sharded live counters
+//! ([`valois_sync::counter_table!`]).
 
-use std::fmt;
-
-use valois_sync::sharded::Sharded;
-use valois_sync::shim::atomic::{AtomicU64, Ordering};
-
-/// One shard of the arena's counters (all nine live on one padded line).
-#[derive(Default)]
-pub(crate) struct StatShard {
-    pub(crate) safe_reads: AtomicU64,
-    pub(crate) safe_read_retries: AtomicU64,
-    pub(crate) releases: AtomicU64,
-    pub(crate) allocs: AtomicU64,
-    pub(crate) alloc_retries: AtomicU64,
-    pub(crate) reclaims: AtomicU64,
-    pub(crate) swings: AtomicU64,
-    pub(crate) swing_failures: AtomicU64,
-    pub(crate) grows: AtomicU64,
-}
-
-/// Sharded live counters owned by an [`Arena`](crate::Arena).
-pub struct StatCounters {
-    shards: Sharded<StatShard>,
-}
-
-impl Default for StatCounters {
-    fn default() -> Self {
-        Self {
-            shards: Sharded::new(),
-        }
+valois_sync::counter_table! {
+    /// Point-in-time snapshot of an arena's activity counters.
+    ///
+    /// Obtain via [`Arena::stats`](crate::Arena::stats). Differences between two
+    /// snapshots measure a workload's memory-protocol traffic (experiments
+    /// E3/E8).
+    ///
+    /// A `MemStats` value is also the thread-private batch the hot paths
+    /// record into: `Arena::safe_read_tallied` and the deferred-release
+    /// drain add to it with plain integer adds — no shared-memory RMW per
+    /// event — and the owner folds it into the arena's sharded counters
+    /// via `Arena::flush_tally` (`release`/`safe_read` absorb their own
+    /// single-shot batches). Until a batch is flushed its events are
+    /// invisible to [`Arena::stats`](crate::Arena::stats); cursors flush
+    /// on drop.
+    pub struct MemStats;
+    /// Sharded live counters owned by an [`Arena`](crate::Arena).
+    pub struct StatCounters;
+    counters {
+        /// Completed `SafeRead` operations (Fig. 15).
+        safe_reads,
+        /// `SafeRead` retries (pointer changed between read and increment).
+        safe_read_retries,
+        /// `Release` operations (Fig. 16), including link releases at reclaim.
+        releases,
+        /// Successful `Alloc` operations (Fig. 17).
+        allocs,
+        /// `Alloc` CAS retries (free-list head contention).
+        alloc_retries,
+        /// Reclamations (Fig. 18 pushes back onto the free list).
+        reclaims,
+        /// Counted-link CAS swings attempted via `Arena::swing`.
+        swings,
+        /// Swings whose CAS failed (contention/invalid cursor — the paper's
+        /// retry signal).
+        swing_failures,
+        /// Arena segment growth events.
+        grows,
+        /// Epoch backend: outermost pins taken (one per protected operation).
+        /// Zero under the refcount backend (likewise for every field below).
+        epoch_pins,
+        /// Epoch backend: successful global-epoch advances.
+        epoch_advances,
+        /// Epoch backend: nodes retired into limbo (link in-degree hit zero).
+        epoch_retires,
+        /// Epoch backend: limbo nodes whose grace period elapsed and were
+        /// recycled.
+        epoch_frees,
     }
-}
-
-impl StatCounters {
-    /// Adds 1 to one counter on the current thread's shard.
-    #[inline]
-    pub(crate) fn bump(&self, pick: impl FnOnce(&StatShard) -> &AtomicU64) {
-        pick(self.shards.get()).fetch_add(1, Ordering::Relaxed);
+    gauges {
+        /// Epoch backend **gauge** (point-in-time, not cumulative): nodes
+        /// currently in limbo. A large value alongside `AllocError` means
+        /// reclamation is blocked — check `epoch_pin_lag`.
+        epoch_limbo_depth,
+        /// Epoch backend **gauge**: how many epochs the oldest pinned thread
+        /// lags the global epoch (0 = nobody stalled). A persistently large
+        /// lag identifies a stalled reader pinning an old epoch.
+        epoch_pin_lag,
     }
-
-    /// Folds a thread-private tally into the current thread's shard and
-    /// clears it. One `fetch_add` per non-zero field, however many events
-    /// the tally batched.
-    pub(crate) fn absorb(&self, tally: &mut MemTally) {
-        let shard = self.shards.get();
-        for (count, counter) in [
-            (tally.safe_reads, &shard.safe_reads),
-            (tally.safe_read_retries, &shard.safe_read_retries),
-            (tally.releases, &shard.releases),
-            (tally.reclaims, &shard.reclaims),
-        ] {
-            if count != 0 {
-                counter.fetch_add(count, Ordering::Relaxed);
-            }
-        }
-        *tally = MemTally::new();
-    }
-
-    /// Takes a point-in-time snapshot (sums every shard).
-    pub fn snapshot(&self) -> MemStats {
-        let mut s = MemStats::default();
-        for shard in self.shards.shards() {
-            s.safe_reads += shard.safe_reads.load(Ordering::Relaxed);
-            s.safe_read_retries += shard.safe_read_retries.load(Ordering::Relaxed);
-            s.releases += shard.releases.load(Ordering::Relaxed);
-            s.allocs += shard.allocs.load(Ordering::Relaxed);
-            s.alloc_retries += shard.alloc_retries.load(Ordering::Relaxed);
-            s.reclaims += shard.reclaims.load(Ordering::Relaxed);
-            s.swings += shard.swings.load(Ordering::Relaxed);
-            s.swing_failures += shard.swing_failures.load(Ordering::Relaxed);
-            s.grows += shard.grows.load(Ordering::Relaxed);
-        }
-        s
-    }
-}
-
-impl fmt::Debug for StatCounters {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.snapshot().fmt(f)
-    }
-}
-
-/// A thread-private batch of hot-path protocol events.
-///
-/// `Arena::safe_read_tallied` and the deferred-release drain record their
-/// traffic here with plain integer adds — no shared-memory RMW per event —
-/// and the owner folds the batch into the arena's sharded counters via
-/// `Arena::flush_tally` (or implicitly: `release`/`safe_read` absorb their
-/// own single-shot tallies). Until a tally is flushed its events are
-/// invisible to [`Arena::stats`](crate::Arena::stats); cursors flush on
-/// drop.
-#[derive(Debug, Clone, Default)]
-pub struct MemTally {
-    pub(crate) safe_reads: u64,
-    pub(crate) safe_read_retries: u64,
-    pub(crate) releases: u64,
-    pub(crate) reclaims: u64,
-}
-
-impl MemTally {
-    /// An empty tally.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Whether any events are batched.
-    pub fn is_empty(&self) -> bool {
-        self.safe_reads == 0
-            && self.safe_read_retries == 0
-            && self.releases == 0
-            && self.reclaims == 0
-    }
-}
-
-/// Point-in-time snapshot of an arena's activity counters.
-///
-/// Obtain via [`Arena::stats`](crate::Arena::stats). Differences between two
-/// snapshots measure a workload's memory-protocol traffic (experiments
-/// E3/E8).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MemStats {
-    /// Completed `SafeRead` operations (Fig. 15).
-    pub safe_reads: u64,
-    /// `SafeRead` retries (pointer changed between read and increment).
-    pub safe_read_retries: u64,
-    /// `Release` operations (Fig. 16), including link releases at reclaim.
-    pub releases: u64,
-    /// Successful `Alloc` operations (Fig. 17).
-    pub allocs: u64,
-    /// `Alloc` CAS retries (free-list head contention).
-    pub alloc_retries: u64,
-    /// Reclamations (Fig. 18 pushes back onto the free list).
-    pub reclaims: u64,
-    /// Counted-link CAS swings attempted via `Arena::swing`.
-    pub swings: u64,
-    /// Swings whose CAS failed (contention/invalid cursor — the paper's
-    /// retry signal).
-    pub swing_failures: u64,
-    /// Arena segment growth events.
-    pub grows: u64,
-    /// Epoch backend: outermost pins taken (one per protected operation).
-    /// Zero under the refcount backend (likewise for every field below).
-    pub epoch_pins: u64,
-    /// Epoch backend: successful global-epoch advances.
-    pub epoch_advances: u64,
-    /// Epoch backend: nodes retired into limbo (link in-degree hit zero).
-    pub epoch_retires: u64,
-    /// Epoch backend: limbo nodes whose grace period elapsed and were
-    /// recycled.
-    pub epoch_frees: u64,
-    /// Epoch backend **gauge** (point-in-time, not cumulative): nodes
-    /// currently in limbo. A large value alongside `AllocError` means
-    /// reclamation is blocked — check `epoch_pin_lag`.
-    pub epoch_limbo_depth: u64,
-    /// Epoch backend **gauge**: how many epochs the oldest pinned thread
-    /// lags the global epoch (0 = nobody stalled). A persistently large
-    /// lag identifies a stalled reader pinning an old epoch.
-    pub epoch_pin_lag: u64,
 }
 
 impl MemStats {
-    /// Component-wise difference (`self - earlier`), saturating at zero.
-    /// The `epoch_limbo_depth`/`epoch_pin_lag` *gauges* are carried over
-    /// from `self` unchanged (differencing a point-in-time gauge is
-    /// meaningless).
-    pub fn since(&self, earlier: &MemStats) -> MemStats {
-        MemStats {
-            safe_reads: self.safe_reads.saturating_sub(earlier.safe_reads),
-            safe_read_retries: self
-                .safe_read_retries
-                .saturating_sub(earlier.safe_read_retries),
-            releases: self.releases.saturating_sub(earlier.releases),
-            allocs: self.allocs.saturating_sub(earlier.allocs),
-            alloc_retries: self.alloc_retries.saturating_sub(earlier.alloc_retries),
-            reclaims: self.reclaims.saturating_sub(earlier.reclaims),
-            swings: self.swings.saturating_sub(earlier.swings),
-            swing_failures: self.swing_failures.saturating_sub(earlier.swing_failures),
-            grows: self.grows.saturating_sub(earlier.grows),
-            epoch_pins: self.epoch_pins.saturating_sub(earlier.epoch_pins),
-            epoch_advances: self.epoch_advances.saturating_sub(earlier.epoch_advances),
-            epoch_retires: self.epoch_retires.saturating_sub(earlier.epoch_retires),
-            epoch_frees: self.epoch_frees.saturating_sub(earlier.epoch_frees),
-            epoch_limbo_depth: self.epoch_limbo_depth,
-            epoch_pin_lag: self.epoch_pin_lag,
-        }
-    }
-
     /// Nodes currently checked out (allocated and not yet reclaimed).
     pub fn live_nodes(&self) -> u64 {
         self.allocs.saturating_sub(self.reclaims)
@@ -205,73 +83,6 @@ impl MemStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn snapshot_reflects_bumps() {
-        let c = StatCounters::default();
-        c.bump(|s| &s.safe_reads);
-        c.bump(|s| &s.safe_reads);
-        c.bump(|s| &s.allocs);
-        let s = c.snapshot();
-        assert_eq!(s.safe_reads, 2);
-        assert_eq!(s.allocs, 1);
-        assert_eq!(s.reclaims, 0);
-    }
-
-    #[test]
-    fn absorb_folds_and_clears_a_tally() {
-        let c = StatCounters::default();
-        let mut t = MemTally::new();
-        t.safe_reads = 5;
-        t.releases = 3;
-        t.reclaims = 1;
-        assert!(!t.is_empty());
-        c.absorb(&mut t);
-        assert!(t.is_empty(), "absorb must clear the tally");
-        let s = c.snapshot();
-        assert_eq!(s.safe_reads, 5);
-        assert_eq!(s.releases, 3);
-        assert_eq!(s.reclaims, 1);
-        // Absorbing an empty tally is a no-op.
-        c.absorb(&mut t);
-        assert_eq!(c.snapshot(), s);
-    }
-
-    #[test]
-    fn snapshot_sums_across_threads() {
-        let c = std::sync::Arc::new(StatCounters::default());
-        std::thread::scope(|s| {
-            for _ in 0..4 {
-                let c = std::sync::Arc::clone(&c);
-                s.spawn(move || {
-                    for _ in 0..500 {
-                        c.bump(|s| &s.releases);
-                    }
-                });
-            }
-        });
-        assert_eq!(c.snapshot().releases, 2000);
-    }
-
-    #[test]
-    fn since_subtracts_componentwise() {
-        let a = MemStats {
-            safe_reads: 10,
-            allocs: 5,
-            reclaims: 2,
-            ..MemStats::default()
-        };
-        let b = MemStats {
-            safe_reads: 4,
-            allocs: 5,
-            reclaims: 1,
-            ..MemStats::default()
-        };
-        let d = a.since(&b);
-        assert_eq!(d.safe_reads, 6);
-        assert_eq!(d.allocs, 0);
-        assert_eq!(d.reclaims, 1);
-    }
 
     #[test]
     fn live_nodes_is_allocs_minus_reclaims() {

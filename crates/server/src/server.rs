@@ -14,7 +14,7 @@ use valois_mem::{MemStats, Reclaimer};
 use valois_sync::shim::atomic::{AtomicU64, Ordering};
 
 use crate::request::{Op, Outcome, Request, Response};
-use crate::shard::{worker_loop, Shard, ShardStats, WorkerConfig};
+use crate::shard::{total_mem_stats, worker_loop, Shard, ShardStats, WorkerConfig};
 
 /// Routes a key to a shard. Stable for the life of the process — that
 /// stability is the per-key FIFO contract: one key always flows through
@@ -172,31 +172,10 @@ impl<R: Reclaimer> Server<R> {
         merged
     }
 
-    /// Memory-protocol counters summed across shard arenas (gauges like
-    /// `epoch_limbo_depth` sum too: total garbage parked service-wide).
+    /// Memory-protocol counters summed across shard arenas (the
+    /// `epoch_pin_lag` gauge is the max over shards).
     pub fn mem_stats(&self) -> MemStats {
-        let mut out = MemStats::default();
-        for s in &self.shards {
-            let m = s.mem_stats();
-            out = MemStats {
-                safe_reads: out.safe_reads + m.safe_reads,
-                safe_read_retries: out.safe_read_retries + m.safe_read_retries,
-                releases: out.releases + m.releases,
-                allocs: out.allocs + m.allocs,
-                alloc_retries: out.alloc_retries + m.alloc_retries,
-                reclaims: out.reclaims + m.reclaims,
-                swings: out.swings + m.swings,
-                swing_failures: out.swing_failures + m.swing_failures,
-                grows: out.grows + m.grows,
-                epoch_pins: out.epoch_pins + m.epoch_pins,
-                epoch_advances: out.epoch_advances + m.epoch_advances,
-                epoch_retires: out.epoch_retires + m.epoch_retires,
-                epoch_frees: out.epoch_frees + m.epoch_frees,
-                epoch_limbo_depth: out.epoch_limbo_depth + m.epoch_limbo_depth,
-                epoch_pin_lag: out.epoch_pin_lag.max(m.epoch_pin_lag),
-            };
-        }
-        out
+        total_mem_stats(&self.shards)
     }
 
     /// Total items across shard dictionaries (best-effort snapshot).

@@ -9,6 +9,7 @@
 //! sender is gone and the channel is drained, so shutdown is just
 //! "drop the senders, join the workers" and no request is ever lost.
 
+use std::sync::Arc;
 use std::time::Duration;
 
 use valois_core::channel::Receiver;
@@ -92,6 +93,21 @@ impl<R: Reclaimer> Shard<R> {
     pub fn mem_stats(&self) -> MemStats {
         self.dict.mem_stats()
     }
+}
+
+/// Memory-protocol counters summed across `shards`. Counters and the
+/// `epoch_limbo_depth` gauge add (total garbage parked service-wide);
+/// the `epoch_pin_lag` gauge is the max (the most-stalled shard).
+pub(crate) fn total_mem_stats<R: Reclaimer>(shards: &[Arc<Shard<R>>]) -> MemStats {
+    shards
+        .iter()
+        .map(|s| s.mem_stats())
+        .fold(MemStats::default(), |mut total, m| {
+            let lag = total.epoch_pin_lag.max(m.epoch_pin_lag);
+            total += m;
+            total.epoch_pin_lag = lag;
+            total
+        })
 }
 
 /// Per-worker knobs, copied out of

@@ -22,10 +22,10 @@ use std::time::Duration;
 
 use valois_core::ListStats;
 use valois_harness::LatencySummary;
-use valois_mem::Reclaimer;
+use valois_mem::{MemStats, Reclaimer};
 use valois_sync::shim::atomic::{AtomicBool, Ordering};
 
-use crate::shard::Shard;
+use crate::shard::{total_mem_stats, Shard};
 
 /// One interval's worth of service statistics.
 #[derive(Debug, Clone, Copy)]
@@ -40,16 +40,14 @@ pub struct Tick {
     pub ops_per_sec: f64,
     /// Cumulative latency quantiles (`None` before the first sample).
     pub latency: Option<LatencySummary>,
-    /// List traversal steps during this interval (all shards).
-    pub next_steps: u64,
-    /// Successful inserts during this interval.
-    pub inserts: u64,
-    /// Successful deletes during this interval.
-    pub deletes: u64,
-    /// `SafeRead`s during this interval (0 under the epoch backend).
-    pub safe_reads: u64,
-    /// Epoch-backend gauge: nodes currently parked in limbo, all shards.
-    pub epoch_limbo_depth: u64,
+    /// List-operation counters during this interval, summed over shards
+    /// (`next_steps` = traversal steps, `insert_successes`/
+    /// `delete_successes` = completed inserts/deletes).
+    pub list: ListStats,
+    /// Memory-protocol counters during this interval, summed over shards.
+    /// The gauges are current values, not deltas (`epoch_limbo_depth` =
+    /// nodes parked in limbo service-wide).
+    pub mem: MemStats,
     /// Flight-recorder events during this interval (0 when the recorder
     /// is off).
     pub trace_events: u64,
@@ -72,7 +70,10 @@ impl std::fmt::Display for Tick {
         write!(
             f,
             "  steps {:>8}  ins {:>6}  del {:>6}  limbo {:>5}",
-            self.next_steps, self.inserts, self.deletes, self.epoch_limbo_depth
+            self.list.next_steps,
+            self.list.insert_successes,
+            self.list.delete_successes,
+            self.mem.epoch_limbo_depth
         )
     }
 }
@@ -90,19 +91,6 @@ impl std::fmt::Debug for StatsFeed {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("StatsFeed").finish_non_exhaustive()
     }
-}
-
-/// Sums the interesting [`ListStats`] fields across shards.
-fn sum_list_stats<R: Reclaimer>(shards: &[Arc<Shard<R>>]) -> ListStats {
-    let mut out = ListStats::default();
-    for s in shards {
-        let l = s.dict.list_stats();
-        out.next_steps += l.next_steps;
-        out.insert_successes += l.insert_successes;
-        out.delete_successes += l.delete_successes;
-        out.updates += l.updates;
-    }
-    out
 }
 
 impl StatsFeed {
@@ -124,8 +112,14 @@ impl StatsFeed {
                 let stop = stop_in;
                 let mut index = 0u64;
                 let mut prev_completed = 0u64;
-                let mut prev_list = sum_list_stats(&shards);
-                let mut prev_safe_reads = 0u64;
+                let totals = || {
+                    let list = shards.iter().fold(ListStats::default(), |mut list, s| {
+                        list += s.dict.list_stats();
+                        list
+                    });
+                    (list, total_mem_stats(&shards))
+                };
+                let (mut prev_list, mut prev_mem) = totals();
                 let mut prev_trace = valois_trace::snapshot();
                 // ORDER: Acquire pairs with the Release store in
                 // `StatsFeed::stop`/`Drop` — the plain stop-flag
@@ -136,15 +130,7 @@ impl StatsFeed {
                         .iter()
                         .map(|s| s.stats.completed.load(Ordering::Relaxed))
                         .sum();
-                    let list = sum_list_stats(&shards);
-                    let list_delta = list.since(&prev_list);
-                    let mut safe_reads = 0u64;
-                    let mut limbo = 0u64;
-                    for s in &shards {
-                        let m = s.mem_stats();
-                        safe_reads += m.safe_reads;
-                        limbo += m.epoch_limbo_depth;
-                    }
+                    let (list, mem) = totals();
                     let latency = {
                         let merged = valois_harness::LatencyHistogram::new();
                         for s in &shards {
@@ -166,11 +152,8 @@ impl StatsFeed {
                         ops_per_sec: completed.saturating_sub(prev_completed) as f64
                             / interval.as_secs_f64().max(f64::EPSILON),
                         latency,
-                        next_steps: list_delta.next_steps,
-                        inserts: list_delta.insert_successes,
-                        deletes: list_delta.delete_successes,
-                        safe_reads: safe_reads.saturating_sub(prev_safe_reads),
-                        epoch_limbo_depth: limbo,
+                        list: list.since(&prev_list),
+                        mem: mem.since(&prev_mem),
                         trace_events,
                     };
                     if print {
@@ -179,7 +162,7 @@ impl StatsFeed {
                     ticks_in.lock().expect("feed mutex").push(tick);
                     prev_completed = completed;
                     prev_list = list;
-                    prev_safe_reads = safe_reads;
+                    prev_mem = mem;
                     prev_trace = trace;
                     index += 1;
                 }

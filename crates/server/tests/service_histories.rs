@@ -142,7 +142,7 @@ fn live_feed_advances_under_traffic<R: Reclaimer + 'static>() {
     assert!(
         ticks
             .iter()
-            .any(|t| t.delta_completed > 0 && t.next_steps > 0),
+            .any(|t| t.delta_completed > 0 && t.list.next_steps > 0),
         "some tick must observe live progress (completions + traversal)"
     );
     assert!(
@@ -213,6 +213,44 @@ fn capped_pool_service_survives<R: Reclaimer + 'static>() {
     }
 }
 
+/// `Server::mem_stats` folds the shard arenas' counters: counters add,
+/// and the `epoch_pin_lag` gauge is the max over shards, not the sum.
+fn server_mem_stats_folds_the_shards<R: Reclaimer + 'static>() {
+    let server: Server<R> = Server::start(&small_config(2));
+    let report = run_service(
+        &server,
+        &SimConfig {
+            client_threads: 2,
+            connections: 32,
+            requests_per_conn: 40,
+            window: 16,
+            mix: ServiceMix::new(40, 30, 25, 5),
+            keys: KeyDist::Zipf { range: 1024 },
+            scan_len: 4,
+            seed: 0xB0B,
+        },
+    );
+    assert_eq!(server.completed(), report.issued);
+    let total = server.mem_stats();
+    let shards: Vec<_> = server.shards().iter().map(|s| s.mem_stats()).collect();
+    assert_eq!(shards.len(), 2);
+    assert!(total.allocs > 0, "mixed traffic must allocate");
+    assert_eq!(total.allocs, shards.iter().map(|m| m.allocs).sum::<u64>());
+    assert_eq!(
+        total.releases,
+        shards.iter().map(|m| m.releases).sum::<u64>()
+    );
+    assert_eq!(
+        total.live_nodes(),
+        shards.iter().map(|m| m.live_nodes()).sum::<u64>()
+    );
+    assert_eq!(
+        total.epoch_pin_lag,
+        shards.iter().map(|m| m.epoch_pin_lag).max().unwrap()
+    );
+    server.shutdown();
+}
+
 mod refcount {
     use super::*;
 
@@ -268,5 +306,10 @@ mod epoch {
     #[test]
     fn capped_pool_service_survives() {
         super::capped_pool_service_survives::<Epoch>();
+    }
+
+    #[test]
+    fn server_mem_stats_folds_the_shards() {
+        super::server_mem_stats_folds_the_shards::<Epoch>();
     }
 }

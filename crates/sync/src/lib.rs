@@ -12,7 +12,9 @@
 //! ([`primitives`]), the exponential [`Backoff`] the paper recommends for
 //! contention management (§2.1), the spin locks used as baselines
 //! ([`spinlock`]), and a [`CachePadded`] helper to keep hot shared words on
-//! separate cache lines.
+//! separate cache lines. [`Sharded`] spreads statistics over per-thread
+//! shards, and [`counter_table!`] declares a layer's counters once and
+//! generates the snapshot, batch and sharded live types from that list.
 //!
 //! # Example
 //!
@@ -29,6 +31,7 @@
 #![warn(missing_debug_implementations)]
 
 pub mod backoff;
+pub mod counters;
 pub mod pad;
 pub mod primitives;
 pub mod rng;
