@@ -171,6 +171,11 @@ struct LevelCursor<K, V> {
     pre_cell: *mut SkipNode<K, V>,
 }
 
+/// Counted per-level predecessors from one descent, indexed by level
+/// (slot 0 stays null): where bottom-up linking and the remover's orphan
+/// sweep start each level.
+type Saved<K, V> = [*mut SkipNode<K, V>; MAX_LEVELS];
+
 /// A non-blocking skip-list dictionary (paper §4.1).
 ///
 /// # Example
@@ -283,6 +288,21 @@ where
     // cursor; `release_cursor` (or `next`/`update` swaps) release them.
     unsafe fn cursor_at(&self, lvl: usize, from: *mut SkipNode<K, V>) -> LevelCursor<K, V> {
         self.arena.incr_ref(from);
+        self.cursor_taking(lvl, from)
+    }
+
+    /// [`cursor_at`](Self::cursor_at) that takes over the caller's count
+    /// on `from` instead of adding one.
+    ///
+    /// # Safety
+    ///
+    /// `from` must carry a count this call may consume, on a cell in level
+    /// `lvl`'s list.
+    // GUARD: from — caller holds a count when calling; it moves into the
+    // returned cursor's `pre_cell`.
+    // COUNT: consumes the caller's count on `from`; the returned cursor
+    // owns it and the counts acquired here.
+    unsafe fn cursor_taking(&self, lvl: usize, from: *mut SkipNode<K, V>) -> LevelCursor<K, V> {
         let mut c = LevelCursor {
             pre_cell: from,
             pre_aux: self.arena.safe_read((*from).out_link(lvl)),
@@ -364,6 +384,24 @@ where
             c.target = std::ptr::null_mut();
         }
         self.update(lvl, c);
+    }
+
+    /// A cursor at `lvl` opened from `from` and revalidated by
+    /// [`resume`](Self::resume): if `from` has been deleted at this level,
+    /// the cursor first walks `back_link[lvl]` back to a live predecessor
+    /// (I10), so a start cell saved earlier is as good as the head.
+    ///
+    /// # Safety
+    ///
+    /// `from` must be a counted reference to a cell that is, or was, a
+    /// member of level `lvl`'s list.
+    // GUARD: from — caller holds a count on the start cell across the call.
+    // COUNT: as `cursor_at`, the returned cursor owns its counts.
+    // INVARIANT: I10
+    unsafe fn reopen(&self, lvl: usize, from: *mut SkipNode<K, V>) -> LevelCursor<K, V> {
+        let mut c = self.cursor_at(lvl, from);
+        self.resume(lvl, &mut c);
+        c
     }
 
     /// Fig. 7 `Next` at `lvl`.
@@ -510,14 +548,45 @@ where
         self.arena.release(c.pre_cell);
     }
 
-    /// Descends from the top level to level 0, returning a level-0 cursor
-    /// positioned at the first key ≥ `key`. If `saved` is given, records a
-    /// counted entry cell per level (index = level) for bottom-up
-    /// insertion.
+    /// Fig. 13's loop at `lvl`: find `key` and unlink it, resuming after
+    /// each lost race. Returns true iff this call's `try_delete` won.
     ///
-    /// The descent entry point at each level is the previous level's
-    /// `pre_cell` — a cell (or the first dummy) with key < `key` that, by
-    /// the subset property, is also a member of every lower level.
+    /// # Safety
+    ///
+    /// `c` must hold counted references obtained from this arena at `lvl`.
+    unsafe fn delete_at_level(
+        &self,
+        lvl: usize,
+        c: &mut LevelCursor<K, V>,
+        key: &K,
+        backoff: &mut Backoff,
+    ) -> bool {
+        loop {
+            if !self.find_at_level(lvl, c, key) {
+                return false;
+            }
+            if self.try_delete(lvl, c) {
+                return true;
+            }
+            self.retries.fetch_add(1, Ordering::Relaxed);
+            backoff.spin();
+            // INVARIANT: I10
+            self.resume(lvl, c);
+        }
+    }
+
+    /// Descends from the top level to level 1 running `step` on each
+    /// level's cursor, and returns a level-0 cursor opened at the last
+    /// level's `pre_cell` (the caller runs its own level-0 step).
+    ///
+    /// The entry point at each level is the level above's `pre_cell` — a
+    /// cell (or the first dummy) with key below the step's key that, by
+    /// the subset property, is also a member of every lower level. Each
+    /// level's cursor passes its count on `pre_cell` down as the entry's
+    /// count. With `saved`, that count stays in `saved[lvl]` (so
+    /// `saved[lvl]` is level `lvl`'s `pre_cell`, for `lvl` ≥ 1) and the
+    /// next cursor takes one of its own; without, the next cursor takes
+    /// it over.
     ///
     /// # Safety
     ///
@@ -526,30 +595,44 @@ where
     /// caller must release.
     unsafe fn descend(
         &self,
-        key: &K,
-        mut saved: Option<&mut Vec<*mut SkipNode<K, V>>>,
+        mut saved: Option<&mut Saved<K, V>>,
+        mut step: impl FnMut(usize, &mut LevelCursor<K, V>),
     ) -> LevelCursor<K, V> {
-        if let Some(s) = saved.as_deref_mut() {
-            s.resize(MAX_LEVELS, std::ptr::null_mut());
-        }
         let mut entry = self.first;
         self.arena.incr_ref(entry);
-        for lvl in (0..MAX_LEVELS).rev() {
-            let mut c = self.cursor_at(lvl, entry);
-            self.arena.release(entry);
-            let _ = self.find_at_level(lvl, &mut c, key);
+        let mut lvl = MAX_LEVELS - 1;
+        loop {
+            // COUNT: `entry` carries one count, on level `lvl + 1`'s
+            // `pre_cell`. Kept in `saved` (released by `release_saved`),
+            // the cursor adds its own; otherwise the cursor takes it over.
+            let mut c = match saved.as_deref_mut() {
+                Some(s) if lvl + 1 < MAX_LEVELS => {
+                    s[lvl + 1] = entry;
+                    self.cursor_at(lvl, entry)
+                }
+                _ => self.cursor_taking(lvl, entry),
+            };
             if lvl == 0 {
                 return c;
             }
-            if let Some(s) = saved.as_deref_mut() {
-                self.arena.incr_ref(c.pre_cell);
-                s[lvl] = c.pre_cell;
-            }
+            step(lvl, &mut c);
+            // COUNT: the cursor's count on `pre_cell` becomes `entry`'s.
             entry = c.pre_cell;
-            self.arena.incr_ref(entry);
-            self.release_cursor(c);
+            self.arena.release(c.target);
+            self.arena.release(c.pre_aux);
+            lvl -= 1;
         }
-        unreachable!("loop always returns at lvl 0")
+    }
+
+    /// Releases the counts [`descend`](Self::descend) handed to `saved`.
+    ///
+    /// # Safety
+    ///
+    /// Every non-null slot must carry a count on this arena.
+    unsafe fn release_saved(&self, saved: &Saved<K, V>) {
+        for &p in saved {
+            self.arena.release(p);
+        }
     }
 
     fn insert_impl(&self, key: K, value: V) -> bool {
@@ -567,16 +650,13 @@ where
         let height = height.clamp(1, MAX_LEVELS);
         // SAFETY: protocol invariants as documented on each helper.
         unsafe {
-            let mut saved: Vec<*mut SkipNode<K, V>> = Vec::new();
-            let mut c0 = self.descend(&key, Some(&mut saved));
-            let release_saved = |saved: &[*mut SkipNode<K, V>]| {
-                for &p in saved {
-                    self.arena.release(p);
-                }
-            };
+            let mut saved: Saved<K, V> = [std::ptr::null_mut(); MAX_LEVELS];
+            let mut c0 = self.descend(Some(&mut saved), |lvl, c| {
+                let _ = self.find_at_level(lvl, c, &key);
+            });
             if self.find_at_level(0, &mut c0, &key) {
                 self.release_cursor(c0);
-                release_saved(&saved);
+                self.release_saved(&saved);
                 valois_trace::probe!(DictInsert, 0u64, 0u64);
                 return false;
             }
@@ -607,7 +687,7 @@ where
                 if self.find_at_level(0, &mut c0, key) {
                     // A concurrent insert of the same key won: roll back.
                     self.release_cursor(c0);
-                    release_saved(&saved);
+                    self.release_saved(&saved);
                     self.arena.release(cell); // drains key/value + aux0 link
                     self.arena.release(aux0);
                     valois_trace::probe!(DictInsert, 0u64, 0u64);
@@ -675,25 +755,9 @@ where
                 // fence in `sweep_orphan_tower`; preserves I8.
                 fence(Ordering::SeqCst);
                 if !(*cell).back_link[0].read().is_null() {
-                    let mut cc = self.cursor_at(lvl, self.first);
-                    loop {
-                        if !self.find_at_level(lvl, &mut cc, key) {
-                            break;
-                        }
-                        if cc.target != cell {
-                            if !self.next(lvl, &mut cc) {
-                                break;
-                            }
-                            continue;
-                        }
-                        if self.try_delete(lvl, &mut cc) {
-                            valois_trace::probe!(TowerUndo, cell as usize, lvl);
-                            break;
-                        }
-                        // INVARIANT: I10
-                        self.resume(lvl, &mut cc);
+                    if self.unlink_tower_at(lvl, c.pre_cell, cell) {
+                        valois_trace::probe!(TowerUndo, cell as usize, lvl);
                     }
-                    self.release_cursor(cc);
                     self.release_cursor(c);
                     break 'levels;
                 }
@@ -702,7 +766,7 @@ where
             // Hand the allocation reference over (the level-0 list counts
             // the cell now).
             self.arena.release(cell);
-            release_saved(&saved);
+            self.release_saved(&saved);
             valois_trace::probe!(DictInsert, cell as usize, 1u64);
             true
         }
@@ -713,40 +777,22 @@ where
         // level-0 deletion decides the return value.
         // SAFETY: protocol invariants as documented on each helper.
         unsafe {
-            let mut entry = self.first;
-            self.arena.incr_ref(entry);
-            let mut removed = false;
+            let mut saved: Saved<K, V> = [std::ptr::null_mut(); MAX_LEVELS];
             let mut backoff = Backoff::new();
-            for lvl in (0..MAX_LEVELS).rev() {
-                let mut c = self.cursor_at(lvl, entry);
-                self.arena.release(entry);
-                loop {
-                    if !self.find_at_level(lvl, &mut c, key) {
-                        break;
-                    }
-                    if self.try_delete(lvl, &mut c) {
-                        if lvl == 0 {
-                            // The membership-defining deletion won. Sweep
-                            // the upper levels again: a racing bottom-up
-                            // inserter may have linked (or may yet link)
-                            // this cell above after our top-down pass went
-                            // by. `c.target` is still counted here (the
-                            // cursor releases it below).
-                            removed = true;
-                            self.sweep_orphan_tower(c.target);
-                        }
-                        break;
-                    }
-                    self.retries.fetch_add(1, Ordering::Relaxed);
-                    backoff.spin();
-                    // INVARIANT: I10
-                    self.resume(lvl, &mut c);
-                }
-                entry = c.pre_cell;
-                self.arena.incr_ref(entry);
-                self.release_cursor(c);
+            let mut c = self.descend(Some(&mut saved), |lvl, c| {
+                let _ = self.delete_at_level(lvl, c, key, &mut backoff);
+            });
+            let removed = self.delete_at_level(0, &mut c, key, &mut backoff);
+            if removed {
+                // The membership-defining deletion won. Sweep the upper
+                // levels again: a racing bottom-up inserter may have
+                // linked (or may yet link) this cell above after our
+                // top-down pass went by. `c.target` is still counted here
+                // (the cursor releases it below).
+                self.sweep_orphan_tower(c.target, &saved);
             }
-            self.arena.release(entry);
+            self.release_cursor(c);
+            self.release_saved(&saved);
             valois_trace::probe!(DictRemove, removed as u64);
             removed
         }
@@ -766,16 +812,17 @@ where
     /// mechanisms sees the other side's store — see docs/PROTOCOL.md,
     /// "The orphan-tower race".
     ///
-    /// Matching is by pointer identity, not key: a newer tower reusing the
-    /// same key must survive the sweep.
+    /// Each level's sweep starts at the pass's own level-`lvl` predecessor
+    /// `saved[lvl]`, not at the head, so a remove stays O(log n).
     ///
     /// # Safety
     ///
     /// The caller must hold a counted reference on `d` (so it cannot be
-    /// reclaimed mid-sweep), and `d`'s level-0 deletion must have set its
-    /// `back_link[0]`.
+    /// reclaimed mid-sweep), `d`'s level-0 deletion must have set its
+    /// `back_link[0]`, and `saved` must hold the remover's counted
+    /// per-level predecessors from [`descend`](Self::descend).
     // GUARD: d — caller holds a count on the dying tower across the sweep.
-    unsafe fn sweep_orphan_tower(&self, d: *mut SkipNode<K, V>) {
+    unsafe fn sweep_orphan_tower(&self, d: *mut SkipNode<K, V>, saved: &Saved<K, V>) {
         // ORDER: SeqCst fence after the level-0 `back_link[0]` write (in
         // `try_delete`) and before the upper-level reads below — the
         // remover half of the pairing described above.
@@ -787,47 +834,67 @@ where
         // the counted reference we hold already order it); no `level`
         // store needs Release to pair with this.
         let height = (*d).level.load(Ordering::Acquire) as usize;
-        if height <= 1 {
-            return;
-        }
-        let key = (*d).key();
-        for lvl in 1..height {
-            let mut c = self.cursor_at(lvl, self.first);
-            // WAIT-FREE: each failed `try_delete` means another actor
-            // changed this level's chain around `d` (system-wide
-            // progress), and at most one other actor ever targets `d`
-            // here (its inserter's self-undo) — once either side's
-            // unlink wins, `find_at_level` stops seeing `d` and the loop
-            // exits, so retries are bounded, not contended.
-            loop {
-                if !self.find_at_level(lvl, &mut c, key) {
-                    break;
-                }
-                if c.target != d {
-                    // A different (newer) same-key tower; step past it.
-                    if !self.next(lvl, &mut c) {
-                        break;
-                    }
-                    continue;
-                }
-                if self.try_delete(lvl, &mut c) {
-                    valois_trace::probe!(TowerSweep, d as usize, lvl);
-                    break;
-                }
-                // Lost the unlink race at this level (the inserter's
-                // self-undo, most likely); re-examine from a fresh view.
-                self.retries.fetch_add(1, Ordering::Relaxed);
-                // INVARIANT: I10
-                self.resume(lvl, &mut c);
+        for (lvl, &from) in saved.iter().enumerate().take(height).skip(1) {
+            if self.unlink_tower_at(lvl, from, d) {
+                valois_trace::probe!(TowerSweep, d as usize, lvl);
             }
-            self.release_cursor(c);
         }
+    }
+
+    /// Unlinks tower `d` from level `lvl`, searching forward from `from`
+    /// (a cell before `d` at this level). Matching is by pointer identity,
+    /// not key: a newer tower reusing the same key must survive. Returns
+    /// true iff this call's `try_delete` won.
+    ///
+    /// # Safety
+    ///
+    /// `from` and `d` must be counted references; `d` must be a tower cell
+    /// spanning `lvl`.
+    // GUARD: from, d — caller holds a count on each across the call.
+    unsafe fn unlink_tower_at(
+        &self,
+        lvl: usize,
+        from: *mut SkipNode<K, V>,
+        d: *mut SkipNode<K, V>,
+    ) -> bool {
+        let key = (*d).key();
+        let mut c = self.reopen(lvl, from);
+        // WAIT-FREE: each failed `try_delete` means another actor changed
+        // this level's chain around `d` (system-wide progress), and at
+        // most two actors ever target `d` here (its inserter's self-undo
+        // and its remover's sweep) — once either side's unlink wins,
+        // `find_at_level` stops seeing `d` and the loop exits, so retries
+        // are bounded, not contended.
+        let won = loop {
+            if !self.find_at_level(lvl, &mut c, key) {
+                break false;
+            }
+            if c.target != d {
+                // A different (newer) same-key tower; step past it.
+                if !self.next(lvl, &mut c) {
+                    break false;
+                }
+                continue;
+            }
+            if self.try_delete(lvl, &mut c) {
+                break true;
+            }
+            // Lost the unlink race at this level; re-examine from a
+            // fresh view.
+            self.retries.fetch_add(1, Ordering::Relaxed);
+            // INVARIANT: I10
+            self.resume(lvl, &mut c);
+        };
+        self.release_cursor(c);
+        won
     }
 
     fn find_impl<R>(&self, key: &K, f: impl FnOnce(&V) -> R) -> Option<R> {
         // SAFETY: protocol invariants as documented on each helper.
         unsafe {
-            let mut c = self.descend(key, None);
+            let mut c = self.descend(None, |lvl, c| {
+                let _ = self.find_at_level(lvl, c, key);
+            });
             let result = if self.find_at_level(0, &mut c, key) {
                 Some(f((*c.target).value()))
             } else {
@@ -856,7 +923,9 @@ where
     pub fn for_each_range(&self, lo: &K, hi: &K, mut f: impl FnMut(&K, &V)) {
         // SAFETY: protocol invariants as documented on each helper.
         unsafe {
-            let mut c = self.descend(lo, None);
+            let mut c = self.descend(None, |lvl, c| {
+                let _ = self.find_at_level(lvl, c, lo);
+            });
             let _ = self.find_at_level(0, &mut c, lo);
             loop {
                 if c.target == self.last {

@@ -146,3 +146,54 @@ fn orphan_sweep_spares_a_reinserted_tower() {
         });
     assert!(explored > 1, "model must branch, explored {explored}");
 }
+
+/// The sweep and the inserter's self-undo reopen each level at a saved
+/// level-1 predecessor, not at the head. Key 5 (height 2) is that
+/// predecessor for key 7, and a third thread removes it: when key 5's
+/// level-1 deletion lands before a reopen, the reopened cursor must walk
+/// `back_link[1]` back to a live cell (I10) and still find key 7's tower
+/// inside the orphan window.
+///
+/// That joint event is rare per schedule, hence the larger budget: with a
+/// probe-instrumented copy of the skip list, 7–8 of 4000 schedules per
+/// seed both reopened from a deleted key-5 cell and won the level-1
+/// unlink of key 7. A sweep that skips a level whose start cell is
+/// already deleted there fails this model (schedule 1712 at this seed),
+/// while the two models above still pass.
+#[test]
+fn orphan_sweep_reopens_from_a_deleted_predecessor() {
+    let explored = Builder::new()
+        .preemption_bound(2)
+        .random_walks(MODEL_SCHEDULES * 10, MODEL_SEED ^ 0xDEAD)
+        .check(|| {
+            let dict: Arc<SkipListDict<u64, u64>> =
+                Arc::new(SkipListDict::with_config(model_config()));
+            assert!(dict.insert_with_height(5, 50, 2), "prefill is fresh");
+
+            let inserter = {
+                let dict = Arc::clone(&dict);
+                thread::spawn(move || {
+                    assert!(dict.insert_with_height(7, 70, 2), "key is fresh");
+                })
+            };
+            let remover = {
+                let dict = Arc::clone(&dict);
+                thread::spawn(move || dict.remove(&7))
+            };
+            let start_remover = {
+                let dict = Arc::clone(&dict);
+                thread::spawn(move || dict.remove(&5))
+            };
+            inserter.join().unwrap();
+            let removed = remover.join().unwrap();
+            assert!(start_remover.join().unwrap(), "key 5 was present");
+
+            let mut dict = Arc::try_unwrap(dict).expect("all threads joined");
+            assert_eq!(dict.find(&5), None, "removed start cell must be gone");
+            let expect = if removed { None } else { Some(70) };
+            assert_eq!(dict.find(&7), expect, "membership matches remove()");
+            dict.check_invariants()
+                .expect("no level may hold a key absent from level 0");
+        });
+    assert!(explored > 1, "model must branch, explored {explored}");
+}

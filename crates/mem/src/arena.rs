@@ -27,6 +27,7 @@ use std::fmt;
 use valois_sync::shim::sync::Mutex;
 
 use valois_sync::pad::CachePadded;
+use valois_sync::Backoff;
 
 use crate::defer::{DeferredReleases, DEFER_CAP};
 use crate::epoch::{EpochDomain, COLLECT_EVERY};
@@ -90,6 +91,17 @@ impl fmt::Display for AllocError {
 }
 
 impl Error for AllocError {}
+
+/// Backoff rounds `alloc` waits for a busy magazine that holds free nodes
+/// before it reports [`AllocError`].
+const BUSY_SLOT_ROUNDS: u32 = 10;
+
+/// What one [`Arena::scavenge`] pass found: nodes moved to the global free
+/// list, and whether a busy magazine holding nodes was skipped.
+struct Scavenged {
+    moved: usize,
+    skipped: bool,
+}
 
 /// A type-stable segmented pool of `N` nodes with the §5 reference-counting
 /// protocol.
@@ -239,6 +251,10 @@ impl<N: Managed + Default, R: Reclaimer> Arena<N, R> {
     }
 
     fn alloc_inner(&self, tally: &mut MemStats) -> Result<*mut N, AllocError> {
+        // Built on first use: construction reads a thread-local, and
+        // almost every call returns before it needs to wait.
+        let mut backoff: Option<Backoff> = None;
+        let mut busy_rounds = 0;
         loop {
             if let Some(mut mag) = self.slot().try_lock() {
                 let popped = mag.pop().or_else(|| self.refill_and_pop(&mut mag, tally));
@@ -266,9 +282,22 @@ impl<N: Managed + Default, R: Reclaimer> Arena<N, R> {
             // pinning an old epoch: the `limbo_depth`/`pin_lag` gauges in
             // [`Arena::stats`] say so (see
             // `stalled_pin_surfaces_as_reclaim_pressure`).
-            if !self.try_grow() && self.scavenge() == 0 {
+            if self.try_grow() {
+                continue;
+            }
+            let found = self.scavenge();
+            if found.moved > 0 {
+                continue;
+            }
+            // Free nodes in a busy magazine are held by an owner mid push
+            // or pop, and an owner that only releases never allocates, so
+            // it will not hand them back itself: wait for its lock. The
+            // wait is bounded, so `alloc` never blocks on another thread.
+            if !found.skipped || busy_rounds == BUSY_SLOT_ROUNDS {
                 return Err(AllocError);
             }
+            busy_rounds += 1;
+            backoff.get_or_insert_with(Backoff::new).spin();
         }
     }
 
@@ -771,22 +800,29 @@ impl<N: Managed, R: Reclaimer> Arena<N, R> {
     }
 
     /// Flushes every magazine it can lock back to the global free list.
-    /// Returns the number of nodes moved. Called on pool pressure before
-    /// reporting [`AllocError`]; slots busy at that instant are skipped
-    /// (their owner is mid-operation and will see the pressure itself).
-    fn scavenge(&self) -> usize {
-        let mut moved = 0;
+    /// Called on pool pressure before reporting [`AllocError`]. A slot
+    /// busy at that instant is skipped, and reported as `skipped` if it
+    /// held nodes: its owner may be a thread that only releases, which
+    /// never sees the pressure itself, so the caller must retry.
+    fn scavenge(&self) -> Scavenged {
+        let mut out = Scavenged {
+            moved: 0,
+            skipped: false,
+        };
         for slot in self.slots.iter() {
-            if let Some(mut mag) = slot.try_lock() {
-                let len = mag.len();
-                if let Some((h, t, taken)) = mag.take_chain(len) {
-                    self.splice_free_global(h, t);
-                    valois_trace::probe!(MagFlush, taken);
-                    moved += taken;
+            match slot.try_lock() {
+                Some(mut mag) => {
+                    let len = mag.len();
+                    if let Some((h, t, taken)) = mag.take_chain(len) {
+                        self.splice_free_global(h, t);
+                        valois_trace::probe!(MagFlush, taken);
+                        out.moved += taken;
+                    }
                 }
+                None => out.skipped |= slot.parked() > 0,
             }
         }
-        moved
+        out
     }
 
     /// Flushes every thread magazine back to the global free list and
@@ -794,7 +830,7 @@ impl<N: Managed, R: Reclaimer> Arena<N, R> {
     /// this (with no concurrent operations), every free node is reachable
     /// from the global free head.
     pub fn flush_thread_caches(&self) -> usize {
-        self.scavenge()
+        self.scavenge().moved
     }
 
     /// Memory-pressure shed hook for layers that can retry a failed
@@ -815,7 +851,7 @@ impl<N: Managed, R: Reclaimer> Arena<N, R> {
     /// while still pinned is safe but sheds magazines only.
     pub fn shed_memory(&self) -> usize {
         let mut tally = MemStats::default();
-        let mut reclaimed = self.scavenge();
+        let mut reclaimed = self.scavenge().moved;
         if !R::COUNTED_READS {
             // Two advance+sweep rounds end any grace period that can end
             // (each round's try_advance moves one epoch when no stale pin
@@ -1320,6 +1356,25 @@ mod tests {
         assert!(got.contains(&(a as usize)));
         assert!(got.contains(&(b as usize)));
         assert!(got.contains(&(c as usize)));
+    }
+
+    #[test]
+    fn scavenge_reports_a_busy_slot_holding_nodes() {
+        // The first alloc refills this thread's magazine from the global
+        // list, so every free node is parked in one slot. While that slot
+        // is locked, scavenge can move nothing but must say so, or a
+        // capped alloc would report exhaustion with nodes still free.
+        let arena = small_arena(8);
+        let p = arena.alloc().unwrap();
+        let guard = arena.slot().try_lock().expect("no other thread here");
+        let busy = arena.scavenge();
+        assert_eq!(busy.moved, 0);
+        assert!(busy.skipped, "a locked slot holding nodes is reported");
+        drop(guard);
+        let free = arena.scavenge();
+        assert_eq!(free.moved, 7, "every other node was parked in the slot");
+        assert!(!free.skipped);
+        unsafe { arena.release(p) };
     }
 
     #[test]

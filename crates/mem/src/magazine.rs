@@ -99,12 +99,19 @@ impl<N: Managed> MagazineSlot<N> {
             None
         }
     }
+
+    /// Nodes parked here, read without the lock: a hint for a thread that
+    /// found the slot busy, exact only while the owner is not pushing or
+    /// popping.
+    pub(crate) fn parked(&self) -> usize {
+        self.len.load(Ordering::Relaxed)
+    }
 }
 
 impl<N: Managed> std::fmt::Debug for MagazineSlot<N> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MagazineSlot")
-            .field("len", &self.len.load(Ordering::Relaxed))
+            .field("len", &self.parked())
             .finish()
     }
 }
