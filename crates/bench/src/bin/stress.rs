@@ -24,6 +24,21 @@ use valois_core::queue::FifoQueue;
 use valois_core::List;
 use valois_dict::{BstDict, Dictionary, HashDict, ResizableHashDict, SkipListDict, SortedListDict};
 
+/// Valid `--structure` names.
+const STRUCTURES: &[&str] = &[
+    "list",
+    "sorted",
+    "hash",
+    "resizable",
+    "skip",
+    "bst",
+    "queue",
+    "stack",
+    "pqueue",
+    "service",
+    "all",
+];
+
 struct Args {
     secs: u64,
     threads: usize,
@@ -63,6 +78,14 @@ fn parse_args() -> Args {
             other => panic!("unknown argument {other}"),
         }
         i += 1;
+    }
+    if !STRUCTURES.contains(&args.structure.as_str()) {
+        eprintln!(
+            "unknown --structure {:?}; valid: {}",
+            args.structure,
+            STRUCTURES.join(", ")
+        );
+        std::process::exit(2);
     }
     args
 }
@@ -396,6 +419,8 @@ fn main() {
         soak_dict("skip list", &d, args.secs, args.threads);
         d.check_invariants()
             .unwrap_or_else(|e| panic!("skip list invariant violated: {e}"));
+        d.audit_refcounts()
+            .unwrap_or_else(|e| panic!("skip list refcount drift: {e}"));
     }
     if want("bst") {
         let mut d: BstDict<u64, u64> = BstDict::new();

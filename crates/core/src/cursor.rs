@@ -11,13 +11,19 @@
 //! | Paper figure | Method |
 //! |---|---|
 //! | Fig. 5 `Update`    | [`Cursor::update`] |
-//! | Fig. 6 `First`     | [`Cursor::seek_first`] / [`List::cursor`] |
+//! | Fig. 6 `First`     | [`Cursor::seek_first`] / [`List::cursor`] / [`List::level_cursor`] |
 //! | Fig. 7 `Next`      | [`Cursor::next`] |
-//! | Fig. 9 `TryInsert` | [`Cursor::try_insert`] |
+//! | Fig. 9 `TryInsert` | [`Cursor::try_link`] (wrapped by [`Cursor::try_insert`]) |
 //! | Fig. 10 `TryDelete`| [`Cursor::try_delete`] |
 //! | Fig. 11 `FindFrom` | [`Cursor::find_from`] |
-//! | Fig. 12 `Insert`   | [`Cursor::insert_unique`] |
+//! | Fig. 12 `Insert`   | [`Cursor::link_unique`] (wrapped by [`Cursor::insert_unique`]) |
 //! | Fig. 13 `Delete`   | [`Cursor::find_and_delete`] |
+//!
+//! The engine is generic over the [`ListNode`] contract and runs on one
+//! level of a multi-level node at a time: a flat [`List`] has the one
+//! level 0, and the §4.1 skip list runs every level's search, insert and
+//! delete on this same code, moving one cursor between levels with
+//! [`Cursor::lower`] and [`Cursor::reopen`].
 
 use std::cmp::Ordering;
 use std::fmt;
@@ -52,7 +58,7 @@ fn amplify() {
 }
 
 use crate::list::{List, PreparedInsert};
-use crate::node::Node;
+use crate::node::{ListNode, Node, NodeKind};
 use crate::stats::ListStats;
 
 /// Live-stats freshness bound: a cursor publishes its batched tallies to
@@ -99,15 +105,24 @@ const STATS_FLUSH_EVERY: u32 = 256;
 /// therefore holds up reclamation globally — prefer short-lived cursors
 /// under the epoch backend (the `epoch_pin_lag` gauge in
 /// [`List::mem_stats`] reports offenders).
-pub struct Cursor<'a, T: Send + Sync, R: Reclaimer = RefCount> {
-    list: &'a List<T, R>,
-    target: *mut Node<T>,
-    pre_aux: *mut Node<T>,
-    pre_cell: *mut Node<T>,
+///
+/// # Levels
+///
+/// `N` is the node type ([`Node`] for a flat list). A cursor visits one
+/// level of a multi-level node type at a time — every link it reads or
+/// swings is the level-`lvl` one — so each skip-list level is this
+/// engine over that level's links.
+pub struct Cursor<'a, T: Send + Sync, R: Reclaimer = RefCount, N: ListNode<Item = T> = Node<T>> {
+    list: &'a List<T, R, N>,
+    /// The level whose links this cursor follows (0 for a flat list).
+    lvl: usize,
+    target: *mut N,
+    pre_aux: *mut N,
+    pre_cell: *mut N,
     /// Parked `Release`s from the hop loop (drained in batches, and fully
     /// on drop): deferring a decrement only delays reclamation, never
     /// anticipates it, so protection is unaffected.
-    defer: DeferredReleases<Node<T>>,
+    defer: DeferredReleases<N>,
     /// Batched §5 protocol events (folded into the arena's sharded
     /// counters on drop / [`Cursor::flush_stats`]).
     tally: MemStats,
@@ -127,19 +142,20 @@ pub struct Cursor<'a, T: Send + Sync, R: Reclaimer = RefCount> {
 // slot. Shared (&Cursor) access is read-only (`get`, `is_at_end`,
 // `is_valid`) and the owner's pin protects those reads under either
 // backend, so Sync is sound for both.
-unsafe impl<T: Send + Sync> Send for Cursor<'_, T, RefCount> {}
+unsafe impl<T: Send + Sync, N: ListNode<Item = T>> Send for Cursor<'_, T, RefCount, N> {}
 // SAFETY: as above — the shared-reference surface is read-only.
-unsafe impl<T: Send + Sync, R: Reclaimer> Sync for Cursor<'_, T, R> {}
+unsafe impl<T: Send + Sync, R: Reclaimer, N: ListNode<Item = T>> Sync for Cursor<'_, T, R, N> {}
 
-impl<'a, T: Send + Sync, R: Reclaimer> Cursor<'a, T, R> {
-    /// Fig. 6 `First`: a cursor visiting the first item (or the end
-    /// position of an empty list).
-    pub(crate) fn at_first(list: &'a List<T, R>) -> Self {
+impl<'a, T: Send + Sync, R: Reclaimer, N: ListNode<Item = T>> Cursor<'a, T, R, N> {
+    /// An unpositioned cursor at `lvl` (all three fields null). Opens
+    /// the protection window; every constructor positions it next.
+    fn unpositioned(list: &'a List<T, R, N>, lvl: usize) -> Self {
         // Epoch backend: the cursor's protection window opens here and
         // closes in `Drop` (matched `pin_exit`). No-op under refcount.
         list.arena().pin_enter();
-        let mut cursor = Self {
+        Self {
             list,
+            lvl,
             target: std::ptr::null_mut(),
             pre_aux: std::ptr::null_mut(),
             pre_cell: std::ptr::null_mut(),
@@ -147,7 +163,13 @@ impl<'a, T: Send + Sync, R: Reclaimer> Cursor<'a, T, R> {
             tally: MemStats::default(),
             ops: ListStats::default(),
             unflushed: 0,
-        };
+        }
+    }
+
+    /// Fig. 6 `First` at level `lvl`: a cursor visiting the level's first
+    /// item (or the end position of an empty level).
+    pub(crate) fn at_first(list: &'a List<T, R, N>, lvl: usize) -> Self {
+        let mut cursor = Self::unpositioned(list, lvl);
         cursor.seek_first_inner();
         cursor
     }
@@ -164,20 +186,10 @@ impl<'a, T: Send + Sync, R: Reclaimer> Cursor<'a, T, R> {
     /// published (bucket sentinels satisfy this by construction).
     // COUNT: both SafeRead counts are transferred into the cursor's
     // `pre_cell`/`pre_aux` fields; `Drop` releases them.
-    pub(crate) fn at_entry(list: &'a List<T, R>, root: &valois_mem::Link<Node<T>>) -> Option<Self> {
-        // Epoch backend: pin before the first read; the early-return None
-        // path drops the cursor, whose Drop unpins.
-        list.arena().pin_enter();
-        let mut cursor = Self {
-            list,
-            target: std::ptr::null_mut(),
-            pre_aux: std::ptr::null_mut(),
-            pre_cell: std::ptr::null_mut(),
-            defer: DeferredReleases::new(),
-            tally: MemStats::default(),
-            ops: ListStats::default(),
-            unflushed: 0,
-        };
+    pub(crate) fn at_entry(list: &'a List<T, R, N>, root: &valois_mem::Link<N>) -> Option<Self> {
+        // Epoch backend: the pin is taken before the first read; the
+        // early-return None path drops the cursor, whose Drop unpins.
+        let mut cursor = Self::unpositioned(list, 0);
         let arena = list.arena();
         // SAFETY: `root` is a counted link of this list's arena;
         // `pre_cell` is held while its `next` is read (as Fig. 6 does for
@@ -187,7 +199,7 @@ impl<'a, T: Send + Sync, R: Reclaimer> Cursor<'a, T, R> {
             if cursor.pre_cell.is_null() {
                 return None; // unpublished; cursor drop handles the nulls
             }
-            cursor.pre_aux = arena.safe_read_tallied(&(*cursor.pre_cell).next, &mut cursor.tally);
+            cursor.pre_aux = arena.safe_read_tallied((*cursor.pre_cell).next(0), &mut cursor.tally);
             debug_assert!(
                 !cursor.pre_aux.is_null(),
                 "published entry cells always have a successor"
@@ -197,15 +209,18 @@ impl<'a, T: Send + Sync, R: Reclaimer> Cursor<'a, T, R> {
         Some(cursor)
     }
 
-    /// The raw target pointer (for [`List::publish_entry`]'s count
-    /// transfer; crate-internal).
-    pub(crate) fn target_ptr(&self) -> *mut Node<T> {
+    /// The raw target pointer. The cursor protects it until it moves;
+    /// structures built over the engine use it for pointer-identity
+    /// matches and count transfers ([`List::publish_entry`], the skip
+    /// list's tower unlinks).
+    pub fn target_ptr(&self) -> *mut N {
         self.target
     }
 
-    /// The raw `pre_cell` pointer (for [`List::cache_entry`]'s count
-    /// transfer; crate-internal).
-    pub(crate) fn pre_cell_ptr(&self) -> *mut Node<T> {
+    /// The raw `pre_cell` pointer (the cursor's anchor), protected until
+    /// the cursor moves ([`List::cache_entry`]'s count transfer, the skip
+    /// list's saved per-level predecessors).
+    pub fn pre_cell_ptr(&self) -> *mut N {
         self.pre_cell
     }
 
@@ -224,8 +239,8 @@ impl<'a, T: Send + Sync, R: Reclaimer> Cursor<'a, T, R> {
         // SAFETY: `pre_cell` is a held counted reference; only Cell nodes
         // carry values.
         unsafe {
-            if (*self.pre_cell).kind() == crate::node::NodeKind::Cell {
-                Some(f((*self.pre_cell).value()))
+            if (*self.pre_cell).kind() == NodeKind::Cell {
+                Some(f((*self.pre_cell).item()))
             } else {
                 None
             }
@@ -240,14 +255,15 @@ impl<'a, T: Send + Sync, R: Reclaimer> Cursor<'a, T, R> {
         // `next` is read (Fig. 6 lines 1-2).
         unsafe {
             self.pre_cell = arena.safe_read_tallied(self.list.first_root(), &mut self.tally);
-            self.pre_aux = arena.safe_read_tallied(&(*self.pre_cell).next, &mut self.tally);
+            self.pre_aux =
+                arena.safe_read_tallied((*self.pre_cell).next(self.lvl), &mut self.tally);
         }
         self.target = std::ptr::null_mut(); // Fig. 6 line 3
         self.update(); // Fig. 6 line 4
     }
 
-    /// Re-positions this cursor at the first item (Fig. 6 on an existing
-    /// cursor).
+    /// Re-positions this cursor at the first item of its level (Fig. 6 on
+    /// an existing cursor).
     pub fn seek_first(&mut self) {
         let arena = self.list.arena();
         // SAFETY: all three fields hold protected references (or null);
@@ -298,17 +314,18 @@ impl<'a, T: Send + Sync, R: Reclaimer> Cursor<'a, T, R> {
         self.ops.updates += 1;
         self.maybe_autoflush();
         let arena = self.list.arena();
+        let lvl = self.lvl;
         // SAFETY: `pre_aux`/`pre_cell` hold counted references; every
         // pointer read below is a counted link of a held node.
         unsafe {
             // Fig. 5 line 1: already valid?
-            if (*self.pre_aux).next.read() == self.target {
+            if (*self.pre_aux).next(lvl).read() == self.target {
                 return;
             }
             // Fig. 5 lines 3-5.
             let mut p = self.pre_aux; // take over the cursor's reference
             amplify();
-            let mut n = arena.safe_read_tallied(&(*p).next, &mut self.tally);
+            let mut n = arena.safe_read_tallied((*p).next(lvl), &mut self.tally);
             arena.unprotect_deferred(&mut self.defer, self.target);
             // Fig. 5 lines 6-10: skip auxiliary nodes (dummies and cells
             // are "normal"), unlinking one of each adjacent pair.
@@ -319,12 +336,12 @@ impl<'a, T: Send + Sync, R: Reclaimer> Cursor<'a, T, R> {
                 self.ops.aux_skipped += 1;
                 // Fig. 5 line 7: CSW(pre_cell^.next, p, n). Failure just
                 // means someone else already cleaned up or moved on.
-                if arena.swing(&(*self.pre_cell).next, p, n) {
+                if arena.swing((*self.pre_cell).next(lvl), p, n) {
                     self.ops.aux_unlinked += 1;
                 }
                 arena.unprotect_deferred(&mut self.defer, p);
                 p = n;
-                n = arena.safe_read_tallied(&(*p).next, &mut self.tally);
+                n = arena.safe_read_tallied((*p).next(lvl), &mut self.tally);
             }
             debug_assert!(!n.is_null(), "aux nodes always have a successor");
             // Fig. 5 lines 11-12.
@@ -347,11 +364,12 @@ impl<'a, T: Send + Sync, R: Reclaimer> Cursor<'a, T, R> {
     // COUNT: consumes the caller's reference on `from`; the returned
     // pointer carries one protected reference that transfers to the
     // caller.
-    unsafe fn backtrack(&mut self, from: *mut Node<T>) -> *mut Node<T> {
+    unsafe fn backtrack(&mut self, from: *mut N) -> *mut N {
         let arena = self.list.arena();
+        let lvl = self.lvl;
         let mut p = from;
-        while !(*p).back_link.read().is_null() {
-            let q = arena.safe_read(&(*p).back_link);
+        while !(*p).back_link(lvl).read().is_null() {
+            let q = arena.safe_read((*p).back_link(lvl));
             if q.is_null() {
                 break; // back_links are never cleared while p is held
             }
@@ -387,7 +405,7 @@ impl<'a, T: Send + Sync, R: Reclaimer> Cursor<'a, T, R> {
         // is written exactly once (by the winning deleter, after the
         // deletion CAS) and never cleared while the cell is held, so a
         // non-null read is a stable "this anchor was deleted" signal.
-        let deleted = unsafe { !(*self.pre_cell).back_link.read().is_null() };
+        let deleted = unsafe { !(*self.pre_cell).back_link(self.lvl).read().is_null() };
         if !deleted {
             // Anchor still undeleted: plain Fig. 5 revalidation suffices.
             self.update();
@@ -408,7 +426,7 @@ impl<'a, T: Send + Sync, R: Reclaimer> Cursor<'a, T, R> {
             let p = self.backtrack(self.pre_cell);
             self.pre_cell = p;
             arena.unprotect_deferred(&mut self.defer, self.pre_aux);
-            self.pre_aux = arena.safe_read_tallied(&(*p).next, &mut self.tally);
+            self.pre_aux = arena.safe_read_tallied((*p).next(self.lvl), &mut self.tally);
             arena.unprotect_deferred(&mut self.defer, self.target);
             self.target = std::ptr::null_mut();
         }
@@ -416,6 +434,69 @@ impl<'a, T: Send + Sync, R: Reclaimer> Cursor<'a, T, R> {
         self.ops.resume_hops += hops;
         valois_trace::probe!(CursorResume, hops as usize, self.pre_cell as usize);
         self.update();
+    }
+
+    /// Moves this cursor down one level, keeping its anchor: `pre_cell`
+    /// stays (and keeps its protection), `pre_aux` is re-read from the
+    /// anchor's link at the new level, and the cursor revalidates. This
+    /// is the skip-list descent step — one cursor per operation, so its
+    /// batched tallies and deferred releases flush once, not per level.
+    ///
+    /// # Safety
+    ///
+    /// The cursor must be above level 0, and its `pre_cell` must be a
+    /// normal cell (or dummy) that is, or was, a member of the level
+    /// below — a skip list's subset property guarantees both for an
+    /// anchor its search reached at this level.
+    pub unsafe fn lower(&mut self) {
+        debug_assert!(self.lvl > 0, "lower() at level 0");
+        self.lvl -= 1;
+        let arena = self.list.arena();
+        // SAFETY: `pre_cell` is held and, per the contract, carries a
+        // level-`lvl` link; the superseded `pre_aux`/`target` are parked.
+        // COUNT: the SafeRead count lands in `pre_aux` (released on
+        // `Drop` or the next move).
+        unsafe {
+            arena.unprotect_deferred(&mut self.defer, self.pre_aux);
+            arena.unprotect_deferred(&mut self.defer, self.target);
+            self.target = std::ptr::null_mut();
+            self.pre_aux =
+                arena.safe_read_tallied((*self.pre_cell).next(self.lvl), &mut self.tally);
+        }
+        self.update();
+    }
+
+    /// Re-anchors this cursor at `from` on level `lvl` and revalidates
+    /// with [`Cursor::resume`]: if `from` has since been deleted at that
+    /// level, the cursor first walks `back_link(lvl)` back to a live
+    /// predecessor (I10), so a predecessor saved earlier is as good a
+    /// start as the head.
+    ///
+    /// # Safety
+    ///
+    /// `from` must be a node of this cursor's list that the caller
+    /// protects across the call, and a normal cell (or dummy) that is, or
+    /// was, a member of level `lvl`.
+    // GUARD: from — caller holds a protected reference across the call.
+    // COUNT: the duplicated reference on `from` becomes `pre_cell`'s
+    // (released on `Drop` or the next move); the superseded fields are
+    // parked for a deferred drain.
+    // INVARIANT: I10
+    pub unsafe fn reopen(&mut self, lvl: usize, from: *mut N) {
+        let arena = self.list.arena();
+        // SAFETY: per the contract `from` is protected and carries a
+        // level-`lvl` link; the cursor's own fields hold references.
+        unsafe {
+            arena.protect_dup(from);
+            arena.unprotect_deferred(&mut self.defer, self.pre_cell);
+            arena.unprotect_deferred(&mut self.defer, self.pre_aux);
+            arena.unprotect_deferred(&mut self.defer, self.target);
+            self.lvl = lvl;
+            self.pre_cell = from;
+            self.target = std::ptr::null_mut();
+            self.pre_aux = arena.safe_read_tallied((*from).next(lvl), &mut self.tally);
+        }
+        self.resume();
     }
 
     /// Fig. 7 `Next`: advances to the next position. Returns `false` when
@@ -440,7 +521,8 @@ impl<'a, T: Send + Sync, R: Reclaimer> Cursor<'a, T, R> {
             self.pre_cell = self.target;
             self.target = std::ptr::null_mut(); // reference moved to pre_cell
             arena.unprotect_deferred(&mut self.defer, self.pre_aux);
-            self.pre_aux = arena.safe_read_tallied(&(*self.pre_cell).next, &mut self.tally);
+            self.pre_aux =
+                arena.safe_read_tallied((*self.pre_cell).next(self.lvl), &mut self.tally);
         }
         self.update(); // Fig. 7 line 7
         self.ops.next_steps += 1;
@@ -458,7 +540,7 @@ impl<'a, T: Send + Sync, R: Reclaimer> Cursor<'a, T, R> {
     /// Purely informational — operations revalidate internally.
     pub fn is_valid(&self) -> bool {
         // SAFETY: `pre_aux` is held.
-        unsafe { (*self.pre_aux).next.read() == self.target }
+        unsafe { (*self.pre_aux).next(self.lvl).read() == self.target }
     }
 
     /// The item at the cursor's position, or `None` at the end position.
@@ -472,94 +554,52 @@ impl<'a, T: Send + Sync, R: Reclaimer> Cursor<'a, T, R> {
         // SAFETY: `target` is held (counted), so the value cannot be
         // dropped; only Cell nodes carry values.
         unsafe {
-            if (*self.target).kind() == crate::node::NodeKind::Cell {
-                Some((*self.target).value())
+            if (*self.target).kind() == NodeKind::Cell {
+                Some((*self.target).item())
             } else {
                 None
             }
         }
     }
 
-    /// Fig. 9 `TryInsert`: attempts to insert the prepared cell (and its
-    /// auxiliary node) immediately **before** the cursor's position.
+    /// Fig. 9 `TryInsert` as the raw link step: links `cell` and its
+    /// auxiliary node `aux` immediately **before** the cursor's position
+    /// at the cursor's level. Returns whether the linking CAS won; on
+    /// success the cursor is left invalid (the next
+    /// [`Cursor::update`] visits `cell`).
     ///
-    /// On success the pair is consumed and `Ok(())` returned; the cursor is
-    /// left invalid (call [`Cursor::update`] — it will then visit the new
-    /// cell). On failure — the cursor was invalidated by a concurrent
-    /// operation — the pair is handed back for a retry after the caller
-    /// re-examines the list (Fig. 12's pattern).
+    /// [`Cursor::try_insert`] wraps this for a flat list's
+    /// [`PreparedInsert`]; a skip list calls it directly with a tower
+    /// cell that is already published at the levels below.
     ///
-    /// # Panics
+    /// # Safety
     ///
-    /// Panics if `prepared` was prepared by a different list.
-    pub fn try_insert(
-        &mut self,
-        prepared: PreparedInsert<'a, T, R>,
-    ) -> Result<(), PreparedInsert<'a, T, R>> {
-        assert!(
-            std::ptr::eq(self.list, prepared.list),
-            "PreparedInsert used with a cursor of a different list"
-        );
+    /// `cell` (a `Cell`) and `aux` (an `Aux` node) must be nodes of this
+    /// cursor's list that the caller protects across the call, and this
+    /// call must be their only linker at this level: neither may be
+    /// reachable at this level yet.
+    // GUARD: cell, aux — caller holds a count on each across the call.
+    pub unsafe fn try_link(&mut self, cell: *mut N, aux: *mut N) -> bool {
         self.ops.insert_attempts += 1;
         let arena = self.list.arena();
-        let q = prepared.cell;
-        let a = prepared.aux;
-        // SAFETY: q/a are exclusively owned (unpublished); `target` and
-        // `pre_aux` are held counted references.
+        let lvl = self.lvl;
+        // SAFETY: per the contract `cell`/`aux` are held and unlinked at
+        // this level; `target` and `pre_aux` are held counted references.
         unsafe {
             // Fig. 9 lines 1-2. store_link installs a count on the new
             // target and releases the previous one, so counts stay exact
             // across retries.
-            arena.store_link(&(*q).next, a);
-            arena.store_link(&(*a).next, self.target);
-            // Fig. 9 line 3: CSW(pre_aux^.next, target, q).
+            arena.store_link((*cell).next(lvl), aux);
+            arena.store_link((*aux).next(lvl), self.target);
+            // Fig. 9 line 3: CSW(pre_aux^.next, target, cell).
             amplify();
-            if arena.swing(&(*self.pre_aux).next, self.target, q) {
+            if arena.swing((*self.pre_aux).next(lvl), self.target, cell) {
                 self.ops.insert_successes += 1;
-                valois_trace::probe!(TryInsertOk, self.pre_aux as usize, q as usize);
-                prepared.consume();
-                Ok(())
+                valois_trace::probe!(TryInsertOk, self.pre_aux as usize, cell as usize);
+                true
             } else {
-                valois_trace::probe!(TryInsertFail, self.pre_aux as usize, q as usize);
-                Err(prepared)
-            }
-        }
-    }
-
-    /// Convenience retry loop around [`Cursor::try_insert`]: prepares the
-    /// pair once and retries with [`Cursor::update`] until the insertion
-    /// lands (cannot livelock: a failure means some other operation
-    /// succeeded — the non-blocking progress argument).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AllocError`] when the node pool is exhausted and capped.
-    pub fn insert(&mut self, value: T) -> Result<(), AllocError> {
-        let mut prepared = match self.list.try_prepare_insert(value) {
-            Ok(prepared) => prepared,
-            Err((value, e)) => {
-                // The pool may only look exhausted because our own defer
-                // buffer parks the last references to reclaimable nodes:
-                // drain it and retry once before giving up.
-                if self.defer.is_empty() {
-                    return Err(e);
-                }
-                // SAFETY: the buffer holds counted references of this
-                // cursor's arena.
-                unsafe { self.list.arena().drain_deferred(&mut self.defer) };
-                match self.list.try_prepare_insert(value) {
-                    Ok(prepared) => prepared,
-                    Err((_, e)) => return Err(e),
-                }
-            }
-        };
-        loop {
-            match self.try_insert(prepared) {
-                Ok(()) => return Ok(()),
-                Err(back) => {
-                    prepared = back;
-                    self.update();
-                }
+                valois_trace::probe!(TryInsertFail, self.pre_aux as usize, cell as usize);
+                false
             }
         }
     }
@@ -584,12 +624,13 @@ impl<'a, T: Send + Sync, R: Reclaimer> Cursor<'a, T, R> {
             // Fig. 10 lines 1-2. The paper reads target^.next plainly; we
             // SafeRead so the subsequent swing holds a count on `n`
             // (required for the count-transfer protocol).
+            let lvl = self.lvl;
             let d = self.target;
-            let n = arena.safe_read(&(*d).next);
+            let n = arena.safe_read((*d).next(lvl));
             debug_assert!(!n.is_null(), "cells always have a successor");
             amplify();
             // Fig. 10 line 3: the deletion CAS — unlink d.
-            if !arena.swing(&(*self.pre_aux).next, d, n) {
+            if !arena.swing((*self.pre_aux).next(lvl), d, n) {
                 // Fig. 10 lines 4-5.
                 arena.unprotect(n);
                 valois_trace::probe!(TryDeleteFail, self.pre_aux as usize, d as usize);
@@ -603,9 +644,9 @@ impl<'a, T: Send + Sync, R: Reclaimer> Cursor<'a, T, R> {
             // *link* count — installed under both backends (the back_link
             // chain must keep its targets out of reclamation even after
             // every pin drops).
-            debug_assert!((*d).back_link.read().is_null());
+            debug_assert!((*d).back_link(lvl).read().is_null());
             arena.incr_ref(self.pre_cell);
-            (*d).back_link.write(self.pre_cell);
+            (*d).back_link(lvl).write(self.pre_cell);
             // Fig. 10 lines 7-11: walk back links to the nearest cell that
             // has not itself been deleted (shared with `resume`).
             // COUNT: the duplicated process reference is consumed by
@@ -614,12 +655,12 @@ impl<'a, T: Send + Sync, R: Reclaimer> Cursor<'a, T, R> {
             arena.protect_dup(self.pre_cell);
             let p = self.backtrack(self.pre_cell);
             // Fig. 10 line 12.
-            let mut s = arena.safe_read(&(*p).next);
+            let mut s = arena.safe_read((*p).next(lvl));
             // Fig. 10 lines 13-16: advance n to the end of the auxiliary
             // chain (until the node after n is a normal cell).
             let mut n = n;
             loop {
-                let nn = arena.safe_read(&(*n).next);
+                let nn = arena.safe_read((*n).next(lvl));
                 debug_assert!(!nn.is_null());
                 let chain_continues = !(*nn).is_normal_cell();
                 if !chain_continues {
@@ -638,16 +679,16 @@ impl<'a, T: Send + Sync, R: Reclaimer> Cursor<'a, T, R> {
             // exits, so it cannot spin against an unchanged word.
             loop {
                 amplify();
-                if arena.swing(&(*p).next, s, n) {
+                if arena.swing((*p).next(lvl), s, n) {
                     break;
                 }
                 self.ops.chain_cleanup_retries += 1;
                 arena.unprotect(s);
-                s = arena.safe_read(&(*p).next);
-                if !(*p).back_link.read().is_null() {
+                s = arena.safe_read((*p).next(lvl));
+                if !(*p).back_link(lvl).read().is_null() {
                     break; // p itself was deleted
                 }
-                let nn = arena.safe_read(&(*n).next);
+                let nn = arena.safe_read((*n).next(lvl));
                 let extended = !(*nn).is_normal_cell();
                 arena.unprotect(nn);
                 if extended {
@@ -708,33 +749,41 @@ impl<'a, T: Send + Sync, R: Reclaimer> Cursor<'a, T, R> {
         false
     }
 
-    /// Fig. 12 lines 8-12: links `prepared` before the cursor unless an
-    /// item equal to it is present. `cmp(item, new)` orders a visited
-    /// item against the prepared value. The cursor must already be
-    /// positioned by a [`Cursor::find_from`] that returned `false`.
+    /// Fig. 12 lines 8-12 as the raw step: links `cell` (with `aux`)
+    /// before the cursor unless an item equal to it is present.
+    /// `cmp(item, new)` orders a visited item against `cell`'s. The
+    /// cursor must already be positioned by a [`Cursor::find_from`] that
+    /// returned `false`.
     ///
     /// Returns `true` once the cell is linked (the cursor is left
-    /// invalid, as after [`Cursor::try_insert`]). Returns `false` — and
-    /// drops `prepared`, returning its counts — when an equal item won
-    /// a race; the cursor then visits that item.
-    pub fn insert_unique(
+    /// invalid, as after [`Cursor::try_link`]). Returns `false` when an
+    /// equal item won a race; the cursor then visits that item and the
+    /// caller still owns `cell` and `aux`.
+    ///
+    /// # Safety
+    ///
+    /// As [`Cursor::try_link`].
+    // GUARD: cell, aux — caller holds a count on each across the call.
+    pub unsafe fn link_unique(
         &mut self,
-        mut prepared: PreparedInsert<'a, T, R>,
+        cell: *mut N,
+        aux: *mut N,
         mut cmp: impl FnMut(&T, &T) -> Ordering,
     ) -> bool {
         // WAIT-FREE: lock-free, not wait-free — each failed TryInsert
         // means another operation's CAS succeeded at this position
         // (§4.1's <= p-1 amortized retries).
         loop {
-            match self.try_insert(prepared) {
-                Ok(()) => return true,
-                Err(back) => prepared = back,
+            // SAFETY: forwarded contract.
+            if unsafe { self.try_link(cell, aux) } {
+                return true;
             }
             // Revalidate from the nearest undeleted predecessor, then
             // re-check uniqueness before retrying.
             // INVARIANT: I10
             self.resume();
-            let new = prepared.value();
+            // SAFETY: the caller protects `cell`, a `Cell`.
+            let new = unsafe { (*cell).item() };
             if self.find_from(|item| cmp(item, new)) {
                 return false;
             }
@@ -763,12 +812,114 @@ impl<'a, T: Send + Sync, R: Reclaimer> Cursor<'a, T, R> {
     }
 
     /// The list this cursor traverses.
-    pub fn list(&self) -> &'a List<T, R> {
+    pub fn list(&self) -> &'a List<T, R, N> {
         self.list
     }
 }
 
-impl<T: Send + Sync, R: Reclaimer> Clone for Cursor<'_, T, R> {
+impl<'a, T: Send + Sync, R: Reclaimer> Cursor<'a, T, R> {
+    /// Fig. 9 `TryInsert`: attempts to insert the prepared cell (and its
+    /// auxiliary node) immediately **before** the cursor's position.
+    ///
+    /// On success the pair is consumed and `Ok(())` returned; the cursor is
+    /// left invalid (call [`Cursor::update`] — it will then visit the new
+    /// cell). On failure — the cursor was invalidated by a concurrent
+    /// operation — the pair is handed back for a retry after the caller
+    /// re-examines the list (Fig. 12's pattern).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `prepared` was prepared by a different list.
+    pub fn try_insert(
+        &mut self,
+        prepared: PreparedInsert<'a, T, R>,
+    ) -> Result<(), PreparedInsert<'a, T, R>> {
+        assert!(
+            std::ptr::eq(self.list, prepared.list),
+            "PreparedInsert used with a cursor of a different list"
+        );
+        // SAFETY: the prepared pair is exclusively owned (unpublished)
+        // nodes of this list's arena.
+        if unsafe { self.try_link(prepared.cell, prepared.aux) } {
+            prepared.consume();
+            Ok(())
+        } else {
+            Err(prepared)
+        }
+    }
+
+    /// Convenience retry loop around [`Cursor::try_insert`]: prepares the
+    /// pair once and retries with [`Cursor::update`] until the insertion
+    /// lands (cannot livelock: a failure means some other operation
+    /// succeeded — the non-blocking progress argument).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`AllocError`] when the node pool is exhausted and capped.
+    pub fn insert(&mut self, value: T) -> Result<(), AllocError> {
+        let mut prepared = match self.list.try_prepare_insert(value) {
+            Ok(prepared) => prepared,
+            Err((value, e)) => {
+                // The pool may only look exhausted because our own defer
+                // buffer parks the last references to reclaimable nodes:
+                // drain it and retry once before giving up.
+                if self.defer.is_empty() {
+                    return Err(e);
+                }
+                // SAFETY: the buffer holds counted references of this
+                // cursor's arena.
+                unsafe { self.list.arena().drain_deferred(&mut self.defer) };
+                match self.list.try_prepare_insert(value) {
+                    Ok(prepared) => prepared,
+                    Err((_, e)) => return Err(e),
+                }
+            }
+        };
+        loop {
+            match self.try_insert(prepared) {
+                Ok(()) => return Ok(()),
+                Err(back) => {
+                    prepared = back;
+                    self.update();
+                }
+            }
+        }
+    }
+
+    /// Fig. 12 lines 8-12 for a prepared pair: links `prepared` before
+    /// the cursor unless an item equal to it is present. `cmp(item, new)`
+    /// orders a visited item against the prepared value. The cursor must
+    /// already be positioned by a [`Cursor::find_from`] that returned
+    /// `false`.
+    ///
+    /// Returns `true` once the cell is linked (the cursor is left
+    /// invalid, as after [`Cursor::try_insert`]). Returns `false` — and
+    /// drops `prepared`, returning its counts — when an equal item won
+    /// a race; the cursor then visits that item.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `prepared` was prepared by a different list.
+    pub fn insert_unique(
+        &mut self,
+        prepared: PreparedInsert<'a, T, R>,
+        cmp: impl FnMut(&T, &T) -> Ordering,
+    ) -> bool {
+        assert!(
+            std::ptr::eq(self.list, prepared.list),
+            "PreparedInsert used with a cursor of a different list"
+        );
+        // SAFETY: the prepared pair is exclusively owned (unpublished)
+        // nodes of this list's arena.
+        let linked = unsafe { self.link_unique(prepared.cell, prepared.aux, cmp) };
+        if linked {
+            prepared.consume();
+        }
+        linked
+    }
+}
+
+impl<T: Send + Sync, R: Reclaimer, N: ListNode<Item = T>> Clone for Cursor<'_, T, R, N> {
     fn clone(&self) -> Self {
         let arena = self.list.arena();
         // The clone protects its position independently: its own pin
@@ -784,6 +935,7 @@ impl<T: Send + Sync, R: Reclaimer> Clone for Cursor<'_, T, R> {
         }
         Self {
             list: self.list,
+            lvl: self.lvl,
             target: self.target,
             pre_aux: self.pre_aux,
             pre_cell: self.pre_cell,
@@ -797,7 +949,7 @@ impl<T: Send + Sync, R: Reclaimer> Clone for Cursor<'_, T, R> {
     }
 }
 
-impl<T: Send + Sync, R: Reclaimer> Drop for Cursor<'_, T, R> {
+impl<T: Send + Sync, R: Reclaimer, N: ListNode<Item = T>> Drop for Cursor<'_, T, R, N> {
     fn drop(&mut self) {
         let arena = self.list.arena();
         // SAFETY: the cursor's fields are protected references (or null),
@@ -816,9 +968,10 @@ impl<T: Send + Sync, R: Reclaimer> Drop for Cursor<'_, T, R> {
     }
 }
 
-impl<T: Send + Sync, R: Reclaimer> fmt::Debug for Cursor<'_, T, R> {
+impl<T: Send + Sync, R: Reclaimer, N: ListNode<Item = T>> fmt::Debug for Cursor<'_, T, R, N> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Cursor")
+            .field("level", &self.lvl)
             .field("at_end", &self.is_at_end())
             .field("valid", &self.is_valid())
             .finish()

@@ -32,7 +32,7 @@ use valois_mem::{Link, Reclaimer};
 
 use crate::cursor::Cursor;
 use crate::list::List;
-use crate::node::{Node, NodeKind};
+use crate::node::{ListNode, Node, NodeKind};
 
 /// A published, counted shortcut into a [`List`] (see the module docs).
 ///
@@ -160,7 +160,7 @@ impl<T: Send + Sync, R: Reclaimer> List<T, R> {
         // SAFETY: `p` is held (protected); only publishable cells reach a
         // root (enforced by `publish_entry`), and cells carry values.
         let out = unsafe {
-            let out = f((*p).value());
+            let out = f((*p).item());
             self.arena().unprotect(p);
             out
         };

@@ -10,13 +10,18 @@
 //!
 //! All access goes through [`Cursor`]s (§2.1): traversal, insertion before
 //! the cursor's position, and deletion of the visited item.
+//!
+//! The node type is a parameter ([`ListNode`]): a node with `k` levels of
+//! links makes the same `List` a collection of `k` lists over shared
+//! dummies — the §4.1 skip list's levels — with one arena, one set of
+//! counters, one reference-count audit and one cycle sweep.
 
 use std::fmt;
 
 use valois_mem::{AllocError, Arena, ArenaConfig, Managed, MemStats, Reclaimer, RefCount};
 
 use crate::cursor::Cursor;
-use crate::node::{Node, NodeKind};
+use crate::node::{ListNode, Node, NodeKind};
 use crate::stats::{ListCounters, ListStats};
 
 /// A lock-free singly-linked list of `T` (Valois, PODC 1995, §3).
@@ -57,46 +62,54 @@ use crate::stats::{ListCounters, ListStats};
 /// list.push_front(1).unwrap();
 /// assert_eq!(list.iter().collect::<Vec<_>>(), vec![1]);
 /// ```
-pub struct List<T: Send + Sync, R: Reclaimer = RefCount> {
-    arena: Arena<Node<T>, R>,
+///
+/// # Node types
+///
+/// The third type parameter is the node type, [`Node`] by default. A
+/// node type with [`ListNode::LEVELS`] `= k` makes this `k` lists that
+/// share the two dummies (the §4.1 skip list); [`List::level_cursor`]
+/// opens a cursor on any one of them.
+pub struct List<T: Send + Sync, R: Reclaimer = RefCount, N: ListNode<Item = T> = Node<T>> {
+    arena: Arena<N, R>,
     /// `First` root (counted): points at the first dummy cell, immutable
     /// after construction.
-    first_root: valois_mem::Link<Node<T>>,
+    first_root: valois_mem::Link<N>,
     /// `Last` root (counted): points at the last dummy cell.
-    last_root: valois_mem::Link<Node<T>>,
+    last_root: valois_mem::Link<N>,
     /// Stable raw copies for pointer comparisons (the dummies are never
     /// reclaimed while the list lives — the roots hold counts).
-    first: *mut Node<T>,
-    last: *mut Node<T>,
+    first: *mut N,
+    last: *mut N,
     counters: ListCounters,
 }
 
 // SAFETY: all shared state is managed through the arena protocol and
 // atomics; raw pointer fields are immutable after construction.
-unsafe impl<T: Send + Sync, R: Reclaimer> Send for List<T, R> {}
+unsafe impl<T: Send + Sync, R: Reclaimer, N: ListNode<Item = T>> Send for List<T, R, N> {}
 // SAFETY: as above — shared access goes through the same protocol paths.
-unsafe impl<T: Send + Sync, R: Reclaimer> Sync for List<T, R> {}
+unsafe impl<T: Send + Sync, R: Reclaimer, N: ListNode<Item = T>> Sync for List<T, R, N> {}
 
-impl<T: Send + Sync, R: Reclaimer> List<T, R> {
+impl<T: Send + Sync, R: Reclaimer, N: ListNode<Item = T>> List<T, R, N> {
     /// Creates an empty list with the default arena configuration.
     pub fn new() -> Self {
         Self::with_config(ArenaConfig::default())
     }
 
-    /// Creates an empty list with `config`.
+    /// Creates an empty list with `config`: the two dummy cells and, per
+    /// level, one auxiliary node between them (Fig. 4, `N::LEVELS` times
+    /// over).
     ///
     /// # Panics
     ///
-    /// Panics if `config` caps the pool below the 3 nodes an empty list
-    /// needs (Fig. 4).
+    /// Panics if `config` caps the pool below the `N::LEVELS + 2` nodes
+    /// an empty list needs.
     pub fn with_config(config: ArenaConfig) -> Self {
         let config = ArenaConfig {
-            initial_capacity: config.initial_capacity.max(8),
+            initial_capacity: config.initial_capacity.max(N::LEVELS + 7),
             ..config
         };
-        let arena: Arena<Node<T>, R> = Arena::with_config(config);
+        let arena: Arena<N, R> = Arena::with_config(config);
         let first = arena.alloc().expect("pool too small for an empty list");
-        let aux = arena.alloc().expect("pool too small for an empty list");
         let last = arena.alloc().expect("pool too small for an empty list");
         let list = Self {
             arena,
@@ -110,17 +123,23 @@ impl<T: Send + Sync, R: Reclaimer> List<T, R> {
         // exclusively owned until `list` is returned.
         unsafe {
             (*first).set_kind(NodeKind::FirstDummy);
-            (*aux).set_kind(NodeKind::Aux);
             (*last).set_kind(NodeKind::LastDummy);
             list.arena.store_link(&list.first_root, first);
             list.arena.store_link(&list.last_root, last);
-            list.arena.store_link(&(*first).next, aux);
-            list.arena.store_link(&(*aux).next, last);
+            for lvl in 0..N::LEVELS {
+                let aux = list
+                    .arena
+                    .alloc()
+                    .expect("pool too small for an empty list");
+                (*aux).set_kind(NodeKind::Aux);
+                list.arena.store_link((*first).next(lvl), aux);
+                list.arena.store_link((*aux).next(lvl), last);
+                list.arena.release(aux);
+            }
             // Drop the allocation references; counts are now exactly the
-            // incoming links: first=1 (root), aux=1 (first.next),
-            // last=2 (root + aux.next).
+            // incoming links: first=1 (root), each aux=1 (first.next),
+            // last=1+LEVELS (root + every aux.next).
             list.arena.release(first);
-            list.arena.release(aux);
             list.arena.release(last);
         }
         list
@@ -128,8 +147,19 @@ impl<T: Send + Sync, R: Reclaimer> List<T, R> {
 
     /// Opens a cursor visiting the first item (Fig. 6), or the end position
     /// if the list is empty.
-    pub fn cursor(&self) -> Cursor<'_, T, R> {
-        Cursor::at_first(self)
+    pub fn cursor(&self) -> Cursor<'_, T, R, N> {
+        self.level_cursor(0)
+    }
+
+    /// Opens a cursor visiting the first item of level `lvl` (Fig. 6 on
+    /// that level's links).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lvl >= N::LEVELS`.
+    pub fn level_cursor(&self, lvl: usize) -> Cursor<'_, T, R, N> {
+        assert!(lvl < N::LEVELS, "level {lvl} out of range");
+        Cursor::at_first(self, lvl)
     }
 
     /// Operation-scoped cursor access: opens a cursor at the first
@@ -184,11 +214,268 @@ impl<T: Send + Sync, R: Reclaimer> List<T, R> {
     /// let list: List<u64> = List::new();
     /// assert_send(list.cursor()); // RefCount cursors are Send
     /// ```
-    pub fn with_cursor<O>(&self, f: impl FnOnce(&mut Cursor<'_, T, R>) -> O) -> O {
+    pub fn with_cursor<O>(&self, f: impl FnOnce(&mut Cursor<'_, T, R, N>) -> O) -> O {
         let mut cursor = self.cursor();
         f(&mut cursor)
     }
 
+    /// Visits every item currently reachable, front to back.
+    ///
+    /// Under concurrency this is a linearizable traversal in the paper's
+    /// sense: each step is atomic, but the sequence reflects the list as it
+    /// evolves.
+    pub fn for_each(&self, mut f: impl FnMut(&T)) {
+        let mut cursor = self.cursor();
+        while !cursor.is_at_end() {
+            if let Some(v) = cursor.get() {
+                f(v);
+            }
+            if !cursor.next() {
+                break;
+            }
+        }
+    }
+
+    /// Counts the items currently in the list. O(n); under concurrency the
+    /// result is a snapshot-ish approximation (as any concurrent size is).
+    pub fn len(&self) -> usize {
+        let mut n = 0;
+        self.for_each(|_| n += 1);
+        n
+    }
+
+    /// Whether the list currently has no items.
+    pub fn is_empty(&self) -> bool {
+        let cursor = self.cursor();
+        cursor.is_at_end()
+    }
+
+    /// Snapshot of list-operation counters (retries, auxiliary-node
+    /// overhead — the §4.1 "extra work" quantities).
+    ///
+    /// Cursors batch their events and fold them in when dropped; a
+    /// still-live cursor's recent operations may not be visible yet
+    /// (see [`Cursor::flush_stats`]).
+    pub fn stats(&self) -> ListStats {
+        self.counters.snapshot()
+    }
+
+    /// Snapshot of the underlying memory-protocol counters (§5 traffic).
+    /// Subject to the same cursor-batching caveat as [`List::stats`].
+    pub fn mem_stats(&self) -> MemStats {
+        self.arena.stats()
+    }
+
+    /// Total nodes owned by the backing arena (free + live).
+    pub fn node_capacity(&self) -> usize {
+        self.arena.capacity()
+    }
+
+    /// Flushes every per-thread free-node magazine back to the arena's
+    /// global free list and returns the number of nodes moved. At
+    /// quiescence, after this call every free node is reachable from the
+    /// global free head — the leak tests use it before auditing counts.
+    pub fn flush_node_caches(&self) -> usize {
+        self.arena.flush_thread_caches()
+    }
+
+    /// Memory-pressure shed: flushes every lockable per-thread magazine
+    /// back to the global free list and, under the epoch backend, runs
+    /// bounded advance+sweep rounds over the limbo list. Returns nodes
+    /// made allocatable. The retry contract for a capped pool: on
+    /// [`AllocError`](valois_mem::AllocError), drop every live cursor
+    /// (their epoch pins block the grace period), `shed_memory`, retry
+    /// once — see [`Arena::shed_memory`](valois_mem::Arena::shed_memory).
+    pub fn shed_memory(&self) -> usize {
+        self.arena.shed_memory()
+    }
+
+    /// Quiescent reference-count audit: recomputes every node's expected
+    /// count — its in-degree over the `next`/`back_link` links of every
+    /// level ([`ListNode::links`]) plus the root pointers — and compares
+    /// with the live `refct`.
+    /// At quiescence (`&mut self`: no cursors, no operations in flight)
+    /// any mismatch is a protocol bug: a leaked or double-released
+    /// reference somewhere in the §5 implementation.
+    ///
+    /// Free-list nodes are validated separately: each must carry exactly
+    /// the one count its in-list predecessor (or the free-list head) holds.
+    ///
+    /// # Errors
+    ///
+    /// Describes the first mismatching node.
+    pub fn audit_refcounts(&mut self) -> Result<(), String> {
+        self.audit_refcounts_extra(&[])
+    }
+
+    /// [`List::audit_refcounts`] with additional expected counts: one per
+    /// pointer in `extra` (structure roots outside the list — published
+    /// entry roots — whose counts the in-list sweep cannot see).
+    pub(crate) fn audit_refcounts_extra(&mut self, extra: &[*mut N]) -> Result<(), String> {
+        use std::collections::HashMap;
+        let mut expected: HashMap<usize, u64> = HashMap::new();
+        // Roots contribute one count each.
+        *expected.entry(self.first as usize).or_insert(0) += 1;
+        *expected.entry(self.last as usize).or_insert(0) += 1;
+        for &p in extra {
+            *expected.entry(p as usize).or_insert(0) += 1;
+        }
+        // SAFETY: &mut self guarantees quiescence for all raw reads.
+        unsafe {
+            // Occupied nodes' links contribute counts; free nodes' `next`
+            // is the free-list link (counted by its predecessor), handled
+            // in the same sweep because the free head is not a field we
+            // can see here — instead, free nodes are counted by whoever
+            // points at them, and the head's count is accounted by the
+            // arena below via the observed total.
+            let mut frees = 0u64;
+            self.arena.for_each_node(|p| {
+                if (*p).kind() == NodeKind::Free {
+                    frees += 1;
+                }
+                for link in (*p).links() {
+                    let link = link.read();
+                    if !link.is_null() {
+                        *expected.entry(link as usize).or_insert(0) += 1;
+                    }
+                }
+            });
+            // One free node (the head) is counted by the arena's free-list
+            // root rather than by another node; add that count by checking
+            // which free node nobody points at... simpler: validate totals.
+            let mut result = Ok(());
+            self.arena.for_each_node(|p| {
+                if result.is_err() {
+                    return;
+                }
+                let actual = (*p).header().refcount() as u64;
+                let expect = expected.get(&(p as usize)).copied().unwrap_or(0);
+                let kind = (*p).kind();
+                // The free-list head has one count from the arena root that
+                // this sweep cannot see; tolerate exactly +1 on free nodes
+                // whose computed in-degree is zero (the head).
+                let ok = if kind == NodeKind::Free && expect == 0 {
+                    actual == 1
+                } else {
+                    actual == expect
+                };
+                if !ok {
+                    result = Err(format!(
+                        "refcount drift on {kind:?} node {:p}: actual {actual}, expected {expect}",
+                        p
+                    ));
+                }
+            });
+            result
+        }
+    }
+
+    /// Quiescent cycle collection (see DESIGN.md §1 note 3).
+    ///
+    /// Deleted cells keep their `next` intact and gain a `back_link`, so a
+    /// group of cells deleted close together can form a reference cycle
+    /// that pure counting never frees. With `&mut self` (no cursors, no
+    /// concurrent operations) this sweep finds every node that is occupied
+    /// yet unreachable from the roots over any level's links and returns
+    /// it to the free list.
+    /// Returns the number of nodes collected.
+    ///
+    /// Epoch backend: with no pins outstanding (`&mut self`), first ages
+    /// all acyclic limbo garbage out through its grace period, then
+    /// detaches what remains — cyclic, already-claimed garbage — so the
+    /// same mark-sweep below reclaims it.
+    pub fn quiescent_collect(&mut self) -> usize {
+        use std::collections::HashSet;
+        self.arena.quiescent_collect_epoch();
+        // Remaining limbo nodes are claimed, unreachable cycle members;
+        // take them off the limbo chain so the sweep's reclaim cannot
+        // race a later epoch collection over the same nodes. (Empty vec
+        // under refcount.)
+        let limbo: HashSet<usize> = self
+            .arena
+            .take_limbo_quiescent()
+            .into_iter()
+            .map(|p| p as usize)
+            .collect();
+        // Mark: everything reachable from the roots via next/back_link.
+        let mut reachable: HashSet<usize> = HashSet::new();
+        let mut stack: Vec<*mut N> = vec![self.first, self.last];
+        // SAFETY: &mut self guarantees quiescence throughout.
+        unsafe {
+            while let Some(p) = stack.pop() {
+                if p.is_null() || !reachable.insert(p as usize) {
+                    continue;
+                }
+                stack.extend((*p).links().map(|l| l.read()));
+            }
+            // Sweep: occupied, unreachable nodes are back-link-cycle garbage.
+            let mut garbage: Vec<*mut N> = Vec::new();
+            self.arena.for_each_node(|p| {
+                if (*p).kind() != NodeKind::Free && !reachable.contains(&(p as usize)) {
+                    garbage.push(p);
+                }
+            });
+            let garbage_set: HashSet<usize> = garbage.iter().map(|p| *p as usize).collect();
+            // Claim each first so no cascade can race our manual drain.
+            // Nodes pulled off the epoch limbo chain were claimed by their
+            // retirer already; everything else must be unclaimed.
+            for &g in &garbage {
+                let lost = (*g).header().set_claim();
+                debug_assert!(
+                    !lost || limbo.contains(&(g as usize)),
+                    "garbage node already claimed at quiescence"
+                );
+            }
+            for &g in &garbage {
+                let links = (*g).drain_links();
+                for t in links.iter() {
+                    if garbage_set.contains(&(t as usize)) {
+                        // Internal cycle edge: drop the count manually; the
+                        // target is reclaimed by this sweep, not by cascade.
+                        (*t).header().decr_ref();
+                    } else {
+                        self.arena.release(t);
+                    }
+                }
+            }
+            for &g in &garbage {
+                debug_assert_eq!(
+                    (*g).header().refcount(),
+                    0,
+                    "cycle garbage should end with zero count"
+                );
+                self.arena.reclaim_detached(g);
+            }
+            garbage.len()
+        }
+    }
+
+    // ------------------------------------------------------------------
+    // Crate-internal accessors for Cursor / PreparedInsert.
+    // ------------------------------------------------------------------
+
+    /// The node arena: structures that build their own nodes over this
+    /// list (the skip list's towers) allocate and count through it.
+    pub fn arena(&self) -> &Arena<N, R> {
+        &self.arena
+    }
+
+    pub(crate) fn first_root(&self) -> &valois_mem::Link<N> {
+        &self.first_root
+    }
+
+    pub(crate) fn last_ptr(&self) -> *mut N {
+        self.last
+    }
+
+    pub(crate) fn absorb(&self, tally: &mut ListStats) {
+        if !tally.is_empty() {
+            self.counters.absorb(tally);
+        }
+    }
+}
+
+impl<T: Send + Sync, R: Reclaimer> List<T, R> {
     /// Allocates and initializes a cell + auxiliary node pair ready for
     /// [`Cursor::try_insert`]. The pair can be retried across cursor
     /// updates without reallocation (as the paper's `Insert`, Fig. 12,
@@ -262,23 +549,6 @@ impl<T: Send + Sync, R: Reclaimer> List<T, R> {
         cursor.insert(value)
     }
 
-    /// Visits every item currently reachable, front to back.
-    ///
-    /// Under concurrency this is a linearizable traversal in the paper's
-    /// sense: each step is atomic, but the sequence reflects the list as it
-    /// evolves.
-    pub fn for_each(&self, mut f: impl FnMut(&T)) {
-        let mut cursor = self.cursor();
-        while !cursor.is_at_end() {
-            if let Some(v) = cursor.get() {
-                f(v);
-            }
-            if !cursor.next() {
-                break;
-            }
-        }
-    }
-
     /// Visits every item **without** `SafeRead` protection — a raw pointer
     /// walk over the same memory layout. Requires `&mut self`, so the
     /// borrow checker provides the quiescence that the §5 protocol
@@ -298,7 +568,7 @@ impl<T: Send + Sync, R: Reclaimer> List<T, R> {
                 }
                 p = n;
                 match (*p).kind() {
-                    NodeKind::Cell => f((*p).value()),
+                    NodeKind::Cell => f((*p).item()),
                     NodeKind::LastDummy => break,
                     _ => {}
                 }
@@ -355,60 +625,6 @@ impl<T: Send + Sync, R: Reclaimer> List<T, R> {
             }
         }
         removed
-    }
-
-    /// Counts the items currently in the list. O(n); under concurrency the
-    /// result is a snapshot-ish approximation (as any concurrent size is).
-    pub fn len(&self) -> usize {
-        let mut n = 0;
-        self.for_each(|_| n += 1);
-        n
-    }
-
-    /// Whether the list currently has no items.
-    pub fn is_empty(&self) -> bool {
-        let cursor = self.cursor();
-        cursor.is_at_end()
-    }
-
-    /// Snapshot of list-operation counters (retries, auxiliary-node
-    /// overhead — the §4.1 "extra work" quantities).
-    ///
-    /// Cursors batch their events and fold them in when dropped; a
-    /// still-live cursor's recent operations may not be visible yet
-    /// (see [`Cursor::flush_stats`]).
-    pub fn stats(&self) -> ListStats {
-        self.counters.snapshot()
-    }
-
-    /// Snapshot of the underlying memory-protocol counters (§5 traffic).
-    /// Subject to the same cursor-batching caveat as [`List::stats`].
-    pub fn mem_stats(&self) -> MemStats {
-        self.arena.stats()
-    }
-
-    /// Total nodes owned by the backing arena (free + live).
-    pub fn node_capacity(&self) -> usize {
-        self.arena.capacity()
-    }
-
-    /// Flushes every per-thread free-node magazine back to the arena's
-    /// global free list and returns the number of nodes moved. At
-    /// quiescence, after this call every free node is reachable from the
-    /// global free head — the leak tests use it before auditing counts.
-    pub fn flush_node_caches(&self) -> usize {
-        self.arena.flush_thread_caches()
-    }
-
-    /// Memory-pressure shed: flushes every lockable per-thread magazine
-    /// back to the global free list and, under the epoch backend, runs
-    /// bounded advance+sweep rounds over the limbo list. Returns nodes
-    /// made allocatable. The retry contract for a capped pool: on
-    /// [`AllocError`](valois_mem::AllocError), drop every live cursor
-    /// (their epoch pins block the grace period), `shed_memory`, retry
-    /// once — see [`Arena::shed_memory`](valois_mem::Arena::shed_memory).
-    pub fn shed_memory(&self) -> usize {
-        self.arena.shed_memory()
     }
 
     /// Walks the list and reports auxiliary-node structure: the §3 theorem
@@ -639,195 +855,15 @@ impl<T: Send + Sync, R: Reclaimer> List<T, R> {
             }
         }
     }
-
-    /// Quiescent reference-count audit: recomputes every node's expected
-    /// count — its in-degree over `next`/`back_link` links of occupied
-    /// nodes plus the root pointers — and compares with the live `refct`.
-    /// At quiescence (`&mut self`: no cursors, no operations in flight)
-    /// any mismatch is a protocol bug: a leaked or double-released
-    /// reference somewhere in the §5 implementation.
-    ///
-    /// Free-list nodes are validated separately: each must carry exactly
-    /// the one count its in-list predecessor (or the free-list head) holds.
-    ///
-    /// # Errors
-    ///
-    /// Describes the first mismatching node.
-    pub fn audit_refcounts(&mut self) -> Result<(), String> {
-        self.audit_refcounts_extra(&[])
-    }
-
-    /// [`List::audit_refcounts`] with additional expected counts: one per
-    /// pointer in `extra` (structure roots outside the list — published
-    /// entry roots — whose counts the in-list sweep cannot see).
-    pub(crate) fn audit_refcounts_extra(&mut self, extra: &[*mut Node<T>]) -> Result<(), String> {
-        use std::collections::HashMap;
-        let mut expected: HashMap<usize, u64> = HashMap::new();
-        // Roots contribute one count each.
-        *expected.entry(self.first as usize).or_insert(0) += 1;
-        *expected.entry(self.last as usize).or_insert(0) += 1;
-        for &p in extra {
-            *expected.entry(p as usize).or_insert(0) += 1;
-        }
-        // SAFETY: &mut self guarantees quiescence for all raw reads.
-        unsafe {
-            // Occupied nodes' links contribute counts; free nodes' `next`
-            // is the free-list link (counted by its predecessor), handled
-            // in the same sweep because the free head is not a field we
-            // can see here — instead, free nodes are counted by whoever
-            // points at them, and the head's count is accounted by the
-            // arena below via the observed total.
-            let mut frees = 0u64;
-            self.arena.for_each_node(|p| {
-                if (*p).kind() == NodeKind::Free {
-                    frees += 1;
-                }
-                for link in [(*p).next.read(), (*p).back_link.read()] {
-                    if !link.is_null() {
-                        *expected.entry(link as usize).or_insert(0) += 1;
-                    }
-                }
-            });
-            // One free node (the head) is counted by the arena's free-list
-            // root rather than by another node; add that count by checking
-            // which free node nobody points at... simpler: validate totals.
-            let mut result = Ok(());
-            self.arena.for_each_node(|p| {
-                if result.is_err() {
-                    return;
-                }
-                let actual = (*p).header().refcount() as u64;
-                let expect = expected.get(&(p as usize)).copied().unwrap_or(0);
-                let kind = (*p).kind();
-                // The free-list head has one count from the arena root that
-                // this sweep cannot see; tolerate exactly +1 on free nodes
-                // whose computed in-degree is zero (the head).
-                let ok = if kind == NodeKind::Free && expect == 0 {
-                    actual == 1
-                } else {
-                    actual == expect
-                };
-                if !ok {
-                    result = Err(format!(
-                        "refcount drift on {kind:?} node {:p}: actual {actual}, expected {expect}",
-                        p
-                    ));
-                }
-            });
-            result
-        }
-    }
-
-    /// Quiescent cycle collection (see DESIGN.md §1 note 3).
-    ///
-    /// Deleted cells keep their `next` intact and gain a `back_link`, so a
-    /// group of cells deleted close together can form a reference cycle
-    /// that pure counting never frees. With `&mut self` (no cursors, no
-    /// concurrent operations) this sweep finds every node that is occupied
-    /// yet unreachable from the roots and returns it to the free list.
-    /// Returns the number of nodes collected.
-    ///
-    /// Epoch backend: with no pins outstanding (`&mut self`), first ages
-    /// all acyclic limbo garbage out through its grace period, then
-    /// detaches what remains — cyclic, already-claimed garbage — so the
-    /// same mark-sweep below reclaims it.
-    pub fn quiescent_collect(&mut self) -> usize {
-        use std::collections::HashSet;
-        self.arena.quiescent_collect_epoch();
-        // Remaining limbo nodes are claimed, unreachable cycle members;
-        // take them off the limbo chain so the sweep's reclaim cannot
-        // race a later epoch collection over the same nodes. (Empty vec
-        // under refcount.)
-        let limbo: HashSet<usize> = self
-            .arena
-            .take_limbo_quiescent()
-            .into_iter()
-            .map(|p| p as usize)
-            .collect();
-        // Mark: everything reachable from the roots via next/back_link.
-        let mut reachable: HashSet<usize> = HashSet::new();
-        let mut stack: Vec<*mut Node<T>> = vec![self.first, self.last];
-        // SAFETY: &mut self guarantees quiescence throughout.
-        unsafe {
-            while let Some(p) = stack.pop() {
-                if p.is_null() || !reachable.insert(p as usize) {
-                    continue;
-                }
-                stack.push((*p).next.read());
-                stack.push((*p).back_link.read());
-            }
-            // Sweep: occupied, unreachable nodes are back-link-cycle garbage.
-            let mut garbage: Vec<*mut Node<T>> = Vec::new();
-            self.arena.for_each_node(|p| {
-                if (*p).kind() != NodeKind::Free && !reachable.contains(&(p as usize)) {
-                    garbage.push(p);
-                }
-            });
-            let garbage_set: HashSet<usize> = garbage.iter().map(|p| *p as usize).collect();
-            // Claim each first so no cascade can race our manual drain.
-            // Nodes pulled off the epoch limbo chain were claimed by their
-            // retirer already; everything else must be unclaimed.
-            for &g in &garbage {
-                let lost = (*g).header().set_claim();
-                debug_assert!(
-                    !lost || limbo.contains(&(g as usize)),
-                    "garbage node already claimed at quiescence"
-                );
-            }
-            for &g in &garbage {
-                let links = (*g).drain_links();
-                for t in links.iter() {
-                    if garbage_set.contains(&(t as usize)) {
-                        // Internal cycle edge: drop the count manually; the
-                        // target is reclaimed by this sweep, not by cascade.
-                        (*t).header().decr_ref();
-                    } else {
-                        self.arena.release(t);
-                    }
-                }
-            }
-            for &g in &garbage {
-                debug_assert_eq!(
-                    (*g).header().refcount(),
-                    0,
-                    "cycle garbage should end with zero count"
-                );
-                self.arena.reclaim_detached(g);
-            }
-            garbage.len()
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Crate-internal accessors for Cursor / PreparedInsert.
-    // ------------------------------------------------------------------
-
-    pub(crate) fn arena(&self) -> &Arena<Node<T>, R> {
-        &self.arena
-    }
-
-    pub(crate) fn first_root(&self) -> &valois_mem::Link<Node<T>> {
-        &self.first_root
-    }
-
-    pub(crate) fn last_ptr(&self) -> *mut Node<T> {
-        self.last
-    }
-
-    pub(crate) fn absorb(&self, tally: &mut ListStats) {
-        if !tally.is_empty() {
-            self.counters.absorb(tally);
-        }
-    }
 }
 
-impl<T: Send + Sync, R: Reclaimer> Default for List<T, R> {
+impl<T: Send + Sync, R: Reclaimer, N: ListNode<Item = T>> Default for List<T, R, N> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<T: Send + Sync, R: Reclaimer> Drop for List<T, R> {
+impl<T: Send + Sync, R: Reclaimer, N: ListNode<Item = T>> Drop for List<T, R, N> {
     fn drop(&mut self) {
         // Release the root counts; the cascade reclaims the whole chain.
         // SAFETY: &mut self (drop) guarantees no cursors or operations.
@@ -943,7 +979,7 @@ impl<'a, T: Send + Sync, R: Reclaimer> PreparedInsert<'a, T, R> {
     /// Reads back the prepared value.
     pub fn value(&self) -> &T {
         // SAFETY: we hold the allocation reference; the node is a Cell.
-        unsafe { (*self.cell).value() }
+        unsafe { (*self.cell).item() }
     }
 
     pub(crate) fn consume(mut self) {

@@ -1,11 +1,16 @@
 //! The list's node type: normal cells, auxiliary nodes, and the two
-//! dummy cells (paper §3, Fig. 4).
+//! dummy cells (paper §3, Fig. 4), and the [`ListNode`] contract the §3
+//! engine ([`Cursor`](crate::Cursor)) runs on.
 //!
 //! The paper distinguishes *normal cells* (carrying an item) from
 //! *auxiliary nodes* ("a cell that contains only a `next` field"). Both are
 //! backed by the same arena node type here — the §5.2 free list requires
 //! all cells of one size class to be interchangeable — discriminated by a
 //! kind tag set between `Alloc` and publication.
+//!
+//! A node type with several levels of links (the §4.1 skip list's towers)
+//! implements [`ListNode`] too: each level is one Valois list, and the
+//! same cursor code runs on every level.
 
 use std::mem::MaybeUninit;
 use valois_sync::shim::atomic::{AtomicU8, Ordering};
@@ -18,7 +23,7 @@ use valois_mem::{Link, Managed, NodeHeader, ReclaimedLinks};
 /// ownership (post-alloc, pre-publish, or at reclamation).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
-pub(crate) enum NodeKind {
+pub enum NodeKind {
     /// On the free list (or drained, awaiting push).
     Free = 0,
     /// Auxiliary node: only the `next` field is meaningful.
@@ -45,17 +50,98 @@ impl NodeKind {
     /// "Normal cell" in the paper's sense: an item cell or a dummy —
     /// anything that is *not* an auxiliary node. (§3: "the list also
     /// contains two dummy cells as the first and last normal cells".)
-    pub(crate) fn is_normal_cell(self) -> bool {
+    pub fn is_normal_cell(self) -> bool {
         matches!(self, Self::Cell | Self::FirstDummy | Self::LastDummy)
     }
 }
 
-/// A list node: either a normal cell, an auxiliary node, or a dummy.
+/// A node of a Valois list with `LEVELS` levels of links: the contract
+/// the §3 engine ([`Cursor`](crate::Cursor)) and the quiescent audits
+/// ([`List::audit_refcounts`](crate::List::audit_refcounts),
+/// [`List::quiescent_collect`](crate::List::quiescent_collect)) run on.
+///
+/// A flat list's [`Node`] has one level. A skip-list tower cell is a
+/// member of levels `0..height`, each an independent list with its own
+/// `next[lvl]`/`back_link[lvl]`; an auxiliary node serves exactly one
+/// level and answers its single link at every `lvl`.
+///
+/// # Safety
+///
+/// [`List`](crate::List) and [`Cursor`](crate::Cursor) dereference and
+/// count through these accessors without further checks, so an
+/// implementation must guarantee that `next(lvl)` and `back_link(lvl)`
+/// are counted links of the node itself (an auxiliary node answering the
+/// same link at every level), that `links()` yields every counted link
+/// the node holds — exactly those [`Managed::drain_links`] releases —
+/// and that `item()` reads the slot written before the kind became
+/// `Cell`.
+pub unsafe trait ListNode: Managed + Default {
+    /// The item a normal cell carries.
+    type Item: Send + Sync;
+
+    /// Levels of links per node (1 for a flat list).
+    const LEVELS: usize;
+
+    /// The kind discriminant (a [`NodeKind`] as `u8`), read and written
+    /// through [`ListNode::kind`]/[`ListNode::set_kind`].
+    fn tag(&self) -> &AtomicU8;
+
+    /// The counted successor link at level `lvl`.
+    fn next(&self, lvl: usize) -> &Link<Self>;
+
+    /// The counted back link at level `lvl`, set by `TryDelete` (Fig. 10
+    /// line 6) to the cell that preceded this one at that level.
+    fn back_link(&self, lvl: usize) -> &Link<Self>;
+
+    /// Every counted link the node holds, at every level (the audit and
+    /// the cycle sweep count and follow these).
+    fn links(&self) -> impl Iterator<Item = &Link<Self>>;
+
+    /// The item of a normal `Cell`.
+    ///
+    /// # Safety
+    ///
+    /// The caller must hold a protected reference (so the item cannot be
+    /// dropped concurrently) and the node must be a `Cell`. Cell
+    /// persistence (§2.2) makes this legal after the cell is deleted.
+    unsafe fn item(&self) -> &Self::Item;
+
+    /// The node's kind.
+    fn kind(&self) -> NodeKind {
+        // ORDER: Acquire — pairs with `set_kind`'s Release so a reader
+        // that observes a kind also observes the initialization (value
+        // write, link resets) that preceded the kind's publication.
+        NodeKind::from_u8(self.tag().load(Ordering::Acquire))
+    }
+
+    /// Sets the discriminant. Caller must have exclusive logical ownership
+    /// (freshly allocated, unpublished).
+    fn set_kind(&self, kind: NodeKind) {
+        // ORDER: Release — the discriminant is the last word written
+        // during init (and the first during drain); it must publish every
+        // prior field write to `kind()`'s Acquire load.
+        self.tag().store(kind as u8, Ordering::Release);
+    }
+
+    /// Whether this is an auxiliary node.
+    fn is_aux(&self) -> bool {
+        self.kind() == NodeKind::Aux
+    }
+
+    /// Whether this is a normal cell (an item cell or a dummy).
+    fn is_normal_cell(&self) -> bool {
+        self.kind().is_normal_cell()
+    }
+}
+
+/// A flat list node: either a normal cell, an auxiliary node, or a dummy.
 ///
 /// Layout follows §2.1/§3: a `next` link, a `back_link` (added by §3 for
 /// `TryDelete`'s recovery walk), the §5.1 header (`refct` + `claim`), and
-/// an inline value slot used only by `Cell` nodes.
-pub(crate) struct Node<T> {
+/// an inline value slot used only by `Cell` nodes. Its fields are private
+/// to this crate; it is public only as the default node of
+/// [`List`](crate::List) and [`Cursor`](crate::Cursor).
+pub struct Node<T> {
     header: NodeHeader,
     kind: AtomicU8,
     /// Counted link to the successor. Doubles as the free-list link when
@@ -87,31 +173,49 @@ impl<T> Default for Node<T> {
     }
 }
 
-impl<T> Node<T> {
-    pub(crate) fn kind(&self) -> NodeKind {
-        // ORDER: Acquire — pairs with `set_kind`'s Release so a reader
-        // that observes a kind also observes the initialization (value
-        // write, link resets) that preceded the kind's publication.
-        NodeKind::from_u8(self.kind.load(Ordering::Acquire))
+impl<T: Send + Sync> std::fmt::Debug for Node<T> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Node")
+            .field("kind", &self.kind())
+            .finish_non_exhaustive()
+    }
+}
+
+// SAFETY: both accessors return the node's own counted links, `links()`
+// yields the two links `drain_links` releases, and `item()` reads the slot
+// `init_value` wrote before publishing the `Cell` kind.
+unsafe impl<T: Send + Sync> ListNode for Node<T> {
+    type Item = T;
+
+    const LEVELS: usize = 1;
+
+    fn tag(&self) -> &AtomicU8 {
+        &self.kind
     }
 
-    /// Sets the discriminant. Caller must have exclusive logical ownership
-    /// (freshly allocated, unpublished).
-    pub(crate) fn set_kind(&self, kind: NodeKind) {
-        // ORDER: Release — the discriminant is the last word written
-        // during init (and the first during drain); it must publish every
-        // prior field write to `kind()`'s Acquire load.
-        self.kind.store(kind as u8, Ordering::Release);
+    #[inline(always)]
+    fn next(&self, _lvl: usize) -> &Link<Self> {
+        &self.next
     }
 
-    pub(crate) fn is_aux(&self) -> bool {
-        self.kind() == NodeKind::Aux
+    #[inline(always)]
+    fn back_link(&self, _lvl: usize) -> &Link<Self> {
+        &self.back_link
     }
 
-    pub(crate) fn is_normal_cell(&self) -> bool {
-        self.kind().is_normal_cell()
+    fn links(&self) -> impl Iterator<Item = &Link<Self>> {
+        [&self.next, &self.back_link].into_iter()
     }
 
+    // SAFETY: the trait's contract — a protected reference on a `Cell`,
+    // whose value slot was initialized before its kind was published.
+    unsafe fn item(&self) -> &T {
+        debug_assert_eq!(self.kind(), NodeKind::Cell);
+        (*self.value.get()).assume_init_ref()
+    }
+}
+
+impl<T: Send + Sync> Node<T> {
     /// Writes the value slot and marks the node a `Cell`.
     ///
     /// # Safety
@@ -122,18 +226,6 @@ impl<T> Node<T> {
         debug_assert_eq!(self.kind(), NodeKind::Free);
         (*self.value.get()).write(value);
         self.set_kind(NodeKind::Cell);
-    }
-
-    /// Reads the value of a `Cell`.
-    ///
-    /// # Safety
-    ///
-    /// Caller must hold a counted reference (so the value cannot be dropped
-    /// concurrently) and the node must be a `Cell`. Cell persistence (§2.2)
-    /// makes this legal even after the cell is deleted from the list.
-    pub(crate) unsafe fn value(&self) -> &T {
-        debug_assert_eq!(self.kind(), NodeKind::Cell);
-        (*self.value.get()).assume_init_ref()
     }
 
     /// Moves the value out of a `Cell`, demoting it to a dummy (used by the

@@ -19,7 +19,7 @@ use std::fmt;
 
 use valois_mem::{AllocError, Arena, ArenaConfig, Link, MemStats};
 
-use crate::node::{Node, NodeKind};
+use crate::node::{ListNode, Node, NodeKind};
 
 /// A lock-free multi-producer multi-consumer FIFO queue (\[27\]).
 ///

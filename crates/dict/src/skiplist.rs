@@ -9,22 +9,25 @@
 //!
 //! Cells are *towers* shared by every level they belong to (the "subset of
 //! the cells" phrasing); each level is an independent Valois list — with
-//! its own per-level auxiliary nodes, back links, and the §3 algorithms
-//! generalized to indexed links. The two dummy cells are shared across all
-//! levels.
+//! its own per-level auxiliary nodes and back links — run by the core
+//! [`Cursor`] over the tower's level-`lvl` links ([`ListNode`]). The two
+//! dummy cells are shared across all levels. This module holds only the
+//! tower logic: the descent, bottom-up linking, top-down deletion and the
+//! orphan-tower sweep.
 //!
 //! Membership is defined by the bottom list: a key is in the dictionary
 //! iff its cell is in level 0. Upper levels are an index; a cell removed
 //! at level 0 but still visible above (an in-flight top-down deletion or a
 //! stalled bottom-up insertion) only costs extra hops, never correctness.
 
+use std::cmp::Ordering as CmpOrdering;
 use std::fmt;
 use std::mem::MaybeUninit;
 use valois_sync::shim::atomic::{fence, AtomicU64, AtomicU8, Ordering};
 use valois_sync::shim::cell::UnsafeCell;
-use valois_sync::Backoff;
 
-use valois_mem::{Arena, ArenaConfig, Link, Managed, MemStats, NodeHeader, ReclaimedLinks};
+use valois_core::{Cursor, List, ListNode, ListStats, NodeKind, RefCount};
+use valois_mem::{ArenaConfig, Link, Managed, MemStats, NodeHeader, ReclaimedLinks};
 
 use crate::traits::Dictionary;
 
@@ -42,12 +45,6 @@ const _: () = assert!(
     "a max-level tower's drained links must fit in ReclaimedLinks"
 );
 
-const KIND_FREE: u8 = 0;
-const KIND_AUX: u8 = 1;
-const KIND_CELL: u8 = 2;
-const KIND_FIRST: u8 = 3;
-const KIND_LAST: u8 = 4;
-
 /// A skip-list node: a tower cell (key/value + one list membership per
 /// level), a per-level auxiliary node (uses `next[0]` only), or a shared
 /// dummy.
@@ -58,12 +55,11 @@ struct SkipNode<K, V> {
     level: AtomicU8,
     next: [Link<SkipNode<K, V>>; MAX_LEVELS],
     back_link: [Link<SkipNode<K, V>>; MAX_LEVELS],
-    key: UnsafeCell<MaybeUninit<K>>,
-    value: UnsafeCell<MaybeUninit<V>>,
+    entry: UnsafeCell<MaybeUninit<(K, V)>>,
 }
 
-// SAFETY: key/value slots are accessed only under the §5 ownership rules
-// (exclusive at init/drain; shared reads while counted and kind == CELL).
+// SAFETY: the entry slot is accessed only under the §5 ownership rules
+// (exclusive at init/drain; shared reads while counted and kind == Cell).
 unsafe impl<K: Send + Sync, V: Send + Sync> Send for SkipNode<K, V> {}
 // SAFETY: as above — shared reads require a counted reference.
 unsafe impl<K: Send + Sync, V: Send + Sync> Sync for SkipNode<K, V> {}
@@ -72,32 +68,31 @@ impl<K, V> Default for SkipNode<K, V> {
     fn default() -> Self {
         Self {
             header: NodeHeader::new_free(),
-            kind: AtomicU8::new(KIND_FREE),
+            kind: AtomicU8::new(NodeKind::Free as u8),
             level: AtomicU8::new(0),
             next: std::array::from_fn(|_| Link::null()),
             back_link: std::array::from_fn(|_| Link::null()),
-            key: UnsafeCell::new(MaybeUninit::uninit()),
-            value: UnsafeCell::new(MaybeUninit::uninit()),
+            entry: UnsafeCell::new(MaybeUninit::uninit()),
         }
     }
 }
 
-impl<K, V> SkipNode<K, V> {
-    fn kind(&self) -> u8 {
-        self.kind.load(Ordering::Acquire)
+// SAFETY: `next(lvl)`/`back_link(lvl)` return the node's own counted
+// links (an aux node's one link is `next[0]` at every level), `links()`
+// yields every slot `drain_links` releases, and `item()` reads the entry
+// written before the tower was published as a `Cell`.
+unsafe impl<K: Send + Sync, V: Send + Sync> ListNode for SkipNode<K, V> {
+    type Item = (K, V);
+
+    const LEVELS: usize = MAX_LEVELS;
+
+    fn tag(&self) -> &AtomicU8 {
+        &self.kind
     }
 
-    fn is_aux(&self) -> bool {
-        self.kind() == KIND_AUX
-    }
-
-    fn is_normal_cell(&self) -> bool {
-        matches!(self.kind(), KIND_CELL | KIND_FIRST | KIND_LAST)
-    }
-
-    /// An aux node's outgoing link lives in `next[0]` regardless of the
-    /// level it serves; cells and dummies use `next[lvl]`.
-    fn out_link(&self, lvl: usize) -> &Link<SkipNode<K, V>> {
+    /// An aux node serves one level, and its outgoing link lives in
+    /// `next[0]` regardless of which; cells and dummies use `next[lvl]`.
+    fn next(&self, lvl: usize) -> &Link<Self> {
         if self.is_aux() {
             &self.next[0]
         } else {
@@ -105,16 +100,18 @@ impl<K, V> SkipNode<K, V> {
         }
     }
 
-    /// # Safety
-    /// Counted reference held; kind == CELL.
-    unsafe fn key(&self) -> &K {
-        (*self.key.get()).assume_init_ref()
+    fn back_link(&self, lvl: usize) -> &Link<Self> {
+        &self.back_link[lvl]
     }
 
-    /// # Safety
-    /// Counted reference held; kind == CELL.
-    unsafe fn value(&self) -> &V {
-        (*self.value.get()).assume_init_ref()
+    fn links(&self) -> impl Iterator<Item = &Link<Self>> {
+        self.next.iter().chain(&self.back_link)
+    }
+
+    // SAFETY: the trait's contract — a protected reference on a `Cell`,
+    // whose entry slot was initialized before its kind was published.
+    unsafe fn item(&self) -> &(K, V) {
+        (*self.entry.get()).assume_init_ref()
     }
 }
 
@@ -129,10 +126,7 @@ impl<K: Send + Sync, V: Send + Sync> Managed for SkipNode<K, V> {
 
     fn drain_links(&self) -> ReclaimedLinks<Self> {
         let mut links = ReclaimedLinks::new();
-        for l in &self.next {
-            links.push(l.swap(std::ptr::null_mut()));
-        }
-        for l in &self.back_link {
+        for l in self.links() {
             links.push(l.swap(std::ptr::null_mut()));
         }
         debug_assert!(
@@ -140,41 +134,40 @@ impl<K: Send + Sync, V: Send + Sync> Managed for SkipNode<K, V> {
             "skip tower drained {} links, over the MAX_LINKS cap",
             links.len()
         );
-        if self.kind() == KIND_CELL {
+        if self.kind() == NodeKind::Cell {
             // SAFETY: claim winner at count zero — exclusive.
-            unsafe {
-                (*self.key.get()).assume_init_drop();
-                (*self.value.get()).assume_init_drop();
-            }
+            unsafe { (*self.entry.get()).assume_init_drop() };
         }
-        self.kind.store(KIND_FREE, Ordering::Release);
+        self.set_kind(NodeKind::Free);
         links
     }
 
     fn reset_for_alloc(&self) {
         // next[0] held the free-list link (count transferred at pop).
-        for l in &self.next {
-            l.write(std::ptr::null_mut());
-        }
-        for l in &self.back_link {
+        for l in self.links() {
             l.write(std::ptr::null_mut());
         }
         self.level.store(0, Ordering::Relaxed);
-        debug_assert_eq!(self.kind(), KIND_FREE);
+        debug_assert_eq!(self.kind(), NodeKind::Free);
     }
 }
 
-/// A per-level cursor: the §3 triple specialized to level `lvl`'s links.
-struct LevelCursor<K, V> {
-    target: *mut SkipNode<K, V>,
-    pre_aux: *mut SkipNode<K, V>,
-    pre_cell: *mut SkipNode<K, V>,
-}
+/// The skip list's k levels: one core `List` whose nodes carry
+/// `MAX_LEVELS` levels of links, the towers shared by every level.
+type Levels<K, V> = List<(K, V), RefCount, SkipNode<K, V>>;
+
+/// The core cursor on one level of [`Levels`].
+type SkipCursor<'a, K, V> = Cursor<'a, (K, V), RefCount, SkipNode<K, V>>;
 
 /// Counted per-level predecessors from one descent, indexed by level
 /// (slot 0 stays null): where bottom-up linking and the remover's orphan
 /// sweep start each level.
 type Saved<K, V> = [*mut SkipNode<K, V>; MAX_LEVELS];
+
+/// Orders a tower's entry against the sought key.
+fn by_key<K: Ord, V>(key: &K) -> impl Fn(&(K, V)) -> CmpOrdering + Copy + '_ {
+    move |entry| entry.0.cmp(key)
+}
 
 /// A non-blocking skip-list dictionary (paper §4.1).
 ///
@@ -192,20 +185,9 @@ type Saved<K, V> = [*mut SkipNode<K, V>; MAX_LEVELS];
 /// assert!(!d.contains(&42));
 /// ```
 pub struct SkipListDict<K: Send + Sync, V: Send + Sync> {
-    arena: Arena<SkipNode<K, V>>,
-    first_root: Link<SkipNode<K, V>>,
-    last_root: Link<SkipNode<K, V>>,
-    first: *mut SkipNode<K, V>,
-    last: *mut SkipNode<K, V>,
+    levels: Levels<K, V>,
     rng_state: AtomicU64,
-    retries: AtomicU64,
 }
-
-// SAFETY: raw pointer fields are immutable after construction; all shared
-// state flows through the arena protocol.
-unsafe impl<K: Send + Sync, V: Send + Sync> Send for SkipListDict<K, V> {}
-// SAFETY: as above — all shared mutation is CAS on counted links.
-unsafe impl<K: Send + Sync, V: Send + Sync> Sync for SkipListDict<K, V> {}
 
 impl<K, V> SkipListDict<K, V>
 where
@@ -223,39 +205,10 @@ where
             initial_capacity: config.initial_capacity.max(MAX_LEVELS + 8),
             ..config
         };
-        let arena: Arena<SkipNode<K, V>> = Arena::with_config(config);
-        let first = arena.alloc().expect("pool too small");
-        let last = arena.alloc().expect("pool too small");
-        let dict = Self {
-            arena,
-            first_root: Link::null(),
-            last_root: Link::null(),
-            first,
-            last,
+        Self {
+            levels: List::with_config(config),
             rng_state: AtomicU64::new(0x853c_49e6_748f_ea9b),
-            retries: AtomicU64::new(0),
-        };
-        // SAFETY: single-threaded construction; fresh exclusive nodes.
-        unsafe {
-            (*first).kind.store(KIND_FIRST, Ordering::Release);
-            (*first).level.store(MAX_LEVELS as u8, Ordering::Relaxed);
-            (*last).kind.store(KIND_LAST, Ordering::Release);
-            (*last).level.store(MAX_LEVELS as u8, Ordering::Relaxed);
-            dict.arena.store_link(&dict.first_root, first);
-            dict.arena.store_link(&dict.last_root, last);
-            // One auxiliary node per level between the dummies (Fig. 4, k
-            // times over).
-            for lvl in 0..MAX_LEVELS {
-                let aux = dict.arena.alloc().expect("pool too small");
-                (*aux).kind.store(KIND_AUX, Ordering::Release);
-                dict.arena.store_link(&(*aux).next[0], last);
-                dict.arena.store_link(&(*first).next[lvl], aux);
-                dict.arena.release(aux);
-            }
-            dict.arena.release(first);
-            dict.arena.release(last);
         }
-        dict
     }
 
     /// Geometric tower height in 1..=MAX_LEVELS (p = 1/2), from a lock-free
@@ -270,358 +223,38 @@ where
         ((z.trailing_ones() as usize) + 1).min(MAX_LEVELS)
     }
 
-    // ------------------------------------------------------------------
-    // Per-level §3 algorithms (Figs. 5, 6, 7, 9, 10 with indexed links).
-    // Every unsafe block relies on the valois-core cursor invariants:
-    // dereferenced pointers are counted references; links passed to
-    // safe_read/swing are counted links of `self.arena`.
-    // ------------------------------------------------------------------
-
-    /// Fig. 6 `First` at `lvl`, entering from `from` — a held cell known to
-    /// be a member of level `lvl`'s list (the descent entry point).
+    /// Descends from the top level to level 1 with one cursor, running
+    /// `step` on each level, and returns that cursor moved down to level
+    /// 0 (the caller runs its own level-0 step).
     ///
-    /// # Safety
-    ///
-    /// `from` must be a counted reference to a cell in level `lvl`'s list.
-    // GUARD: from — caller holds a count on the entry cell across the call.
-    // COUNT: the counts acquired here are transferred into the returned
-    // cursor; `release_cursor` (or `next`/`update` swaps) release them.
-    unsafe fn cursor_at(&self, lvl: usize, from: *mut SkipNode<K, V>) -> LevelCursor<K, V> {
-        self.arena.incr_ref(from);
-        self.cursor_taking(lvl, from)
-    }
-
-    /// [`cursor_at`](Self::cursor_at) that takes over the caller's count
-    /// on `from` instead of adding one.
-    ///
-    /// # Safety
-    ///
-    /// `from` must carry a count this call may consume, on a cell in level
-    /// `lvl`'s list.
-    // GUARD: from — caller holds a count when calling; it moves into the
-    // returned cursor's `pre_cell`.
-    // COUNT: consumes the caller's count on `from`; the returned cursor
-    // owns it and the counts acquired here.
-    unsafe fn cursor_taking(&self, lvl: usize, from: *mut SkipNode<K, V>) -> LevelCursor<K, V> {
-        let mut c = LevelCursor {
-            pre_cell: from,
-            pre_aux: self.arena.safe_read((*from).out_link(lvl)),
-            target: std::ptr::null_mut(),
-        };
-        self.update(lvl, &mut c);
-        c
-    }
-
-    /// Fig. 5 `Update` at `lvl`.
-    ///
-    /// # Safety
-    ///
-    /// `c` must hold counted references obtained from this arena at `lvl`.
-    unsafe fn update(&self, lvl: usize, c: &mut LevelCursor<K, V>) {
-        if (*c.pre_aux).out_link(lvl).read() == c.target {
-            return;
-        }
-        let mut p = c.pre_aux;
-        let mut n = self.arena.safe_read((*p).out_link(lvl));
-        self.arena.release(c.target);
-        // WAIT-FREE: bounded by the aux-chain length; the collapse CAS is
-        // one-shot per pair and its failure (someone else advanced) is
-        // ignored, never retried in place.
-        while !n.is_null() && (*n).is_aux() {
-            let _ = self.arena.swing((*c.pre_cell).out_link(lvl), p, n);
-            self.arena.release(p);
-            p = n;
-            n = self.arena.safe_read((*p).out_link(lvl));
-        }
-        debug_assert!(!n.is_null());
-        c.pre_aux = p;
-        c.target = n;
-    }
-
-    /// Fig. 10 lines 7-11 at `lvl`: walk `back_link[lvl]`s from `from` to
-    /// the nearest cell not itself deleted at this level (shared by
-    /// `try_delete`'s recovery and `resume`).
-    ///
-    /// # Safety
-    ///
-    /// `from` must carry a count this call may consume.
-    // GUARD: from — caller holds a count when calling; the walk hands it
-    // off hop by hop (consumed here, replaced by the returned cell's).
-    // COUNT: consumes the caller's count on `from`; the returned pointer
-    // carries one count that transfers to the caller.
-    unsafe fn backtrack(&self, lvl: usize, from: *mut SkipNode<K, V>) -> *mut SkipNode<K, V> {
-        let mut p = from;
-        while !(*p).back_link[lvl].read().is_null() {
-            let q = self.arena.safe_read(&(*p).back_link[lvl]);
-            if q.is_null() {
-                break; // back_links are never cleared while p is held
-            }
-            self.arena.release(p);
-            p = q;
-        }
-        p
-    }
-
-    /// [`Cursor::resume`](valois_core::Cursor::resume) at `lvl`: when the
-    /// cursor's anchor was deleted at this level, back-walk to the
-    /// nearest undeleted predecessor before revalidating —
-    /// O(distance-to-conflict) instead of O(level length).
-    ///
-    /// # Safety
-    ///
-    /// `c` must hold counted references obtained from this arena at `lvl`.
-    // INVARIANT: I10
-    unsafe fn resume(&self, lvl: usize, c: &mut LevelCursor<K, V>) {
-        if !(*c.pre_cell).back_link[lvl].read().is_null() {
-            // COUNT: `backtrack` consumes the cursor's count on the old
-            // `pre_cell` and its returned count is stored back into
-            // `pre_cell` (released by `release_cursor`).
-            let p = self.backtrack(lvl, c.pre_cell);
-            c.pre_cell = p;
-            self.arena.release(c.pre_aux);
-            c.pre_aux = self.arena.safe_read((*p).out_link(lvl));
-            self.arena.release(c.target);
-            c.target = std::ptr::null_mut();
-        }
-        self.update(lvl, c);
-    }
-
-    /// A cursor at `lvl` opened from `from` and revalidated by
-    /// [`resume`](Self::resume): if `from` has been deleted at this level,
-    /// the cursor first walks `back_link[lvl]` back to a live predecessor
-    /// (I10), so a start cell saved earlier is as good as the head.
-    ///
-    /// # Safety
-    ///
-    /// `from` must be a counted reference to a cell that is, or was, a
-    /// member of level `lvl`'s list.
-    // GUARD: from — caller holds a count on the start cell across the call.
-    // COUNT: as `cursor_at`, the returned cursor owns its counts.
-    // INVARIANT: I10
-    unsafe fn reopen(&self, lvl: usize, from: *mut SkipNode<K, V>) -> LevelCursor<K, V> {
-        let mut c = self.cursor_at(lvl, from);
-        self.resume(lvl, &mut c);
-        c
-    }
-
-    /// Fig. 7 `Next` at `lvl`.
-    ///
-    /// # Safety
-    ///
-    /// `c` must hold counted references obtained from this arena at `lvl`.
-    unsafe fn next(&self, lvl: usize, c: &mut LevelCursor<K, V>) -> bool {
-        if c.target == self.last {
-            return false;
-        }
-        self.arena.release(c.pre_cell);
-        self.arena.incr_ref(c.target);
-        c.pre_cell = c.target;
-        self.arena.release(c.pre_aux);
-        c.pre_aux = self.arena.safe_read((*c.target).out_link(lvl));
-        self.update(lvl, c);
-        true
-    }
-
-    /// Fig. 11 `FindFrom` at `lvl`: advance until target key ≥ `key`.
-    /// Returns true iff the target is a cell with key == `key`.
-    ///
-    /// # Safety
-    ///
-    /// `c` must hold counted references obtained from this arena at `lvl`.
-    unsafe fn find_at_level(&self, lvl: usize, c: &mut LevelCursor<K, V>, key: &K) -> bool {
-        loop {
-            if c.target == self.last {
-                return false;
-            }
-            if (*c.target).kind() == KIND_CELL {
-                let k = (*c.target).key();
-                if k == key {
-                    return true;
-                }
-                if k > key {
-                    return false;
-                }
-            }
-            if !self.next(lvl, c) {
-                return false;
-            }
-        }
-    }
-
-    /// Fig. 9 `TryInsert` at `lvl`: link (already initialized) `cell` with
-    /// fresh `aux` before the cursor's target.
-    ///
-    /// # Safety
-    ///
-    /// `c`, `cell`, and `aux` must be counted references; `cell` and `aux`
-    /// must be unpublished at `lvl` (this call is their only linker).
-    // GUARD: cell, aux — caller holds a count on each across the call.
-    unsafe fn try_insert(
-        &self,
-        lvl: usize,
-        c: &LevelCursor<K, V>,
-        cell: *mut SkipNode<K, V>,
-        aux: *mut SkipNode<K, V>,
-    ) -> bool {
-        self.arena.store_link(&(*cell).next[lvl], aux);
-        self.arena.store_link(&(*aux).next[0], c.target);
-        self.arena.swing((*c.pre_aux).out_link(lvl), c.target, cell)
-    }
-
-    /// Fig. 10 `TryDelete` at `lvl`.
-    ///
-    /// # Safety
-    ///
-    /// `c` must hold counted references obtained from this arena at `lvl`.
-    unsafe fn try_delete(&self, lvl: usize, c: &mut LevelCursor<K, V>) -> bool {
-        if c.target == self.last {
-            return false;
-        }
-        let d = c.target;
-        let first_n = self.arena.safe_read(&(*d).next[lvl]);
-        debug_assert!(!first_n.is_null());
-        if !self.arena.swing((*c.pre_aux).out_link(lvl), d, first_n) {
-            self.arena.release(first_n);
-            return false;
-        }
-        // Back link for this level's recovery walk (Fig. 10 line 6).
-        debug_assert!((*d).back_link[lvl].read().is_null());
-        self.arena.incr_ref(c.pre_cell);
-        (*d).back_link[lvl].write(c.pre_cell);
-        // Fig. 10 lines 7-11: back to a cell not deleted at this level
-        // (shared with `resume`).
-        // COUNT: the incr_ref's count is consumed by `backtrack`, which
-        // hands back one count on `p` (released at the end).
-        self.arena.incr_ref(c.pre_cell);
-        let p = self.backtrack(lvl, c.pre_cell);
-        // Fig. 10 line 12.
-        let mut s = self.arena.safe_read((*p).out_link(lvl));
-        // Fig. 10 lines 13-16: advance n to the end of the aux chain.
-        let mut n = first_n;
-        loop {
-            let nn = self.arena.safe_read((*n).out_link(lvl));
-            debug_assert!(!nn.is_null());
-            let cont = !(*nn).is_normal_cell();
-            if !cont {
-                self.arena.release(nn);
-                break;
-            }
-            self.arena.release(n);
-            n = nn;
-        }
-        // Fig. 10 lines 17-21.
-        // WAIT-FREE: a failed swing means p's link changed — another
-        // deleter or inserter made system-wide progress — and the two
-        // guards below break out once p is itself deleted or the chain
-        // grew past n, so this loop never spins without global progress.
-        loop {
-            if self.arena.swing((*p).out_link(lvl), s, n) {
-                break;
-            }
-            self.retries.fetch_add(1, Ordering::Relaxed);
-            self.arena.release(s);
-            s = self.arena.safe_read((*p).out_link(lvl));
-            if !(*p).back_link[lvl].read().is_null() {
-                break;
-            }
-            let nn = self.arena.safe_read((*n).out_link(lvl));
-            let extended = !(*nn).is_normal_cell();
-            self.arena.release(nn);
-            if extended {
-                break;
-            }
-        }
-        self.arena.release(p);
-        self.arena.release(s);
-        self.arena.release(n);
-        true
-    }
-
-    /// Releases all three counted references a cursor holds.
-    ///
-    /// # Safety
-    ///
-    /// `c`'s references must be live counts on this arena's nodes.
-    unsafe fn release_cursor(&self, c: LevelCursor<K, V>) {
-        self.arena.release(c.target);
-        self.arena.release(c.pre_aux);
-        self.arena.release(c.pre_cell);
-    }
-
-    /// Fig. 13's loop at `lvl`: find `key` and unlink it, resuming after
-    /// each lost race. Returns true iff this call's `try_delete` won.
-    ///
-    /// # Safety
-    ///
-    /// `c` must hold counted references obtained from this arena at `lvl`.
-    unsafe fn delete_at_level(
-        &self,
-        lvl: usize,
-        c: &mut LevelCursor<K, V>,
-        key: &K,
-        backoff: &mut Backoff,
-    ) -> bool {
-        loop {
-            if !self.find_at_level(lvl, c, key) {
-                return false;
-            }
-            if self.try_delete(lvl, c) {
-                return true;
-            }
-            self.retries.fetch_add(1, Ordering::Relaxed);
-            backoff.spin();
-            // INVARIANT: I10
-            self.resume(lvl, c);
-        }
-    }
-
-    /// Descends from the top level to level 1 running `step` on each
-    /// level's cursor, and returns a level-0 cursor opened at the last
-    /// level's `pre_cell` (the caller runs its own level-0 step).
-    ///
-    /// The entry point at each level is the level above's `pre_cell` — a
-    /// cell (or the first dummy) with key below the step's key that, by
-    /// the subset property, is also a member of every lower level. Each
-    /// level's cursor passes its count on `pre_cell` down as the entry's
-    /// count. With `saved`, that count stays in `saved[lvl]` (so
-    /// `saved[lvl]` is level `lvl`'s `pre_cell`, for `lvl` ≥ 1) and the
-    /// next cursor takes one of its own; without, the next cursor takes
-    /// it over.
-    ///
-    /// # Safety
-    ///
-    /// The dictionary must be alive (roots counted). The returned cursor —
-    /// and every pointer written into `saved` — is a counted reference the
-    /// caller must release.
-    unsafe fn descend(
+    /// Each level starts at the level above's `pre_cell` — a cell (or the
+    /// first dummy) with key below the step's key that, by the subset
+    /// property, is also a member of every lower level — so
+    /// [`Cursor::lower`] keeps it as the anchor. With `saved`, each level
+    /// `lvl` ≥ 1 also leaves one count of its `pre_cell` in `saved[lvl]`
+    /// (released by [`release_saved`](Self::release_saved)).
+    fn descend(
         &self,
         mut saved: Option<&mut Saved<K, V>>,
-        mut step: impl FnMut(usize, &mut LevelCursor<K, V>),
-    ) -> LevelCursor<K, V> {
-        let mut entry = self.first;
-        self.arena.incr_ref(entry);
-        let mut lvl = MAX_LEVELS - 1;
-        loop {
-            // COUNT: `entry` carries one count, on level `lvl + 1`'s
-            // `pre_cell`. Kept in `saved` (released by `release_saved`),
-            // the cursor adds its own; otherwise the cursor takes it over.
-            let mut c = match saved.as_deref_mut() {
-                Some(s) if lvl + 1 < MAX_LEVELS => {
-                    s[lvl + 1] = entry;
-                    self.cursor_at(lvl, entry)
-                }
-                _ => self.cursor_taking(lvl, entry),
-            };
-            if lvl == 0 {
-                return c;
+        mut step: impl FnMut(&mut SkipCursor<'_, K, V>),
+    ) -> SkipCursor<'_, K, V> {
+        let mut c = self.levels.level_cursor(MAX_LEVELS - 1);
+        for lvl in (1..MAX_LEVELS).rev() {
+            step(&mut c);
+            if let Some(s) = saved.as_deref_mut() {
+                let p = c.pre_cell_ptr();
+                // SAFETY: the cursor protects its `pre_cell`.
+                // COUNT: one count per saved level, released by
+                // `release_saved`.
+                unsafe { self.levels.arena().incr_ref(p) };
+                s[lvl] = p;
             }
-            step(lvl, &mut c);
-            // COUNT: the cursor's count on `pre_cell` becomes `entry`'s.
-            entry = c.pre_cell;
-            self.arena.release(c.target);
-            self.arena.release(c.pre_aux);
-            lvl -= 1;
+            // SAFETY: the search stopped before its key at `lvl`, so the
+            // anchor is the first dummy or a tower spanning `lvl` — and
+            // therefore `lvl - 1`.
+            unsafe { c.lower() };
         }
+        c
     }
 
     /// Releases the counts [`descend`](Self::descend) handed to `saved`.
@@ -631,7 +264,7 @@ where
     /// Every non-null slot must carry a count on this arena.
     unsafe fn release_saved(&self, saved: &Saved<K, V>) {
         for &p in saved {
-            self.arena.release(p);
+            self.levels.arena().release(p);
         }
     }
 
@@ -648,95 +281,80 @@ where
     #[doc(hidden)]
     pub fn insert_with_height(&self, key: K, value: V, height: usize) -> bool {
         let height = height.clamp(1, MAX_LEVELS);
-        // SAFETY: protocol invariants as documented on each helper.
+        let arena = self.levels.arena();
+        let mut saved: Saved<K, V> = [std::ptr::null_mut(); MAX_LEVELS];
+        let mut c = self.descend(Some(&mut saved), |c| {
+            c.find_from(by_key(&key));
+        });
+        let present = c.find_from(by_key(&key));
+        // SAFETY: protocol invariants as documented on each helper; the
+        // tower and aux nodes are fresh and counted by their allocation
+        // references until linked.
         unsafe {
-            let mut saved: Saved<K, V> = [std::ptr::null_mut(); MAX_LEVELS];
-            let mut c0 = self.descend(Some(&mut saved), |lvl, c| {
-                let _ = self.find_at_level(lvl, c, &key);
-            });
-            if self.find_at_level(0, &mut c0, &key) {
-                self.release_cursor(c0);
+            if present {
+                drop(c);
                 self.release_saved(&saved);
                 valois_trace::probe!(DictInsert, 0u64, 0u64);
                 return false;
             }
             // Allocate and initialize the tower cell.
-            let cell = self.arena.alloc().expect("skip-list node pool exhausted");
-            (*(*cell).key.get()).write(key);
-            (*(*cell).value.get()).write(value);
+            let cell = arena.alloc().expect("skip-list node pool exhausted");
+            (*(*cell).entry.get()).write((key, value));
             (*cell).level.store(height as u8, Ordering::Relaxed);
-            (*cell).kind.store(KIND_CELL, Ordering::Release);
-            let key = (*cell).key(); // owned by the cell now
-                                     // Level 0: the membership-defining insertion (Fig. 12 loop).
-            let aux0 = self.arena.alloc().expect("skip-list node pool exhausted");
-            (*aux0).kind.store(KIND_AUX, Ordering::Release);
-            let mut backoff = Backoff::new();
-            loop {
-                if self.try_insert(0, &c0, cell, aux0) {
-                    // The list links count both nodes now; drop the aux
-                    // allocation reference (the cell's is dropped at the
-                    // end, after the upper levels are linked).
-                    self.arena.release(aux0);
-                    valois_trace::probe!(TowerLink, cell as usize, 0u64);
-                    break;
-                }
-                self.retries.fetch_add(1, Ordering::Relaxed);
-                backoff.spin();
-                // INVARIANT: I10
-                self.resume(0, &mut c0);
-                if self.find_at_level(0, &mut c0, key) {
-                    // A concurrent insert of the same key won: roll back.
-                    self.release_cursor(c0);
-                    self.release_saved(&saved);
-                    self.arena.release(cell); // drains key/value + aux0 link
-                    self.arena.release(aux0);
-                    valois_trace::probe!(DictInsert, 0u64, 0u64);
-                    return false;
-                }
+            (*cell).set_kind(NodeKind::Cell);
+            // The cell owns the key now.
+            let key = &(*cell).item().0;
+            // Level 0: the membership-defining insertion (Fig. 12).
+            let aux0 = arena.alloc().expect("skip-list node pool exhausted");
+            (*aux0).set_kind(NodeKind::Aux);
+            if !c.link_unique(cell, aux0, |a, b| a.0.cmp(&b.0)) {
+                // A concurrent insert of the same key won: roll back.
+                drop(c);
+                self.release_saved(&saved);
+                arena.release(cell); // drains key/value + aux0 link
+                arena.release(aux0);
+                valois_trace::probe!(DictInsert, 0u64, 0u64);
+                return false;
             }
-            self.release_cursor(c0);
+            // The list links count the aux now; the cell's allocation
+            // reference is dropped at the end, after the upper levels.
+            arena.release(aux0);
+            valois_trace::probe!(TowerLink, cell as usize, 0u64);
             // Upper levels, bottom-up ("insertions starting with the bottom
-            // level and working up").
+            // level and working up"), each from the descent's own saved
+            // predecessor.
             #[allow(clippy::needless_range_loop)] // saved is indexed by level
             'levels: for lvl in 1..height {
-                let entry = saved[lvl];
-                let mut c = self.cursor_at(lvl, entry);
-                let aux = self.arena.alloc().expect("skip-list node pool exhausted");
-                (*aux).kind.store(KIND_AUX, Ordering::Release);
-                let mut backoff = Backoff::new();
+                c.reopen(lvl, saved[lvl]);
+                let aux = arena.alloc().expect("skip-list node pool exhausted");
+                (*aux).set_kind(NodeKind::Aux);
+                // WAIT-FREE: lock-free, not wait-free — each failed link
+                // CAS means another operation changed this level's chain
+                // (system-wide progress), as in Fig. 12.
                 loop {
                     // Don't extend a tower whose cell was already removed
                     // at level 0 by a concurrent delete.
-                    if !(*cell).back_link[0].read().is_null() {
-                        self.arena.release(aux);
-                        self.release_cursor(c);
+                    if !(*cell).back_link(0).read().is_null() {
+                        arena.release(aux);
                         break 'levels;
                     }
-                    if self.find_at_level(lvl, &mut c, key) {
-                        if c.target == cell {
-                            // Already linked here (shouldn't happen — we
-                            // are the only linker — but harmless).
-                            self.arena.release(aux);
-                            break;
-                        }
-                        // A lingering deleted cell with the same key; step
-                        // past it and retry.
-                        self.retries.fetch_add(1, Ordering::Relaxed);
-                        if !self.next(lvl, &mut c) {
-                            self.arena.release(aux);
+                    if c.find_from(by_key(key)) {
+                        // Our own cell (already linked — we are the only
+                        // linker, so this is harmless) or a lingering
+                        // deleted cell with the same key to step past.
+                        if c.target_ptr() == cell || !c.next() {
+                            arena.release(aux);
                             break;
                         }
                         continue;
                     }
-                    if self.try_insert(lvl, &c, cell, aux) {
-                        self.arena.release(aux);
+                    if c.try_link(cell, aux) {
+                        arena.release(aux);
                         valois_trace::probe!(TowerLink, cell as usize, lvl);
                         break;
                     }
-                    self.retries.fetch_add(1, Ordering::Relaxed);
-                    backoff.spin();
                     // INVARIANT: I10
-                    self.resume(lvl, &mut c);
+                    c.resume();
                 }
                 // If the cell was removed while we linked this level, undo
                 // our own link (the remover may have already passed lvl).
@@ -754,18 +372,19 @@ where
                 // INVARIANT: I9 (fence pairing) — partner is the sweep
                 // fence in `sweep_orphan_tower`; preserves I8.
                 fence(Ordering::SeqCst);
-                if !(*cell).back_link[0].read().is_null() {
-                    if self.unlink_tower_at(lvl, c.pre_cell, cell) {
+                if !(*cell).back_link(0).read().is_null() {
+                    // INVARIANT: I10
+                    c.resume();
+                    if self.unlink_tower(&mut c, cell) {
                         valois_trace::probe!(TowerUndo, cell as usize, lvl);
                     }
-                    self.release_cursor(c);
                     break 'levels;
                 }
-                self.release_cursor(c);
             }
+            drop(c);
             // Hand the allocation reference over (the level-0 list counts
             // the cell now).
-            self.arena.release(cell);
+            arena.release(cell);
             self.release_saved(&saved);
             valois_trace::probe!(DictInsert, cell as usize, 1u64);
             true
@@ -773,56 +392,56 @@ where
     }
 
     fn remove_impl(&self, key: &K) -> bool {
-        // Top-down: delete from every level where the key appears; the
-        // level-0 deletion decides the return value.
-        // SAFETY: protocol invariants as documented on each helper.
+        // Top-down: delete from every level where the key appears (Fig.
+        // 13 per level); the level-0 deletion decides the return value.
+        let mut saved: Saved<K, V> = [std::ptr::null_mut(); MAX_LEVELS];
+        let mut c = self.descend(Some(&mut saved), |c| {
+            c.find_and_delete(by_key(key));
+        });
+        let removed = c.find_and_delete(by_key(key));
+        // SAFETY: after a winning delete the cursor still visits (and
+        // protects) the deleted tower; `saved` holds this descent's counts.
         unsafe {
-            let mut saved: Saved<K, V> = [std::ptr::null_mut(); MAX_LEVELS];
-            let mut backoff = Backoff::new();
-            let mut c = self.descend(Some(&mut saved), |lvl, c| {
-                let _ = self.delete_at_level(lvl, c, key, &mut backoff);
-            });
-            let removed = self.delete_at_level(0, &mut c, key, &mut backoff);
             if removed {
                 // The membership-defining deletion won. Sweep the upper
                 // levels again: a racing bottom-up inserter may have
                 // linked (or may yet link) this cell above after our
-                // top-down pass went by. `c.target` is still counted here
-                // (the cursor releases it below).
-                self.sweep_orphan_tower(c.target, &saved);
+                // top-down pass went by.
+                self.sweep_orphan_tower(&mut c, &saved);
             }
-            self.release_cursor(c);
+            drop(c);
             self.release_saved(&saved);
-            valois_trace::probe!(DictRemove, removed as u64);
-            removed
         }
+        valois_trace::probe!(DictRemove, removed as u64);
+        removed
     }
 
-    /// Post-delete sweep: after winning the level-0 (membership) deletion
-    /// of `d`, unlink `d` from every upper level it may still occupy.
+    /// Post-delete sweep: after the cursor `c` won the level-0
+    /// (membership) deletion of the tower it visits, unlink that tower
+    /// from every upper level it may still occupy.
     ///
-    /// The top-down pass already cleaned the levels where `d` was visible
-    /// *before* it reached level 0 — but a concurrent bottom-up inserter
-    /// can link `d` into an upper level after the pass went by (its
-    /// `back_link[0]` checks raced the level-0 deletion). The inserter
-    /// self-undoes when its post-link check observes the deletion; this
-    /// sweep covers the complementary interleaving where that check fired
-    /// first and observed nothing. The paired SeqCst fences (here and at
-    /// the inserter's post-link check) guarantee at least one of the two
-    /// mechanisms sees the other side's store — see docs/PROTOCOL.md,
-    /// "The orphan-tower race".
+    /// The top-down pass already cleaned the levels where the tower was
+    /// visible *before* it reached level 0 — but a concurrent bottom-up
+    /// inserter can link it into an upper level after the pass went by
+    /// (its `back_link[0]` checks raced the level-0 deletion). The
+    /// inserter self-undoes when its post-link check observes the
+    /// deletion; this sweep covers the complementary interleaving where
+    /// that check fired first and observed nothing. The paired SeqCst
+    /// fences (here and at the inserter's post-link check) guarantee at
+    /// least one of the two mechanisms sees the other side's store — see
+    /// docs/PROTOCOL.md, "The orphan-tower race".
     ///
-    /// Each level's sweep starts at the pass's own level-`lvl` predecessor
-    /// `saved[lvl]`, not at the head, so a remove stays O(log n).
+    /// Each level's sweep reopens the cursor at the pass's own level-`lvl`
+    /// predecessor `saved[lvl]`, not at the head, so a remove stays
+    /// O(log n).
     ///
     /// # Safety
     ///
-    /// The caller must hold a counted reference on `d` (so it cannot be
-    /// reclaimed mid-sweep), `d`'s level-0 deletion must have set its
-    /// `back_link[0]`, and `saved` must hold the remover's counted
-    /// per-level predecessors from [`descend`](Self::descend).
-    // GUARD: d — caller holds a count on the dying tower across the sweep.
-    unsafe fn sweep_orphan_tower(&self, d: *mut SkipNode<K, V>, saved: &Saved<K, V>) {
+    /// `c` must visit the tower its level-0 `try_delete` just deleted
+    /// (so its `back_link[0]` is set), and `saved` must hold the remover's
+    /// counted per-level predecessors from [`descend`](Self::descend).
+    unsafe fn sweep_orphan_tower(&self, c: &mut SkipCursor<'_, K, V>, saved: &Saved<K, V>) {
+        let d = c.target_ptr();
         // ORDER: SeqCst fence after the level-0 `back_link[0]` write (in
         // `try_delete`) and before the upper-level reads below — the
         // remover half of the pairing described above.
@@ -831,77 +450,72 @@ where
         fence(Ordering::SeqCst);
         // ORDER: Acquire is belt-and-braces — `level` is only ever
         // written before the node is published (the Release link CAS and
-        // the counted reference we hold already order it); no `level`
-        // store needs Release to pair with this.
+        // the counted reference the cursor holds already order it); no
+        // `level` store needs Release to pair with this.
         let height = (*d).level.load(Ordering::Acquire) as usize;
+        if height == 1 {
+            return;
+        }
+        let arena = self.levels.arena();
+        // COUNT: the cursor moves off `d` below; this count keeps the
+        // dying tower alive until the sweep is done.
+        arena.incr_ref(d);
         for (lvl, &from) in saved.iter().enumerate().take(height).skip(1) {
-            if self.unlink_tower_at(lvl, from, d) {
+            c.reopen(lvl, from);
+            if self.unlink_tower(c, d) {
                 valois_trace::probe!(TowerSweep, d as usize, lvl);
             }
         }
+        arena.release(d);
     }
 
-    /// Unlinks tower `d` from level `lvl`, searching forward from `from`
-    /// (a cell before `d` at this level). Matching is by pointer identity,
-    /// not key: a newer tower reusing the same key must survive. Returns
-    /// true iff this call's `try_delete` won.
+    /// Unlinks tower `d` from the cursor's level, searching forward from
+    /// the cursor's (revalidated) position, which must be before `d`.
+    /// Matching is by pointer identity, not key: a newer tower reusing
+    /// the same key must survive. Returns true iff this call's
+    /// `try_delete` won.
     ///
     /// # Safety
     ///
-    /// `from` and `d` must be counted references; `d` must be a tower cell
-    /// spanning `lvl`.
-    // GUARD: from, d — caller holds a count on each across the call.
-    unsafe fn unlink_tower_at(
-        &self,
-        lvl: usize,
-        from: *mut SkipNode<K, V>,
-        d: *mut SkipNode<K, V>,
-    ) -> bool {
-        let key = (*d).key();
-        let mut c = self.reopen(lvl, from);
+    /// `d` must be a counted reference to a tower cell spanning the
+    /// cursor's level.
+    // GUARD: d — caller holds a count on the dying tower across the call.
+    unsafe fn unlink_tower(&self, c: &mut SkipCursor<'_, K, V>, d: *mut SkipNode<K, V>) -> bool {
+        let key = &(*d).item().0;
         // WAIT-FREE: each failed `try_delete` means another actor changed
         // this level's chain around `d` (system-wide progress), and at
         // most two actors ever target `d` here (its inserter's self-undo
         // and its remover's sweep) — once either side's unlink wins,
-        // `find_at_level` stops seeing `d` and the loop exits, so retries
+        // `find_from` stops seeing `d` and the loop exits, so retries
         // are bounded, not contended.
-        let won = loop {
-            if !self.find_at_level(lvl, &mut c, key) {
-                break false;
+        loop {
+            if !c.find_from(by_key(key)) {
+                return false;
             }
-            if c.target != d {
+            if c.target_ptr() != d {
                 // A different (newer) same-key tower; step past it.
-                if !self.next(lvl, &mut c) {
-                    break false;
+                if !c.next() {
+                    return false;
                 }
                 continue;
             }
-            if self.try_delete(lvl, &mut c) {
-                break true;
+            if c.try_delete() {
+                return true;
             }
-            // Lost the unlink race at this level; re-examine from a
-            // fresh view.
-            self.retries.fetch_add(1, Ordering::Relaxed);
+            // Lost the unlink race at this level; re-examine.
             // INVARIANT: I10
-            self.resume(lvl, &mut c);
-        };
-        self.release_cursor(c);
-        won
+            c.resume();
+        }
     }
 
     fn find_impl<R>(&self, key: &K, f: impl FnOnce(&V) -> R) -> Option<R> {
-        // SAFETY: protocol invariants as documented on each helper.
-        unsafe {
-            let mut c = self.descend(None, |lvl, c| {
-                let _ = self.find_at_level(lvl, c, key);
-            });
-            let result = if self.find_at_level(0, &mut c, key) {
-                Some(f((*c.target).value()))
-            } else {
-                None
-            };
-            self.release_cursor(c);
-            result
+        let mut c = self.descend(None, |c| {
+            c.find_from(by_key(key));
+        });
+        if c.find_from(by_key(key)) {
+            c.get().map(|(_, v)| f(v))
+        } else {
+            None
         }
     }
 
@@ -921,30 +535,22 @@ where
     /// Visits every entry with key in `[lo, hi)`, in key order, using the
     /// skip structure to reach `lo` in O(log n).
     pub fn for_each_range(&self, lo: &K, hi: &K, mut f: impl FnMut(&K, &V)) {
-        // SAFETY: protocol invariants as documented on each helper.
-        unsafe {
-            let mut c = self.descend(None, |lvl, c| {
-                let _ = self.find_at_level(lvl, c, lo);
-            });
-            let _ = self.find_at_level(0, &mut c, lo);
-            loop {
-                if c.target == self.last {
+        let mut c = self.descend(None, |c| {
+            c.find_from(by_key(lo));
+        });
+        c.find_from(by_key(lo));
+        while !c.is_at_end() {
+            if let Some((k, v)) = c.get() {
+                if k >= hi {
                     break;
                 }
-                if (*c.target).kind() == KIND_CELL {
-                    let k = (*c.target).key();
-                    if k >= hi {
-                        break;
-                    }
-                    if k >= lo {
-                        f(k, (*c.target).value());
-                    }
-                }
-                if !self.next(0, &mut c) {
-                    break;
+                if k >= lo {
+                    f(k, v);
                 }
             }
-            self.release_cursor(c);
+            if !c.next() {
+                break;
+            }
         }
     }
 
@@ -960,14 +566,24 @@ where
     }
 
     /// Total CAS retries across operations (the §4.1 O(p log n) extra-work
-    /// measure — experiment E5).
+    /// measure — experiment E5): failed link and unlink attempts plus
+    /// `TryDelete` chain-cleanup retries, summed over every level's
+    /// [`ListStats`].
     pub fn retry_count(&self) -> u64 {
-        self.retries.load(Ordering::Relaxed)
+        let s = self.list_stats();
+        s.insert_retries() + s.delete_retries() + s.chain_cleanup_retries
+    }
+
+    /// List-operation counters summed over every level (cursor hops,
+    /// auxiliary-node skips, back-link resumes, `TryInsert`/`TryDelete`
+    /// attempts).
+    pub fn list_stats(&self) -> ListStats {
+        self.levels.stats()
     }
 
     /// Memory-protocol counters (§5 traffic).
     pub fn mem_stats(&self) -> MemStats {
-        self.arena.stats()
+        self.levels.mem_stats()
     }
 
     /// Quiescent invariant check (testing hook): every level strictly
@@ -998,26 +614,31 @@ where
         Ok(())
     }
 
+    /// Quiescent reference-count audit over every level's links
+    /// ([`List::audit_refcounts`]): each node's count must equal its
+    /// in-degree over all `next[lvl]`/`back_link[lvl]` links plus the
+    /// two roots.
+    ///
+    /// # Errors
+    ///
+    /// Describes the first mismatching node.
+    pub fn audit_refcounts(&mut self) -> Result<(), String> {
+        self.levels.audit_refcounts()
+    }
+
     fn level_keys(&self, lvl: usize) -> Vec<K>
     where
         K: Clone,
     {
         let mut out = Vec::new();
-        // SAFETY: protocol invariants as documented on each helper.
-        unsafe {
-            let mut c = self.cursor_at(lvl, self.first);
-            loop {
-                if c.target == self.last {
-                    break;
-                }
-                if (*c.target).kind() == KIND_CELL {
-                    out.push((*c.target).key().clone());
-                }
-                if !self.next(lvl, &mut c) {
-                    break;
-                }
+        let mut c = self.levels.level_cursor(lvl);
+        while !c.is_at_end() {
+            if let Some((k, _)) = c.get() {
+                out.push(k.clone());
             }
-            self.release_cursor(c);
+            if !c.next() {
+                break;
+            }
         }
         out
     }
@@ -1030,57 +651,6 @@ where
 {
     fn default() -> Self {
         Self::new()
-    }
-}
-
-impl<K: Send + Sync, V: Send + Sync> Drop for SkipListDict<K, V> {
-    fn drop(&mut self) {
-        // Release the roots and cascade, then sweep whatever back-link
-        // cycles kept alive — same shape as List::drop.
-        // SAFETY: &mut self in drop — quiescent.
-        unsafe {
-            let f = self.first_root.swap(std::ptr::null_mut());
-            let l = self.last_root.swap(std::ptr::null_mut());
-            self.arena.release(f);
-            self.arena.release(l);
-            use std::collections::HashSet;
-            let mut reachable: HashSet<usize> = HashSet::new();
-            let mut stack = vec![self.first, self.last];
-            while let Some(p) = stack.pop() {
-                if p.is_null() || !reachable.insert(p as usize) {
-                    continue;
-                }
-                for l in &(*p).next {
-                    stack.push(l.read());
-                }
-                for l in &(*p).back_link {
-                    stack.push(l.read());
-                }
-            }
-            let mut garbage = Vec::new();
-            self.arena.for_each_node(|p| {
-                if (*p).kind() != KIND_FREE && !reachable.contains(&(p as usize)) {
-                    garbage.push(p);
-                }
-            });
-            let set: HashSet<usize> = garbage.iter().map(|p| *p as usize).collect();
-            for &g in &garbage {
-                let _ = (*g).header().set_claim();
-            }
-            for &g in &garbage {
-                let links = (*g).drain_links();
-                for t in links.iter() {
-                    if set.contains(&(t as usize)) {
-                        (*t).header().decr_ref();
-                    } else {
-                        self.arena.release(t);
-                    }
-                }
-            }
-            for &g in &garbage {
-                self.arena.reclaim_detached(g);
-            }
-        }
     }
 }
 
@@ -1109,24 +679,7 @@ where
     }
 
     fn len(&self) -> usize {
-        let mut n = 0;
-        // SAFETY: protocol invariants as documented on each helper.
-        unsafe {
-            let mut c = self.cursor_at(0, self.first);
-            loop {
-                if c.target == self.last {
-                    break;
-                }
-                if (*c.target).kind() == KIND_CELL {
-                    n += 1;
-                }
-                if !self.next(0, &mut c) {
-                    break;
-                }
-            }
-            self.release_cursor(c);
-        }
-        n
+        self.levels.len()
     }
 }
 

@@ -24,7 +24,7 @@ use std::hash::RandomState;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use valois_core::{Epoch, RefCount};
-use valois_dict::{Dictionary, HashDict, ResizableHashDict, SortedListDict};
+use valois_dict::{Dictionary, HashDict, ResizableHashDict, SkipListDict, SortedListDict};
 use valois_sync::rng::SmallRng;
 
 fn threads() -> u64 {
@@ -215,6 +215,7 @@ dict_arms!(hash_refcount, HashDict<u64, u64, RandomState, RefCount>);
 dict_arms!(hash_epoch, HashDict<u64, u64, RandomState, Epoch>);
 dict_arms!(resizable_refcount, ResizableHashDict<u64, u64, RandomState, RefCount>);
 dict_arms!(resizable_epoch, ResizableHashDict<u64, u64, RandomState, Epoch>);
+dict_arms!(skip_refcount, SkipListDict<u64, u64>);
 
 /// The epoch arms must hold the typed structural invariants too (the
 /// trait-generic battery cannot reach `check_invariants`), and must

@@ -304,6 +304,7 @@ mod skiplist {
         let mut d: SkipListDict<u64, u64> = SkipListDict::new();
         insert_races(&d);
         d.check_invariants().unwrap();
+        d.audit_refcounts().unwrap();
     }
 
     #[test]
@@ -311,6 +312,7 @@ mod skiplist {
         let mut d: SkipListDict<u64, u64> = SkipListDict::new();
         remove_races(&d);
         d.check_invariants().unwrap();
+        d.audit_refcounts().unwrap();
     }
 
     #[test]
@@ -318,6 +320,7 @@ mod skiplist {
         let mut d: SkipListDict<u64, u64> = SkipListDict::new();
         churn_conservation(&d);
         d.check_invariants().unwrap();
+        d.audit_refcounts().unwrap();
     }
 
     #[test]
@@ -359,18 +362,21 @@ mod skiplist {
             });
             d.check_invariants()
                 .unwrap_or_else(|e| panic!("round {round}: {e}"));
+            d.audit_refcounts()
+                .unwrap_or_else(|e| panic!("round {round}: {e}"));
             // Make the final state definite and re-verify.
             d.remove(&7);
             assert_eq!(d.find(&7), None);
             assert!(d.insert(7, 1), "key must be insertable after the storm");
             assert_eq!(d.find(&7), Some(1));
             d.check_invariants().unwrap();
+            d.audit_refcounts().unwrap();
         }
     }
 
     #[test]
     fn concurrent_readers_during_churn() {
-        let d: SkipListDict<u64, u64> = SkipListDict::new();
+        let mut d: SkipListDict<u64, u64> = SkipListDict::new();
         for k in 0..256 {
             d.insert(k * 2, k);
         }
@@ -403,6 +409,8 @@ mod skiplist {
                 });
             }
         });
+        d.check_invariants().unwrap();
+        d.audit_refcounts().unwrap();
     }
 }
 

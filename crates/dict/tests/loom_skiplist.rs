@@ -101,6 +101,8 @@ fn concurrent_insert_remove_leaves_no_orphan_tower() {
             }
             dict.check_invariants()
                 .expect("no level may hold a key absent from level 0");
+            dict.audit_refcounts()
+                .expect("exact link counts at every level");
         });
     assert!(explored > 1, "model must branch, explored {explored}");
 }
@@ -143,6 +145,8 @@ fn orphan_sweep_spares_a_reinserted_tower() {
             assert_eq!(dict.find(&7), expect, "exactly one tower remains");
             dict.check_invariants()
                 .expect("no level may hold a key absent from level 0");
+            dict.audit_refcounts()
+                .expect("exact link counts at every level");
         });
     assert!(explored > 1, "model must branch, explored {explored}");
 }
@@ -158,7 +162,7 @@ fn orphan_sweep_spares_a_reinserted_tower() {
 /// probe-instrumented copy of the skip list, 7–8 of 4000 schedules per
 /// seed both reopened from a deleted key-5 cell and won the level-1
 /// unlink of key 7. A sweep that skips a level whose start cell is
-/// already deleted there fails this model (schedule 1712 at this seed),
+/// already deleted there fails this model (schedule 382 at this seed),
 /// while the two models above still pass.
 #[test]
 fn orphan_sweep_reopens_from_a_deleted_predecessor() {
@@ -194,6 +198,8 @@ fn orphan_sweep_reopens_from_a_deleted_predecessor() {
             assert_eq!(dict.find(&7), expect, "membership matches remove()");
             dict.check_invariants()
                 .expect("no level may hold a key absent from level 0");
+            dict.audit_refcounts()
+                .expect("exact link counts at every level");
         });
     assert!(explored > 1, "model must branch, explored {explored}");
 }

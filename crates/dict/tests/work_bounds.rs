@@ -1,16 +1,21 @@
 //! The paper's work bounds as tested properties (§4.1).
 //!
 //! Each test fills a dictionary to two sizes, runs the same seeded churn
-//! on both, and compares the memory-protocol work per operation (SafeReads
-//! from `MemStats` deltas). Single-threaded runs are deterministic — the
-//! key stream is seeded and the skip list's tower heights come from a
-//! fixed-seed generator — so the bounds compare exact counts and cannot
-//! flake on a loaded host.
+//! on both, and compares one layer's work per operation: SafeReads from
+//! `MemStats` deltas (the memory-protocol rung) or cursor `Next` steps
+//! from `ListStats` deltas (the cursor rung). Single-threaded runs are
+//! deterministic — the key stream is seeded and the skip list's tower
+//! heights come from a fixed-seed generator — so the bounds compare
+//! exact counts and cannot flake on a loaded host.
 
-use valois_dict::{Dictionary, SkipListDict};
+use valois_dict::{Dictionary, SkipListDict, SortedListDict};
 
-/// Churn operations measured per size.
+/// Churn operations measured per size on the skip list.
 const CHURN_OPS: u64 = 20_000;
+
+/// Churn operations measured per size on the sorted list, whose
+/// operations walk Θ(n) cells each.
+const SORTED_CHURN_OPS: u64 = 1_000;
 
 /// xorshift64: a fixed key stream per seed.
 struct Keys(u64);
@@ -24,18 +29,18 @@ impl Keys {
     }
 }
 
-/// SafeReads per operation of `CHURN_OPS` alternating inserts and removes
-/// on uniform keys in `0..2n`, after filling the skip list to `n` keys.
-fn skiplist_safe_reads_per_op(n: u64) -> f64 {
-    let d: SkipListDict<u64, u64> = SkipListDict::new();
+/// Fills `d` to `n` keys drawn uniformly from `0..2n`, then runs `ops`
+/// alternating inserts and removes on the same key stream, and returns
+/// the growth of `work(d)` per churn operation.
+fn work_per_op<D: Dictionary<u64, u64>>(d: &D, n: u64, ops: u64, work: impl Fn(&D) -> u64) -> f64 {
     let mut keys = Keys(0x5EED_0000 ^ n);
     let mut len = 0;
     while len < n {
         let k = keys.below(2 * n);
         len += u64::from(d.insert(k, k));
     }
-    let before = d.mem_stats();
-    for i in 0..CHURN_OPS {
+    let before = work(d);
+    for i in 0..ops {
         let k = keys.below(2 * n);
         if i % 2 == 0 {
             d.insert(k, k);
@@ -43,7 +48,11 @@ fn skiplist_safe_reads_per_op(n: u64) -> f64 {
             d.remove(&k);
         }
     }
-    d.mem_stats().since(&before).safe_reads as f64 / CHURN_OPS as f64
+    (work(d) - before) as f64 / ops as f64
+}
+
+fn skiplist_work_per_op(n: u64, work: impl Fn(&SkipListDict<u64, u64>) -> u64) -> f64 {
+    work_per_op(&SkipListDict::new(), n, CHURN_OPS, work)
 }
 
 /// §4.1: skip-list operations take O(log n) expected work, so ten times
@@ -51,12 +60,44 @@ fn skiplist_safe_reads_per_op(n: u64) -> f64 {
 /// remove that revisits a level from the head (a Θ(n) walk) breaks this.
 #[test]
 fn skiplist_churn_work_grows_logarithmically() {
-    let small = skiplist_safe_reads_per_op(1_000);
-    let large = skiplist_safe_reads_per_op(10_000);
+    let safe_reads = |d: &SkipListDict<u64, u64>| d.mem_stats().safe_reads;
+    let small = skiplist_work_per_op(1_000, safe_reads);
+    let large = skiplist_work_per_op(10_000, safe_reads);
     let ratio = large / small;
     assert!(
         ratio <= 2.0,
         "SafeReads/op grew {ratio:.2}x from n=10^3 ({small:.1}) to n=10^4 ({large:.1}); \
          logarithmic work allows at most 2x"
+    );
+}
+
+/// The same bound one rung up: the core cursor's `Next` steps summed
+/// over every skip-list level (`ListStats::next_steps`).
+#[test]
+fn skiplist_cursor_steps_grow_logarithmically() {
+    let next_steps = |d: &SkipListDict<u64, u64>| d.list_stats().next_steps;
+    let small = skiplist_work_per_op(1_000, next_steps);
+    let large = skiplist_work_per_op(10_000, next_steps);
+    let ratio = large / small;
+    assert!(
+        ratio <= 2.0,
+        "cursor next steps/op grew {ratio:.2}x from n=10^3 ({small:.1}) to n=10^4 \
+         ({large:.1}); logarithmic work allows at most 2x"
+    );
+}
+
+/// The contrast the skip list exists for: a sorted list's operations
+/// walk a constant fraction of the list (§4.1's linear search), so ten
+/// times the keys costs several times the SafeReads per operation.
+#[test]
+fn sorted_list_work_grows_linearly() {
+    let safe_reads = |d: &SortedListDict<u64, u64>| d.mem_stats().safe_reads;
+    let small = work_per_op(&SortedListDict::new(), 1_000, SORTED_CHURN_OPS, safe_reads);
+    let large = work_per_op(&SortedListDict::new(), 10_000, SORTED_CHURN_OPS, safe_reads);
+    let ratio = large / small;
+    assert!(
+        ratio >= 5.0,
+        "SafeReads/op grew only {ratio:.2}x from n=10^3 ({small:.1}) to n=10^4 \
+         ({large:.1}); a linear walk needs at least 5x"
     );
 }
