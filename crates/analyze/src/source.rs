@@ -20,6 +20,9 @@ pub struct SourceFile {
     pub partner: Vec<Option<usize>>,
     /// Token index ranges (inclusive braces) of `#[cfg(test)] mod` bodies.
     pub test_mod_ranges: Vec<(usize, usize)>,
+    /// Token indices of every comment, in token (hence line) order: the
+    /// per-line comment index behind [`SourceFile::attached_comments`].
+    comments: Vec<usize>,
 }
 
 /// One flattened path imported by a `use` item.
@@ -70,11 +73,13 @@ impl SourceFile {
     pub fn parse(label: &str, src: &str) -> SourceFile {
         let toks = lex(src);
         let partner = match_delims(&toks);
+        let comments = (0..toks.len()).filter(|&i| toks[i].is_comment()).collect();
         let mut file = SourceFile {
             label: label.to_string(),
             toks,
             partner,
             test_mod_ranges: Vec::new(),
+            comments,
         };
         file.test_mod_ranges = file.find_test_mod_ranges();
         file
@@ -138,13 +143,24 @@ impl SourceFile {
                 out.push(t);
             }
         }
+        // Comments on `i`'s line and on `extra_line`, in token order.
         let line = self.toks[i].line;
-        for t in &self.toks {
-            if t.is_comment() && (t.line == line || Some(t.line) == extra_line) {
-                out.push(t);
-            }
+        let mut lines = [Some(line), extra_line.filter(|&l| l != line)];
+        lines.sort_unstable();
+        for l in lines.into_iter().flatten() {
+            out.extend(self.comments_on_line(l).iter().map(|&c| &self.toks[c]));
         }
         out
+    }
+
+    /// Token indices of the comments that start on `line` (a slice of the
+    /// line-ordered comment index).
+    fn comments_on_line(&self, line: usize) -> &[usize] {
+        let lo = self.comments.partition_point(|&c| self.toks[c].line < line);
+        let hi = self
+            .comments
+            .partition_point(|&c| self.toks[c].line <= line);
+        &self.comments[lo..hi]
     }
 
     /// Whether any comment attached to token `i` (see

@@ -384,6 +384,8 @@ fn main() {
         soak_dict("sorted list", &d, args.secs, args.threads);
         d.check_invariants()
             .unwrap_or_else(|e| panic!("sorted list invariant violated: {e}"));
+        d.audit_refcounts()
+            .unwrap_or_else(|e| panic!("sorted list refcount drift: {e}"));
     }
     if want("hash") {
         let mut d: HashDict<u64, u64> = HashDict::with_buckets(64);

@@ -149,7 +149,7 @@ unsafe impl<T: Send + Sync, R: Reclaimer, N: ListNode<Item = T>> Sync for Cursor
 impl<'a, T: Send + Sync, R: Reclaimer, N: ListNode<Item = T>> Cursor<'a, T, R, N> {
     /// An unpositioned cursor at `lvl` (all three fields null). Opens
     /// the protection window; every constructor positions it next.
-    fn unpositioned(list: &'a List<T, R, N>, lvl: usize) -> Self {
+    pub(crate) fn unpositioned(list: &'a List<T, R, N>, lvl: usize) -> Self {
         // Epoch backend: the cursor's protection window opens here and
         // closes in `Drop` (matched `pin_exit`). No-op under refcount.
         list.arena().pin_enter();
@@ -224,27 +224,31 @@ impl<'a, T: Send + Sync, R: Reclaimer, N: ListNode<Item = T>> Cursor<'a, T, R, N
         self.pre_cell
     }
 
-    /// Reads the value of the cursor's *anchor* — the nearest preceding
-    /// normal cell (`pre_cell`) — or `None` when the anchor is a dummy
-    /// (the cursor is at the start of the list).
+    /// A protected read of `link` batched on this cursor's tallies, for
+    /// constructors that inspect candidate start nodes inside the
+    /// cursor's protection window before positioning it
+    /// ([`List::cursor_at_nearest`](crate::List::cursor_at_nearest)).
     ///
-    /// The anchor may have been deleted by a concurrent operation; cell
-    /// persistence (§2.2) keeps its value readable either way. Dictionary
-    /// layers use this to decide whether a cached cursor's position is
-    /// at-or-before a search key without re-walking the list.
-    pub fn with_anchor<O>(&self, f: impl FnOnce(&T) -> O) -> Option<O> {
-        if self.pre_cell.is_null() {
-            return None;
-        }
-        // SAFETY: `pre_cell` is a held counted reference; only Cell nodes
-        // carry values.
-        unsafe {
-            if (*self.pre_cell).kind() == NodeKind::Cell {
-                Some(f((*self.pre_cell).item()))
-            } else {
-                None
-            }
-        }
+    /// # Safety
+    ///
+    /// `link` must be a counted link of this cursor's arena.
+    // COUNT: the protected reference transfers to the caller, who gives
+    // it up with `park`.
+    pub(crate) unsafe fn protect_read(&mut self, link: &valois_mem::Link<N>) -> *mut N {
+        // SAFETY: per the contract `link` is a counted link of this arena.
+        unsafe { self.list.arena().safe_read_tallied(link, &mut self.tally) }
+    }
+
+    /// Gives up the caller's protected reference on `p` through this
+    /// cursor's deferred-release buffer (drained with the cursor's own).
+    ///
+    /// # Safety
+    ///
+    /// The caller must hold a protected reference on non-null `p`.
+    // GUARD: p — caller holds the protected reference being parked.
+    pub(crate) unsafe fn park(&mut self, p: *mut N) {
+        // SAFETY: per the contract the reference is the caller's to give.
+        unsafe { self.list.arena().unprotect_deferred(&mut self.defer, p) }
     }
 
     // COUNT: both SafeRead counts are transferred into the cursor's

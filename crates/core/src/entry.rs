@@ -25,7 +25,14 @@
 //! construction. (A deleted entry cell would not be unsafe — the count
 //! keeps it readable, cell persistence — but cursors opened from it
 //! could start before list structure they can no longer reach.)
+//!
+//! Cached cursors use roots the other way: [`List::cache_entry`]
+//! overwrites a root with the cell a cursor just passed, which may be
+//! deleted later, and [`List::cursor_at_nearest`] opens at the nearest
+//! usable anchor among many roots, resuming past a dead one and swinging
+//! that root to the live cell it landed on (invariant I10).
 
+use std::cmp::Ordering;
 use std::fmt;
 
 use valois_mem::{Link, Reclaimer};
@@ -145,6 +152,103 @@ impl<T: Send + Sync, R: Reclaimer> List<T, R> {
             self.arena().release(old);
         }
         true
+    }
+
+    /// Opens a cursor at the furthest usable anchor among `roots` — the
+    /// cached-cursor probe over every thread's slot. Each published root
+    /// costs one protected read of its anchor; `usable` filters the
+    /// anchors (dictionaries pass `anchor.key < search_key`), `order`
+    /// ranks the survivors, and one cursor is opened at the greatest via
+    /// [`Cursor::reopen`], so it has already been [`Cursor::resume`]d.
+    /// Returns `None` when no root holds a usable anchor.
+    ///
+    /// If the chosen anchor had been deleted, `resume` walked its
+    /// `back_link`s to a live predecessor, and the root is repaired: swung
+    /// from the dead anchor to that cell, or unpublished when the walk
+    /// reached the list head. So no root keeps pinning a growing
+    /// `back_link` chain, whether or not the thread that cached it is
+    /// still running. The repair is a counted CAS against the anchor
+    /// just read; if the root moved meanwhile (its owner re-cached),
+    /// nothing happens.
+    // INVARIANT: I10
+    pub fn cursor_at_nearest<'a, 'r>(
+        &'a self,
+        roots: impl IntoIterator<Item = &'r EntryRoot<T>>,
+        mut usable: impl FnMut(&T) -> bool,
+        mut order: impl FnMut(&T, &T) -> Ordering,
+    ) -> Option<Cursor<'a, T, R>>
+    where
+        T: 'r,
+    {
+        // The cursor's protection window (the epoch pin) opens before the
+        // first probe and covers every candidate.
+        let mut cursor = Cursor::unpositioned(self, 0);
+        let mut best: *mut Node<T> = std::ptr::null_mut();
+        let mut best_root = None;
+        for root in roots {
+            // SAFETY: `root.link` is a counted link of this arena; the
+            // probe holds `p` (and `best`) while reading their items, and
+            // only cells reach a root, so both carry values.
+            // COUNT: the probe's reference is parked at once unless `p`
+            // becomes the new `best`, whose superseded reference is
+            // parked instead.
+            unsafe {
+                let p = cursor.protect_read(&root.link);
+                if p.is_null() {
+                    continue;
+                }
+                let item = (*p).item();
+                if usable(item) && (best.is_null() || order(item, (*best).item()).is_gt()) {
+                    cursor.park(best);
+                    best = p;
+                    best_root = Some(root);
+                } else {
+                    cursor.park(p);
+                }
+            }
+        }
+        let root = best_root?;
+        // SAFETY: the probe holds `best` across the reopen and the
+        // repair; the cursor holds the cell it landed on.
+        // COUNT: `reopen` duplicates the reference on `best` for the
+        // cursor; the probe's own is parked after the repair.
+        unsafe {
+            cursor.reopen(0, best);
+            let landed = cursor.pre_cell_ptr();
+            if landed != best {
+                self.repair_entry(root, best, landed);
+            }
+            cursor.park(best);
+        }
+        Some(cursor)
+    }
+
+    /// Swings `root` from its dead anchor `dead` to `live`, the cell a
+    /// resumed cursor landed on, or to null when `live` is the head
+    /// dummy (nothing worth caching). A counted CAS: when the root no
+    /// longer holds `dead` this does nothing; when it holds `dead` again
+    /// after other swaps (ABA), the swing still moves exactly the count
+    /// the link holds, so counts stay exact either way.
+    ///
+    /// # Safety
+    ///
+    /// The caller must hold protected references on `dead` and `live`.
+    // GUARD: dead, live — caller holds protected references on both.
+    unsafe fn repair_entry(&self, root: &EntryRoot<T>, dead: *mut Node<T>, live: *mut Node<T>) {
+        // SAFETY: `live` is held, so inspecting its kind is protected.
+        let live = if unsafe { (*live).kind() } == NodeKind::Cell {
+            live
+        } else {
+            std::ptr::null_mut()
+        };
+        // SAFETY: `root.link` is a counted link of this arena and the
+        // caller holds `dead` and `live`.
+        // COUNT: on success the root's count moves from `dead` to `live`
+        // (released by the next `cache_entry`/`retire_entry`); on
+        // failure swing undid its own increment.
+        unsafe {
+            self.arena().swing(&root.link, dead, live);
+        }
     }
 
     /// Reads the entry cell's value under protection, or `None` if the

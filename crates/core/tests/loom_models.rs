@@ -17,6 +17,10 @@
 //!    further (never loop, never leak a count), and the resumed
 //!    traversal must still observe every continuously-present cell
 //!    (invariant I10).
+//! 5. The cached-cursor repair swing (`List::cursor_at_nearest`) racing
+//!    the slot owner's `List::cache_entry` swap on one `EntryRoot`: the
+//!    owner's position always wins, the prober still reaches every
+//!    continuously present cell, and counts stay exact.
 //!
 //! Run with:
 //! `RUSTFLAGS="--cfg loom" cargo test -p valois-core --test loom_models`
@@ -25,7 +29,7 @@
 use std::ptr;
 use std::sync::Arc;
 
-use valois_core::List;
+use valois_core::{EntryRoot, List};
 use valois_mem::{Arena, ArenaConfig, Link, Managed, NodeHeader, ReclaimedLinks};
 use valois_sync::shim::atomic::{AtomicUsize, Ordering};
 use valois_sync::shim::{thread, Builder};
@@ -353,4 +357,94 @@ fn resume_survives_predecessor_deleted_mid_resume() {
         assert_eq!(list.mem_stats().live_nodes(), 3 + 2);
     });
     assert!(explored > 1, "model must branch, explored {explored}");
+}
+
+/// Model 5 — a slot owner's `cache_entry` racing another thread's probe
+/// and repair swing on the same `EntryRoot`.
+///
+/// The list starts as `[5, 10, 20, 30]` with the root cached at `10`,
+/// which is then deleted, so the root pins a dead anchor. Thread A (the
+/// owner) re-caches the root at `20`; thread B opens the nearest usable
+/// entry for a search for `25`. If B probes the dead `10`, its cursor
+/// resumes back to `5` and B swings the root from `10` to `5`; if A's
+/// swap landed first, that CAS fails and does nothing; if A swapped
+/// after, it releases B's `5`. On every interleaving the root ends at
+/// `20`, B's search reaches `30` (continuously present, I10), and the
+/// audit is exact.
+#[test]
+fn repair_swing_races_owner_recache() {
+    // Schedules in which the prober opened at the dead anchor (and so
+    // ran the repair swing); counted outside the model.
+    static REPAIRS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+    let explored = Builder::new().preemption_bound(2).check(|| {
+        let shared: Arc<(List<u64>, EntryRoot<u64>)> = Arc::new((
+            List::with_config(ArenaConfig::new().initial_capacity(16).max_nodes(16)),
+            EntryRoot::new(),
+        ));
+        {
+            let (list, root) = &*shared;
+            for k in [30, 20, 10, 5] {
+                list.cursor().insert(k).expect("seed cells");
+            }
+            let mut c = list.cursor();
+            assert!(c.next() && c.get() == Some(&10));
+            assert!(c.next() && c.get() == Some(&20));
+            assert!(list.cache_entry(root, &c), "anchor 10 cached");
+            let mut d = list.cursor();
+            assert!(d.next() && d.try_delete(), "anchor 10 deleted");
+        }
+
+        let owner = {
+            let shared = Arc::clone(&shared);
+            thread::spawn(move || {
+                let (list, root) = &*shared;
+                let mut c = list.cursor();
+                while c.get() != Some(&30) {
+                    assert!(c.next(), "30 is never deleted");
+                }
+                assert!(list.cache_entry(root, &c));
+            })
+        };
+        let prober = {
+            let shared = Arc::clone(&shared);
+            thread::spawn(move || {
+                let (list, root) = &*shared;
+                let mut c = list
+                    .cursor_at_nearest([root], |&k| k < 25, |a, b| a.cmp(b))
+                    .expect("the root always holds a usable anchor");
+                while c.get().is_some_and(|&k| k < 25) {
+                    assert!(c.next());
+                }
+                assert_eq!(c.get(), Some(&30), "resumed cursor lost cell 30");
+            })
+        };
+        owner.join().unwrap();
+        prober.join().unwrap();
+
+        let (mut list, root) = Arc::try_unwrap(shared).ok().expect("all threads joined");
+        if list.stats().resumes > 0 {
+            REPAIRS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        }
+        assert_eq!(
+            list.with_entry(&root, |&k| k),
+            Some(20),
+            "owner's swap wins"
+        );
+        if let Err(e) = list.check_structure() {
+            panic!("§3 invariant chain: {e}\nchain: {}", list.dump_chain());
+        }
+        list.audit_refcounts_with_entries([&root])
+            .expect("exact counts — the repair moved only the link's own count");
+        list.retire_entry(&root);
+        list.audit_refcounts().expect("exact counts after retire");
+        assert_eq!(list.iter().collect::<Vec<u64>>(), vec![5, 20, 30]);
+        list.quiescent_collect();
+        assert_eq!(list.mem_stats().live_nodes(), 3 + 2 * 3);
+    });
+    assert!(explored > 1, "model must branch, explored {explored}");
+    let repairs = REPAIRS.load(std::sync::atomic::Ordering::Relaxed);
+    assert!(
+        repairs > 0 && repairs < explored,
+        "both orders must be explored: {repairs} of {explored} schedules repaired"
+    );
 }

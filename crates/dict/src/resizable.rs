@@ -284,7 +284,13 @@ where
             // A lost race leaves the cursor at the racing initializer's
             // sentinel and drops ours.
             if cursor.insert_unique(prepared, |item, new| item.cmp_to(new.so, new.key.as_ref())) {
-                cursor.update(); // visit the sentinel we inserted
+                // Visit the sentinel we inserted. Revalidating alone can
+                // land on an item of the parent bucket that a racing
+                // insert linked just before it, and publishing that item
+                // would make it this bucket's shortcut.
+                cursor.update();
+                let found = cursor.find_from(|item| item.cmp_to(so, None));
+                debug_assert!(found, "sentinels are never deleted");
             }
         }
         let root = self.buckets.get_or_alloc(bucket as usize);

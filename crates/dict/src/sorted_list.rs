@@ -80,8 +80,8 @@ where
         Self::with_config_cached(config, true)
     }
 
-    /// [`SortedListDict::with_config`] with per-thread cursor caching
-    /// switched off — every operation then positions from the list head,
+    /// [`SortedListDict::with_config`] with cursor caching switched off
+    /// — every operation then positions from the list head,
     /// the paper's literal Figs. 12–13 (and the restart-from-head
     /// baseline of `BENCH_retry.json`).
     pub fn with_config_cached(config: ArenaConfig, cached: bool) -> Self {
@@ -92,25 +92,30 @@ where
         }
     }
 
-    /// A cursor positioned to search for `key`: this thread's cached
-    /// position when it is usable (anchor key strictly below `key` —
+    /// A cursor positioned to search for `key`: the nearest usable
+    /// cached position of any thread (anchor key strictly below `key` —
     /// an equal-key anchor could sit *at* the sought cell and make the
-    /// forward scan skip it), the list head otherwise.
+    /// forward scan skip it), repaired when its anchor was dead, or the
+    /// list head when no slot is usable.
     fn cursor_for<Q>(&self, key: &Q) -> Cursor<'_, Entry<K, V>, R>
     where
         K: std::borrow::Borrow<Q>,
         Q: Ord + ?Sized,
     {
         if self.cached {
-            if let Some(cursor) = self.cache.open(&self.list, |e| e.key.borrow() < key) {
+            let usable = |e: &Entry<K, V>| e.key.borrow() < key;
+            if let Some(cursor) = self
+                .cache
+                .open(&self.list, usable, |a, b| a.key.cmp(&b.key))
+            {
                 return cursor;
             }
         }
         self.list.cursor()
     }
 
-    /// Remembers `cursor`'s neighbourhood for this thread's next
-    /// operation.
+    /// Remembers `cursor`'s neighbourhood in this thread's slot, for the
+    /// next operation of any thread.
     fn save_position(&self, cursor: &Cursor<'_, Entry<K, V>, R>) {
         if self.cached {
             self.cache.save(&self.list, cursor);
@@ -118,7 +123,7 @@ where
     }
 
     /// The paper's `Insert` (Fig. 12), with two departures: positioning
-    /// starts from the thread's cached cursor instead of the head, and
+    /// starts from the nearest cached cursor instead of the head, and
     /// a failed CAS retries inside [`Cursor::insert_unique`] via
     /// [`Cursor::resume`] (back_link-guided, O(distance-to-conflict))
     /// instead of `Update` alone.
@@ -505,6 +510,95 @@ mod tests {
         }
         d.check_invariants().unwrap();
         d.audit_refcounts().unwrap();
+    }
+
+    /// Runs `f` on a spawned thread that maps to a different cursor-cache
+    /// slot than the calling thread (`thread_index() & 15`), re-spawning
+    /// on a collision. Returns `false` if none did.
+    fn on_another_slot(f: impl Fn() + Sync) -> bool {
+        use valois_sync::sharded::thread_index;
+        let mine = thread_index() & 15;
+        (0..64).any(|_| {
+            std::thread::scope(|s| {
+                s.spawn(|| {
+                    let other = thread_index() & 15 != mine;
+                    if other {
+                        f();
+                    }
+                    other
+                })
+                .join()
+                .unwrap()
+            })
+        })
+    }
+
+    #[test]
+    fn find_starts_at_another_threads_anchor() {
+        // A search starts at the nearest usable position *any* thread
+        // cached. Another thread's anchor sits just below 905 while this
+        // thread's sits near 10, so the find walks a handful of cells
+        // instead of the ~900 a search from its own anchor would.
+        let d: SortedListDict<u64, u64> = SortedListDict::new();
+        for k in 0..1024 {
+            d.insert(k, k);
+        }
+        assert_eq!(d.find(&10), Some(10)); // this thread's anchor: cell 9
+        if !on_another_slot(|| assert_eq!(d.find(&900), Some(900))) {
+            eprintln!("skipped: no helper thread landed on another cache slot");
+            return;
+        }
+        let before = d.list_stats().next_steps;
+        assert_eq!(d.find(&905), Some(905));
+        let steps = d.list_stats().next_steps - before;
+        assert!(
+            steps <= 16,
+            "find(905) took {steps} next steps; the other thread's anchor at 899 allows at most 16"
+        );
+    }
+
+    #[test]
+    fn dead_anchor_of_exited_thread_is_repaired() {
+        // An exited thread's slot keeps its anchor. When that anchor and
+        // its predecessors are deleted, the slot pins them (and their
+        // back_link chain) until some other thread's open picks the slot,
+        // back-walks, and swings it to the live cell it landed on.
+        let mut d: SortedListDict<u64, u64> = SortedListDict::new();
+        for k in 0..64 {
+            d.insert(k, k);
+        }
+        assert_eq!(d.find(&1), Some(1)); // this thread's anchor: cell 0
+        if !on_another_slot(|| assert_eq!(d.find(&41), Some(41))) {
+            eprintln!("skipped: no helper thread landed on another cache slot");
+            return;
+        }
+        // The exited helper's slot now anchors at cell 40.
+        let baseline = d.mem_stats().live_nodes();
+        for k in [40, 39, 38] {
+            assert!(d.remove(&k));
+        }
+        for k in [38, 39, 40] {
+            assert!(d.insert(k, k));
+        }
+        assert_eq!(d.find(&1), Some(1));
+        assert!(
+            d.mem_stats().live_nodes() > baseline,
+            "the dead anchor and its back_link chain stay pinned until repaired"
+        );
+        d.audit_refcounts().unwrap();
+        // The helper's dead anchor (40) is the nearest usable one for 45:
+        // the open resumes from it to cell 37 and re-points the slot.
+        let before = d.list_stats();
+        assert_eq!(d.find(&45), Some(45));
+        let delta = d.list_stats().since(&before);
+        assert_eq!(delta.resumes, 1, "the open started at the dead anchor");
+        d.check_invariants().unwrap();
+        d.audit_refcounts().unwrap();
+        assert_eq!(
+            d.mem_stats().live_nodes(),
+            baseline,
+            "the repaired slot no longer pins the deleted cells"
+        );
     }
 
     #[test]

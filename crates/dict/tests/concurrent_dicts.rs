@@ -3,6 +3,7 @@
 //! and quiescent structural invariants.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Barrier;
 
 use valois_dict::{BstDict, Dictionary, HashDict, ResizableHashDict, SkipListDict, SortedListDict};
 
@@ -215,19 +216,31 @@ mod hash {
         d.check_invariants().unwrap();
     }
 
+    /// Operations per worker in `more_buckets_fewer_retries`.
+    const HASH_CONTENTION_OPS: u64 = 20_000;
+
     #[test]
     fn more_buckets_fewer_retries() {
         // §4.1's hash-table claim in miniature: spreading a contended
-        // workload over many buckets reduces retries vs one bucket.
+        // workload over many buckets reduces retries vs one bucket. Each
+        // worker inserts and removes its own 8 keys, interleaved with the
+        // other workers' keys (`j * threads + tid`), so in one bucket every
+        // cell a worker touches sits next to another worker's cells, while
+        // 64 buckets mostly separate them. The workers start together on a
+        // barrier and run long enough to overlap on a loaded host, so the
+        // one-bucket run really contends.
         let run = |buckets: usize| -> u64 {
             let d: HashDict<u64, u64> = HashDict::with_buckets(buckets);
+            let t = threads();
+            let start = Barrier::new(t as usize);
             std::thread::scope(|s| {
-                let d = &d;
-                for tid in 0..threads() {
+                let (d, start) = (&d, &start);
+                for tid in 0..t {
                     s.spawn(move || {
-                        for i in 0..1_000u64 {
-                            let k = i % 32;
-                            if (i + tid) % 2 == 0 {
+                        start.wait();
+                        for i in 0..HASH_CONTENTION_OPS {
+                            let k = (i / 2 % 8) * t + tid;
+                            if i % 2 == 0 {
                                 d.insert(k, tid);
                             } else {
                                 d.remove(&k);
