@@ -183,8 +183,6 @@ impl<N: Managed + Default, R: Reclaimer> Arena<N, R> {
     fn add_segment(&self, count: usize) {
         let segment: Box<[N]> = (0..count).map(|_| N::default()).collect();
         let mut chain_head: *mut N = std::ptr::null_mut();
-        let chain_tail = segment[0].free_link() as *const Link<N>; // first linked = chain tail
-        let _ = chain_tail;
         let mut tail: *mut N = std::ptr::null_mut();
         for node in segment.iter() {
             let p = node as *const N as *mut N;

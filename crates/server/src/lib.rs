@@ -9,7 +9,7 @@
 //! ```text
 //!  simulated connections          shard workers (one thread each)
 //!  ┌──────────────────┐   route   ┌──────────────────────────────┐
-//!  │ client thread 0  │──────────▶│ shard 0: MPSC channel ──▶    │
+//!  │ client thread 0  │──────────▶│ shard 0: bounded channel ──▶ │
 //!  │   conns 0..k     │   by key  │   batched drain ──▶          │
 //!  ├──────────────────┤           │   ResizableHashDict<_,_,_,R> │
 //!  │ client thread 1  │──────────▶│   + LatencyHistogram         │
@@ -22,8 +22,9 @@
 //! ```
 //!
 //! * [`request`] — the wire types: [`Op`], [`Request`], [`Response`].
-//! * [`shard`] — one worker: a batched drain loop over the lock-free
-//!   MPSC channel ([`valois_core::channel`]) serving a
+//! * [`shard`] — one worker: a batched drain loop over a bounded
+//!   channel ([`valois_core::channel`], whose full ring pushes back on
+//!   submitters) serving a
 //!   [`ResizableHashDict`](valois_dict::ResizableHashDict).
 //! * [`server`] — the [`Server`]: routing (same key → same shard, which
 //!   is what makes per-key FIFO ordering hold end to end), lifecycle,

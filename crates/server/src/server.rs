@@ -61,7 +61,7 @@ impl Default for ServiceConfig {
 }
 
 /// A running sharded KV service: `shards` worker threads, each owning a
-/// [`ResizableHashDict`] and draining its own MPSC channel.
+/// [`ResizableHashDict`] and draining its own bounded channel.
 pub struct Server<R: Reclaimer + 'static> {
     shards: Vec<Arc<Shard<R>>>,
     txs: Vec<Sender<Request>>,
@@ -135,8 +135,10 @@ impl<R: Reclaimer> Server<R> {
         route(key, self.shards.len())
     }
 
-    /// Enqueues a request on its key's shard. Returns the request back
-    /// if that shard has shut down (only possible mid-`shutdown`).
+    /// Enqueues a request on its key's shard, waiting while that shard's
+    /// channel is full (backpressure; see the deadlock rule in
+    /// [`valois_core::channel`]). Returns the request back if that shard
+    /// has shut down (only possible mid-`shutdown`).
     pub fn submit(&self, req: Request) -> Result<(), Request> {
         let shard = self.shard_of(req.op.route_key());
         self.txs[shard].send(req).map_err(|e| e.0)

@@ -1,5 +1,5 @@
-//! One shard: a worker thread draining a lock-free MPSC request channel
-//! in batches and serving a [`ResizableHashDict`].
+//! One shard: a worker thread draining a bounded request channel in
+//! batches and serving a [`ResizableHashDict`].
 //!
 //! The drain loop is the service's heartbeat. It blocks (spin + yield)
 //! for the first request, then opportunistically drains up to

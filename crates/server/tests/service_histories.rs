@@ -4,7 +4,7 @@
 
 use std::time::{Duration, Instant};
 
-use valois_core::channel::channel;
+use valois_core::channel::{channel, Receiver, Sender, TryRecvError, CAPACITY};
 use valois_core::ArenaConfig;
 use valois_harness::{check_linearizable, History, KeyDist, Op as HOp};
 use valois_mem::{Epoch, Reclaimer, RefCount};
@@ -22,17 +22,15 @@ fn small_config(shards: usize) -> ServiceConfig {
     }
 }
 
-/// Same connection, same key: responses must come back in issue order
-/// with the outcomes of sequential execution. The guarantee is
-/// structural (one key → one shard → one FIFO channel → in-order drain),
-/// and this pins it end to end across a batch-sized burst.
-fn same_key_same_conn_fifo<R: Reclaimer + 'static>() {
-    let server: Server<R> = Server::start(&small_config(4));
-    let (tx, rx) = channel::<Response>();
+/// Issues `rounds` requests on connection 7 and one key: alternating
+/// put/del with interleaved gets, back to back so several land in one
+/// drain batch.
+fn submit_same_key<R: Reclaimer + 'static>(
+    server: &Server<R>,
+    reply: &Sender<Response>,
+    rounds: u64,
+) {
     let key = 0xDEAD_BEEF;
-    // Alternating put/del with interleaved gets, issued back to back so
-    // several land in one drain batch.
-    let rounds = 24u64;
     for seq in 0..rounds {
         let op = match seq % 3 {
             0 => Op::Put(key, seq),
@@ -45,10 +43,15 @@ fn same_key_same_conn_fifo<R: Reclaimer + 'static>() {
                 seq,
                 op,
                 issued: Instant::now(),
-                reply: tx.clone(),
+                reply: reply.clone(),
             })
             .expect("server running");
     }
+}
+
+/// Reads the replies to [`submit_same_key`]: they must arrive complete,
+/// in issue order, with the outcomes of sequential execution.
+fn expect_same_key_replies(rx: &Receiver<Response>, rounds: u64) {
     for seq in 0..rounds {
         let resp = rx.recv().expect("reply");
         assert_eq!(resp.seq, seq, "per-key responses arrived out of order");
@@ -60,7 +63,48 @@ fn same_key_same_conn_fifo<R: Reclaimer + 'static>() {
         };
         assert_eq!(resp.outcome, expected, "sequential semantics at seq {seq}");
     }
+}
+
+/// Same connection, same key: responses must come back in issue order
+/// with the outcomes of sequential execution. The guarantee is
+/// structural (one key → one shard → one FIFO channel → in-order drain),
+/// and this pins it end to end across a batch-sized burst.
+fn same_key_same_conn_fifo<R: Reclaimer + 'static>() {
+    let server: Server<R> = Server::start(&small_config(4));
+    let (tx, rx) = channel::<Response>();
+    submit_same_key(&server, &tx, 24);
+    expect_same_key_replies(&rx, 24);
     drop(tx);
+    server.shutdown();
+}
+
+/// Backpressure end to end: one thread submits four channels' worth of
+/// requests on one connection and key while a second thread reads the
+/// replies, starting only once the reply channel is full. From then on
+/// the shard worker waits to send each reply, the request channel fills
+/// behind it, and the submitter waits in `send`. Every reply must still
+/// arrive, in order, with sequential outcomes.
+fn backpressure_keeps_same_key_fifo<R: Reclaimer + 'static>() {
+    let server: Server<R> = Server::start(&small_config(2));
+    let (tx, rx) = channel::<Response>();
+    let rounds = 4 * CAPACITY as u64;
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            // The submitter gets at least 2 × CAPACITY requests in before
+            // it can wait, so the worker always fills the reply channel.
+            while tx.queued() < CAPACITY {
+                std::thread::yield_now();
+            }
+            expect_same_key_replies(&rx, rounds);
+        });
+        submit_same_key(&server, &tx, rounds);
+    });
+    drop(tx);
+    assert_eq!(
+        rx.try_recv(),
+        Err(TryRecvError::Disconnected),
+        "stray reply"
+    );
     server.shutdown();
 }
 
@@ -260,6 +304,11 @@ mod refcount {
     }
 
     #[test]
+    fn backpressure_keeps_same_key_fifo() {
+        super::backpressure_keeps_same_key_fifo::<RefCount>();
+    }
+
+    #[test]
     fn seeded_same_key_histories_linearizable() {
         super::seeded_same_key_histories_linearizable::<RefCount>();
     }
@@ -286,6 +335,11 @@ mod epoch {
     #[test]
     fn same_key_same_conn_fifo() {
         super::same_key_same_conn_fifo::<Epoch>();
+    }
+
+    #[test]
+    fn backpressure_keeps_same_key_fifo() {
+        super::backpressure_keeps_same_key_fifo::<Epoch>();
     }
 
     #[test]
