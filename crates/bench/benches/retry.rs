@@ -5,8 +5,9 @@
 //!
 //! Every thread hammers a small window of keys ordered after a long cold
 //! prefix. Restart-from-head re-walks the prefix on every operation and
-//! every CAS retry; resumption pays it once per thread and then only the
-//! distance back to the conflict. The retry *count* is a property of the
+//! every CAS retry; resumption pays it about once per run (the cursor
+//! cache's slots are shared by all threads) and then only the distance
+//! back to the conflict. The retry *count* is a property of the
 //! contention, not the positioning mechanism, so retries-per-op should
 //! match between the two configurations while ns-per-op collapses —
 //! exactly what `BENCH_retry.json` records at 1/2/4/all threads.
@@ -137,8 +138,10 @@ fn main() {
             r.resume.resume_hops,
         ));
     }
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let json = format!(
-        "{{\n  \"bench\": \"retry\",\n  \"workload\": \"deterministic hot-window \
+        "{{\n  \"bench\": \"retry\",\n  \"host\": {{ \"cores\": {cores} }},\n  \
+         \"repeats\": {repeats},\n  \"workload\": \"deterministic hot-window \
          (prefix {}, window {}, {} pairs/thread)\",\n  \"threads\": [{}],\n  \
          \"rows\": [{rows_json}\n  ],\n  \
          \"headline\": {{\n    \"threads\": {},\n    \"speedup\": {speedup:.2},\n    \

@@ -116,9 +116,9 @@ impl<T: Send + Sync, R: Reclaimer> List<T, R> {
     }
 
     /// Re-points `root` at the cursor's current anchor (`pre_cell`) — the
-    /// Träff & Pöter cached-cursor pattern: a per-thread slot remembers
-    /// the last visited neighbourhood so the next operation can start
-    /// there instead of at `First`. Returns `false` (slot untouched) when
+    /// Träff & Pöter cached-cursor pattern: a slot remembers a recently
+    /// visited neighbourhood so a later operation can start there instead
+    /// of at `First`. Any number of threads may cache into one root. Returns `false` (slot untouched) when
     /// the anchor is a dummy, i.e. the cursor sits at the start of the
     /// list and caching would buy nothing.
     ///
@@ -155,7 +155,7 @@ impl<T: Send + Sync, R: Reclaimer> List<T, R> {
     }
 
     /// Opens a cursor at the furthest usable anchor among `roots` — the
-    /// cached-cursor probe over every thread's slot. Each published root
+    /// cached-cursor probe over every slot. Each published root
     /// costs one protected read of its anchor; `usable` filters the
     /// anchors (dictionaries pass `anchor.key < search_key`), `order`
     /// ranks the survivors, and one cursor is opened at the greatest via
@@ -168,8 +168,8 @@ impl<T: Send + Sync, R: Reclaimer> List<T, R> {
     /// reached the list head. So no root keeps pinning a growing
     /// `back_link` chain, whether or not the thread that cached it is
     /// still running. The repair is a counted CAS against the anchor
-    /// just read; if the root moved meanwhile (its owner re-cached),
-    /// nothing happens.
+    /// just read; if the root moved meanwhile (some thread re-cached
+    /// it), nothing happens.
     // INVARIANT: I10
     pub fn cursor_at_nearest<'a, 'r>(
         &'a self,

@@ -18,9 +18,13 @@
 //!    traversal must still observe every continuously-present cell
 //!    (invariant I10).
 //! 5. The cached-cursor repair swing (`List::cursor_at_nearest`) racing
-//!    the slot owner's `List::cache_entry` swap on one `EntryRoot`: the
-//!    owner's position always wins, the prober still reaches every
+//!    a writer's `List::cache_entry` swap on one `EntryRoot`: the
+//!    writer's position always wins, the prober still reaches every
 //!    continuously present cell, and counts stay exact.
+//! 6. The same repair swing racing *two* writers' `cache_entry` swaps
+//!    on one `EntryRoot`, as when saves of several threads rotate onto
+//!    one shared slot: the last swap wins, the repair lands only ahead
+//!    of both swaps, and counts stay exact.
 //!
 //! Run with:
 //! `RUSTFLAGS="--cfg loom" cargo test -p valois-core --test loom_models`
@@ -359,12 +363,12 @@ fn resume_survives_predecessor_deleted_mid_resume() {
     assert!(explored > 1, "model must branch, explored {explored}");
 }
 
-/// Model 5 — a slot owner's `cache_entry` racing another thread's probe
-/// and repair swing on the same `EntryRoot`.
+/// Model 5 — a writer's `cache_entry` racing another thread's probe and
+/// repair swing on the same `EntryRoot`.
 ///
 /// The list starts as `[5, 10, 20, 30]` with the root cached at `10`,
-/// which is then deleted, so the root pins a dead anchor. Thread A (the
-/// owner) re-caches the root at `20`; thread B opens the nearest usable
+/// which is then deleted, so the root pins a dead anchor. Thread A
+/// re-caches the root at `20`; thread B opens the nearest usable
 /// entry for a search for `25`. If B probes the dead `10`, its cursor
 /// resumes back to `5` and B swings the root from `10` to `5`; if A's
 /// swap landed first, that CAS fails and does nothing; if A swapped
@@ -428,7 +432,7 @@ fn repair_swing_races_owner_recache() {
         assert_eq!(
             list.with_entry(&root, |&k| k),
             Some(20),
-            "owner's swap wins"
+            "the writer's swap wins"
         );
         if let Err(e) = list.check_structure() {
             panic!("§3 invariant chain: {e}\nchain: {}", list.dump_chain());
@@ -446,5 +450,123 @@ fn repair_swing_races_owner_recache() {
     assert!(
         repairs > 0 && repairs < explored,
         "both orders must be explored: {repairs} of {explored} schedules repaired"
+    );
+}
+
+/// Model 6 — two writers' `cache_entry` swaps racing a third thread's
+/// probe and repair swing on one shared `EntryRoot`.
+///
+/// Cache slots belong to no thread: any thread's save may land on any
+/// slot. The list starts as `[5, 10, 20, 30, 40]` with the shared root
+/// cached at `10`, which is then deleted, so the root pins a dead
+/// anchor. Thread A caches the root at `20` and thread B at `30`, each
+/// opening its cursor from a private root so that a save is one open
+/// and one swap. Thread C opens the nearest usable entry for a search
+/// for `35`. If C probes the dead `10`, its cursor resumes back to `5`
+/// and C swings the root from `10` to `5`; the CAS succeeds only ahead
+/// of both swaps (each swap then releases what it replaced) and fails
+/// harmlessly after either. On every interleaving the root ends at the
+/// last writer's anchor, C's search reaches `40` (continuously present,
+/// I10), and the audit over all three roots is exact.
+#[test]
+fn repair_swing_races_two_recaching_writers() {
+    use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+    // Schedules in which C's repair swing won, or lost to a swap;
+    // counted outside the model.
+    static REPAIR_WON: AtomicU64 = AtomicU64::new(0);
+    static REPAIR_LOST: AtomicU64 = AtomicU64::new(0);
+    // One preemption already reaches both orders (the repair ahead of
+    // both swaps, and a swap between the probe and the repair CAS); a
+    // bound of 2 passes too but explores for minutes instead of seconds.
+    let explored = Builder::new().preemption_bound(1).check(|| {
+        let shared: Arc<(List<u64>, [EntryRoot<u64>; 3])> = Arc::new((
+            List::with_config(ArenaConfig::new().initial_capacity(16).max_nodes(16)),
+            [EntryRoot::new(), EntryRoot::new(), EntryRoot::new()],
+        ));
+        let setup = {
+            let (list, [slot, at_20, at_30]) = &*shared;
+            for k in [40, 30, 20, 10, 5] {
+                list.cursor().insert(k).expect("seed cells");
+            }
+            let mut c = list.cursor();
+            assert!(c.next() && c.get() == Some(&10));
+            assert!(c.next() && c.get() == Some(&20));
+            assert!(list.cache_entry(slot, &c), "anchor 10 cached");
+            assert!(list.publish_entry(at_20, &c), "private root at 20");
+            assert!(c.next() && c.get() == Some(&30));
+            assert!(list.publish_entry(at_30, &c), "private root at 30");
+            drop(c);
+            let mut d = list.cursor();
+            assert!(d.next() && d.try_delete(), "anchor 10 deleted");
+            drop(d);
+            // Collapse the deletion's aux chain now, so the repair is the
+            // model's only swing.
+            let mut walk = list.cursor();
+            while walk.next() {}
+            drop(walk);
+            list.mem_stats()
+        };
+
+        let writer = |private: usize| {
+            let shared = Arc::clone(&shared);
+            thread::spawn(move || {
+                let (list, roots) = &*shared;
+                let c = list.cursor_at(&roots[private]).expect("published");
+                assert!(list.cache_entry(&roots[0], &c));
+            })
+        };
+        let a = writer(1);
+        let b = writer(2);
+        let prober = {
+            let shared = Arc::clone(&shared);
+            thread::spawn(move || {
+                let (list, [slot, ..]) = &*shared;
+                let mut c = list
+                    .cursor_at_nearest([slot], |&k| k < 35, |a, b| a.cmp(b))
+                    .expect("the slot always holds a usable anchor");
+                while c.get().is_some_and(|&k| k < 35) {
+                    assert!(c.next());
+                }
+                assert_eq!(c.get(), Some(&40), "resumed cursor lost cell 40");
+            })
+        };
+        a.join().unwrap();
+        b.join().unwrap();
+        prober.join().unwrap();
+
+        let (mut list, roots) = Arc::try_unwrap(shared).ok().expect("all threads joined");
+        let swings = list.mem_stats().since(&setup);
+        assert!(swings.swings <= 1, "only the repair swings: {swings:?}");
+        if swings.swings == 1 {
+            if swings.swing_failures == 0 {
+                REPAIR_WON.fetch_add(1, Relaxed);
+            } else {
+                REPAIR_LOST.fetch_add(1, Relaxed);
+            }
+        }
+        let last = list.with_entry(&roots[0], |&k| k);
+        assert!(
+            matches!(last, Some(20 | 30)),
+            "the last writer's swap wins, got {last:?}"
+        );
+        if let Err(e) = list.check_structure() {
+            panic!("§3 invariant chain: {e}\nchain: {}", list.dump_chain());
+        }
+        list.audit_refcounts_with_entries(&roots)
+            .expect("exact counts — swaps and the repair move only the link's own count");
+        for root in &roots {
+            list.retire_entry(root);
+        }
+        list.audit_refcounts().expect("exact counts after retire");
+        assert_eq!(list.iter().collect::<Vec<u64>>(), vec![5, 20, 30, 40]);
+        list.quiescent_collect();
+        assert_eq!(list.mem_stats().live_nodes(), 3 + 2 * 4);
+    });
+    assert!(explored > 1, "model must branch, explored {explored}");
+    let (won, lost) = (REPAIR_WON.load(Relaxed), REPAIR_LOST.load(Relaxed));
+    assert!(
+        won > 0 && lost > 0,
+        "both swap-vs-repair orders must be explored: the repair won in {won} and lost in \
+         {lost} of {explored} schedules"
     );
 }

@@ -11,7 +11,9 @@
 
 use std::fmt;
 
-use valois_core::{ArenaConfig, Cursor, List, ListStats, MemStats, Reclaimer, RefCount};
+use valois_core::{
+    AllocError, ArenaConfig, Cursor, List, ListStats, MemStats, Reclaimer, RefCount,
+};
 
 use crate::cursor_cache::CursorCache;
 use crate::traits::Dictionary;
@@ -114,26 +116,34 @@ where
         self.list.cursor()
     }
 
-    /// Remembers `cursor`'s neighbourhood in this thread's slot, for the
-    /// next operation of any thread.
+    /// Remembers `cursor`'s neighbourhood in the next cache slot of this
+    /// thread's rotation, for the next operations of any thread.
     fn save_position(&self, cursor: &Cursor<'_, Entry<K, V>, R>) {
         if self.cached {
             self.cache.save(&self.list, cursor);
         }
     }
 
-    /// The paper's `Insert` (Fig. 12), with two departures: positioning
-    /// starts from the nearest cached cursor instead of the head, and
-    /// a failed CAS retries inside [`Cursor::insert_unique`] via
-    /// [`Cursor::resume`] (back_link-guided, O(distance-to-conflict))
-    /// instead of `Update` alone.
-    fn insert_impl(&self, key: K, value: V) -> bool {
+    /// The paper's `Insert` (Fig. 12): `Ok(true)` when this call linked
+    /// the new cell, `Ok(false)` when `key` was already present.
+    ///
+    /// Two departures from the figure: positioning starts from the
+    /// nearest cached cursor instead of the head, and a failed CAS
+    /// retries inside [`Cursor::insert_unique`] via [`Cursor::resume`]
+    /// (back_link-guided, O(distance-to-conflict)) instead of `Update`
+    /// alone.
+    ///
+    /// # Errors
+    ///
+    /// [`AllocError`] when the pool is capped and no node is free even
+    /// after shedding the anchors the cursor cache pins.
+    pub fn try_insert(&self, key: K, value: V) -> Result<bool, AllocError> {
         // Fig. 12 line 1. The first positioning scan runs before paying
         // for allocation.
         let mut cursor = self.cursor_for(&key);
         if cursor.find_from(|e| e.key.cmp(&key)) {
             self.save_position(&cursor);
-            return false; // Fig. 12 lines 6-7
+            return Ok(false); // Fig. 12 lines 6-7
         }
         // Fig. 12 lines 2-4: allocate and initialize the new cell + aux.
         let prepared = match self.list.try_prepare_insert(Entry { key, value }) {
@@ -146,21 +156,19 @@ where
                 self.cache.retire_all(&self.list);
                 cursor = self.list.cursor();
                 if cursor.find_from(|e| e.key.cmp(&entry.key)) {
-                    return false;
+                    return Ok(false);
                 }
-                self.list
-                    .prepare_insert(entry)
-                    .expect("node pool exhausted")
+                self.list.prepare_insert(entry)?
             }
         };
         // Fig. 12 lines 8-12.
         let won = cursor.insert_unique(prepared, |e, new| e.key.cmp(&new.key));
         self.save_position(&cursor);
-        won
+        Ok(won)
     }
 
     /// The paper's `Delete` (Fig. 13) via [`Cursor::find_and_delete`],
-    /// positioned like [`SortedListDict::insert_impl`].
+    /// positioned like [`SortedListDict::try_insert`].
     fn remove_impl(&self, key: &K) -> bool {
         let mut cursor = self.cursor_for(key); // Fig. 13 line 1
         let hit = cursor.find_and_delete(|e| e.key.cmp(key));
@@ -299,7 +307,8 @@ where
     R: Reclaimer,
 {
     fn insert(&self, key: K, value: V) -> bool {
-        self.insert_impl(key, value)
+        self.try_insert(key, value)
+            .expect("node pool exhausted (capped arena, even after shedding cached anchors)")
     }
 
     fn remove(&self, key: &K) -> bool {
@@ -504,50 +513,44 @@ mod tests {
             d.insert(k, k);
         }
         for k in (0..64).step_by(2) {
-            // Leaves the thread's cached anchor pointing at a deleted
-            // cell's neighbourhood half the time.
+            // Leaves cached anchors pointing at deleted cells'
+            // neighbourhoods half the time.
             d.remove(&k);
         }
         d.check_invariants().unwrap();
         d.audit_refcounts().unwrap();
     }
 
-    /// Runs `f` on a spawned thread that maps to a different cursor-cache
-    /// slot than the calling thread (`thread_index() & 15`), re-spawning
-    /// on a collision. Returns `false` if none did.
-    fn on_another_slot(f: impl Fn() + Sync) -> bool {
-        use valois_sync::sharded::thread_index;
-        let mine = thread_index() & 15;
-        (0..64).any(|_| {
-            std::thread::scope(|s| {
-                s.spawn(|| {
-                    let other = thread_index() & 15 != mine;
-                    if other {
-                        f();
-                    }
-                    other
-                })
-                .join()
-                .unwrap()
-            })
-        })
+    /// Runs `f` to completion on a spawned thread, which then exits.
+    fn on_exiting_thread(f: impl FnOnce() + Send) {
+        std::thread::scope(|s| {
+            s.spawn(f);
+        });
+    }
+
+    /// The keys of the cells the cache slots anchor at, sorted.
+    fn slot_keys(d: &SortedListDict<u64, u64>) -> Vec<u64> {
+        let mut keys: Vec<u64> = d
+            .cache
+            .roots()
+            .filter_map(|root| d.list.with_entry(root, |e| e.key))
+            .collect();
+        keys.sort_unstable();
+        keys
     }
 
     #[test]
     fn find_starts_at_another_threads_anchor() {
         // A search starts at the nearest usable position *any* thread
         // cached. Another thread's anchor sits just below 905 while this
-        // thread's sits near 10, so the find walks a handful of cells
-        // instead of the ~900 a search from its own anchor would.
+        // thread's usable one sits near 10, so the find walks a handful
+        // of cells instead of the ~900 a search from its own anchor would.
         let d: SortedListDict<u64, u64> = SortedListDict::new();
         for k in 0..1024 {
             d.insert(k, k);
         }
         assert_eq!(d.find(&10), Some(10)); // this thread's anchor: cell 9
-        if !on_another_slot(|| assert_eq!(d.find(&900), Some(900))) {
-            eprintln!("skipped: no helper thread landed on another cache slot");
-            return;
-        }
+        on_exiting_thread(|| assert_eq!(d.find(&900), Some(900)));
         let before = d.list_stats().next_steps;
         assert_eq!(d.find(&905), Some(905));
         let steps = d.list_stats().next_steps - before;
@@ -559,39 +562,50 @@ mod tests {
 
     #[test]
     fn dead_anchor_of_exited_thread_is_repaired() {
-        // An exited thread's slot keeps its anchor. When that anchor and
-        // its predecessors are deleted, the slot pins them (and their
-        // back_link chain) until some other thread's open picks the slot,
-        // back-walks, and swings it to the live cell it landed on.
+        // An exited thread's anchor stays in its slot until an open picks
+        // it or later saves overwrite it. When that anchor and its
+        // predecessors are deleted, the slot pins them (and their
+        // back_link chain) until an open picks the slot, back-walks, and
+        // swings it to the live cell it landed on.
         let mut d: SortedListDict<u64, u64> = SortedListDict::new();
         for k in 0..64 {
             d.insert(k, k);
         }
-        assert_eq!(d.find(&1), Some(1)); // this thread's anchor: cell 0
-        if !on_another_slot(|| assert_eq!(d.find(&41), Some(41))) {
-            eprintln!("skipped: no helper thread landed on another cache slot");
-            return;
+        // Sixteen saves point every slot at cell 0; the exited helper
+        // then re-points one of them at cell 40.
+        for _ in 0..16 {
+            assert_eq!(d.find(&1), Some(1));
         }
-        // The exited helper's slot now anchors at cell 40.
+        on_exiting_thread(|| assert_eq!(d.find(&41), Some(41)));
+        assert_eq!(slot_keys(&d), [vec![0; 15], vec![40]].concat());
         let baseline = d.mem_stats().live_nodes();
+        // Delete and re-insert 38..=40 without saving positions, so the
+        // helper's slot is the only one that names a dead cell.
+        d.cached = false;
         for k in [40, 39, 38] {
             assert!(d.remove(&k));
         }
         for k in [38, 39, 40] {
             assert!(d.insert(k, k));
         }
-        assert_eq!(d.find(&1), Some(1));
+        d.cached = true;
         assert!(
             d.mem_stats().live_nodes() > baseline,
             "the dead anchor and its back_link chain stay pinned until repaired"
         );
         d.audit_refcounts().unwrap();
-        // The helper's dead anchor (40) is the nearest usable one for 45:
-        // the open resumes from it to cell 37 and re-points the slot.
+        // The dead anchor (40) is the nearest usable one for 45: the open
+        // resumes from it to cell 37 and swings the slot there. Opening
+        // without a save leaves every other slot as it was.
         let before = d.list_stats();
-        assert_eq!(d.find(&45), Some(45));
+        drop(d.cursor_for(&45));
         let delta = d.list_stats().since(&before);
         assert_eq!(delta.resumes, 1, "the open started at the dead anchor");
+        assert_eq!(
+            slot_keys(&d),
+            [vec![0; 15], vec![37]].concat(),
+            "the slot was swung to the live cell the open landed on"
+        );
         d.check_invariants().unwrap();
         d.audit_refcounts().unwrap();
         assert_eq!(
@@ -599,6 +613,50 @@ mod tests {
             baseline,
             "the repaired slot no longer pins the deleted cells"
         );
+    }
+
+    #[test]
+    fn dead_anchors_no_search_can_use_are_overwritten() {
+        // A skewed stream fills the slots with anchors in one region.
+        // Once those cells are deleted, no search for a key below the
+        // region finds them usable, so no open repairs them; the next
+        // sixteen saves of any thread overwrite every slot instead.
+        let mut d: SortedListDict<u64, u64> = SortedListDict::new();
+        for k in 0..64 {
+            d.insert(k, k);
+        }
+        on_exiting_thread(|| {
+            for i in 0..64 {
+                let k = 41 + i % 8;
+                assert_eq!(d.find(&k), Some(k));
+            }
+        });
+        let baseline = d.mem_stats().live_nodes();
+        // Delete the anchored cells and put their keys back as new cells,
+        // without saving positions.
+        d.cached = false;
+        for k in (40..48).rev() {
+            assert!(d.remove(&k));
+        }
+        for k in 40..48 {
+            assert!(d.insert(k, k));
+        }
+        d.cached = true;
+        assert!(
+            d.mem_stats().live_nodes() > baseline,
+            "the slots pin the deleted anchors"
+        );
+        for k in 1..=16 {
+            assert_eq!(d.find(&k), Some(k));
+        }
+        d.check_invariants().unwrap();
+        d.audit_refcounts().unwrap();
+        assert_eq!(
+            d.mem_stats().live_nodes(),
+            baseline,
+            "no slot pins a dead cell after sixteen saves"
+        );
+        assert_eq!(slot_keys(&d), (0..16).collect::<Vec<u64>>());
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! The paper's work bounds as tested properties (§4.1).
 //!
-//! Each test fills a dictionary to two sizes, runs the same seeded churn
-//! on both, and compares one layer's work per operation: SafeReads from
-//! `MemStats` deltas (the memory-protocol rung) or cursor `Next` steps
-//! from `ListStats` deltas (the cursor rung). Single-threaded runs are
+//! Each test fills a dictionary to two sizes, runs the same seeded
+//! operations on both, and compares one layer's work per operation
+//! between the sizes, or bounds it at each: SafeReads from `MemStats`
+//! deltas (the memory-protocol rung) or cursor `Next` steps from
+//! `ListStats` deltas (the cursor rung). Single-threaded runs are
 //! deterministic — the key stream is seeded and the skip list's tower
 //! heights come from a fixed-seed generator — so the bounds compare
 //! exact counts and cannot flake on a loaded host.
@@ -13,8 +14,8 @@ use valois_dict::{Dictionary, SkipListDict, SortedListDict};
 /// Churn operations measured per size on the skip list.
 const CHURN_OPS: u64 = 20_000;
 
-/// Churn operations measured per size on the sorted list, whose
-/// operations walk Θ(n) cells each.
+/// Operations measured per size on the sorted list, whose operations
+/// walk Θ(n) cells each.
 const SORTED_CHURN_OPS: u64 = 1_000;
 
 /// xorshift64: a fixed key stream per seed.
@@ -29,16 +30,23 @@ impl Keys {
     }
 }
 
-/// Fills `d` to `n` keys drawn uniformly from `0..2n`, then runs `ops`
-/// alternating inserts and removes on the same key stream, and returns
-/// the growth of `work(d)` per churn operation.
-fn work_per_op<D: Dictionary<u64, u64>>(d: &D, n: u64, ops: u64, work: impl Fn(&D) -> u64) -> f64 {
+/// Fills `d` to `n` keys drawn uniformly from `0..2n` and returns the
+/// key stream, ready to draw the measured operations' keys.
+fn fill<D: Dictionary<u64, u64>>(d: &D, n: u64) -> Keys {
     let mut keys = Keys(0x5EED_0000 ^ n);
     let mut len = 0;
     while len < n {
         let k = keys.below(2 * n);
         len += u64::from(d.insert(k, k));
     }
+    keys
+}
+
+/// Fills `d` to `n` keys, then runs `ops` alternating inserts and
+/// removes on the same key stream, and returns the growth of `work(d)`
+/// per churn operation.
+fn work_per_op<D: Dictionary<u64, u64>>(d: &D, n: u64, ops: u64, work: impl Fn(&D) -> u64) -> f64 {
+    let mut keys = fill(d, n);
     let before = work(d);
     for i in 0..ops {
         let k = keys.below(2 * n);
@@ -100,4 +108,27 @@ fn sorted_list_work_grows_linearly() {
         "SafeReads/op grew only {ratio:.2}x from n=10^3 ({small:.1}) to n=10^4 \
          ({large:.1}); a linear walk needs at least 5x"
     );
+}
+
+/// The sorted list's cached cursors: a search starts at the nearest
+/// usable anchor among the cache's 16 most recent saves, which on
+/// uniform keys lies about n/18 cells below the key. Were the slots tied
+/// to threads, a single thread would have one anchor, usable only when
+/// it lies below the key, and would walk about n/3 cells per find.
+#[test]
+fn sorted_list_finds_start_near_a_recent_anchor() {
+    for n in [1_000, 10_000] {
+        let d: SortedListDict<u64, u64> = SortedListDict::new();
+        let mut keys = fill(&d, n);
+        let before = d.list_stats().next_steps;
+        for _ in 0..SORTED_CHURN_OPS {
+            let k = keys.below(2 * n);
+            d.find(&k);
+        }
+        let per_op = (d.list_stats().next_steps - before) as f64 / SORTED_CHURN_OPS as f64;
+        assert!(
+            per_op <= n as f64 / 8.0,
+            "a find walked {per_op:.1} cells on average at n={n}; recent anchors allow n/8"
+        );
+    }
 }

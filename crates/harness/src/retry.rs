@@ -6,9 +6,10 @@
 //! The shape isolates exactly the cost `Cursor::resume` and cached
 //! cursors remove. Under restart-from-head, every operation — and every
 //! CAS retry — re-walks the whole cold prefix to reach the contention
-//! site: O(prefix) per attempt. With resumption the prefix is paid once
-//! per thread (to warm the cached cursor) and each retry costs only the
-//! distance back to the conflict. Unlike the randomized mixed-op
+//! site: O(prefix) per attempt. With resumption the prefix is paid about
+//! once per run, by whichever operation first caches an anchor in the
+//! window (the cache's slots are shared, so every thread starts from it),
+//! and each retry costs only the distance back to the conflict. Unlike the randomized mixed-op
 //! workloads ([`crate::run_throughput`]), the operation sequence is a
 //! fixed function of `(thread, iteration)` — identical across runs and
 //! configurations — so two measurements differ only in the mechanism

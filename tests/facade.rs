@@ -1,6 +1,7 @@
 //! Cross-crate integration through the `valois` facade: the public API a
 //! downstream user sees, exercised end to end.
 
+use valois::mem::AllocError;
 use valois::{ArenaConfig, BstDict, Dictionary, HashDict, List, SkipListDict, SortedListDict};
 
 #[test]
@@ -96,13 +97,16 @@ fn capped_arena_config_flows_through() {
     // 3 structural nodes + 2 per item → 6 items fit.
     let mut inserted = 0;
     for k in 0..10 {
-        if std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| d.insert(k, k))).is_ok() {
-            inserted += 1;
-        } else {
-            break;
+        match d.try_insert(k, k) {
+            Ok(won) => {
+                assert!(won, "key {k} is new");
+                inserted += 1;
+            }
+            Err(AllocError) => break,
         }
     }
     assert!((5..=7).contains(&inserted), "inserted={inserted}");
+    assert_eq!(d.try_insert(10, 10), Err(AllocError), "the pool stays full");
 }
 
 #[test]
