@@ -200,7 +200,7 @@ fn soak_list(secs: u64, threads: usize) {
 }
 
 fn soak_queue(secs: u64, threads: usize) {
-    let q: FifoQueue<u64> = FifoQueue::new();
+    let mut q: FifoQueue<u64> = FifoQueue::new();
     let stop = AtomicBool::new(false);
     let enq = AtomicU64::new(0);
     let deq = AtomicU64::new(0);
@@ -227,8 +227,10 @@ fn soak_queue(secs: u64, threads: usize) {
     });
     let net = enq.load(Ordering::Relaxed) - deq.load(Ordering::Relaxed);
     assert_eq!(q.len() as u64, net, "queue conservation violated");
+    q.audit_refcounts()
+        .unwrap_or_else(|e| panic!("fifo queue refcount drift: {e}"));
     println!(
-        "{:>12}: {} enq / {} deq, {} left, conservation OK",
+        "{:>12}: {} enq / {} deq, {} left, conservation+audit OK",
         "fifo queue",
         enq.load(Ordering::Relaxed),
         deq.load(Ordering::Relaxed),
@@ -392,6 +394,8 @@ fn main() {
         soak_dict("hash", &d, args.secs, args.threads);
         d.check_invariants()
             .unwrap_or_else(|e| panic!("hash invariant violated: {e}"));
+        d.audit_refcounts()
+            .unwrap_or_else(|e| panic!("hash refcount drift: {e}"));
     }
     if want("resizable") {
         // Start at 2 buckets so the churn (≈ 256 live keys at
@@ -429,6 +433,8 @@ fn main() {
         soak_dict("bst", &d, args.secs, args.threads);
         d.check_invariants()
             .unwrap_or_else(|e| panic!("bst invariant violated: {e}"));
+        d.audit_refcounts()
+            .unwrap_or_else(|e| panic!("bst refcount drift: {e}"));
     }
     if want("queue") {
         soak_queue(args.secs, args.threads);

@@ -284,9 +284,8 @@ impl<T: Send + Sync, R: Reclaimer> List<T, R> {
     }
 
     /// [`List::audit_refcounts`] for lists with published entry roots:
-    /// each published root legitimately holds one count on its entry
-    /// cell that the in-list sweep cannot see, so it is added to the
-    /// expected in-degree before comparing.
+    /// each published root holds one count on its entry cell, so it is
+    /// declared to the audit as one more root.
     ///
     /// # Errors
     ///
@@ -298,11 +297,8 @@ impl<T: Send + Sync, R: Reclaimer> List<T, R> {
     where
         T: 'r,
     {
-        let extra: Vec<*mut Node<T>> = roots
-            .into_iter()
-            .map(|r| r.link.read())
-            .filter(|p| !p.is_null())
-            .collect();
-        self.audit_refcounts_extra(&extra)
+        let mut all = vec![self.first_root().read(), self.last_ptr()];
+        all.extend(roots.into_iter().map(|r| r.link.read()));
+        self.arena.audit_counts(&all)
     }
 }

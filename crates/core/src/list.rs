@@ -70,7 +70,7 @@ use crate::stats::{ListCounters, ListStats};
 /// share the two dummies (the §4.1 skip list); [`List::level_cursor`]
 /// opens a cursor on any one of them.
 pub struct List<T: Send + Sync, R: Reclaimer = RefCount, N: ListNode<Item = T> = Node<T>> {
-    arena: Arena<N, R>,
+    pub(crate) arena: Arena<N, R>,
     /// `First` root (counted): points at the first dummy cell, immutable
     /// after construction.
     first_root: valois_mem::Link<N>,
@@ -271,14 +271,6 @@ impl<T: Send + Sync, R: Reclaimer, N: ListNode<Item = T>> List<T, R, N> {
         self.arena.capacity()
     }
 
-    /// Flushes every per-thread free-node magazine back to the arena's
-    /// global free list and returns the number of nodes moved. At
-    /// quiescence, after this call every free node is reachable from the
-    /// global free head — the leak tests use it before auditing counts.
-    pub fn flush_node_caches(&self) -> usize {
-        self.arena.flush_thread_caches()
-    }
-
     /// Memory-pressure shed: flushes every lockable per-thread magazine
     /// back to the global free list and, under the epoch backend, runs
     /// bounded advance+sweep rounds over the limbo list. Returns nodes
@@ -290,164 +282,24 @@ impl<T: Send + Sync, R: Reclaimer, N: ListNode<Item = T>> List<T, R, N> {
         self.arena.shed_memory()
     }
 
-    /// Quiescent reference-count audit: recomputes every node's expected
-    /// count — its in-degree over the `next`/`back_link` links of every
-    /// level ([`ListNode::links`]) plus the root pointers — and compares
-    /// with the live `refct`.
-    /// At quiescence (`&mut self`: no cursors, no operations in flight)
-    /// any mismatch is a protocol bug: a leaked or double-released
-    /// reference somewhere in the §5 implementation.
-    ///
-    /// Free-list nodes are validated separately: each must carry exactly
-    /// the one count its in-list predecessor (or the free-list head) holds.
+    /// Quiescent reference-count audit over the `First` and `Last` roots
+    /// ([`Arena::audit_counts`]): at quiescence (`&mut self`: no cursors,
+    /// no operations in flight) any mismatch is a leaked or
+    /// double-released reference somewhere in the §5 implementation.
     ///
     /// # Errors
     ///
     /// Describes the first mismatching node.
     pub fn audit_refcounts(&mut self) -> Result<(), String> {
-        self.audit_refcounts_extra(&[])
+        self.arena.audit_counts(&[self.first, self.last])
     }
 
-    /// [`List::audit_refcounts`] with additional expected counts: one per
-    /// pointer in `extra` (structure roots outside the list — published
-    /// entry roots — whose counts the in-list sweep cannot see).
-    pub(crate) fn audit_refcounts_extra(&mut self, extra: &[*mut N]) -> Result<(), String> {
-        use std::collections::HashMap;
-        let mut expected: HashMap<usize, u64> = HashMap::new();
-        // Roots contribute one count each.
-        *expected.entry(self.first as usize).or_insert(0) += 1;
-        *expected.entry(self.last as usize).or_insert(0) += 1;
-        for &p in extra {
-            *expected.entry(p as usize).or_insert(0) += 1;
-        }
-        // SAFETY: &mut self guarantees quiescence for all raw reads.
-        unsafe {
-            // Occupied nodes' links contribute counts; free nodes' `next`
-            // is the free-list link (counted by its predecessor), handled
-            // in the same sweep because the free head is not a field we
-            // can see here — instead, free nodes are counted by whoever
-            // points at them, and the head's count is accounted by the
-            // arena below via the observed total.
-            let mut frees = 0u64;
-            self.arena.for_each_node(|p| {
-                if (*p).kind() == NodeKind::Free {
-                    frees += 1;
-                }
-                for link in (*p).links() {
-                    let link = link.read();
-                    if !link.is_null() {
-                        *expected.entry(link as usize).or_insert(0) += 1;
-                    }
-                }
-            });
-            // One free node (the head) is counted by the arena's free-list
-            // root rather than by another node; add that count by checking
-            // which free node nobody points at... simpler: validate totals.
-            let mut result = Ok(());
-            self.arena.for_each_node(|p| {
-                if result.is_err() {
-                    return;
-                }
-                let actual = (*p).header().refcount() as u64;
-                let expect = expected.get(&(p as usize)).copied().unwrap_or(0);
-                let kind = (*p).kind();
-                // The free-list head has one count from the arena root that
-                // this sweep cannot see; tolerate exactly +1 on free nodes
-                // whose computed in-degree is zero (the head).
-                let ok = if kind == NodeKind::Free && expect == 0 {
-                    actual == 1
-                } else {
-                    actual == expect
-                };
-                if !ok {
-                    result = Err(format!(
-                        "refcount drift on {kind:?} node {:p}: actual {actual}, expected {expect}",
-                        p
-                    ));
-                }
-            });
-            result
-        }
-    }
-
-    /// Quiescent cycle collection (see DESIGN.md §1 note 3).
-    ///
-    /// Deleted cells keep their `next` intact and gain a `back_link`, so a
-    /// group of cells deleted close together can form a reference cycle
-    /// that pure counting never frees. With `&mut self` (no cursors, no
-    /// concurrent operations) this sweep finds every node that is occupied
-    /// yet unreachable from the roots over any level's links and returns
-    /// it to the free list.
-    /// Returns the number of nodes collected.
-    ///
-    /// Epoch backend: with no pins outstanding (`&mut self`), first ages
-    /// all acyclic limbo garbage out through its grace period, then
-    /// detaches what remains — cyclic, already-claimed garbage — so the
-    /// same mark-sweep below reclaims it.
+    /// Quiescent cycle collection (see DESIGN.md §1 note 3): returns every
+    /// node unreachable from the `First` and `Last` roots to the free list
+    /// ([`Arena::sweep_unreachable`]) and reports how many. Retire
+    /// published entry roots first: they are not declared here.
     pub fn quiescent_collect(&mut self) -> usize {
-        use std::collections::HashSet;
-        self.arena.quiescent_collect_epoch();
-        // Remaining limbo nodes are claimed, unreachable cycle members;
-        // take them off the limbo chain so the sweep's reclaim cannot
-        // race a later epoch collection over the same nodes. (Empty vec
-        // under refcount.)
-        let limbo: HashSet<usize> = self
-            .arena
-            .take_limbo_quiescent()
-            .into_iter()
-            .map(|p| p as usize)
-            .collect();
-        // Mark: everything reachable from the roots via next/back_link.
-        let mut reachable: HashSet<usize> = HashSet::new();
-        let mut stack: Vec<*mut N> = vec![self.first, self.last];
-        // SAFETY: &mut self guarantees quiescence throughout.
-        unsafe {
-            while let Some(p) = stack.pop() {
-                if p.is_null() || !reachable.insert(p as usize) {
-                    continue;
-                }
-                stack.extend((*p).links().map(|l| l.read()));
-            }
-            // Sweep: occupied, unreachable nodes are back-link-cycle garbage.
-            let mut garbage: Vec<*mut N> = Vec::new();
-            self.arena.for_each_node(|p| {
-                if (*p).kind() != NodeKind::Free && !reachable.contains(&(p as usize)) {
-                    garbage.push(p);
-                }
-            });
-            let garbage_set: HashSet<usize> = garbage.iter().map(|p| *p as usize).collect();
-            // Claim each first so no cascade can race our manual drain.
-            // Nodes pulled off the epoch limbo chain were claimed by their
-            // retirer already; everything else must be unclaimed.
-            for &g in &garbage {
-                let lost = (*g).header().set_claim();
-                debug_assert!(
-                    !lost || limbo.contains(&(g as usize)),
-                    "garbage node already claimed at quiescence"
-                );
-            }
-            for &g in &garbage {
-                let links = (*g).drain_links();
-                for t in links.iter() {
-                    if garbage_set.contains(&(t as usize)) {
-                        // Internal cycle edge: drop the count manually; the
-                        // target is reclaimed by this sweep, not by cascade.
-                        (*t).header().decr_ref();
-                    } else {
-                        self.arena.release(t);
-                    }
-                }
-            }
-            for &g in &garbage {
-                debug_assert_eq!(
-                    (*g).header().refcount(),
-                    0,
-                    "cycle garbage should end with zero count"
-                );
-                self.arena.reclaim_detached(g);
-            }
-            garbage.len()
-        }
+        self.arena.sweep_unreachable(&[self.first, self.last])
     }
 
     // ------------------------------------------------------------------
@@ -875,7 +727,7 @@ impl<T: Send + Sync, R: Reclaimer, N: ListNode<Item = T>> Drop for List<T, R, N>
         }
         // Back-link cycles among deleted cells survive the cascade; sweep
         // them so every value's Drop runs before the arena frees segments.
-        self.quiescent_collect();
+        self.arena.sweep_unreachable(&[]);
     }
 }
 

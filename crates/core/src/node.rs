@@ -56,9 +56,7 @@ impl NodeKind {
 }
 
 /// A node of a Valois list with `LEVELS` levels of links: the contract
-/// the §3 engine ([`Cursor`](crate::Cursor)) and the quiescent audits
-/// ([`List::audit_refcounts`](crate::List::audit_refcounts),
-/// [`List::quiescent_collect`](crate::List::quiescent_collect)) run on.
+/// the §3 engine ([`Cursor`](crate::Cursor)) runs on.
 ///
 /// A flat list's [`Node`] has one level. A skip-list tower cell is a
 /// member of levels `0..height`, each an independent list with its own
@@ -71,8 +69,7 @@ impl NodeKind {
 /// count through these accessors without further checks, so an
 /// implementation must guarantee that `next(lvl)` and `back_link(lvl)`
 /// are counted links of the node itself (an auxiliary node answering the
-/// same link at every level), that `links()` yields every counted link
-/// the node holds — exactly those [`Managed::drain_links`] releases —
+/// same link at every level) and among those [`Managed::links`] yields,
 /// and that `item()` reads the slot written before the kind became
 /// `Cell`.
 pub unsafe trait ListNode: Managed + Default {
@@ -92,10 +89,6 @@ pub unsafe trait ListNode: Managed + Default {
     /// The counted back link at level `lvl`, set by `TryDelete` (Fig. 10
     /// line 6) to the cell that preceded this one at that level.
     fn back_link(&self, lvl: usize) -> &Link<Self>;
-
-    /// Every counted link the node holds, at every level (the audit and
-    /// the cycle sweep count and follow these).
-    fn links(&self) -> impl Iterator<Item = &Link<Self>>;
 
     /// The item of a normal `Cell`.
     ///
@@ -181,9 +174,9 @@ impl<T: Send + Sync> std::fmt::Debug for Node<T> {
     }
 }
 
-// SAFETY: both accessors return the node's own counted links, `links()`
-// yields the two links `drain_links` releases, and `item()` reads the slot
-// `init_value` wrote before publishing the `Cell` kind.
+// SAFETY: both accessors return the node's own counted links, and
+// `item()` reads the slot `init_value` wrote before publishing the `Cell`
+// kind.
 unsafe impl<T: Send + Sync> ListNode for Node<T> {
     type Item = T;
 
@@ -201,10 +194,6 @@ unsafe impl<T: Send + Sync> ListNode for Node<T> {
     #[inline(always)]
     fn back_link(&self, _lvl: usize) -> &Link<Self> {
         &self.back_link
-    }
-
-    fn links(&self) -> impl Iterator<Item = &Link<Self>> {
-        [&self.next, &self.back_link].into_iter()
     }
 
     // SAFETY: the trait's contract — a protected reference on a `Cell`,
@@ -267,6 +256,10 @@ impl<T: Send + Sync> Managed for Node<T> {
         }
         self.set_kind(NodeKind::Free);
         links
+    }
+
+    fn links(&self) -> impl Iterator<Item = &Link<Self>> {
+        [&self.next, &self.back_link].into_iter()
     }
 
     fn reset_for_alloc(&self) {

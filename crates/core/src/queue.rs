@@ -196,6 +196,17 @@ impl<T: Send + Sync> FifoQueue<T> {
     pub fn mem_stats(&self) -> MemStats {
         self.arena.stats()
     }
+
+    /// Exact link-count audit over the `head` and `tail` roots (testing
+    /// hook; see [`Arena::audit_counts`]).
+    ///
+    /// # Errors
+    ///
+    /// Describes the first node whose count drifted.
+    pub fn audit_refcounts(&mut self) -> Result<(), String> {
+        let roots = [self.head.read(), self.tail.read()];
+        self.arena.audit_counts(&roots)
+    }
 }
 
 impl<T: Send + Sync> Default for FifoQueue<T> {
@@ -317,7 +328,7 @@ mod tests {
 
     #[test]
     fn mpmc_conservation_and_exactly_once() {
-        let q: FifoQueue<u64> = FifoQueue::new();
+        let mut q: FifoQueue<u64> = FifoQueue::new();
         let dequeued_sum = AtomicU64::new(0);
         let dequeued_n = AtomicU64::new(0);
         let producers = 4u64;
@@ -357,6 +368,7 @@ mod tests {
         let n = producers * per;
         assert_eq!(dequeued_n.load(Ordering::Relaxed), n);
         assert_eq!(dequeued_sum.load(Ordering::Relaxed), n * (n - 1) / 2);
+        q.audit_refcounts().unwrap();
     }
 
     #[test]

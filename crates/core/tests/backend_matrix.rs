@@ -5,17 +5,16 @@
 //! boundary) fails the matching arm by name (`refcount::…` /
 //! `epoch::…`).
 //!
-//! Two deliberate asymmetries, both consequences of the backend
-//! contract (docs/DESIGN.md "Choosing a reclamation backend"):
+//! Every arm ends with the exact link-count audit (`audit_refcounts`):
+//! at quiescence no process reference is outstanding under either
+//! backend, so each count is exactly the node's link in-degree.
 //!
-//! * exact refcount audits (`audit_refcounts`) run only when
-//!   `R::COUNTED_READS` — under `Epoch`, traversal holds no counts, so
-//!   per-node counts are not meaningful to audit mid-structure (link
-//!   counts are still exercised by `check_invariants_now`);
-//! * cursors never cross threads: `Cursor<'_, T, Epoch>` is `!Send`
-//!   (its pin lives in the creating thread's slot), so every thread
-//!   opens its own cursors. The refcount-only clone-handoff pattern is
-//!   covered by `concurrency.rs::many_cursors_on_same_position`.
+//! One deliberate asymmetry, a consequence of the backend contract
+//! (docs/DESIGN.md "Choosing a reclamation backend"): cursors never
+//! cross threads. `Cursor<'_, T, Epoch>` is `!Send` (its pin lives in
+//! the creating thread's slot), so every thread opens its own cursors.
+//! The refcount-only clone-handoff pattern is covered by
+//! `concurrency.rs::many_cursors_on_same_position`.
 //!
 //! The `smoke_` pair is Miri-sized (tens of operations, two threads):
 //! `cargo +nightly miri test -p valois-core smoke_` drives the epoch
@@ -31,15 +30,11 @@ fn thread_count() -> usize {
         .clamp(4, 8)
 }
 
-/// Quiesces `list` and runs the checks that are valid for the backend:
-/// structure always; exact refcount audit only where reads are counted.
+/// Quiesces `list`, then checks its structure and its exact link counts.
 fn quiesce_and_check<R: Reclaimer>(list: &mut List<u64, R>) {
     list.quiescent_collect();
     list.check_structure().unwrap();
-    if R::COUNTED_READS {
-        list.flush_node_caches();
-        list.audit_refcounts().unwrap();
-    }
+    list.audit_refcounts().unwrap();
 }
 
 fn concurrent_inserts_lose_nothing<R: Reclaimer>() {

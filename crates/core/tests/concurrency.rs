@@ -280,8 +280,6 @@ fn nodes_return_to_free_list_with_exact_counts() {
     list.retain(|_| false);
     assert_eq!(list.len(), 0);
     list.quiescent_collect();
-    // Pull every node parked in thread magazines back to the global list.
-    list.flush_node_caches();
     assert_eq!(
         list.mem_stats().live_nodes(),
         3,

@@ -214,7 +214,6 @@ fn insert_unique_lost_race_drops_prepared_cell<R: Reclaimer>() {
     assert_eq!(list.iter().collect::<Vec<u64>>(), vec![10, 20, 30]);
     list.quiescent_collect();
     list.check_structure().unwrap();
-    list.flush_node_caches();
     list.audit_refcounts().unwrap();
 }
 

@@ -68,6 +68,9 @@ impl Managed for Slot {
         self.tag.store(TAG_FREE, Ordering::Release);
         links
     }
+    fn links(&self) -> impl Iterator<Item = &Link<Self>> {
+        std::iter::once(&self.link)
+    }
     fn reset_for_alloc(&self) {
         self.link.write(ptr::null_mut());
     }

@@ -153,6 +153,10 @@ impl<K: Send + Sync, V: Send + Sync> Managed for BstNode<K, V> {
         links
     }
 
+    fn links(&self) -> impl Iterator<Item = &Link<Self>> {
+        [&self.left, &self.right].into_iter()
+    }
+
     fn reset_for_alloc(&self) {
         self.left.write(std::ptr::null_mut());
         self.right.write(std::ptr::null_mut());
@@ -722,6 +726,17 @@ where
         }
         Ok(())
     }
+
+    /// Exact link-count audit over the `root` and `dead_root` links
+    /// (testing hook; see [`Arena::audit_counts`]).
+    ///
+    /// # Errors
+    ///
+    /// Describes the first node whose count drifted.
+    pub fn audit_refcounts(&mut self) -> Result<(), String> {
+        let roots = [self.root.read(), self.dead_root.read()];
+        self.arena.audit_counts(&roots)
+    }
 }
 
 impl Side {
@@ -752,31 +767,8 @@ impl<K: Send + Sync, V: Send + Sync> Drop for BstDict<K, V> {
             let d = self.dead_root.swap(std::ptr::null_mut());
             self.arena.release(r);
             self.arena.release(d);
-            use std::collections::HashSet;
-            let mut garbage = Vec::new();
-            self.arena.for_each_node(|p| {
-                if (*p).kind() != KIND_FREE {
-                    garbage.push(p);
-                }
-            });
-            let set: HashSet<usize> = garbage.iter().map(|p| *p as usize).collect();
-            for &g in &garbage {
-                let _ = (*g).header().set_claim();
-            }
-            for &g in &garbage {
-                let links = (*g).drain_links();
-                for t in links.iter() {
-                    if set.contains(&(t as usize)) {
-                        (*t).header().decr_ref();
-                    } else {
-                        self.arena.release(t);
-                    }
-                }
-            }
-            for &g in &garbage {
-                self.arena.reclaim_detached(g);
-            }
         }
+        self.arena.sweep_unreachable(&[]);
     }
 }
 
@@ -937,6 +929,7 @@ mod tests {
         }
         assert!(d.is_empty());
         d.check_invariants().unwrap();
+        d.audit_refcounts().unwrap();
     }
 
     #[test]
@@ -961,6 +954,7 @@ mod tests {
         let keys: Vec<u64> = model.keys().copied().collect();
         assert_eq!(d.keys(), keys);
         d.check_invariants().unwrap();
+        d.audit_refcounts().unwrap();
     }
 
     #[test]
@@ -981,6 +975,7 @@ mod tests {
         assert!(d.insert(10, 3));
         assert_eq!(d.find(&10), Some(3));
         d.check_invariants().unwrap();
+        d.audit_refcounts().unwrap();
     }
 
     #[test]

@@ -10,7 +10,7 @@
 use std::fmt;
 use std::hash::{BuildHasher, Hash, RandomState};
 
-use valois_core::{ArenaConfig, Reclaimer, RefCount};
+use valois_core::{ArenaConfig, ListStats, MemStats, Reclaimer, RefCount};
 
 use crate::sorted_list::SortedListDict;
 use crate::traits::Dictionary;
@@ -124,13 +124,22 @@ where
     /// Aggregated list-operation retries across buckets (E4's "extra
     /// work" measure).
     pub fn total_retries(&self) -> u64 {
-        self.buckets
-            .iter()
-            .map(|b| {
-                let s = b.list_stats();
-                s.insert_retries() + s.delete_retries()
-            })
-            .sum()
+        let s = self.list_stats();
+        s.insert_retries() + s.delete_retries()
+    }
+
+    /// List-operation counters summed over the buckets.
+    pub fn list_stats(&self) -> ListStats {
+        let mut total = ListStats::default();
+        self.buckets.iter().for_each(|b| total += b.list_stats());
+        total
+    }
+
+    /// Memory-protocol counters summed over the buckets' arenas.
+    pub fn mem_stats(&self) -> MemStats {
+        let mut total = MemStats::default();
+        self.buckets.iter().for_each(|b| total += b.mem_stats());
+        total
     }
 
     /// Structural invariants of every bucket (testing hook).
@@ -144,6 +153,19 @@ where
     {
         for (i, b) in self.buckets.iter_mut().enumerate() {
             b.check_invariants()
+                .map_err(|e| format!("bucket {i}: {e}"))?;
+        }
+        Ok(())
+    }
+
+    /// Exact link-count audit of every bucket (testing hook).
+    ///
+    /// # Errors
+    ///
+    /// Describes the first node whose count drifted, and its bucket.
+    pub fn audit_refcounts(&mut self) -> Result<(), String> {
+        for (i, b) in self.buckets.iter_mut().enumerate() {
+            b.audit_refcounts()
                 .map_err(|e| format!("bucket {i}: {e}"))?;
         }
         Ok(())

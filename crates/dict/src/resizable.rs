@@ -481,7 +481,6 @@ where
     ///
     /// Describes the first node whose count drifted.
     pub fn audit_refcounts(&mut self) -> Result<(), String> {
-        self.list.flush_node_caches();
         let list = &mut self.list;
         let mut roots = Vec::new();
         self.buckets.for_each_allocated(|_, root| roots.push(root));

@@ -78,9 +78,9 @@ impl<K, V> Default for SkipNode<K, V> {
 }
 
 // SAFETY: `next(lvl)`/`back_link(lvl)` return the node's own counted
-// links (an aux node's one link is `next[0]` at every level), `links()`
-// yields every slot `drain_links` releases, and `item()` reads the entry
-// written before the tower was published as a `Cell`.
+// links (an aux node's one link is `next[0]` at every level), and
+// `item()` reads the entry written before the tower was published as a
+// `Cell`.
 unsafe impl<K: Send + Sync, V: Send + Sync> ListNode for SkipNode<K, V> {
     type Item = (K, V);
 
@@ -102,10 +102,6 @@ unsafe impl<K: Send + Sync, V: Send + Sync> ListNode for SkipNode<K, V> {
 
     fn back_link(&self, lvl: usize) -> &Link<Self> {
         &self.back_link[lvl]
-    }
-
-    fn links(&self) -> impl Iterator<Item = &Link<Self>> {
-        self.next.iter().chain(&self.back_link)
     }
 
     // SAFETY: the trait's contract — a protected reference on a `Cell`,
@@ -140,6 +136,10 @@ impl<K: Send + Sync, V: Send + Sync> Managed for SkipNode<K, V> {
         }
         self.set_kind(NodeKind::Free);
         links
+    }
+
+    fn links(&self) -> impl Iterator<Item = &Link<Self>> {
+        self.next.iter().chain(&self.back_link)
     }
 
     fn reset_for_alloc(&self) {

@@ -137,6 +137,7 @@ mod sorted_list {
         let mut d: SortedListDict<u64, u64> = SortedListDict::new();
         insert_races(&d);
         d.check_invariants().unwrap();
+        d.audit_refcounts().unwrap();
     }
 
     #[test]
@@ -144,6 +145,7 @@ mod sorted_list {
         let mut d: SortedListDict<u64, u64> = SortedListDict::new();
         remove_races(&d);
         d.check_invariants().unwrap();
+        d.audit_refcounts().unwrap();
     }
 
     #[test]
@@ -151,6 +153,7 @@ mod sorted_list {
         let mut d: SortedListDict<u64, u64> = SortedListDict::new();
         churn_conservation(&d);
         d.check_invariants().unwrap();
+        d.audit_refcounts().unwrap();
     }
 
     #[test]
@@ -200,6 +203,7 @@ mod hash {
         let mut d: HashDict<u64, u64> = HashDict::with_buckets(16);
         insert_races(&d);
         d.check_invariants().unwrap();
+        d.audit_refcounts().unwrap();
     }
 
     #[test]
@@ -207,6 +211,7 @@ mod hash {
         let mut d: HashDict<u64, u64> = HashDict::with_buckets(16);
         remove_races(&d);
         d.check_invariants().unwrap();
+        d.audit_refcounts().unwrap();
     }
 
     #[test]
@@ -214,6 +219,7 @@ mod hash {
         let mut d: HashDict<u64, u64> = HashDict::with_buckets(8);
         churn_conservation(&d);
         d.check_invariants().unwrap();
+        d.audit_refcounts().unwrap();
     }
 
     /// Operations per worker in `more_buckets_fewer_retries`.
@@ -441,6 +447,7 @@ mod bst {
         let mut d: BstDict<u64, u64> = BstDict::new();
         insert_races(&d);
         d.check_invariants().unwrap();
+        d.audit_refcounts().unwrap();
     }
 
     #[test]
@@ -448,6 +455,7 @@ mod bst {
         let mut d: BstDict<u64, u64> = BstDict::new();
         remove_races(&d);
         d.check_invariants().unwrap();
+        d.audit_refcounts().unwrap();
     }
 
     #[test]
@@ -455,6 +463,7 @@ mod bst {
         let mut d: BstDict<u64, u64> = BstDict::new();
         churn_conservation(&d);
         d.check_invariants().unwrap();
+        d.audit_refcounts().unwrap();
     }
 
     #[test]

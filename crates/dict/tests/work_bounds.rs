@@ -9,7 +9,9 @@
 //! heights come from a fixed-seed generator — so the bounds compare
 //! exact counts and cannot flake on a loaded host.
 
-use valois_dict::{Dictionary, SkipListDict, SortedListDict};
+use std::hash::{BuildHasherDefault, DefaultHasher};
+
+use valois_dict::{Dictionary, HashDict, SkipListDict, SortedListDict};
 
 /// Churn operations measured per size on the skip list.
 const CHURN_OPS: u64 = 20_000;
@@ -131,4 +133,32 @@ fn sorted_list_finds_start_near_a_recent_anchor() {
             "a find walked {per_op:.1} cells on average at n={n}; recent anchors allow n/8"
         );
     }
+}
+
+/// §4.1's hash table: "we would expect the extra work done to be O(1)".
+/// At a fixed load factor (four keys per bucket) a bucket's list stays
+/// the same length however many keys the table holds, so a uniform
+/// find's SafeReads do not grow with n. The hasher is `DefaultHasher`
+/// with its fixed keys, so bucket assignment, like the key stream, is
+/// the same on every run.
+#[test]
+fn hash_finds_stay_flat_at_a_fixed_load_factor() {
+    let per_find = |n: u64| {
+        let d: HashDict<u64, u64, BuildHasherDefault<DefaultHasher>> =
+            HashDict::with_buckets_and_hasher(n as usize / 4, BuildHasherDefault::default());
+        let mut keys = fill(&d, n);
+        let before = d.mem_stats().safe_reads;
+        for _ in 0..CHURN_OPS {
+            d.find(&keys.below(2 * n));
+        }
+        (d.mem_stats().safe_reads - before) as f64 / CHURN_OPS as f64
+    };
+    let small = per_find(1_000);
+    let large = per_find(10_000);
+    let ratio = large / small;
+    assert!(
+        ratio <= 1.5,
+        "SafeReads/find grew {ratio:.2}x from n=10^3 ({small:.1}) to n=10^4 ({large:.1}) \
+         at four keys per bucket; O(1) work allows at most 1.5x"
+    );
 }

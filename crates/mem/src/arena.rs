@@ -22,6 +22,7 @@
 //! pressure ([`Arena::flush_thread_caches`] / the internal scavenge), so
 //! `AllocError` semantics for capped pools are preserved.
 
+use std::collections::{HashMap, HashSet};
 use std::error::Error;
 use std::fmt;
 use valois_sync::shim::sync::Mutex;
@@ -916,10 +917,7 @@ impl<N: Managed, R: Reclaimer> Arena<N, R> {
     }
 
     /// Returns a *detached* node to the free list: count zero and `claim`
-    /// already won by the caller. This is the hook for owners' quiescent
-    /// cycle collection (back-link cycles among simultaneously deleted
-    /// cells are unreachable garbage that plain counting cannot free; see
-    /// DESIGN.md §1 note 3).
+    /// already won by the caller ([`Arena::sweep_unreachable`]).
     ///
     /// # Safety
     ///
@@ -928,7 +926,7 @@ impl<N: Managed, R: Reclaimer> Arena<N, R> {
     /// protocol activity can reach `p`.
     // GUARD: p — caller owns `p` exclusively; nothing else can free it
     // during the call.
-    pub unsafe fn reclaim_detached(&self, p: *mut N) {
+    unsafe fn reclaim_detached(&self, p: *mut N) {
         debug_assert_eq!((*p).header().refcount(), 0);
         debug_assert!((*p).header().claim_is_set());
         self.counters.bump(|s| &s.reclaims);
@@ -1032,35 +1030,20 @@ impl<N: Managed, R: Reclaimer> Arena<N, R> {
         freed
     }
 
-    /// Epoch backend, quiescent teardown: repeatedly advances and sweeps
-    /// until limbo stops shrinking. With no pins outstanding (`&mut self`
-    /// guarantees that — every guard and cursor borrows the arena) this
-    /// frees all acyclic limbo garbage; what remains is back-link cycle
-    /// garbage for the owner's cycle collector (see
-    /// [`Arena::take_limbo_quiescent`]). Returns nodes freed.
-    pub fn quiescent_collect_epoch(&mut self) -> usize {
-        if R::COUNTED_READS {
-            return 0;
-        }
-        let mut total = 0;
+    /// Epoch backend, quiescent teardown: advances and sweeps until limbo
+    /// stops shrinking, which with no pin outstanding (`&mut self`: every
+    /// guard and cursor borrows the arena) frees all acyclic limbo
+    /// garbage, then detaches and returns what remains. Those nodes are
+    /// back-link cycle members: claimed, unreachable from any root, links
+    /// and payload intact. Empty under the refcount backend.
+    fn take_cyclic_limbo(&mut self) -> Vec<*mut N> {
         let mut dry = 0;
         while self.epoch.limbo_depth() > 0 && dry < 3 {
             let freed = self.advance_and_collect();
-            total += freed;
             // Fresh garbage needs two advances to age out (I12); allow a
             // few dry rounds before concluding the rest is cyclic.
             dry = if freed == 0 { dry + 1 } else { 0 };
         }
-        total
-    }
-
-    /// Epoch backend, quiescent teardown: detaches every remaining limbo
-    /// node and returns them. The nodes are claimed, unreachable from any
-    /// root, with links and payload intact — exactly the shape the
-    /// owner's quiescent cycle collector expects (it must drain and
-    /// [`Arena::reclaim_detached`] them). The refcount backend returns an
-    /// empty vector.
-    pub fn take_limbo_quiescent(&mut self) -> Vec<*mut N> {
         let mut out = Vec::new();
         let mut chain = self.epoch.take_limbo();
         while !chain.is_null() {
@@ -1100,15 +1083,101 @@ impl<N: Managed, R: Reclaimer> Arena<N, R> {
     ///
     /// Safe in itself — the callback receives raw addresses and headers may
     /// be inspected through atomics at any time — but dereferencing payload
-    /// fields requires the caller to guarantee quiescence (e.g. the
-    /// structure's `&mut self` drop/collect paths).
-    pub fn for_each_node(&self, mut f: impl FnMut(*mut N)) {
+    /// fields requires the caller to guarantee quiescence (the `&mut self`
+    /// audit and sweep below).
+    fn for_each_node(&self, mut f: impl FnMut(*mut N)) {
         let segments = self.segments.lock().unwrap();
         for segment in segments.iter() {
             for node in segment.iter() {
                 f(node as *const N as *mut N);
             }
         }
+    }
+
+    /// Quiescent link-count audit (PROTOCOL.md "Auditing"): each node's
+    /// `refct` must equal the number of counted links ([`Managed::links`])
+    /// of any node, entries of `roots` and the free head that point at
+    /// it. The magazines are flushed first, so the free head is the one
+    /// free-structure root and a counted free node on no free structure
+    /// is drift. Exact under both backends at quiescence (`&mut self`):
+    /// no process reference is outstanding, and a limbo node counts 0
+    /// while its intact links still count for their targets.
+    ///
+    /// # Errors
+    ///
+    /// Describes the first node whose count differs from its in-degree.
+    pub fn audit_counts(&mut self, roots: &[*mut N]) -> Result<(), String> {
+        self.flush_thread_caches();
+        let mut expected: HashMap<usize, usize> = HashMap::new();
+        let mut count = |p: *mut N| *expected.entry(p as usize).or_insert(0) += 1;
+        roots.iter().for_each(|&p| count(p));
+        count(self.free_head.read());
+        self.for_each_node(|p| {
+            // SAFETY: quiescent (`&mut self`): no link changes under us.
+            unsafe { (*p).links() }.for_each(|l| count(l.read()));
+        });
+        let mut result = Ok(());
+        self.for_each_node(|p| {
+            // SAFETY: `p` is a node of this arena; the header is atomic.
+            let actual = unsafe { (*p).header().refcount() };
+            let expect = expected.get(&(p as usize)).copied().unwrap_or(0);
+            if actual != expect && result.is_ok() {
+                result = Err(format!(
+                    "refcount drift on node {p:p}: actual {actual}, expected {expect}"
+                ));
+            }
+        });
+        result
+    }
+
+    /// Quiescent cycle sweep (DESIGN.md §1 note 3): frees every node that
+    /// no chain of counted links reaches from `roots` or from the free
+    /// head (magazines flushed first) and returns how many it freed.
+    /// Under the epoch backend, acyclic limbo garbage first ages out and
+    /// the claimed cycle members left in limbo are swept here. An owner
+    /// tearing down releases its roots and passes none.
+    pub fn sweep_unreachable(&mut self, roots: &[*mut N]) -> usize {
+        let limbo: HashSet<*mut N> = self.take_cyclic_limbo().into_iter().collect();
+        self.flush_thread_caches();
+        let mut reachable: HashSet<*mut N> = HashSet::new();
+        let mut stack = roots.to_vec();
+        stack.push(self.free_head.read());
+        while let Some(p) = stack.pop() {
+            if !p.is_null() && reachable.insert(p) {
+                // SAFETY: quiescent; `p` was reached over counted links.
+                stack.extend(unsafe { (*p).links() }.map(|l| l.read()));
+            }
+        }
+        let mut garbage: HashSet<*mut N> = HashSet::new();
+        self.for_each_node(|p| {
+            if !reachable.contains(&p) {
+                garbage.insert(p);
+            }
+        });
+        // SAFETY: quiescent (`&mut self`): the garbage is unreachable and
+        // unprotected, so the sweep owns it outright.
+        unsafe {
+            // Claim each first so no cascade can race the manual drain.
+            // Only nodes taken from limbo were claimed (by their retirer).
+            for &g in &garbage {
+                let lost = (*g).header().set_claim();
+                debug_assert!(!lost || limbo.contains(&g), "garbage already claimed");
+            }
+            for &g in &garbage {
+                for t in (*g).drain_links().iter() {
+                    if garbage.contains(&t) {
+                        // Internal edge: the sweep, not a cascade, frees t.
+                        (*t).header().decr_ref();
+                    } else {
+                        self.release(t);
+                    }
+                }
+            }
+            for &g in &garbage {
+                self.reclaim_detached(g);
+            }
+        }
+        garbage.len()
     }
 }
 
@@ -1125,17 +1194,13 @@ impl<N: Managed, R: Reclaimer> fmt::Debug for Arena<N, R> {
 
 impl<N: Managed, R: Reclaimer> Drop for Arena<N, R> {
     fn drop(&mut self) {
-        if R::COUNTED_READS {
-            return;
-        }
         // Epoch backend backstop: graduate what limbo still holds so node
         // payloads are dropped, not leaked, when a bare arena is dropped
         // with garbage mid-grace. (Structure owners normally drain first
-        // via their quiescent collectors; this also catches cycle garbage
-        // by force-draining links without count bookkeeping — the memory
+        // with `sweep_unreachable`; this also catches cycle garbage by
+        // force-draining links without count bookkeeping — the memory
         // itself dies with the segments below.)
-        self.quiescent_collect_epoch();
-        for p in self.take_limbo_quiescent() {
+        for p in self.take_cyclic_limbo() {
             // SAFETY: &mut self — no pins, no other references; draining
             // drops the payload. The returned link targets are not
             // released: every remaining node is about to die with the
@@ -1203,6 +1268,10 @@ mod tests {
             links.push(self.next.swap(std::ptr::null_mut()));
             links.push(self.back.swap(std::ptr::null_mut()));
             links
+        }
+
+        fn links(&self) -> impl Iterator<Item = &Link<Self>> {
+            [&self.next, &self.back].into_iter()
         }
 
         fn reset_for_alloc(&self) {
@@ -1566,6 +1635,45 @@ mod tests {
         assert_eq!(c.initial_capacity, 1);
         assert_eq!(c.max_nodes, Some(1));
         assert_eq!(format!("{}", AllocError), "node pool exhausted");
+    }
+
+    #[test]
+    fn audit_reports_each_injected_fault() {
+        let mut arena = small_arena(4);
+        let root = Link::null();
+        let (a, b) = (arena.alloc().unwrap(), arena.alloc().unwrap());
+        unsafe {
+            arena.store_link(&root, a);
+            arena.store_link(&(*a).next, b);
+            arena.release(a);
+            arena.release(b);
+        }
+        let roots = [root.read()];
+        arena.audit_counts(&roots).expect("exact at quiescence");
+        // One extra count: a leaked SafeRead.
+        let held = unsafe { arena.safe_read(&root) };
+        let err = arena.audit_counts(&roots).unwrap_err();
+        assert!(err.contains("actual 2, expected 1"), "{err}");
+        unsafe { arena.release(held) };
+        // One missing count: a link written without its increment.
+        unsafe { (*a).back.write(b) };
+        let err = arena.audit_counts(&roots).unwrap_err();
+        assert!(err.contains("actual 1, expected 2"), "{err}");
+        unsafe { (*a).back.write(std::ptr::null_mut()) };
+        // A node in the free-list state (claim set, count 1) on no free
+        // structure: a Reclaim that added the free structure's count but
+        // never pushed the node. An audit that tolerates +1 on any free
+        // node nobody points at accepts this; the free head, counted as
+        // an explicit root, is what makes it drift.
+        let lost = arena.alloc().unwrap();
+        unsafe { (*lost).header().set_claim() };
+        let err = arena.audit_counts(&roots).unwrap_err();
+        assert!(err.contains("actual 1, expected 0"), "{err}");
+        unsafe {
+            (*lost).header().clear_claim();
+            arena.release(lost);
+        }
+        arena.audit_counts(&roots).unwrap();
     }
 
     #[test]

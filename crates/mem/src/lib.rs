@@ -81,6 +81,9 @@
 //!         links.push(self.next.swap(std::ptr::null_mut()));
 //!         links
 //!     }
+//!     fn links(&self) -> impl Iterator<Item = &Link<Self>> {
+//!         std::iter::once(&self.next)
+//!     }
 //!     fn reset_for_alloc(&self) {
 //!         self.next.write(std::ptr::null_mut());
 //!     }

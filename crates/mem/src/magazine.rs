@@ -20,9 +20,9 @@
 //! * chained through [`Managed::free_link`].
 //!
 //! Moving nodes between a magazine and the global list is therefore pure
-//! *count transfer* — no reference count is touched — and every
-//! whole-arena invariant check (`for_each_node` audits, refcount audits)
-//! holds without knowing which free structure a node is parked in.
+//! *count transfer* — no reference count is touched. The quiescent audit
+//! and sweep (`Arena::audit_counts`, `Arena::sweep_unreachable`) flush
+//! every magazine first, so they see one free structure: the global list.
 //!
 //! # Locking and lock-freedom
 //!

@@ -223,6 +223,9 @@ impl<N> fmt::Debug for ReclaimedLinks<N> {
 ///   node's fields). It must atomically take every *counted* outgoing link,
 ///   null the fields, drop any payload, and report the old targets so the
 ///   arena can release them.
+/// * [`Managed::links`] yields, unchanged, the counted fields
+///   `drain_links` takes (the `free_link` among them): the quiescent
+///   audit counts them and the cycle sweep follows them.
 /// * [`Managed::reset_for_alloc`] is called by `Alloc` while the allocator
 ///   is the sole owner, before the node is handed out.
 pub trait Managed: Send + Sync {
@@ -237,6 +240,12 @@ pub trait Managed: Send + Sync {
     /// Takes all counted outgoing links and drops any payload; returns the
     /// old link targets for the arena to release.
     fn drain_links(&self) -> ReclaimedLinks<Self>
+    where
+        Self: Sized;
+
+    /// Every counted link field of the node, read-only: the twin of
+    /// [`Managed::drain_links`].
+    fn links(&self) -> impl Iterator<Item = &Link<Self>>
     where
         Self: Sized;
 

@@ -29,6 +29,9 @@ impl Managed for TestNode {
         links.push(self.back.swap(std::ptr::null_mut()));
         links
     }
+    fn links(&self) -> impl Iterator<Item = &Link<Self>> {
+        [&self.next, &self.back].into_iter()
+    }
     fn reset_for_alloc(&self) {
         self.next.write(std::ptr::null_mut());
         self.back.write(std::ptr::null_mut());
@@ -57,15 +60,17 @@ fn random_ops(rng: &mut SmallRng, max_len: usize) -> Vec<ArenaOp> {
 }
 
 /// Any alloc/release/link script conserves nodes: after releasing all
-/// held references, live_nodes() returns to zero and every node is
-/// allocatable again.
+/// held references the link counts are exact, the cycle sweep frees
+/// exactly what counting left behind, and every node is allocatable
+/// again.
 #[test]
 fn scripts_conserve_nodes() {
+    let mut swept = 0;
     for case in 0..64u64 {
         let mut rng = SmallRng::seed_from_u64(0xA4E4_0001 ^ (case * 0x9E37));
         let ops = random_ops(&mut rng, 120);
         let cap = 64usize;
-        let arena: Arena<TestNode> =
+        let mut arena: Arena<TestNode> =
             Arena::with_config(ArenaConfig::new().initial_capacity(cap).max_nodes(cap));
         let mut held: Vec<*mut TestNode> = Vec::new();
         for op in &ops {
@@ -101,19 +106,25 @@ fn scripts_conserve_nodes() {
             unsafe { arena.release(p) };
         }
         // Links may form cycles (a.back->b, b.back->a), which reference
-        // counting alone cannot reclaim — allow residue but never more
-        // than the pool, and the arena must remain functional.
+        // counting alone cannot reclaim: their counts are still exact, and
+        // the sweep frees exactly that residue.
+        let audit = |arena: &mut Arena<TestNode>| {
+            arena
+                .audit_counts(&[])
+                .unwrap_or_else(|e| panic!("case {case}: {e}"))
+        };
+        audit(&mut arena);
         let live = arena.live_nodes();
-        assert!(live as usize <= cap, "case {case}: live {live} > cap {cap}");
-        let p = arena.alloc();
-        assert!(
-            p.is_ok() || live as usize == cap,
-            "case {case}: arena wedged with {live} live"
-        );
-        if let Ok(p) = p {
-            unsafe { arena.release(p) };
-        }
+        assert_eq!(arena.sweep_unreachable(&[]) as u64, live, "case {case}");
+        assert_eq!(arena.live_nodes(), 0, "case {case}");
+        audit(&mut arena);
+        swept += live;
+        let p = arena
+            .alloc()
+            .unwrap_or_else(|_| panic!("case {case}: arena wedged"));
+        unsafe { arena.release(p) };
     }
+    assert!(swept > 0, "no script left a cycle for the sweep");
 }
 
 /// Alloc up to capacity always yields distinct nodes; exhaustion is

@@ -82,6 +82,9 @@ impl valois::mem::Managed for DummyNode {
         links.push(self.next.swap(std::ptr::null_mut()));
         links
     }
+    fn links(&self) -> impl Iterator<Item = &valois::mem::Link<Self>> {
+        std::iter::once(&self.next)
+    }
     fn reset_for_alloc(&self) {
         self.next.write(std::ptr::null_mut());
     }
