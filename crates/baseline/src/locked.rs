@@ -16,7 +16,7 @@ use std::hash::{BuildHasher, Hash, Hasher, RandomState};
 use std::sync::Mutex;
 use std::time::Duration;
 
-use valois_dict::Dictionary;
+use valois_dict::{AllocError, Dictionary};
 use valois_sync::{Lock, TtasLock};
 
 /// Probabilistic stall injected inside critical sections (see module
@@ -242,8 +242,8 @@ where
     V: Send + Sync,
     L: Lock,
 {
-    fn insert(&self, key: K, value: V) -> bool {
-        self.locked(|l| l.insert(key, value))
+    fn try_insert(&self, key: K, value: V) -> Result<bool, AllocError> {
+        Ok(self.locked(|l| l.insert(key, value)))
     }
 
     fn remove(&self, key: &K) -> bool {
@@ -312,8 +312,8 @@ where
     K: Ord + Send + Sync,
     V: Send + Sync,
 {
-    fn insert(&self, key: K, value: V) -> bool {
-        self.locked(|l| l.insert(key, value))
+    fn try_insert(&self, key: K, value: V) -> Result<bool, AllocError> {
+        Ok(self.locked(|l| l.insert(key, value)))
     }
 
     fn remove(&self, key: &K) -> bool {
@@ -377,8 +377,8 @@ where
     K: Ord + Hash + Send + Sync,
     V: Send + Sync,
 {
-    fn insert(&self, key: K, value: V) -> bool {
-        self.bucket(&key).insert(key, value)
+    fn try_insert(&self, key: K, value: V) -> Result<bool, AllocError> {
+        Ok(self.bucket(&key).insert(key, value))
     }
 
     fn remove(&self, key: &K) -> bool {
@@ -443,16 +443,16 @@ where
     K: Ord + Send + Sync,
     V: Send + Sync,
 {
-    fn insert(&self, key: K, value: V) -> bool {
+    fn try_insert(&self, key: K, value: V) -> Result<bool, AllocError> {
         let mut m = self.map.lock().unwrap();
         self.delay.maybe_stall();
-        match m.entry(key) {
+        Ok(match m.entry(key) {
             std::collections::btree_map::Entry::Occupied(_) => false,
             std::collections::btree_map::Entry::Vacant(e) => {
                 e.insert(value);
                 true
             }
-        }
+        })
     }
 
     fn remove(&self, key: &K) -> bool {

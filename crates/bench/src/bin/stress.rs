@@ -186,7 +186,7 @@ fn soak_list(secs: u64, threads: usize) {
         std::thread::sleep(Duration::from_secs(secs));
         stop.store(true, Ordering::Relaxed);
     });
-    list.check_structure()
+    list.check_structure(0)
         .unwrap_or_else(|e| panic!("list structure violated: {e}"));
     let report = list.aux_chain_report();
     assert_eq!(report.runs_ge2, 0, "aux chain theorem violated");

@@ -533,7 +533,7 @@ pub fn e7_aux_quiescence(cfg: &ExpConfig) -> ExperimentReport {
             max_chain.to_string(),
             after.runs_ge2.to_string(),
         ]);
-        list.check_structure()
+        list.check_structure(0)
             .expect("structure intact after churn");
     }
     let mut notes = Vec::new();

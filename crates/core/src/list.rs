@@ -320,6 +320,57 @@ impl<T: Send + Sync, R: Reclaimer, N: ListNode<Item = T>> List<T, R, N> {
         self.last
     }
 
+    /// Verifies the §3 structural invariants of level `lvl` at quiescence
+    /// (test helper): following `next(lvl)`, the list must be
+    /// `FirstDummy (Aux Cell)* Aux LastDummy` — every normal cell with an
+    /// auxiliary node as predecessor and successor, and no chains of
+    /// auxiliary nodes. A plain list has one level, `0`.
+    ///
+    /// Requires `&mut self` so the borrow checker guarantees no live
+    /// cursors or concurrent operations.
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of the first violated invariant.
+    pub fn check_structure(&mut self, lvl: usize) -> Result<(), String> {
+        // SAFETY: &mut self guarantees quiescence; raw walks are exclusive.
+        unsafe {
+            let mut p = self.first;
+            if (*p).kind() != NodeKind::FirstDummy {
+                return Err("First root does not point at the first dummy".into());
+            }
+            let mut expect_aux = true;
+            loop {
+                let n = (*p).next(lvl).read();
+                if n.is_null() {
+                    return Err(format!("unexpected null next after kind {:?}", (*p).kind()));
+                }
+                match (*n).kind() {
+                    NodeKind::Aux => {
+                        if !expect_aux {
+                            return Err("chain of two auxiliary nodes at quiescence".into());
+                        }
+                        expect_aux = false;
+                    }
+                    NodeKind::Cell => {
+                        if expect_aux {
+                            return Err("cell without auxiliary predecessor".into());
+                        }
+                        expect_aux = true;
+                    }
+                    NodeKind::LastDummy => {
+                        if expect_aux {
+                            return Err("last dummy without auxiliary predecessor".into());
+                        }
+                        return Ok(());
+                    }
+                    k => return Err(format!("unexpected node kind {k:?} in list")),
+                }
+                p = n;
+            }
+        }
+    }
+
     pub(crate) fn absorb(&self, tally: &mut ListStats) {
         if !tally.is_empty() {
             self.counters.absorb(tally);
@@ -356,18 +407,11 @@ impl<T: Send + Sync, R: Reclaimer> List<T, R> {
         &self,
         value: T,
     ) -> Result<PreparedInsert<'_, T, R>, (T, AllocError)> {
-        let cell = match self.arena.alloc() {
-            Ok(cell) => cell,
-            Err(e) => return Err((value, e)),
-        };
-        let aux = match self.arena.alloc() {
-            Ok(aux) => aux,
-            Err(e) => {
-                // SAFETY: `cell` is fresh and exclusively owned.
-                unsafe { self.arena.release(cell) };
-                return Err((value, e));
-            }
-        };
+        let mut pair = [std::ptr::null_mut(); 2];
+        if let Err(e) = self.arena.alloc_all(&mut pair) {
+            return Err((value, e));
+        }
+        let [cell, aux] = pair;
         // SAFETY: both nodes fresh, unpublished.
         unsafe {
             (*cell).init_value(value);
@@ -656,56 +700,6 @@ impl<T: Send + Sync, R: Reclaimer> List<T, R> {
             }
         }
         out
-    }
-
-    /// Verifies the §3 structural invariants at quiescence (test helper):
-    /// the list must be `FirstDummy (Aux Cell)* Aux LastDummy` — every
-    /// normal cell with an auxiliary node as predecessor and successor, and
-    /// no chains of auxiliary nodes.
-    ///
-    /// Requires `&mut self` so the borrow checker guarantees no live
-    /// cursors or concurrent operations.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first violated invariant.
-    pub fn check_structure(&mut self) -> Result<(), String> {
-        // SAFETY: &mut self guarantees quiescence; raw walks are exclusive.
-        unsafe {
-            let mut p = self.first;
-            if (*p).kind() != NodeKind::FirstDummy {
-                return Err("First root does not point at the first dummy".into());
-            }
-            let mut expect_aux = true;
-            loop {
-                let n = (*p).next.read();
-                if n.is_null() {
-                    return Err(format!("unexpected null next after kind {:?}", (*p).kind()));
-                }
-                match (*n).kind() {
-                    NodeKind::Aux => {
-                        if !expect_aux {
-                            return Err("chain of two auxiliary nodes at quiescence".into());
-                        }
-                        expect_aux = false;
-                    }
-                    NodeKind::Cell => {
-                        if expect_aux {
-                            return Err("cell without auxiliary predecessor".into());
-                        }
-                        expect_aux = true;
-                    }
-                    NodeKind::LastDummy => {
-                        if expect_aux {
-                            return Err("last dummy without auxiliary predecessor".into());
-                        }
-                        return Ok(());
-                    }
-                    k => return Err(format!("unexpected node kind {k:?} in list")),
-                }
-                p = n;
-            }
-        }
     }
 }
 

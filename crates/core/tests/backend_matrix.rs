@@ -33,7 +33,7 @@ fn thread_count() -> usize {
 /// Quiesces `list`, then checks its structure and its exact link counts.
 fn quiesce_and_check<R: Reclaimer>(list: &mut List<u64, R>) {
     list.quiescent_collect();
-    list.check_structure().unwrap();
+    list.check_structure(0).unwrap();
     list.audit_refcounts().unwrap();
 }
 
@@ -149,7 +149,7 @@ fn readers_never_see_torn_values<R: Reclaimer>() {
     let mut list2: List<(u64, u64), R> = List::new();
     std::mem::swap(&mut list2, &mut list);
     list2.quiescent_collect();
-    list2.check_structure().unwrap();
+    list2.check_structure(0).unwrap();
 }
 
 fn capped_pool_recycles_through_churn<R: Reclaimer>() {

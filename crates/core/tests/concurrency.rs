@@ -36,7 +36,7 @@ fn concurrent_inserts_lose_nothing() {
     items.sort_unstable();
     let expected: Vec<u64> = (0..threads * per_thread).collect();
     assert_eq!(items, expected, "no insert may be lost (Fig. 2 hazard)");
-    list.check_structure().unwrap();
+    list.check_structure(0).unwrap();
 }
 
 #[test]
@@ -82,7 +82,7 @@ fn concurrent_adjacent_deletes_do_not_undo_each_other() {
             "every item deleted exactly once (Fig. 3 hazard)"
         );
         assert!(list.is_empty());
-        list.check_structure().unwrap();
+        list.check_structure(0).unwrap();
     }
 }
 
@@ -136,7 +136,7 @@ fn interleaved_insert_delete_churn_is_conserved() {
         deleted.load(Ordering::Relaxed) + remaining,
         "conservation: inserted = deleted + remaining"
     );
-    list.check_structure().unwrap();
+    list.check_structure(0).unwrap();
 }
 
 #[test]
@@ -186,7 +186,7 @@ fn aux_chain_theorem_holds_at_quiescence() {
             "no auxiliary chains after deletions complete (§3 theorem)"
         );
         assert_eq!(report.aux, 1, "empty list has exactly one auxiliary node");
-        list.check_structure().unwrap();
+        list.check_structure(0).unwrap();
     }
 }
 
@@ -229,7 +229,7 @@ fn reference_counts_are_exact_after_churn() {
         "after cycle collection ({collected} collected), live nodes must \
          be exactly the reachable structure"
     );
-    list.check_structure().unwrap();
+    list.check_structure(0).unwrap();
     list.audit_refcounts()
         .expect("every node's count equals its in-degree after churn");
 }
@@ -285,7 +285,7 @@ fn nodes_return_to_free_list_with_exact_counts() {
         3,
         "only the empty skeleton (2 dummies + 1 aux) stays checked out"
     );
-    list.check_structure().unwrap();
+    list.check_structure(0).unwrap();
     list.check_invariants_now().unwrap();
     list.audit_refcounts().expect(
         "every free node must carry exactly its free-structure \

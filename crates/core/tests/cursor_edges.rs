@@ -52,7 +52,7 @@ fn head_cursor_survives_concurrent_delete_of_target() {
     drop(c);
 
     assert_eq!(list.iter().collect::<Vec<u64>>(), vec![2, 3]);
-    list.check_structure().unwrap();
+    list.check_structure(0).unwrap();
     list.audit_refcounts().unwrap();
 }
 
@@ -102,7 +102,7 @@ fn tail_cursor_survives_concurrent_delete_of_target() {
     drop(c);
 
     assert_eq!(list.iter().collect::<Vec<u64>>(), vec![1, 2]);
-    list.check_structure().unwrap();
+    list.check_structure(0).unwrap();
     list.audit_refcounts().unwrap();
 }
 
@@ -145,7 +145,7 @@ fn insert_through_cursor_with_deleted_target_lands_once() {
     let mut items: Vec<u64> = list.iter().collect();
     items.sort_unstable();
     assert_eq!(items, vec![1, 3, 99]);
-    list.check_structure().unwrap();
+    list.check_structure(0).unwrap();
     list.audit_refcounts().unwrap();
 }
 
@@ -184,7 +184,7 @@ fn head_cursor_survives_full_concurrent_drain() {
     drop(c);
 
     assert!(list.is_empty());
-    list.check_structure().unwrap();
+    list.check_structure(0).unwrap();
     list.audit_refcounts().unwrap();
 }
 
@@ -213,7 +213,7 @@ fn insert_unique_lost_race_drops_prepared_cell<R: Reclaimer>() {
     }
     assert_eq!(list.iter().collect::<Vec<u64>>(), vec![10, 20, 30]);
     list.quiescent_collect();
-    list.check_structure().unwrap();
+    list.check_structure(0).unwrap();
     list.audit_refcounts().unwrap();
 }
 

@@ -14,7 +14,7 @@ fn empty_list_layout_fig4() {
     assert_eq!(report.cells, 0);
     assert_eq!(report.aux, 1);
     assert_eq!(report.runs_ge2, 0);
-    list.check_structure().unwrap();
+    list.check_structure(0).unwrap();
 }
 
 #[test]
@@ -64,7 +64,7 @@ fn from_iterator_preserves_order() {
     let items: Vec<u32> = list.iter().collect();
     assert_eq!(items, (0..100).collect::<Vec<_>>());
     assert_eq!(list.len(), 100);
-    list.check_structure().unwrap();
+    list.check_structure(0).unwrap();
 }
 
 #[test]
@@ -84,7 +84,7 @@ fn delete_first_item() {
     drop(cur);
     let items: Vec<u32> = list.iter().collect();
     assert_eq!(items, vec![1, 2]);
-    list.check_structure().unwrap();
+    list.check_structure(0).unwrap();
 }
 
 #[test]
@@ -98,7 +98,7 @@ fn delete_middle_item() {
     drop(cur);
     let items: Vec<u32> = list.iter().collect();
     assert_eq!(items, vec![0, 1, 3, 4]);
-    list.check_structure().unwrap();
+    list.check_structure(0).unwrap();
 }
 
 #[test]
@@ -112,7 +112,7 @@ fn delete_last_item() {
     drop(cur);
     let items: Vec<u32> = list.iter().collect();
     assert_eq!(items, vec![0, 1, 2]);
-    list.check_structure().unwrap();
+    list.check_structure(0).unwrap();
 }
 
 #[test]
@@ -133,7 +133,7 @@ fn delete_all_items_returns_to_fig4_layout() {
         "empty list must be back to a single aux node"
     );
     assert_eq!(report.runs_ge2, 0);
-    list.check_structure().unwrap();
+    list.check_structure(0).unwrap();
 }
 
 #[test]
@@ -344,7 +344,7 @@ fn adjacent_stale_deletions_leave_no_garbage() {
     );
     // ...so the defensive sweep finds nothing.
     assert_eq!(list.quiescent_collect(), 0);
-    list.check_structure().unwrap();
+    list.check_structure(0).unwrap();
 
     // And the reclaimed nodes are reusable.
     let mut cur = list.cursor();
@@ -376,7 +376,7 @@ fn stale_cursor_delete_after_predecessor_removed() {
     drop(at_b);
     let items: Vec<u32> = list.iter().collect();
     assert_eq!(items, vec![2]);
-    list.check_structure().unwrap();
+    list.check_structure(0).unwrap();
     assert_eq!(list.quiescent_collect(), 0, "still no garbage");
     assert_eq!(list.mem_stats().live_nodes(), 3 + 2);
 }
@@ -386,7 +386,7 @@ fn quiescent_collect_on_clean_list_is_noop() {
     let mut list: List<u32> = (0..10).collect();
     assert_eq!(list.quiescent_collect(), 0);
     assert_eq!(list.len(), 10);
-    list.check_structure().unwrap();
+    list.check_structure(0).unwrap();
 }
 
 #[test]
@@ -396,7 +396,7 @@ fn retain_keeps_matching_items() {
     assert_eq!(removed, 13);
     let items: Vec<u32> = list.iter().collect();
     assert_eq!(items, vec![0, 3, 6, 9, 12, 15, 18]);
-    list.check_structure().unwrap();
+    list.check_structure(0).unwrap();
 }
 
 #[test]
@@ -430,7 +430,7 @@ fn concurrent_retain_partitions_exactly() {
         // cell but try_delete arbitrates: every item dies exactly once.
         assert_eq!(total.load(Ordering::Relaxed), 128);
         assert!(list.is_empty());
-        list.check_structure().unwrap();
+        list.check_structure(0).unwrap();
     }
 }
 

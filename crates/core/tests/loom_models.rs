@@ -267,7 +267,7 @@ fn try_insert_vs_try_delete_preserves_invariant_chain() {
         deleter.join().unwrap();
 
         let mut list = Arc::try_unwrap(list).expect("all threads joined");
-        if let Err(e) = list.check_structure() {
+        if let Err(e) = list.check_structure(0) {
             panic!("§3 invariant chain: {e}\nchain: {}", list.dump_chain());
         }
         list.audit_refcounts().expect("exact counts");
@@ -275,7 +275,7 @@ fn try_insert_vs_try_delete_preserves_invariant_chain() {
         // After collecting the deleted cell's residue the arena must hold
         // exactly the quiescent shape: 3 dummies/roots + 2 per live cell.
         list.quiescent_collect();
-        list.check_structure()
+        list.check_structure(0)
             .expect("§3 invariant chain after collect");
         assert_eq!(list.mem_stats().live_nodes(), 3 + 2);
     });
@@ -352,14 +352,14 @@ fn resume_survives_predecessor_deleted_mid_resume() {
         resumer.join().unwrap();
 
         let mut list = Arc::try_unwrap(list).expect("all threads joined");
-        if let Err(e) = list.check_structure() {
+        if let Err(e) = list.check_structure(0) {
             panic!("§3 invariant chain: {e}\nchain: {}", list.dump_chain());
         }
         list.audit_refcounts()
             .expect("exact counts — no leaked resume");
         assert_eq!(list.iter().collect::<Vec<u64>>(), vec![30]);
         list.quiescent_collect();
-        list.check_structure()
+        list.check_structure(0)
             .expect("§3 invariant chain after collect");
         assert_eq!(list.mem_stats().live_nodes(), 3 + 2);
     });
@@ -437,7 +437,7 @@ fn repair_swing_races_owner_recache() {
             Some(20),
             "the writer's swap wins"
         );
-        if let Err(e) = list.check_structure() {
+        if let Err(e) = list.check_structure(0) {
             panic!("§3 invariant chain: {e}\nchain: {}", list.dump_chain());
         }
         list.audit_refcounts_with_entries([&root])
@@ -552,7 +552,7 @@ fn repair_swing_races_two_recaching_writers() {
             matches!(last, Some(20 | 30)),
             "the last writer's swap wins, got {last:?}"
         );
-        if let Err(e) = list.check_structure() {
+        if let Err(e) = list.check_structure(0) {
             panic!("§3 invariant chain: {e}\nchain: {}", list.dump_chain());
         }
         list.audit_refcounts_with_entries(&roots)

@@ -33,7 +33,7 @@ fn smoke_insert_iterate_delete() {
     drop(c);
     assert_eq!(list.iter().collect::<Vec<u64>>(), vec![1, 3]);
 
-    list.check_structure().unwrap();
+    list.check_structure(0).unwrap();
     list.audit_refcounts().unwrap();
 }
 
@@ -53,7 +53,7 @@ fn smoke_free_list_recycles_nodes() {
         list.quiescent_collect();
         assert!(list.is_empty());
     }
-    list.check_structure().unwrap();
+    list.check_structure(0).unwrap();
     list.audit_refcounts().unwrap();
 }
 
@@ -89,7 +89,7 @@ fn smoke_two_thread_insert_contention() {
     let mut items: Vec<u64> = list.iter().collect();
     items.sort_unstable();
     assert_eq!(items, (0..16).collect::<Vec<u64>>());
-    list.check_structure().unwrap();
+    list.check_structure(0).unwrap();
     list.audit_refcounts().unwrap();
 }
 
@@ -121,6 +121,6 @@ fn smoke_two_thread_insert_delete_race() {
         });
     });
     assert_eq!(list.iter().collect::<Vec<u64>>(), vec![5]);
-    list.check_structure().unwrap();
+    list.check_structure(0).unwrap();
     list.audit_refcounts().unwrap();
 }

@@ -45,7 +45,9 @@ use valois_sync::shim::atomic::{AtomicU64, AtomicU8, Ordering};
 use valois_sync::shim::cell::UnsafeCell;
 use valois_sync::Backoff;
 
-use valois_mem::{Arena, ArenaConfig, Link, Managed, MemStats, NodeHeader, ReclaimedLinks};
+use valois_mem::{
+    AllocError, Arena, ArenaConfig, Link, Managed, MemStats, NodeHeader, ReclaimedLinks,
+};
 
 use crate::traits::Dictionary;
 
@@ -360,7 +362,7 @@ where
         }
     }
 
-    fn insert_impl(&self, key: K, value: V) -> bool {
+    fn insert_impl(&self, key: K, value: V) -> Result<bool, AllocError> {
         // SAFETY: §5 invariants as documented on the helpers.
         unsafe {
             // Cheap existence probe before paying for allocation.
@@ -368,15 +370,20 @@ where
                 Search::Found { cell, in_aux } => {
                     self.arena.release(cell);
                     self.arena.release(in_aux);
-                    return false;
+                    return Ok(false);
                 }
                 Search::NotFound { terminal } => self.arena.release(terminal),
             }
             // Prepare the cell with its two (empty) auxiliary nodes; the
-            // retry loop reuses it (paper Fig. 12 allocates once).
-            let cell = self.arena.alloc().expect("BST node pool exhausted");
-            let la = self.arena.alloc().expect("BST node pool exhausted");
-            let ra = self.arena.alloc().expect("BST node pool exhausted");
+            // retry loop reuses it (paper Fig. 12 allocates once). The
+            // probe holds nothing any more, so on an exhausted pool the
+            // shed can recycle everything reclaimable before one retry.
+            let mut nodes = [std::ptr::null_mut(); 3];
+            if self.arena.alloc_all(&mut nodes).is_err() {
+                self.arena.shed_memory();
+                self.arena.alloc_all(&mut nodes)?;
+            }
+            let [cell, la, ra] = nodes;
             (*la).kind.store(KIND_AUX, Ordering::Release);
             (*ra).kind.store(KIND_AUX, Ordering::Release);
             (*(*cell).key.get()).write(key);
@@ -400,7 +407,7 @@ where
                         self.arena.release(existing);
                         self.arena.release(in_aux);
                         self.arena.release(cell); // drains key/value/auxes
-                        return false;
+                        return Ok(false);
                     }
                     Search::NotFound { terminal } => {
                         // The leaf insertion: one CAS on the empty aux
@@ -412,7 +419,7 @@ where
                         {
                             self.arena.release(terminal);
                             self.arena.release(cell); // the tree link owns it now
-                            return true;
+                            return Ok(true);
                         }
                         self.arena.release(terminal);
                         self.bump_retry();
@@ -777,7 +784,7 @@ where
     K: Ord + Send + Sync,
     V: Send + Sync,
 {
-    fn insert(&self, key: K, value: V) -> bool {
+    fn try_insert(&self, key: K, value: V) -> Result<bool, AllocError> {
         self.insert_impl(key, value)
     }
 

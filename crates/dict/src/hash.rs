@@ -10,7 +10,7 @@
 use std::fmt;
 use std::hash::{BuildHasher, Hash, RandomState};
 
-use valois_core::{ArenaConfig, ListStats, MemStats, Reclaimer, RefCount};
+use valois_core::{AllocError, ArenaConfig, ListStats, MemStats, Reclaimer, RefCount};
 
 use crate::sorted_list::SortedListDict;
 use crate::traits::Dictionary;
@@ -190,8 +190,8 @@ where
     S: BuildHasher + Send + Sync,
     R: Reclaimer,
 {
-    fn insert(&self, key: K, value: V) -> bool {
-        self.bucket(&key).insert(key, value)
+    fn try_insert(&self, key: K, value: V) -> Result<bool, AllocError> {
+        self.bucket(&key).try_insert(key, value)
     }
 
     fn remove(&self, key: &K) -> bool {

@@ -53,3 +53,4 @@ pub use resizable::ResizableHashDict;
 pub use skiplist::SkipListDict;
 pub use sorted_list::{Entry, SortedListDict};
 pub use traits::Dictionary;
+pub use valois_mem::AllocError;

@@ -164,7 +164,7 @@ where
     }
 
     /// An empty table starting at `initial_buckets` (rounded up to a
-    /// power of two; the proptest suite starts at 2 to force doublings).
+    /// power of two; the conformance suite starts at 2 to force doublings).
     pub fn with_initial_buckets(initial_buckets: u64) -> Self {
         Self::with_settings(initial_buckets, RandomState::new(), ArenaConfig::default())
     }
@@ -298,46 +298,6 @@ where
             self.bucket_inits.fetch_add(1, Ordering::Relaxed);
         }
         cursor
-    }
-
-    /// The paper's `Insert` (Fig. 12) over split order, plus the
-    /// `Fetch&Add` count publication and the load-factor check.
-    /// Infallible wrapper over [`ResizableHashDict::try_insert`] for the
-    /// [`Dictionary`] trait — panics only when even a shed-and-retry
-    /// could not find memory.
-    fn insert_impl(&self, key: K, value: V) -> bool {
-        self.try_insert(key, value)
-            .expect("node pool exhausted (capped arena, even after shed_memory)")
-    }
-
-    /// Insert with explicit memory-pressure handling: on a capped,
-    /// exhausted pool this *sheds* reclaimable memory and retries once
-    /// before surfacing [`AllocError`].
-    ///
-    /// The shed runs with the failed attempt's cursor **dropped**, which
-    /// is the whole point: under the epoch backend an in-operation
-    /// allocation failure cannot drain garbage this operation's own
-    /// window retired (the thread's pin holds the grace period open —
-    /// I12), so the arena's internal pressure path comes up empty while
-    /// limbo holds reclaimable nodes. Closing the window first lets
-    /// [`List::shed_memory`]'s advance rounds age that garbage out; the
-    /// retry then allocates from it. Service layers get the same
-    /// behaviour per request without wiring any policy themselves.
-    ///
-    /// # Errors
-    ///
-    /// [`AllocError`] when the pool is capped and exhausted even after
-    /// the shed — i.e. the memory is genuinely live (or held by a
-    /// stalled reader: see the `epoch_pin_lag` gauge in
-    /// [`ResizableHashDict::mem_stats`]).
-    pub fn try_insert(&self, key: K, value: V) -> Result<bool, AllocError> {
-        match self.insert_attempt(key, value) {
-            Ok(won) => Ok(won),
-            Err((key, value)) => {
-                self.shed_memory();
-                self.insert_attempt(key, value).map_err(|_| AllocError)
-            }
-        }
     }
 
     /// Memory-pressure shed on the underlying list's arena (magazine
@@ -507,7 +467,7 @@ where
     where
         K: Clone,
     {
-        self.list.check_structure()?;
+        self.list.check_structure(0)?;
         // One unprotected walk (quiescent: &mut self) snapshots the chain.
         let mut walk: Vec<(u64, Option<K>)> = Vec::new();
         self.list
@@ -630,8 +590,37 @@ where
     S: BuildHasher + Send + Sync,
     R: Reclaimer,
 {
-    fn insert(&self, key: K, value: V) -> bool {
-        self.insert_impl(key, value)
+    /// The paper's `Insert` (Fig. 12) over split order, plus the
+    /// `Fetch&Add` count publication and the load-factor check.
+    ///
+    /// Memory-pressure handling: on a capped, exhausted pool this
+    /// *sheds* reclaimable memory and retries once before surfacing
+    /// [`AllocError`].
+    ///
+    /// The shed runs with the failed attempt's cursor **dropped**, which
+    /// is the whole point: under the epoch backend an in-operation
+    /// allocation failure cannot drain garbage this operation's own
+    /// window retired (the thread's pin holds the grace period open —
+    /// I12), so the arena's internal pressure path comes up empty while
+    /// limbo holds reclaimable nodes. Closing the window first lets
+    /// [`List::shed_memory`]'s advance rounds age that garbage out; the
+    /// retry then allocates from it. Service layers get the same
+    /// behaviour per request without wiring any policy themselves.
+    ///
+    /// # Errors
+    ///
+    /// [`AllocError`] when the pool is capped and exhausted even after
+    /// the shed — i.e. the memory is genuinely live (or held by a
+    /// stalled reader: see the `epoch_pin_lag` gauge in
+    /// [`ResizableHashDict::mem_stats`]).
+    fn try_insert(&self, key: K, value: V) -> Result<bool, AllocError> {
+        match self.insert_attempt(key, value) {
+            Ok(won) => Ok(won),
+            Err((key, value)) => {
+                self.shed_memory();
+                self.insert_attempt(key, value).map_err(|_| AllocError)
+            }
+        }
     }
 
     fn remove(&self, key: &K) -> bool {

@@ -27,7 +27,7 @@ use valois_sync::shim::atomic::{fence, AtomicU64, AtomicU8, Ordering};
 use valois_sync::shim::cell::UnsafeCell;
 
 use valois_core::{Cursor, List, ListNode, ListStats, NodeKind, RefCount};
-use valois_mem::{ArenaConfig, Link, Managed, MemStats, NodeHeader, ReclaimedLinks};
+use valois_mem::{AllocError, ArenaConfig, Link, Managed, MemStats, NodeHeader, ReclaimedLinks};
 
 use crate::traits::Dictionary;
 
@@ -268,44 +268,66 @@ where
         }
     }
 
-    fn insert_impl(&self, key: K, value: V) -> bool {
-        self.insert_with_height(key, value, self.random_level())
-    }
-
     /// Inserts with an explicit tower height instead of a random one.
     ///
     /// This is a test hook: the shim/loom models need deterministic tower
     /// heights to pin the insert-vs-remove interleaving (`random_level`
     /// draws from a thread-local stream the scheduler cannot replay).
     /// `height` is clamped to `1..=MAX_LEVELS`.
+    ///
+    /// # Errors
+    ///
+    /// As [`Dictionary::try_insert`]: [`AllocError`] when the pool is
+    /// capped and stays exhausted after one shed and retry.
     #[doc(hidden)]
-    pub fn insert_with_height(&self, key: K, value: V, height: usize) -> bool {
+    pub fn insert_with_height(&self, key: K, value: V, height: usize) -> Result<bool, AllocError> {
         let height = height.clamp(1, MAX_LEVELS);
+        match self.insert_attempt(key, value, height) {
+            Ok(won) => Ok(won),
+            Err((key, value)) => {
+                // The failed attempt released its cursor and saved
+                // predecessors, so the shed can recycle what they held.
+                self.levels.shed_memory();
+                self.insert_attempt(key, value, height)
+                    .map_err(|_| AllocError)
+            }
+        }
+    }
+
+    /// One insert attempt. `Err` hands the key and value back when the
+    /// pool cannot supply the cell and its level-0 aux node: nothing is
+    /// linked then, and the attempt's cursor and saved predecessors are
+    /// already released.
+    fn insert_attempt(&self, key: K, value: V, height: usize) -> Result<bool, (K, V)> {
         let arena = self.levels.arena();
         let mut saved: Saved<K, V> = [std::ptr::null_mut(); MAX_LEVELS];
         let mut c = self.descend(Some(&mut saved), |c| {
             c.find_from(by_key(&key));
         });
         let present = c.find_from(by_key(&key));
+        let mut pair = [std::ptr::null_mut(); 2];
         // SAFETY: protocol invariants as documented on each helper; the
         // tower and aux nodes are fresh and counted by their allocation
         // references until linked.
         unsafe {
-            if present {
+            if present || arena.alloc_all(&mut pair).is_err() {
                 drop(c);
                 self.release_saved(&saved);
                 valois_trace::probe!(DictInsert, 0u64, 0u64);
-                return false;
+                return if present {
+                    Ok(false)
+                } else {
+                    Err((key, value))
+                };
             }
-            // Allocate and initialize the tower cell.
-            let cell = arena.alloc().expect("skip-list node pool exhausted");
+            // Initialize the tower cell.
+            let [cell, aux0] = pair;
             (*(*cell).entry.get()).write((key, value));
             (*cell).level.store(height as u8, Ordering::Relaxed);
             (*cell).set_kind(NodeKind::Cell);
             // The cell owns the key now.
             let key = &(*cell).item().0;
             // Level 0: the membership-defining insertion (Fig. 12).
-            let aux0 = arena.alloc().expect("skip-list node pool exhausted");
             (*aux0).set_kind(NodeKind::Aux);
             if !c.link_unique(cell, aux0, |a, b| a.0.cmp(&b.0)) {
                 // A concurrent insert of the same key won: roll back.
@@ -314,7 +336,7 @@ where
                 arena.release(cell); // drains key/value + aux0 link
                 arena.release(aux0);
                 valois_trace::probe!(DictInsert, 0u64, 0u64);
-                return false;
+                return Ok(false);
             }
             // The list links count the aux now; the cell's allocation
             // reference is dropped at the end, after the upper levels.
@@ -326,7 +348,12 @@ where
             #[allow(clippy::needless_range_loop)] // saved is indexed by level
             'levels: for lvl in 1..height {
                 c.reopen(lvl, saved[lvl]);
-                let aux = arena.alloc().expect("skip-list node pool exhausted");
+                // The item is a member already; an exhausted pool only
+                // ends its tower early, as a concurrent delete does.
+                let aux = match arena.alloc() {
+                    Ok(aux) => aux,
+                    Err(_) => break 'levels,
+                };
                 (*aux).set_kind(NodeKind::Aux);
                 // WAIT-FREE: lock-free, not wait-free — each failed link
                 // CAS means another operation changed this level's chain
@@ -387,7 +414,7 @@ where
             arena.release(cell);
             self.release_saved(&saved);
             valois_trace::probe!(DictInsert, cell as usize, 1u64);
-            true
+            Ok(true)
         }
     }
 
@@ -586,7 +613,8 @@ where
         self.levels.mem_stats()
     }
 
-    /// Quiescent invariant check (testing hook): every level strictly
+    /// Quiescent invariant check (testing hook): every level a
+    /// well-formed §3 chain ([`List::check_structure`]) and strictly
     /// sorted, and every upper-level key present at level 0.
     ///
     /// # Errors
@@ -596,6 +624,11 @@ where
     where
         K: Clone,
     {
+        for lvl in 0..MAX_LEVELS {
+            self.levels
+                .check_structure(lvl)
+                .map_err(|e| format!("level {lvl}: {e}"))?;
+        }
         let keys0 = self.keys();
         if keys0.windows(2).any(|w| w[0] >= w[1]) {
             return Err("level 0 keys not strictly sorted".into());
@@ -659,8 +692,8 @@ where
     K: Ord + Send + Sync,
     V: Send + Sync,
 {
-    fn insert(&self, key: K, value: V) -> bool {
-        self.insert_impl(key, value)
+    fn try_insert(&self, key: K, value: V) -> Result<bool, AllocError> {
+        self.insert_with_height(key, value, self.random_level())
     }
 
     fn remove(&self, key: &K) -> bool {

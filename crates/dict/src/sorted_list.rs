@@ -124,51 +124,8 @@ where
         }
     }
 
-    /// The paper's `Insert` (Fig. 12): `Ok(true)` when this call linked
-    /// the new cell, `Ok(false)` when `key` was already present.
-    ///
-    /// Two departures from the figure: positioning starts from the
-    /// nearest cached cursor instead of the head, and a failed CAS
-    /// retries inside [`Cursor::insert_unique`] via [`Cursor::resume`]
-    /// (back_link-guided, O(distance-to-conflict)) instead of `Update`
-    /// alone.
-    ///
-    /// # Errors
-    ///
-    /// [`AllocError`] when the pool is capped and no node is free even
-    /// after shedding the anchors the cursor cache pins.
-    pub fn try_insert(&self, key: K, value: V) -> Result<bool, AllocError> {
-        // Fig. 12 line 1. The first positioning scan runs before paying
-        // for allocation.
-        let mut cursor = self.cursor_for(&key);
-        if cursor.find_from(|e| e.key.cmp(&key)) {
-            self.save_position(&cursor);
-            return Ok(false); // Fig. 12 lines 6-7
-        }
-        // Fig. 12 lines 2-4: allocate and initialize the new cell + aux.
-        let prepared = match self.list.try_prepare_insert(Entry { key, value }) {
-            Ok(prepared) => prepared,
-            Err((entry, _)) => {
-                // Capped arena ran dry. Cached anchors pin cells (and
-                // their back_link chains); shed them, drop this cursor's
-                // own holds, and retry once before declaring exhaustion.
-                drop(cursor);
-                self.cache.retire_all(&self.list);
-                cursor = self.list.cursor();
-                if cursor.find_from(|e| e.key.cmp(&entry.key)) {
-                    return Ok(false);
-                }
-                self.list.prepare_insert(entry)?
-            }
-        };
-        // Fig. 12 lines 8-12.
-        let won = cursor.insert_unique(prepared, |e, new| e.key.cmp(&new.key));
-        self.save_position(&cursor);
-        Ok(won)
-    }
-
     /// The paper's `Delete` (Fig. 13) via [`Cursor::find_and_delete`],
-    /// positioned like [`SortedListDict::try_insert`].
+    /// positioned like `try_insert`.
     fn remove_impl(&self, key: &K) -> bool {
         let mut cursor = self.cursor_for(key); // Fig. 13 line 1
         let hit = cursor.find_and_delete(|e| e.key.cmp(key));
@@ -252,7 +209,7 @@ where
     where
         K: Clone,
     {
-        self.list.check_structure()?;
+        self.list.check_structure(0)?;
         let keys = self.keys();
         if keys.windows(2).any(|w| w[0] >= w[1]) {
             return Err("keys not strictly sorted".into());
@@ -306,9 +263,50 @@ where
     V: Send + Sync,
     R: Reclaimer,
 {
-    fn insert(&self, key: K, value: V) -> bool {
-        self.try_insert(key, value)
-            .expect("node pool exhausted (capped arena, even after shedding cached anchors)")
+    /// The paper's `Insert` (Fig. 12): `Ok(true)` when this call linked
+    /// the new cell, `Ok(false)` when `key` was already present.
+    ///
+    /// Two departures from the figure: positioning starts from the
+    /// nearest cached cursor instead of the head, and a failed CAS
+    /// retries inside [`Cursor::insert_unique`] via [`Cursor::resume`]
+    /// (back_link-guided, O(distance-to-conflict)) instead of `Update`
+    /// alone.
+    ///
+    /// # Errors
+    ///
+    /// [`AllocError`] when the pool is capped and no node is free even
+    /// after shedding the anchors the cursor cache pins and the arena's
+    /// reclaimable memory ([`List::shed_memory`]).
+    fn try_insert(&self, key: K, value: V) -> Result<bool, AllocError> {
+        // Fig. 12 line 1. The first positioning scan runs before paying
+        // for allocation.
+        let mut cursor = self.cursor_for(&key);
+        if cursor.find_from(|e| e.key.cmp(&key)) {
+            self.save_position(&cursor);
+            return Ok(false); // Fig. 12 lines 6-7
+        }
+        // Fig. 12 lines 2-4: allocate and initialize the new cell + aux.
+        let prepared = match self.list.try_prepare_insert(Entry { key, value }) {
+            Ok(prepared) => prepared,
+            Err((entry, _)) => {
+                // Capped arena ran dry. Cached anchors pin cells (and
+                // their back_link chains); drop this cursor's own holds,
+                // shed the anchors and the arena's reclaimable memory,
+                // and retry once before declaring exhaustion.
+                drop(cursor);
+                self.cache.retire_all(&self.list);
+                self.list.shed_memory();
+                cursor = self.list.cursor();
+                if cursor.find_from(|e| e.key.cmp(&entry.key)) {
+                    return Ok(false);
+                }
+                self.list.prepare_insert(entry)?
+            }
+        };
+        // Fig. 12 lines 8-12.
+        let won = cursor.insert_unique(prepared, |e, new| e.key.cmp(&new.key));
+        self.save_position(&cursor);
+        Ok(won)
     }
 
     fn remove(&self, key: &K) -> bool {

@@ -2,6 +2,8 @@
 //! which are distinguished by distinct keys", with `Find`, `Insert`, and
 //! `Delete`.
 
+use valois_mem::AllocError;
+
 /// A concurrent dictionary (paper §4).
 ///
 /// Keys are unique; `insert` refuses duplicates rather than overwriting
@@ -10,13 +12,36 @@
 /// linearizable and, for the lock-free implementations in this crate,
 /// non-blocking.
 ///
-/// Implementations may panic on node-pool exhaustion if constructed with a
-/// capped arena; the default configurations grow on demand.
+/// [`try_insert`](Dictionary::try_insert) is the one insert every
+/// implementation defines; on a capped node pool (§5's bounded free
+/// list) it reports exhaustion as an error. [`insert`](Dictionary::insert)
+/// is the infallible wrapper for the default, grow-on-demand pools.
 pub trait Dictionary<K, V>: Send + Sync {
-    /// Inserts `(key, value)` if `key` is absent. Returns `true` on
-    /// insertion, `false` if the key was already present (the value is
-    /// dropped).
-    fn insert(&self, key: K, value: V) -> bool;
+    /// Inserts `(key, value)` if `key` is absent. Returns `Ok(true)` on
+    /// insertion, `Ok(false)` if the key was already present (the value
+    /// is dropped).
+    ///
+    /// An implementation whose allocation fails drops whatever protection
+    /// the attempt held, sheds reclaimable memory once and retries before
+    /// it gives up; a failed insert leaves the dictionary unchanged.
+    ///
+    /// # Errors
+    ///
+    /// [`AllocError`] when the node pool is capped and stays exhausted
+    /// after that shed (the value is dropped).
+    fn try_insert(&self, key: K, value: V) -> Result<bool, AllocError>;
+
+    /// [`try_insert`](Dictionary::try_insert) for pools that cannot run
+    /// dry. Returns `true` on insertion, `false` if the key was already
+    /// present.
+    ///
+    /// # Panics
+    ///
+    /// If the node pool is capped and exhausted.
+    fn insert(&self, key: K, value: V) -> bool {
+        self.try_insert(key, value)
+            .expect("node pool exhausted (capped arena, even after shedding)")
+    }
 
     /// Removes the item with `key`. Returns `true` if an item was removed.
     fn remove(&self, key: &K) -> bool;

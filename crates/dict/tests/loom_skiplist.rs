@@ -83,7 +83,7 @@ fn concurrent_insert_remove_leaves_no_orphan_tower() {
                     // Height 2: the minimal tower with an upper level to
                     // orphan. `random_level` is uncontrollable under the
                     // model, hence the explicit-height hook.
-                    assert!(dict.insert_with_height(7, 70, 2), "key is fresh");
+                    assert_eq!(dict.insert_with_height(7, 70, 2), Ok(true), "key is fresh");
                 })
             };
             let remover = {
@@ -122,7 +122,7 @@ fn orphan_sweep_spares_a_reinserted_tower() {
             let inserter = {
                 let dict = Arc::clone(&dict);
                 thread::spawn(move || {
-                    assert!(dict.insert_with_height(7, 70, 2), "key is fresh");
+                    assert_eq!(dict.insert_with_height(7, 70, 2), Ok(true), "key is fresh");
                 })
             };
             let churner = {
@@ -132,7 +132,7 @@ fn orphan_sweep_spares_a_reinserted_tower() {
                     if removed {
                         // Rebuild a same-key tower while the first
                         // inserter may still be linking upper levels.
-                        assert!(dict.insert_with_height(7, 71, 2), "slot is free");
+                        assert_eq!(dict.insert_with_height(7, 71, 2), Ok(true), "slot is free");
                     }
                     removed
                 })
@@ -172,12 +172,16 @@ fn orphan_sweep_reopens_from_a_deleted_predecessor() {
         .check(|| {
             let dict: Arc<SkipListDict<u64, u64>> =
                 Arc::new(SkipListDict::with_config(model_config()));
-            assert!(dict.insert_with_height(5, 50, 2), "prefill is fresh");
+            assert_eq!(
+                dict.insert_with_height(5, 50, 2),
+                Ok(true),
+                "prefill is fresh"
+            );
 
             let inserter = {
                 let dict = Arc::clone(&dict);
                 thread::spawn(move || {
-                    assert!(dict.insert_with_height(7, 70, 2), "key is fresh");
+                    assert_eq!(dict.insert_with_height(7, 70, 2), Ok(true), "key is fresh");
                 })
             };
             let remover = {

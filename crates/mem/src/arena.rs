@@ -249,6 +249,35 @@ impl<N: Managed + Default, R: Reclaimer> Arena<N, R> {
         result
     }
 
+    /// Allocates one node into every slot of `nodes` (each with a count
+    /// of one, as [`Arena::alloc`]), or none: when the pool runs dry part
+    /// way, the nodes already taken go back before the error returns.
+    /// Structures whose insert needs several nodes take them all before
+    /// publishing any, so an exhausted pool leaves nothing half-linked.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`AllocError`] when the pool is exhausted and capped;
+    /// `nodes` then holds no counted reference.
+    pub fn alloc_all(&self, nodes: &mut [*mut N]) -> Result<(), AllocError> {
+        for i in 0..nodes.len() {
+            // COUNT: each allocation reference transfers to the caller in
+            // `nodes`; a failure releases the ones already taken.
+            match self.alloc() {
+                Ok(p) => nodes[i] = p,
+                Err(e) => {
+                    for &taken in &nodes[..i] {
+                        // SAFETY: fresh nodes this call allocated, never
+                        // published.
+                        unsafe { self.release(taken) };
+                    }
+                    return Err(e);
+                }
+            }
+        }
+        Ok(())
+    }
+
     fn alloc_inner(&self, tally: &mut MemStats) -> Result<*mut N, AllocError> {
         // Built on first use: construction reads a thread-local, and
         // almost every call returns before it needs to wait.
@@ -1321,6 +1350,21 @@ mod tests {
             arena.release(b);
         }
         assert!(arena.alloc().is_ok(), "released node must be allocatable");
+    }
+
+    #[test]
+    fn alloc_all_takes_every_node_or_none() {
+        let arena = small_arena(3);
+        let mut four = [std::ptr::null_mut(); 4];
+        assert_eq!(arena.alloc_all(&mut four), Err(AllocError));
+        assert_eq!(arena.live_nodes(), 0, "the partial take went back");
+        let mut three = [std::ptr::null_mut(); 3];
+        arena.alloc_all(&mut three).unwrap();
+        assert_eq!(arena.live_nodes(), 3);
+        for p in three {
+            // SAFETY: each pointer carries the alloc's counted reference.
+            unsafe { arena.release(p) };
+        }
     }
 
     /// Regression for the service-load AllocError contract: an

@@ -10,7 +10,7 @@ use valois_core::channel::{channel, Receiver, Sender};
 use valois_core::ArenaConfig;
 use valois_dict::{Dictionary, ResizableHashDict};
 use valois_harness::LatencyHistogram;
-use valois_mem::{MemStats, Reclaimer};
+use valois_mem::{AllocError, MemStats, Reclaimer};
 use valois_sync::shim::atomic::{AtomicU64, Ordering};
 
 use crate::request::{Op, Outcome, Request, Response};
@@ -274,8 +274,15 @@ impl<R: Reclaimer> BlockingClient<'_, R> {
 }
 
 impl<R: Reclaimer> Dictionary<u64, u64> for BlockingClient<'_, R> {
-    fn insert(&self, key: u64, value: u64) -> bool {
-        matches!(self.call(Op::Put(key, value)), Outcome::Inserted(true))
+    /// A put the shard could not place even after shedding
+    /// ([`Outcome::Overloaded`]) is an [`AllocError`], not "already
+    /// present".
+    fn try_insert(&self, key: u64, value: u64) -> Result<bool, AllocError> {
+        match self.call(Op::Put(key, value)) {
+            Outcome::Inserted(won) => Ok(won),
+            Outcome::Overloaded => Err(AllocError),
+            other => unreachable!("Put answered with {other:?}"),
+        }
     }
 
     fn remove(&self, key: &u64) -> bool {

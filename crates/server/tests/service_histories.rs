@@ -6,8 +6,9 @@ use std::time::{Duration, Instant};
 
 use valois_core::channel::{channel, Receiver, Sender, TryRecvError, CAPACITY};
 use valois_core::ArenaConfig;
+use valois_dict::Dictionary;
 use valois_harness::{check_linearizable, History, KeyDist, Op as HOp};
-use valois_mem::{Epoch, Reclaimer, RefCount};
+use valois_mem::{AllocError, Epoch, Reclaimer, RefCount};
 use valois_server::{
     run_service, Op, Outcome, Request, Response, Server, ServiceConfig, ServiceMix, SimConfig,
     StatsFeed,
@@ -257,6 +258,25 @@ fn capped_pool_service_survives<R: Reclaimer + 'static>() {
     }
 }
 
+/// A put the service could not place even after the shard's shed is an
+/// error at the client, never "already present": a capped server filled
+/// through one client must refuse a fresh key with `Err(AllocError)`.
+fn overloaded_put_is_an_error<R: Reclaimer + 'static>() {
+    let server: Server<R> = Server::start(&ServiceConfig {
+        arena: ArenaConfig::new().initial_capacity(64).max_nodes(64),
+        ..small_config(1)
+    });
+    let client = server.client();
+    let mut filled = 0u64;
+    while client.try_insert(filled, filled) == Ok(true) {
+        filled += 1;
+    }
+    assert!(filled >= 8, "capped pool too small: {filled} keys");
+    assert_eq!(client.try_insert(u64::MAX, 0), Err(AllocError));
+    assert_eq!(client.find(&0), Some(0), "the refusal changed nothing");
+    server.shutdown();
+}
+
 /// `Server::mem_stats` folds the shard arenas' counters: counters add,
 /// and the `epoch_pin_lag` gauge is the max over shards, not the sum.
 fn server_mem_stats_folds_the_shards<R: Reclaimer + 'static>() {
@@ -327,6 +347,11 @@ mod refcount {
     fn capped_pool_service_survives() {
         super::capped_pool_service_survives::<RefCount>();
     }
+
+    #[test]
+    fn overloaded_put_is_an_error() {
+        super::overloaded_put_is_an_error::<RefCount>();
+    }
 }
 
 mod epoch {
@@ -360,6 +385,11 @@ mod epoch {
     #[test]
     fn capped_pool_service_survives() {
         super::capped_pool_service_survives::<Epoch>();
+    }
+
+    #[test]
+    fn overloaded_put_is_an_error() {
+        super::overloaded_put_is_an_error::<Epoch>();
     }
 
     #[test]

@@ -9,22 +9,25 @@
 //! * **Fetch&Add** — used by the reference counts (§5.1).
 //!
 //! This crate provides paper-faithful wrappers over [`std::sync::atomic`]
-//! ([`primitives`]), the exponential [`Backoff`] the paper recommends for
-//! contention management (§2.1), the spin locks used as baselines
-//! ([`spinlock`]), and a [`CachePadded`] helper to keep hot shared words on
-//! separate cache lines. [`Sharded`] spreads statistics over per-thread
+//! ([`primitives`]: the pointer word [`CasPtr`] and the memory manager's
+//! combined count-and-claim word [`RefClaim`]), the exponential
+//! [`Backoff`] the paper recommends for contention management (§2.1),
+//! the spin locks used as baselines ([`spinlock`]), and a
+//! [`CachePadded`] helper to keep hot shared words on separate cache
+//! lines. [`Sharded`] spreads statistics over per-thread
 //! shards, and [`counter_table!`] declares a layer's counters once and
 //! generates the snapshot, batch and sharded live types from that list.
 //!
 //! # Example
 //!
 //! ```
-//! use valois_sync::primitives::CasCell;
+//! use valois_sync::CasPtr;
 //!
-//! let cell = CasCell::new(7usize);
-//! assert!(cell.compare_and_swap(7, 8));
-//! assert!(!cell.compare_and_swap(7, 9));
-//! assert_eq!(cell.read(), 8);
+//! let (mut a, mut b) = (7u32, 8u32);
+//! let word = CasPtr::new(&mut a as *mut u32);
+//! assert!(word.compare_and_swap(&mut a, &mut b), "swing a -> b");
+//! assert!(!word.compare_and_swap(&mut a, &mut b), "stale old value");
+//! assert_eq!(word.read(), &mut b as *mut u32);
 //! ```
 
 #![warn(missing_docs)]
@@ -41,7 +44,7 @@ pub mod spinlock;
 
 pub use backoff::Backoff;
 pub use pad::CachePadded;
-pub use primitives::{CasCell, CasPtr, Counter, RefClaim, TestAndSet};
+pub use primitives::{CasPtr, RefClaim};
 pub use sharded::Sharded;
 pub use spinlock::{
     AndersonLock, ClhLock, Lock, LockGuard, LockKind, TasLock, TicketLock, TtasLock,

@@ -1,18 +1,16 @@
-//! Paper-faithful wrappers for the three atomic primitives of §2.1.
+//! Paper-faithful wrappers for the atomic primitives of §2.1.
 //!
 //! Figure 1 of the paper defines `Compare&Swap(a, old, new)` as an atomic
 //! conditional store returning a boolean. Modern hardware (and Rust's
 //! [`std::sync::atomic`]) exposes the same operation as `compare_exchange`;
-//! the wrappers here keep the paper's boolean-returning shape so the
-//! algorithm implementations in `valois-core` read line-for-line like the
-//! paper's pseudo-code.
+//! [`CasPtr`] keeps the paper's boolean-returning shape so the algorithm
+//! implementations in `valois-core` read line-for-line like the paper's
+//! pseudo-code.
 //!
-//! Footnote 1 of the paper notes that `Test&Set` and `Fetch&Add` are easily
-//! implemented with `Compare&Swap`; we expose them directly on top of the
-//! corresponding hardware instructions (`swap`, `fetch_add`), which is
-//! semantically identical and faster. A CAS-loop fallback is provided (and
-//! tested) in [`TestAndSet::set_via_cas`] and [`Counter::add_via_cas`] to
-//! demonstrate the footnote's claim.
+//! The memory manager's `Fetch&Add` on the reference count and its
+//! `Test&Set` on the claim bit (§5, Figs. 15-18) live together in
+//! [`RefClaim`], one word, with the claim taken by `Compare&Swap` (the
+//! Michael & Scott correction).
 //!
 //! # Memory orderings
 //!
@@ -21,75 +19,13 @@
 //! (documented on each method), which is the standard, weaker-but-sufficient
 //! mapping; statistics counters use `Relaxed`.
 
-use crate::shim::atomic::{AtomicBool, AtomicPtr, AtomicUsize, Ordering};
+use crate::shim::atomic::{AtomicPtr, AtomicUsize, Ordering};
 use std::fmt;
-
-/// A single shared word supporting `Read`, `Write`, and `Compare&Swap`.
-///
-/// This is the paper's memory cell abstraction for non-pointer words.
-///
-/// # Example
-///
-/// ```
-/// use valois_sync::primitives::CasCell;
-/// let c = CasCell::new(1usize);
-/// assert!(c.compare_and_swap(1, 2));
-/// assert_eq!(c.read(), 2);
-/// ```
-#[derive(Default)]
-pub struct CasCell {
-    word: AtomicUsize,
-}
-
-impl CasCell {
-    /// Creates a cell holding `initial`.
-    pub fn new(initial: usize) -> Self {
-        Self {
-            word: AtomicUsize::new(initial),
-        }
-    }
-
-    /// Atomic read (paper `Read`). Acquire ordering: values read through
-    /// this cell happen-after the write that published them.
-    pub fn read(&self) -> usize {
-        self.word.load(Ordering::Acquire)
-    }
-
-    /// Atomic write (paper `Write`). Release ordering.
-    pub fn write(&self, value: usize) {
-        self.word.store(value, Ordering::Release);
-    }
-
-    /// The paper's Fig. 1 `Compare&Swap`: if the cell holds `old`, replace
-    /// it with `new` and return `true`; otherwise return `false`.
-    ///
-    /// Uses `AcqRel` on success so a successful swing both publishes `new`
-    /// and observes everything published before `old` was installed.
-    pub fn compare_and_swap(&self, old: usize, new: usize) -> bool {
-        self.word
-            .compare_exchange(old, new, Ordering::AcqRel, Ordering::Acquire)
-            .is_ok()
-    }
-
-    /// Weak variant allowed to fail spuriously; callers already in retry
-    /// loops (every use in the paper) can use this on LL/SC architectures.
-    pub fn compare_and_swap_weak(&self, old: usize, new: usize) -> bool {
-        self.word
-            .compare_exchange_weak(old, new, Ordering::AcqRel, Ordering::Acquire)
-            .is_ok()
-    }
-}
-
-impl fmt::Debug for CasCell {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_tuple("CasCell").field(&self.read()).finish()
-    }
-}
 
 /// A shared pointer word supporting `Read`, `Write`, and `Compare&Swap`.
 ///
 /// The paper's algorithms use `Compare&Swap` exclusively to *swing* pointers
-/// (§2.1); `CasPtr` is the pointer-typed twin of [`CasCell`].
+/// (§2.1).
 ///
 /// `CasPtr` stores raw pointers; it is up to the caller (the memory manager
 /// in `valois-mem`) to guarantee the pointees outlive all readers. That is
@@ -192,172 +128,6 @@ impl<T> Default for CasPtr<T> {
 impl<T> fmt::Debug for CasPtr<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_tuple("CasPtr").field(&self.read()).finish()
-    }
-}
-
-/// The paper's `Test&Set` primitive: atomically sets a flag to `TRUE` and
-/// returns the *previous* value.
-///
-/// Used by `Release` (Fig. 16) to arbitrate which of several processes that
-/// concurrently saw a reference count reach zero actually reclaims the cell
-/// (the `claim` field).
-///
-/// # Example
-///
-/// ```
-/// use valois_sync::primitives::TestAndSet;
-///
-/// let claim = TestAndSet::new();
-/// assert!(!claim.test_and_set(), "first claimant wins (previous = false)");
-/// assert!(claim.test_and_set(), "everyone after loses");
-/// ```
-#[derive(Default)]
-pub struct TestAndSet {
-    flag: AtomicBool,
-}
-
-impl TestAndSet {
-    /// Creates a cleared flag.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Creates a flag with the given initial state.
-    pub fn with_state(set: bool) -> Self {
-        Self {
-            flag: AtomicBool::new(set),
-        }
-    }
-
-    /// Atomically sets the flag, returning the previous value
-    /// (`false` means the caller won the claim).
-    pub fn test_and_set(&self) -> bool {
-        // ORDER: AcqRel — the claim winner acquires the releases that
-        // brought the count to zero before it drains the node.
-        self.flag.swap(true, Ordering::AcqRel)
-    }
-
-    /// Footnote-1 demonstration: `Test&Set` built from `Compare&Swap`.
-    pub fn set_via_cas(&self) -> bool {
-        // A single CAS false->true suffices: if it fails the flag was
-        // already true (the flag is never cleared concurrently with claims).
-        self.flag
-            .compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire)
-            .is_err()
-    }
-
-    /// Clears the flag (used by `Alloc`, Fig. 17 line 8, when recycling a
-    /// cell). Release ordering so the clear is visible before the cell is
-    /// republished.
-    pub fn clear(&self) {
-        self.flag.store(false, Ordering::Release);
-    }
-
-    /// Reads the flag without modifying it.
-    pub fn is_set(&self) -> bool {
-        self.flag.load(Ordering::Acquire)
-    }
-}
-
-impl fmt::Debug for TestAndSet {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_tuple("TestAndSet").field(&self.is_set()).finish()
-    }
-}
-
-/// The paper's `Fetch&Add` primitive over a signed-capable counter.
-///
-/// `Release` (Fig. 16) performs `Fetch&Add(refct, -1)`; we represent the
-/// count as a `usize` and expose increment/decrement that return the
-/// *previous* value, matching the paper's semantics.
-///
-/// # Example
-///
-/// ```
-/// use valois_sync::primitives::Counter;
-///
-/// let refct = Counter::new(1);
-/// assert_eq!(refct.fetch_increment(), 1);
-/// assert_eq!(refct.fetch_decrement(), 2);
-/// assert_eq!(refct.read(), 1);
-/// ```
-#[derive(Default)]
-pub struct Counter {
-    value: AtomicUsize,
-}
-
-impl Counter {
-    /// Creates a counter holding `initial`.
-    pub fn new(initial: usize) -> Self {
-        Self {
-            value: AtomicUsize::new(initial),
-        }
-    }
-
-    /// `Fetch&Add(+1)`: increments, returning the previous value.
-    pub fn fetch_increment(&self) -> usize {
-        // ORDER: AcqRel — SafeRead's increment must be ordered before its
-        // re-validating pointer load (Fig. 15 line 5).
-        self.value.fetch_add(1, Ordering::AcqRel)
-    }
-
-    /// `Fetch&Add(-1)`: decrements, returning the previous value.
-    ///
-    /// # Panics
-    ///
-    /// In debug builds, panics on underflow (previous value zero) — an
-    /// underflow always indicates a protocol violation in the reference
-    /// counting scheme.
-    pub fn fetch_decrement(&self) -> usize {
-        // ORDER: AcqRel — Release so prior uses of the counted object
-        // happen-before reclamation; Acquire so the final decrementer
-        // observes them (the Arc pattern).
-        let prev = self.value.fetch_sub(1, Ordering::AcqRel);
-        debug_assert!(prev != 0, "reference count underflow");
-        prev
-    }
-
-    /// `Fetch&Add(delta)` for arbitrary deltas, returning the previous value.
-    pub fn fetch_add(&self, delta: usize) -> usize {
-        self.value.fetch_add(delta, Ordering::AcqRel)
-    }
-
-    /// Footnote-1 demonstration: `Fetch&Add` built from a `Compare&Swap`
-    /// loop. Returns the previous value.
-    pub fn add_via_cas(&self, delta: usize) -> usize {
-        // WAIT-FREE: the CAS fails only when another updater's RMW landed
-        // — the footnote's point is exactly this lock-free emulation.
-        loop {
-            let cur = self.value.load(Ordering::Acquire);
-            if self
-                .value
-                .compare_exchange_weak(
-                    cur,
-                    cur.wrapping_add(delta),
-                    Ordering::AcqRel,
-                    Ordering::Acquire,
-                )
-                .is_ok()
-            {
-                return cur;
-            }
-        }
-    }
-
-    /// Reads the current value.
-    pub fn read(&self) -> usize {
-        self.value.load(Ordering::Acquire)
-    }
-
-    /// Non-atomic-context store (initialization / recycling only).
-    pub fn write(&self, value: usize) {
-        self.value.store(value, Ordering::Release);
-    }
-}
-
-impl fmt::Debug for Counter {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_tuple("Counter").field(&self.read()).finish()
     }
 }
 
@@ -496,24 +266,6 @@ impl fmt::Debug for RefClaim {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
-    use std::thread;
-
-    #[test]
-    fn cas_cell_swings_once() {
-        let c = CasCell::new(10);
-        assert!(c.compare_and_swap(10, 11));
-        assert!(!c.compare_and_swap(10, 12));
-        assert_eq!(c.read(), 11);
-    }
-
-    #[test]
-    fn cas_cell_write_read_roundtrip() {
-        let c = CasCell::default();
-        assert_eq!(c.read(), 0);
-        c.write(99);
-        assert_eq!(c.read(), 99);
-    }
 
     #[test]
     fn cas_ptr_swings_and_swaps() {
@@ -530,66 +282,6 @@ mod tests {
     fn cas_ptr_null_default() {
         let p: CasPtr<u8> = CasPtr::default();
         assert!(p.read().is_null());
-    }
-
-    #[test]
-    fn test_and_set_claims_exactly_once_per_clear() {
-        let t = TestAndSet::new();
-        assert!(!t.test_and_set(), "first claimant must win");
-        assert!(t.test_and_set(), "second claimant must lose");
-        t.clear();
-        assert!(!t.test_and_set(), "winnable again after clear");
-    }
-
-    #[test]
-    fn test_and_set_via_cas_equivalent() {
-        let t = TestAndSet::new();
-        assert!(!t.set_via_cas());
-        assert!(t.set_via_cas());
-    }
-
-    #[test]
-    fn counter_returns_previous_values() {
-        let c = Counter::new(5);
-        assert_eq!(c.fetch_increment(), 5);
-        assert_eq!(c.fetch_decrement(), 6);
-        assert_eq!(c.read(), 5);
-        assert_eq!(c.fetch_add(10), 5);
-        assert_eq!(c.read(), 15);
-    }
-
-    #[test]
-    fn counter_cas_loop_matches_hardware_faa() {
-        let c = Counter::new(0);
-        for i in 0..100 {
-            assert_eq!(c.add_via_cas(1), i);
-        }
-        assert_eq!(c.read(), 100);
-    }
-
-    #[test]
-    #[should_panic(expected = "underflow")]
-    #[cfg(debug_assertions)]
-    fn counter_underflow_panics_in_debug() {
-        let c = Counter::new(0);
-        c.fetch_decrement();
-    }
-
-    #[test]
-    fn concurrent_test_and_set_has_single_winner() {
-        for _ in 0..50 {
-            let t = Arc::new(TestAndSet::new());
-            let winners: usize = (0..8)
-                .map(|_| {
-                    let t = Arc::clone(&t);
-                    thread::spawn(move || usize::from(!t.test_and_set()))
-                })
-                .collect::<Vec<_>>()
-                .into_iter()
-                .map(|h| h.join().unwrap())
-                .sum();
-            assert_eq!(winners, 1);
-        }
     }
 
     #[test]
@@ -624,42 +316,5 @@ mod tests {
         rc.clear_claim();
         assert_eq!(rc.refcount(), 2, "clear_claim erased count bits");
         assert!(!rc.claim_is_set());
-    }
-
-    #[test]
-    fn concurrent_counter_is_exact() {
-        let c = Arc::new(Counter::new(0));
-        let threads: Vec<_> = (0..8)
-            .map(|_| {
-                let c = Arc::clone(&c);
-                thread::spawn(move || {
-                    for _ in 0..10_000 {
-                        c.fetch_increment();
-                    }
-                })
-            })
-            .collect();
-        for t in threads {
-            t.join().unwrap();
-        }
-        assert_eq!(c.read(), 80_000);
-    }
-
-    #[test]
-    fn concurrent_cas_cell_single_winner_per_round() {
-        let c = Arc::new(CasCell::new(0));
-        for round in 0..100usize {
-            let winners: usize = (0..4)
-                .map(|_| {
-                    let c = Arc::clone(&c);
-                    thread::spawn(move || usize::from(c.compare_and_swap(round, round + 1)))
-                })
-                .collect::<Vec<_>>()
-                .into_iter()
-                .map(|h| h.join().unwrap())
-                .sum();
-            assert_eq!(winners, 1, "exactly one CAS winner per round");
-            assert_eq!(c.read(), round + 1);
-        }
     }
 }

@@ -115,6 +115,6 @@ fn valois_list_adjacent_deletes_both_stand() {
         });
         let items: Vec<u32> = list.iter().collect();
         assert_eq!(items, vec![1, 4], "both deletions stand");
-        list.check_structure().unwrap();
+        list.check_structure(0).unwrap();
     }
 }

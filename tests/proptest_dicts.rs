@@ -1,6 +1,9 @@
-//! Randomized sequential equivalence: every §4 dictionary must behave
-//! exactly like `BTreeMap` (presence semantics, first-insert-wins) over
-//! arbitrary operation sequences.
+//! Randomized sequential equivalence for the ordered §4 dictionaries: the
+//! sorted list, skip list and BST must behave exactly like `BTreeMap`
+//! (presence semantics, first-insert-wins, ranges) over arbitrary
+//! operation sequences, and keep their shape invariants. The conformance
+//! suite (`tests/conformance.rs`) runs its own oracle scripts on every
+//! dictionary and backend; these are the per-structure originals.
 //!
 //! Formerly proptest-based; the offline build environment cannot fetch
 //! proptest, so the scripts come from the in-repo seeded RNG (fixed seeds
@@ -9,7 +12,7 @@
 use std::collections::BTreeMap;
 
 use valois::sync::rng::SmallRng;
-use valois::{BstDict, Dictionary, HashDict, ResizableHashDict, SkipListDict, SortedListDict};
+use valois::{BstDict, Dictionary, SkipListDict, SortedListDict};
 
 #[derive(Debug, Clone)]
 enum DictOp {
@@ -72,65 +75,6 @@ fn sorted_list_matches_btreemap() {
         let ops = random_ops(&mut rng, 200);
         let d: SortedListDict<u64, u64> = SortedListDict::new();
         run_against_model(&d, &ops, case);
-    }
-}
-
-#[test]
-fn hash_matches_btreemap() {
-    for case in 0..64u64 {
-        let mut rng = SmallRng::seed_from_u64(0xD1C7_0002 ^ (case * 0x9E37));
-        let ops = random_ops(&mut rng, 200);
-        let d: HashDict<u64, u64> = HashDict::with_buckets(4);
-        run_against_model(&d, &ops, case);
-    }
-}
-
-/// Insert-heavy scripts over a wider key space, for the resizable table:
-/// enough distinct live keys that a table starting at 2 buckets is forced
-/// through several doublings mid-script.
-fn insert_heavy_ops(rng: &mut SmallRng, max_len: usize) -> Vec<DictOp> {
-    let len = rng.gen_range(max_len / 2..max_len);
-    (0..len)
-        .map(|_| match rng.gen_range(0..8u8) {
-            0..=4 => DictOp::Insert(rng.gen_range(0..128u8), rng.next_u64() as u16),
-            5 => DictOp::Remove(rng.gen_range(0..128u8)),
-            6 => DictOp::Find(rng.gen_range(0..128u8)),
-            _ => DictOp::Len,
-        })
-        .collect()
-}
-
-#[test]
-fn resizable_matches_btreemap() {
-    for case in 0..64u64 {
-        let mut rng = SmallRng::seed_from_u64(0xD1C7_000A ^ (case * 0x9E37));
-        let ops = random_ops(&mut rng, 200);
-        let d: ResizableHashDict<u64, u64> = ResizableHashDict::new();
-        run_against_model(&d, &ops, case);
-    }
-}
-
-#[test]
-fn resizable_matches_btreemap_across_doublings() {
-    // The resize-specific oracle: start at 2 buckets and insert far past
-    // the doubling threshold, so every script crosses several doublings
-    // while run_against_model checks every single operation's result.
-    for case in 0..64u64 {
-        let mut rng = SmallRng::seed_from_u64(0xD1C7_000B ^ (case * 0x9E37));
-        let ops = insert_heavy_ops(&mut rng, 320);
-        let mut d: ResizableHashDict<u64, u64> = ResizableHashDict::with_initial_buckets(2);
-        run_against_model(&d, &ops, case);
-        assert!(
-            d.doublings() >= 3,
-            "case {case}: expected >= 3 doublings, saw {} ({} buckets, {} items)",
-            d.doublings(),
-            d.bucket_count(),
-            d.len()
-        );
-        d.check_invariants()
-            .unwrap_or_else(|e| panic!("case {case}: {e}"));
-        d.audit_refcounts()
-            .unwrap_or_else(|e| panic!("case {case}: {e}"));
     }
 }
 
@@ -200,52 +144,48 @@ fn skiplist_levels_stay_subsets() {
     }
 }
 
-fn range_case<D: Dictionary<u64, u64>>(
-    d: &D,
-    rng: &mut SmallRng,
-    case: u64,
-) -> (Vec<(u64, u64)>, u64, u64) {
-    let ops = random_ops(rng, 120);
-    let mut model: BTreeMap<u64, u64> = BTreeMap::new();
-    for op in &ops {
-        match *op {
-            DictOp::Insert(k, v) => {
-                let (k, v) = (k as u64, v as u64);
-                model.entry(k).or_insert(v);
-                d.insert(k, v);
+/// Range queries on a sorted structure agree with `BTreeMap::range`.
+fn ranges_match<D: Dictionary<u64, u64>>(
+    seed: u64,
+    fresh: fn() -> D,
+    range: impl Fn(&D, u64, u64) -> Vec<(u64, u64)>,
+) {
+    for case in 0..64u64 {
+        let mut rng = SmallRng::seed_from_u64(seed ^ (case * 0x9E37));
+        let d = fresh();
+        let mut model: BTreeMap<u64, u64> = BTreeMap::new();
+        for _ in 0..320 {
+            let x = rng.next_u64();
+            let k = (x >> 8) % 128;
+            if x & 1 == 0 {
+                model.entry(k).or_insert(x >> 40);
+                d.insert(k, x >> 40);
+            } else {
+                model.remove(&k);
+                d.remove(&k);
             }
-            DictOp::Remove(k) => {
-                model.remove(&(k as u64));
-                d.remove(&(k as u64));
-            }
-            _ => {}
+        }
+        for _ in 0..8 {
+            let lo = rng.gen_range(0..128u64);
+            let hi = lo + rng.gen_range(0..64u64);
+            let expected: Vec<_> = model.range(lo..hi).map(|(k, v)| (*k, *v)).collect();
+            assert_eq!(range(&d, lo, hi), expected, "case {case}: range {lo}..{hi}");
         }
     }
-    let lo = rng.gen_range(0..32u64);
-    let hi = lo + rng.gen_range(0..32u64);
-    let expected: Vec<(u64, u64)> = model.range(lo..hi).map(|(k, v)| (*k, *v)).collect();
-    let _ = case;
-    (expected, lo, hi)
 }
 
 #[test]
 fn sorted_list_range_matches_btreemap() {
-    for case in 0..64u64 {
-        let mut rng = SmallRng::seed_from_u64(0xD1C7_0007 ^ (case * 0x9E37));
-        let d: SortedListDict<u64, u64> = SortedListDict::new();
-        let (expected, lo, hi) = range_case(&d, &mut rng, case);
-        assert_eq!(d.range(&lo, &hi), expected, "case {case}: range {lo}..{hi}");
-    }
+    ranges_match(0xD1C7_0007, SortedListDict::<u64, u64>::new, |d, lo, hi| {
+        d.range(&lo, &hi)
+    });
 }
 
 #[test]
 fn skiplist_range_matches_btreemap() {
-    for case in 0..64u64 {
-        let mut rng = SmallRng::seed_from_u64(0xD1C7_0008 ^ (case * 0x9E37));
-        let d: SkipListDict<u64, u64> = SkipListDict::new();
-        let (expected, lo, hi) = range_case(&d, &mut rng, case);
-        assert_eq!(d.range(&lo, &hi), expected, "case {case}: range {lo}..{hi}");
-    }
+    ranges_match(0xD1C7_0008, SkipListDict::<u64, u64>::new, |d, lo, hi| {
+        d.range(&lo, &hi)
+    });
 }
 
 #[test]
