@@ -40,6 +40,9 @@ pub enum StmtKind {
     Scrut,
     /// Arm entry: the pattern in `range` binds (or drops) the arm temp.
     ArmOpen,
+    /// Let-else fallback entry: the arm temp did not match the pattern
+    /// in `range` and is dropped.
+    ElseOpen,
     /// Function return; `range` covers the returned value (empty range
     /// for bare `return;`).
     Return,
@@ -221,6 +224,38 @@ impl<'a> Lower<'a> {
                     self.bless_depth -= 1;
                 }
                 out
+            }
+            Node::LetElse {
+                pat,
+                init,
+                alt,
+                kw,
+                hi,
+            } => {
+                // A two-arm match: the pattern's arm continues, the
+                // fallback arm runs the diverging `else` block.
+                let blessed = self.range_blessed((*kw, *hi), *kw);
+                if blessed {
+                    self.bless_depth += 1;
+                }
+                self.push(cur, StmtKind::Scrut, *init, init.0);
+                if blessed {
+                    self.bless_depth -= 1;
+                }
+                let join = self.new_block();
+                let matched = self.new_block();
+                self.edge(cur, matched, Guard::Always);
+                self.push(matched, StmtKind::ArmOpen, *pat, pat.0);
+                self.edge(matched, join, Guard::Always);
+                let fallback = self.new_block();
+                self.edge(cur, fallback, Guard::Always);
+                self.push(fallback, StmtKind::ElseOpen, *pat, pat.0);
+                // The block diverges in valid Rust; a `panic!` the
+                // lowering cannot see as divergence falls through.
+                if let Some(end) = self.lower_block(alt, fallback, Sink::None) {
+                    self.edge(end, join, Guard::Always);
+                }
+                Some(join)
             }
             Node::Assign { lhs, rhs } => {
                 let lhs_sig: Vec<usize> = (lhs.0..lhs.1)

@@ -29,7 +29,7 @@
 
 use crate::cfg::{Stmt, StmtKind};
 use crate::flow::{
-    all_calls, plain_ident, route_arm, tracked_idents, Analysis, Call, Count, Findings,
+    all_calls, plain_ident, route_arm, route_else, tracked_idents, Analysis, Call, Count, Findings,
     FlowFinding, State, Summaries, DESTRUCTURED, SCRUT,
 };
 use crate::lexer::TokKind;
@@ -170,6 +170,10 @@ impl Analysis for Balance<'_> {
             }
             return;
         }
+        if matches!(stmt.kind, StmtKind::ElseOpen) {
+            route_else(self.file, stmt.range, state);
+            return;
+        }
         // 1. Consumption: release-family calls and summarized callees.
         let calls = all_calls(self.file, lo, hi);
         self.consume_calls(&calls, state);
@@ -272,7 +276,7 @@ impl Analysis for Balance<'_> {
                     );
                 }
             }
-            StmtKind::ArmOpen => unreachable!("handled above"),
+            StmtKind::ArmOpen | StmtKind::ElseOpen => unreachable!("handled above"),
         }
     }
 

@@ -344,6 +344,18 @@ pub(crate) fn route_arm<V>(
     }
 }
 
+/// Let-else fallback entry: the pending [`SCRUT`] value failed to match
+/// the pattern `[lo, hi)` and is dropped. Under an `Ok` or `Some`
+/// pattern that value is the `Err` or `None`, which carries nothing, so
+/// it is cleared; any other value stays pending, and a count it holds
+/// surfaces as a leak.
+pub(crate) fn route_else<V>(file: &SourceFile, (lo, hi): (usize, usize), state: &mut State<V>) {
+    let head = (lo..hi.min(file.toks.len())).find(|&i| file.toks[i].kind == TokKind::Ident);
+    if head.is_some_and(|i| matches!(file.toks[i].text.as_str(), "Ok" | "Some")) {
+        state.remove(SCRUT);
+    }
+}
+
 /// What the workspace says about one fn's raw-pointer parameters, by
 /// index (receiver excluded).
 #[derive(Debug, Default, Clone)]

@@ -424,6 +424,11 @@ impl Analysis for Protection<'_> {
             route_arm(self.file, stmt.range, state);
             return;
         }
+        if matches!(stmt.kind, StmtKind::ElseOpen) {
+            // The unmatched value is dropped, and its window with it.
+            state.remove(SCRUT);
+            return;
+        }
         let calls = all_calls(self.file, lo, hi);
         // 1. Dereference checks against the pre-kill state: a release in
         //    this statement consumes *after* its arguments are read.
@@ -462,7 +467,7 @@ impl Analysis for Protection<'_> {
                     self.flow_into(key, acq_line, rhs_lo, rhs_hi, state);
                 }
             }
-            StmtKind::ArmOpen => unreachable!("handled above"),
+            StmtKind::ArmOpen | StmtKind::ElseOpen => unreachable!("handled above"),
         }
     }
 

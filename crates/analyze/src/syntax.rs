@@ -95,6 +95,20 @@ pub enum Node {
         /// End of the statement (exclusive, past the `;`).
         hi: usize,
     },
+    /// `let PAT = init else { .. };` — the `else` block runs when the
+    /// value does not match the refutable pattern, and diverges.
+    LetElse {
+        /// Token range of the pattern.
+        pat: (usize, usize),
+        /// Token range of the initializer.
+        init: (usize, usize),
+        /// The diverging `else` block.
+        alt: Block,
+        /// Token index of the `let` keyword.
+        kw: usize,
+        /// End of the statement (exclusive, past the `;`).
+        hi: usize,
+    },
     /// `PLACE = rhs;` — a top-level assignment (not `==`, not compound).
     Assign {
         /// Token range of the place expression.
@@ -570,6 +584,20 @@ fn parse_let(file: &SourceFile, pos: usize, hi: usize) -> (Node, usize, bool) {
         [single] => Some(single.clone()),
         _ => None,
     };
+    if let Some(eq) = eq {
+        if let Some(else_kw) = find_let_else(file, eq + 1, end) {
+            let open = file.next_sig(else_kw).expect("checked by find_let_else");
+            let close = file.partner[open].unwrap_or(end);
+            let node = Node::LetElse {
+                pat: (pos + 1, eq),
+                init: (eq + 1, else_kw),
+                alt: parse_block(file, open + 1, close),
+                kw: pos,
+                hi: end,
+            };
+            return (node, if semi { end + 1 } else { end }, false);
+        }
+    }
     let init = eq.map(|e| Box::new(parse_expr(file, e + 1, end)));
     let node = Node::Let {
         name,
@@ -837,6 +865,33 @@ fn scan_to_semi(file: &SourceFile, from: usize, hi: usize) -> (usize, bool) {
         j += 1;
     }
     (hi, false)
+}
+
+/// Finds the `else` of a let-else initializer in `[lo, hi)`: a
+/// top-level `else` followed by a brace block. A top-level `if` or
+/// `match` starts an expression whose own `else` or arms follow, so no
+/// let-else `else` is looked for past one.
+fn find_let_else(file: &SourceFile, lo: usize, hi: usize) -> Option<usize> {
+    let mut j = lo;
+    while j < hi {
+        let t = &file.toks[j];
+        match t.kind {
+            TokKind::Open(_) => {
+                j = file.partner[j].map(|p| p + 1).unwrap_or(j + 1);
+                continue;
+            }
+            TokKind::Ident if t.text == "if" || t.text == "match" => return None,
+            TokKind::Ident if t.text == "else" => {
+                let brace = file
+                    .next_sig(j)
+                    .is_some_and(|n| n < hi && file.toks[n].kind == TokKind::Open(Delim::Brace));
+                return brace.then_some(j);
+            }
+            _ => {}
+        }
+        j += 1;
+    }
+    None
 }
 
 /// Finds a top-level assignment `=` in `[lo, hi)`: a `=` at depth 0 that

@@ -667,6 +667,60 @@ fn balance_sees_local_helper_release_in_single_file_runs() {
     assert_eq!(analyze_source(LIB, src), vec![]);
 }
 
+/// An allocation loop that links what it allocates and gives up when
+/// the pool runs dry, written with `alloc_form` as the allocation
+/// statement.
+fn link_until_dry(alloc_form: &str) -> String {
+    format!(
+        "fn f(&self) {{\n\
+        'levels: for lvl in 0..4 {{\n\
+            {alloc_form}\n\
+            self.link(lvl, aux);\n\
+            self.arena.release(aux);\n\
+        }}\n\
+    }}\n"
+    )
+}
+
+#[test]
+fn balance_accepts_let_else_on_a_failed_alloc() {
+    // The `else` path runs when `alloc` returned `Err`: nothing was
+    // acquired there, so nothing leaks.
+    let src = link_until_dry("let Ok(aux) = self.arena.alloc() else { break 'levels };");
+    let findings = analyze_source(LIB, &src);
+    assert_eq!(count(LIB, &src, "refcount-balance"), 0, "{findings:?}");
+}
+
+#[test]
+fn balance_accepts_the_same_loop_as_a_match() {
+    let src = link_until_dry(
+        "let aux = match self.arena.alloc() { Ok(aux) => aux, Err(_) => break 'levels };",
+    );
+    let findings = analyze_source(LIB, &src);
+    assert_eq!(count(LIB, &src, "refcount-balance"), 0, "{findings:?}");
+}
+
+#[test]
+fn balance_flags_a_let_else_binding_that_leaks() {
+    // The let-else binds the count into `aux`; the early `continue`
+    // skips its release.
+    let src = "fn f(&self) {\n\
+        for lvl in 0..4 {\n\
+            let Ok(aux) = self.arena.alloc() else { return };\n\
+            if self.skip(lvl) {\n\
+                continue;\n\
+            }\n\
+            self.arena.release(aux);\n\
+        }\n\
+    }\n";
+    let lines: Vec<usize> = analyze_source(LIB, src)
+        .into_iter()
+        .filter(|f| f.rule == "refcount-balance")
+        .map(|f| f.line)
+        .collect();
+    assert_eq!(lines, vec![3], "one leak, at the acquire");
+}
+
 #[test]
 fn one_function_feeds_both_count_flow_rules() {
     // `a` leaks; `b` is dereferenced after its release. One CFG, one

@@ -142,8 +142,10 @@ fn main() {
             r.resz_mix / r.fixed_mix.max(1.0),
         ));
     }
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let json = format!(
-        "{{\n  \"bench\": \"resize\",\n  \"fixed_buckets\": 16,\n  \"threads\": {threads},\n  \
+        "{{\n  \"bench\": \"resize\",\n  \"host\": {{ \"cores\": {cores} }},\n  \
+         \"repeats\": {repeats},\n  \"fixed_buckets\": 16,\n  \"threads\": {threads},\n  \
          \"sizes\": [{sizes_json}\n  ],\n  \
          \"headline\": {{\n    \"n\": {},\n    \"fill_speedup\": {fill_speedup:.2},\n    \
          \"mix_speedup\": {mix_speedup:.2}\n  }}\n}}\n",

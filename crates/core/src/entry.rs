@@ -34,6 +34,7 @@
 
 use std::cmp::Ordering;
 use std::fmt;
+use std::mem::MaybeUninit;
 
 use valois_mem::{Link, Reclaimer};
 
@@ -155,10 +156,12 @@ impl<T: Send + Sync, R: Reclaimer> List<T, R> {
     }
 
     /// Opens a cursor at the furthest usable anchor among `roots` — the
-    /// cached-cursor probe over every slot. Each published root
-    /// costs one protected read of its anchor; `usable` filters the
-    /// anchors (dictionaries pass `anchor.key < search_key`), `order`
-    /// ranks the survivors, and one cursor is opened at the greatest via
+    /// cached-cursor probe over every slot. Each distinct published
+    /// anchor costs one protected read: a root whose pointer equals one
+    /// this open already probed is skipped before its read (skipping
+    /// only loses a duplicate candidate). `usable` filters the anchors
+    /// (dictionaries pass `anchor.key < search_key`), `order` ranks the
+    /// survivors, and one cursor is opened at the greatest via
     /// [`Cursor::reopen`], so it has already been [`Cursor::resume`]d.
     /// Returns `None` when no root holds a usable anchor.
     ///
@@ -171,21 +174,26 @@ impl<T: Send + Sync, R: Reclaimer> List<T, R> {
     /// just read; if the root moved meanwhile (some thread re-cached
     /// it), nothing happens.
     // INVARIANT: I10
-    pub fn cursor_at_nearest<'a, 'r>(
+    pub fn cursor_at_nearest<'a>(
         &'a self,
-        roots: impl IntoIterator<Item = &'r EntryRoot<T>>,
+        roots: &[EntryRoot<T>],
         mut usable: impl FnMut(&T) -> bool,
         mut order: impl FnMut(&T, &T) -> Ordering,
-    ) -> Option<Cursor<'a, T, R>>
-    where
-        T: 'r,
-    {
+    ) -> Option<Cursor<'a, T, R>> {
         // The cursor's protection window (the epoch pin) opens before the
         // first probe and covers every candidate.
         let mut cursor = Cursor::unpositioned(self, 0);
+        let mut buf = [MaybeUninit::uninit(); PROBED_MAX];
+        let mut probed = Probed::new(&mut buf, roots.len());
         let mut best: *mut Node<T> = std::ptr::null_mut();
         let mut best_root = None;
         for root in roots {
+            // A plain load, never dereferenced: it only names the anchor
+            // for the duplicate check.
+            let peek = root.link.read();
+            if peek.is_null() || !probed.insert(peek as usize) {
+                continue;
+            }
             // SAFETY: `root.link` is a counted link of this arena; the
             // probe holds `p` (and `best`) while reading their items, and
             // only cells reach a root, so both carry values.
@@ -300,5 +308,52 @@ impl<T: Send + Sync, R: Reclaimer> List<T, R> {
         let mut all = vec![self.first_root().read(), self.last_ptr()];
         all.extend(roots.into_iter().map(|r| r.link.read()));
         self.arena.audit_counts(&all)
+    }
+}
+
+/// The anchors one open has probed: an open-addressed set of pointer
+/// values in a stack table at most half full, so the duplicate check
+/// costs O(1) per root. Only the `capacity` entries in use are
+/// initialized.
+struct Probed<'t> {
+    table: &'t mut [usize],
+}
+
+/// [`Probed`]'s stack table size: room for 64 roots at half load.
+const PROBED_MAX: usize = 128;
+
+impl<'t> Probed<'t> {
+    /// An empty set sized for `roots` pointers at half load. Beyond
+    /// `PROBED_MAX` distinct pointers the table is full, and every
+    /// further insert reports its pointer as new (no skip).
+    fn new(buf: &'t mut [MaybeUninit<usize>; PROBED_MAX], roots: usize) -> Self {
+        let capacity = (2 * roots).next_power_of_two().clamp(2, PROBED_MAX);
+        for entry in &mut buf[..capacity] {
+            entry.write(0);
+        }
+        // SAFETY: the first `capacity` entries were just initialized, and
+        // the slice borrows `buf` exclusively for `'t`.
+        let table = unsafe { std::slice::from_raw_parts_mut(buf.as_mut_ptr().cast(), capacity) };
+        Self { table }
+    }
+
+    /// Adds non-zero `value`; `false` when it was already present.
+    fn insert(&mut self, value: usize) -> bool {
+        let mask = self.table.len() - 1;
+        // Fibonacci hashing: the product's top bits spread pointers that
+        // differ only in their low (node-size) bits.
+        let shift = usize::BITS - self.table.len().trailing_zeros();
+        let mut at = value.wrapping_mul(0x9E37_79B9_7F4A_7C15_u64 as usize) >> shift;
+        for _ in 0..self.table.len() {
+            match self.table[at] {
+                0 => {
+                    self.table[at] = value;
+                    return true;
+                }
+                v if v == value => return false,
+                _ => at = (at + 1) & mask,
+            }
+        }
+        true
     }
 }

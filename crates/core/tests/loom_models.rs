@@ -417,7 +417,7 @@ fn repair_swing_races_owner_recache() {
             thread::spawn(move || {
                 let (list, root) = &*shared;
                 let mut c = list
-                    .cursor_at_nearest([root], |&k| k < 25, |a, b| a.cmp(b))
+                    .cursor_at_nearest(std::slice::from_ref(root), |&k| k < 25, |a, b| a.cmp(b))
                     .expect("the root always holds a usable anchor");
                 while c.get().is_some_and(|&k| k < 25) {
                     assert!(c.next());
@@ -525,7 +525,7 @@ fn repair_swing_races_two_recaching_writers() {
             thread::spawn(move || {
                 let (list, [slot, ..]) = &*shared;
                 let mut c = list
-                    .cursor_at_nearest([slot], |&k| k < 35, |a, b| a.cmp(b))
+                    .cursor_at_nearest(std::slice::from_ref(slot), |&k| k < 35, |a, b| a.cmp(b))
                     .expect("the slot always holds a usable anchor");
                 while c.get().is_some_and(|&k| k < 35) {
                     assert!(c.next());

@@ -558,6 +558,19 @@ mod tests {
         );
     }
 
+    /// Fills `d` with keys `0..64` and fits the cache to that length, so
+    /// the rotation's period `k` is known however this thread's samples
+    /// fall; no test list grows past 64 cells, so `k` stays put.
+    fn fill_64_and_fit(d: &SortedListDict<u64, u64>) -> usize {
+        for k in 0..64 {
+            d.insert(k, k);
+        }
+        d.cache.fit(64);
+        let k = crate::cursor_cache::slots_for(64);
+        assert!(k > 1, "the tests need a rotation of several slots");
+        k
+    }
+
     #[test]
     fn dead_anchor_of_exited_thread_is_repaired() {
         // An exited thread's anchor stays in its slot until an open picks
@@ -566,16 +579,14 @@ mod tests {
         // back_link chain) until an open picks the slot, back-walks, and
         // swings it to the live cell it landed on.
         let mut d: SortedListDict<u64, u64> = SortedListDict::new();
-        for k in 0..64 {
-            d.insert(k, k);
-        }
-        // Sixteen saves point every slot at cell 0; the exited helper
+        let k = fill_64_and_fit(&d);
+        // `k` saves point every slot in use at cell 0; the exited helper
         // then re-points one of them at cell 40.
-        for _ in 0..16 {
+        for _ in 0..k {
             assert_eq!(d.find(&1), Some(1));
         }
         on_exiting_thread(|| assert_eq!(d.find(&41), Some(41)));
-        assert_eq!(slot_keys(&d), [vec![0; 15], vec![40]].concat());
+        assert_eq!(slot_keys(&d), [vec![0; k - 1], vec![40]].concat());
         let baseline = d.mem_stats().live_nodes();
         // Delete and re-insert 38..=40 without saving positions, so the
         // helper's slot is the only one that names a dead cell.
@@ -601,7 +612,7 @@ mod tests {
         assert_eq!(delta.resumes, 1, "the open started at the dead anchor");
         assert_eq!(
             slot_keys(&d),
-            [vec![0; 15], vec![37]].concat(),
+            [vec![0; k - 1], vec![37]].concat(),
             "the slot was swung to the live cell the open landed on"
         );
         d.check_invariants().unwrap();
@@ -618,11 +629,9 @@ mod tests {
         // A skewed stream fills the slots with anchors in one region.
         // Once those cells are deleted, no search for a key below the
         // region finds them usable, so no open repairs them; the next
-        // sixteen saves of any thread overwrite every slot instead.
+        // `k` saves of any one thread overwrite every slot instead.
         let mut d: SortedListDict<u64, u64> = SortedListDict::new();
-        for k in 0..64 {
-            d.insert(k, k);
-        }
+        let k = fill_64_and_fit(&d);
         on_exiting_thread(|| {
             for i in 0..64 {
                 let k = 41 + i % 8;
@@ -644,17 +653,38 @@ mod tests {
             d.mem_stats().live_nodes() > baseline,
             "the slots pin the deleted anchors"
         );
-        for k in 1..=16 {
-            assert_eq!(d.find(&k), Some(k));
+        for key in 1..=k as u64 {
+            assert_eq!(d.find(&key), Some(key));
         }
         d.check_invariants().unwrap();
         d.audit_refcounts().unwrap();
         assert_eq!(
             d.mem_stats().live_nodes(),
             baseline,
-            "no slot pins a dead cell after sixteen saves"
+            "no slot pins a dead cell after k saves"
         );
-        assert_eq!(slot_keys(&d), (0..16).collect::<Vec<u64>>());
+        assert_eq!(slot_keys(&d), (0..k as u64).collect::<Vec<u64>>());
+    }
+
+    #[test]
+    fn opens_read_each_distinct_anchor_once() {
+        // After `k` finds of one key every slot in use names the same
+        // anchor; an open then takes one SafeRead for all of them and two
+        // to open the cursor there (the anchor's auxiliary node and the
+        // next cell), not one per slot.
+        let d: SortedListDict<u64, u64> = SortedListDict::new();
+        let k = fill_64_and_fit(&d);
+        for _ in 0..k {
+            assert_eq!(d.find(&1), Some(1));
+        }
+        assert_eq!(slot_keys(&d), vec![0; k]);
+        let before = d.mem_stats().safe_reads;
+        drop(d.cursor_for(&2));
+        let reads = d.mem_stats().safe_reads - before;
+        assert_eq!(
+            reads, 3,
+            "an open over {k} copies of one anchor took {reads} SafeReads"
+        );
     }
 
     #[test]

@@ -11,6 +11,7 @@
 
 use std::hash::{BuildHasherDefault, DefaultHasher};
 
+use valois_core::ArenaConfig;
 use valois_dict::{Dictionary, HashDict, SkipListDict, SortedListDict};
 
 /// Churn operations measured per size on the skip list.
@@ -96,14 +97,16 @@ fn skiplist_cursor_steps_grow_logarithmically() {
     );
 }
 
-/// The contrast the skip list exists for: a sorted list's operations
-/// walk a constant fraction of the list (§4.1's linear search), so ten
+/// The contrast the skip list exists for: the paper's sorted list
+/// (Figs. 12–13, every search from the head, so the cursor cache is off)
+/// walks a constant fraction of the list (§4.1's linear search), so ten
 /// times the keys costs several times the SafeReads per operation.
 #[test]
 fn sorted_list_work_grows_linearly() {
     let safe_reads = |d: &SortedListDict<u64, u64>| d.mem_stats().safe_reads;
-    let small = work_per_op(&SortedListDict::new(), 1_000, SORTED_CHURN_OPS, safe_reads);
-    let large = work_per_op(&SortedListDict::new(), 10_000, SORTED_CHURN_OPS, safe_reads);
+    let paper = || SortedListDict::with_config_cached(ArenaConfig::default(), false);
+    let small = work_per_op(&paper(), 1_000, SORTED_CHURN_OPS, safe_reads);
+    let large = work_per_op(&paper(), 10_000, SORTED_CHURN_OPS, safe_reads);
     let ratio = large / small;
     assert!(
         ratio >= 5.0,
@@ -113,24 +116,38 @@ fn sorted_list_work_grows_linearly() {
 }
 
 /// The sorted list's cached cursors: a search starts at the nearest
-/// usable anchor among the cache's 16 most recent saves, which on
-/// uniform keys lies about n/18 cells below the key. Were the slots tied
-/// to threads, a single thread would have one anchor, usable only when
-/// it lies below the key, and would walk about n/3 cells per find.
+/// usable anchor among the cache's `k` most recent saves, which on
+/// uniform keys lies about n/(k + 2) cells below the key, at two
+/// SafeReads per cell, after one SafeRead per probed slot. The cache
+/// sizes `k` to round(√(2n)) − 2 (at most 64), the minimum of that
+/// model, so a find costs about 2n/(k + 2) + k SafeReads; both rungs
+/// are held to the model within 25%.
 #[test]
 fn sorted_list_finds_start_near_a_recent_anchor() {
     for n in [1_000, 10_000] {
+        let k = ((2.0 * n as f64).sqrt().round() - 2.0).min(64.0);
+        let walk = n as f64 / (k + 2.0);
         let d: SortedListDict<u64, u64> = SortedListDict::new();
         let mut keys = fill(&d, n);
-        let before = d.list_stats().next_steps;
+        let (steps, reads) = (d.list_stats().next_steps, d.mem_stats().safe_reads);
         for _ in 0..SORTED_CHURN_OPS {
             let k = keys.below(2 * n);
             d.find(&k);
         }
-        let per_op = (d.list_stats().next_steps - before) as f64 / SORTED_CHURN_OPS as f64;
+        let per_op = |now: u64, before: u64| (now - before) as f64 / SORTED_CHURN_OPS as f64;
+        let steps = per_op(d.list_stats().next_steps, steps);
+        let reads = per_op(d.mem_stats().safe_reads, reads);
         assert!(
-            per_op <= n as f64 / 8.0,
-            "a find walked {per_op:.1} cells on average at n={n}; recent anchors allow n/8"
+            steps <= 1.25 * walk,
+            "a find walked {steps:.1} cells on average at n={n}; k={k} recent anchors \
+             allow 1.25 x n/(k + 2) = {:.1}",
+            1.25 * walk
+        );
+        assert!(
+            reads <= 1.25 * (2.0 * walk + k),
+            "a find took {reads:.1} SafeReads on average at n={n}; k={k} slots allow \
+             1.25 x (2n/(k + 2) + k) = {:.1}",
+            1.25 * (2.0 * walk + k)
         );
     }
 }
@@ -138,9 +155,11 @@ fn sorted_list_finds_start_near_a_recent_anchor() {
 /// §4.1's hash table: "we would expect the extra work done to be O(1)".
 /// At a fixed load factor (four keys per bucket) a bucket's list stays
 /// the same length however many keys the table holds, so a uniform
-/// find's SafeReads do not grow with n. The hasher is `DefaultHasher`
-/// with its fixed keys, so bucket assignment, like the key stream, is
-/// the same on every run.
+/// find's SafeReads do not grow with n, and stay few: a bucket this
+/// short gets at most a slot or two of cursor cache, so a find probes
+/// little more than it walks. The hasher is `DefaultHasher` with its
+/// fixed keys, so bucket assignment, like the key stream, is the same on
+/// every run.
 #[test]
 fn hash_finds_stay_flat_at_a_fixed_load_factor() {
     let per_find = |n: u64| {
@@ -161,4 +180,10 @@ fn hash_finds_stay_flat_at_a_fixed_load_factor() {
         "SafeReads/find grew {ratio:.2}x from n=10^3 ({small:.1}) to n=10^4 ({large:.1}) \
          at four keys per bucket; O(1) work allows at most 1.5x"
     );
+    for (n, reads) in [(1_000, small), (10_000, large)] {
+        assert!(
+            reads <= 8.0,
+            "a find took {reads:.1} SafeReads at n={n} with four keys per bucket; at most 8"
+        );
+    }
 }

@@ -152,6 +152,13 @@ pub mod atomic {
                         self.inner.fetch_sub(v, Ordering::SeqCst)
                     }
 
+                    /// Instrumented fetch-max.
+                    #[track_caller]
+                    pub fn fetch_max(&self, v: $ty, _order: Ordering) -> $ty {
+                        sched::sched_point();
+                        self.inner.fetch_max(v, Ordering::SeqCst)
+                    }
+
                     /// Instrumented fetch-and.
                     #[track_caller]
                     pub fn fetch_and(&self, v: $ty, _order: Ordering) -> $ty {
