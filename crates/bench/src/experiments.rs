@@ -589,20 +589,6 @@ pub fn e8_saferead_overhead(cfg: &ExpConfig) -> ExperimentReport {
         epoch_list.for_each(|_| c += 1);
         c
     });
-    let seq = {
-        let mut sl = valois_baseline::locked::SeqSortedList::new();
-        for k in (0..n).rev() {
-            sl.insert(k, k);
-        }
-        // Walk via repeated find of each key? No — measure a full scan by
-        // finds of ascending keys once per rep would be O(n^2). Instead
-        // time the mutex-list dictionary's full-range finds separately
-        // below; here compare like-for-like pointer walks only.
-        drop(sl);
-        f64::NAN
-    };
-    let _ = seq;
-
     // Allocator micro-costs (Fig. 17/18).
     let arena_cost = {
         let d: SortedListDict<u64, u64> = SortedListDict::new();

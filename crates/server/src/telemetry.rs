@@ -9,8 +9,8 @@
 //!    from the shard dictionaries. These advance *mid-operation* because
 //!    cursors flush their batched tallies periodically, not only on
 //!    drop; without that flush a long-lived cursor froze the feed (the
-//!    stale-live-stats bug this PR fixes, pinned by
-//!    `crates/core/tests/live_stats.rs`).
+//!    stale-live-stats bug, pinned by the `live_*` bodies of
+//!    `tests/list_conformance.rs`).
 //! 3. **Flight recorder** — [`valois_trace::snapshot`] deltas when the
 //!    `trace` feature armed the recorder; all-zero otherwise.
 //!
