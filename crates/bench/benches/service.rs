@@ -11,14 +11,18 @@
 //! proxy). Stalls are per-shard and overlap across shards, so adding
 //! shards overlaps durability waits with serving work: throughput scales
 //! with shard count even on a single core, which is exactly how a real
-//! service scales past its storage round-trips. `BENCH_service.json`
-//! commits the matrix.
+//! service scales past its storage round-trips. The same matrix runs a
+//! second time without the stall (`commit_stall_us: 0`): those data-path
+//! rows measure serving work (dictionary, channel, scans) instead of
+//! overlapping sleeps. `BENCH_service.json` commits both, with the host's
+//! core count, the rustc version, the git revision and the repeat count.
 //!
 //! `--smoke` (CI): one tiny cell per backend, no JSON artifact — proves
 //! the server + sim + telemetry stack end to end without measuring.
 
 use std::fs;
 use std::path::Path;
+use std::process::Command;
 use std::time::Duration;
 
 use valois_bench::criterion::smoke_mode;
@@ -30,6 +34,7 @@ struct Cell {
     backend: &'static str,
     threads: usize,
     mix: &'static str,
+    commit_stall_us: u64,
     ops_per_sec: f64,
     p50_us: f64,
     p99_us: f64,
@@ -51,20 +56,21 @@ fn mix_by_name(name: &str) -> ServiceMix {
 }
 
 /// One matrix cell: fresh server, full traffic run, median ops/sec over
-/// `repeats` (latency quantiles from the last run — they are stable
-/// across repeats because the stall model dominates the tail).
+/// `repeats` (latency quantiles from the last run). `commit_stall_us`
+/// 0 turns the group-commit stall off.
 fn run_cell<R: Reclaimer + 'static>(
     backend: &'static str,
     threads: usize,
     mix_name: &'static str,
+    commit_stall_us: u64,
     smoke: bool,
     repeats: usize,
 ) -> Cell {
     let service = ServiceConfig {
         shards: threads,
         batch: 64,
-        commit_group: if smoke { 0 } else { 32 },
-        commit_stall: Duration::from_micros(500),
+        commit_group: if commit_stall_us == 0 { 0 } else { 32 },
+        commit_stall: Duration::from_micros(commit_stall_us),
         ..ServiceConfig::default()
     };
     let sim = SimConfig {
@@ -104,6 +110,7 @@ fn run_cell<R: Reclaimer + 'static>(
             backend,
             threads,
             mix: mix_name,
+            commit_stall_us,
             ops_per_sec: report.ops_per_sec,
             p50_us: us(lat.p50),
             p99_us: us(lat.p99),
@@ -127,28 +134,43 @@ fn run_backend<R: Reclaimer + 'static>(
     backend: &'static str,
     thread_counts: &[usize],
     mixes: &[&'static str],
+    stalls_us: &[u64],
     smoke: bool,
     repeats: usize,
 ) -> Vec<Cell> {
     let mut cells = Vec::new();
-    for &threads in thread_counts {
-        for &mix in mixes {
-            let cell = run_cell::<R>(backend, threads, mix, smoke, repeats);
-            println!(
-                "service/{backend}/{threads}t/{mix}: {:.0} ops/s, p50 {:.0}µs p99 {:.0}µs \
-                 p999 {:.0}µs ({} samples, {} commits, {} overloaded)",
-                cell.ops_per_sec,
-                cell.p50_us,
-                cell.p99_us,
-                cell.p999_us,
-                cell.samples,
-                cell.commits,
-                cell.overloaded,
-            );
-            cells.push(cell);
+    for &stall in stalls_us {
+        for &threads in thread_counts {
+            for &mix in mixes {
+                cells.push(run_cell::<R>(backend, threads, mix, stall, smoke, repeats));
+                let cell = cells.last().expect("just pushed");
+                println!(
+                    "service/{backend}/{threads}t/{mix}/stall{stall}us: {:.0} ops/s, p50 {:.1}µs \
+                     p99 {:.1}µs p999 {:.1}µs ({} samples, {} commits, {} overloaded)",
+                    cell.ops_per_sec,
+                    cell.p50_us,
+                    cell.p99_us,
+                    cell.p999_us,
+                    cell.samples,
+                    cell.commits,
+                    cell.overloaded,
+                );
+            }
         }
     }
     cells
+}
+
+/// The first line a command prints, or `"unknown"`.
+fn command_line(program: &str, args: &[&str]) -> String {
+    Command::new(program)
+        .args(args)
+        .output()
+        .ok()
+        .filter(|out| out.status.success())
+        .and_then(|out| String::from_utf8(out.stdout).ok())
+        .and_then(|text| text.lines().next().map(str::to_owned))
+        .unwrap_or_else(|| "unknown".to_owned())
 }
 
 fn main() {
@@ -171,12 +193,15 @@ fn main() {
         thread_counts = vec![2];
     }
     let repeats = if smoke { 1 } else { 3 };
+    let stalls_us: &[u64] = if smoke { &[0] } else { &[500, 0] };
 
-    let mut cells = run_backend::<RefCount>("refcount", &thread_counts, mixes, smoke, repeats);
+    let mut cells =
+        run_backend::<RefCount>("refcount", &thread_counts, mixes, stalls_us, smoke, repeats);
     cells.extend(run_backend::<Epoch>(
         "epoch",
         &thread_counts,
         mixes,
+        stalls_us,
         smoke,
         repeats,
     ));
@@ -187,12 +212,17 @@ fn main() {
     }
 
     // Headline: max-threads vs 1-thread throughput per backend on the
-    // read-mostly mix (the scaling acceptance bar).
+    // read-mostly mix with the stall (the scaling acceptance bar).
     let max_t = *thread_counts.last().expect("nonempty");
     let pick = |backend: &str, threads: usize| {
         cells
             .iter()
-            .find(|c| c.backend == backend && c.threads == threads && c.mix == "read_mostly")
+            .find(|c| {
+                c.backend == backend
+                    && c.threads == threads
+                    && c.mix == "read_mostly"
+                    && c.commit_stall_us > 0
+            })
             .expect("matrix cell present")
     };
     let mut headline = String::new();
@@ -224,11 +254,13 @@ fn main() {
         }
         rows.push_str(&format!(
             "\n    {{ \"backend\": \"{}\", \"threads\": {}, \"mix\": \"{}\", \
-             \"ops_per_sec\": {:.0}, \"p50_us\": {:.1}, \"p99_us\": {:.1}, \
-             \"p999_us\": {:.1}, \"samples\": {}, \"commits\": {}, \"overloaded\": {} }}",
+             \"commit_stall_us\": {}, \"ops_per_sec\": {:.0}, \"p50_us\": {:.1}, \
+             \"p99_us\": {:.1}, \"p999_us\": {:.1}, \"samples\": {}, \"commits\": {}, \
+             \"overloaded\": {} }}",
             c.backend,
             c.threads,
             c.mix,
+            c.commit_stall_us,
             c.ops_per_sec,
             c.p50_us,
             c.p99_us,
@@ -238,14 +270,19 @@ fn main() {
             c.overloaded,
         ));
     }
+    let rustc = command_line("rustc", &["--version"]);
+    let rev = command_line("git", &["describe", "--always", "--dirty"]);
     let json = format!(
-        "{{\n  \"bench\": \"service\",\n  \"host\": {{ \"cores\": {cores} }},\n  \
+        "{{\n  \"bench\": \"service\",\n  \"host\": {{ \"cores\": {cores}, \
+         \"rustc\": \"{rustc}\", \"git_rev\": \"{rev}\" }},\n  \"repeats\": {repeats},\n  \
          \"workload\": \"1024 connections x 48 requests, Zipfian over 1M keys; \
          mixes read_mostly (70/15/10/5 get/put/del/scan) and scan_heavy (30/25/20/25)\",\n  \
-         \"model\": \"shards == threads; each shard worker pays one 500us group-commit stall \
-         per 32 puts (fsync/replication-ack proxy); stalls overlap across shards, so the \
-         matrix measures shard-count scaling of overlapped durability waits, honest even on \
-         1-core hosts\",\n  \"threads\": [{}],\n  \"backends\": [\"refcount\", \"epoch\"],\n  \
+         \"model\": \"shards == threads; rows with commit_stall_us 500 pay one 500us \
+         group-commit stall per 32 puts per shard (fsync/replication-ack proxy), which overlap \
+         across shards, so they measure shard-count scaling of overlapped durability waits; \
+         rows with commit_stall_us 0 measure the data path alone; ops_per_sec is the median \
+         of the repeats, latency quantiles (log-linear histogram, <= 6.25% high) come from \
+         the last\",\n  \"threads\": [{}],\n  \"backends\": [\"refcount\", \"epoch\"],\n  \
          \"rows\": [{rows}\n  ],\n  \"headline\": [{headline}\n  ]\n}}\n",
         thread_counts
             .iter()

@@ -37,6 +37,7 @@ use std::fmt;
 use std::mem::MaybeUninit;
 
 use valois_mem::{Link, Reclaimer};
+use valois_sync::shim::hint::prefetch_read;
 
 use crate::cursor::Cursor;
 use crate::list::List;
@@ -86,6 +87,39 @@ impl<T: Send + Sync, R: Reclaimer> List<T, R> {
     /// points at, or `None` if the root is unpublished.
     pub fn cursor_at<'a>(&'a self, root: &EntryRoot<T>) -> Option<Cursor<'a, T, R>> {
         Cursor::at_entry(self, &root.link)
+    }
+
+    /// The hint pass of a batched lookup: warms the cache lines that
+    /// [`List::cursor_at`] and the following search will load, for
+    /// every root at once. Stage by stage across all `roots` — first
+    /// each published entry cell, then `hops` links past each, one
+    /// prefetch per hop — so the dependent misses of separate lookups
+    /// overlap instead of running back to back. `None` roots, and
+    /// unpublished ones, are skipped.
+    ///
+    /// Every read here is a hint read (docs/PROTOCOL.md, "Hint reads"):
+    /// a plain atomic load whose value is used only as a prefetch
+    /// address, never dereferenced for data and never counted or
+    /// pinned. A stale or recycled pointer only wastes a prefetch.
+    pub fn prefetch_entry(&self, roots: &[Option<&EntryRoot<T>>], hops: usize) {
+        let mut at = [std::ptr::null_mut::<Node<T>>(); HINT_ROUND];
+        for chunk in roots.chunks(HINT_ROUND) {
+            for (p, root) in at.iter_mut().zip(chunk) {
+                *p = root.map_or(std::ptr::null_mut(), |r| r.link.read());
+                prefetch_read(*p);
+            }
+            for _ in 0..hops {
+                for p in at[..chunk.len()].iter_mut().filter(|p| !p.is_null()) {
+                    // SAFETY: `*p` came from a link of this list, and the
+                    // arena is type-stable: its segments stay mapped while
+                    // the list lives, so `*p` addresses some `Node<T>` of
+                    // it, live or recycled, whose `next` is an atomic word
+                    // (the hint rule in docs/PROTOCOL.md).
+                    *p = unsafe { (**p).next.read() };
+                    prefetch_read(*p);
+                }
+            }
+        }
     }
 
     /// Publishes the cell `cursor` is visiting as `root`'s entry cell:
@@ -310,6 +344,11 @@ impl<T: Send + Sync, R: Reclaimer> List<T, R> {
         self.arena.audit_counts(&all)
     }
 }
+
+/// Roots per stage of [`List::prefetch_entry`]: enough independent
+/// misses in flight to cover a cold lookup's chain, few enough that the
+/// first root's lines are still cached when its lookup runs.
+pub const HINT_ROUND: usize = 16;
 
 /// The anchors one open has probed: an open-addressed set of pointer
 /// values in a stack table at most half full, so the duplicate check

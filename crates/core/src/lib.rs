@@ -47,7 +47,7 @@ mod stats;
 
 pub use adt::{PriorityQueue, Stack};
 pub use cursor::Cursor;
-pub use entry::EntryRoot;
+pub use entry::{EntryRoot, HINT_ROUND};
 pub use list::{AuxChainReport, Iter, List, PreparedInsert};
 pub use node::{ListNode, Node, NodeKind};
 pub use queue::FifoQueue;

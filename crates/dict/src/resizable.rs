@@ -51,9 +51,11 @@ use std::hash::{BuildHasher, Hash, RandomState};
 
 use valois_core::{
     AllocError, ArenaConfig, Cursor, EntryRoot, List, ListStats, MemStats, Reclaimer, RefCount,
+    HINT_ROUND,
 };
 use valois_mem::SegmentTable;
 use valois_sync::shim::atomic::{AtomicU64, Ordering};
+use valois_sync::shim::hint::prefetch_read;
 
 use crate::traits::Dictionary;
 
@@ -62,6 +64,12 @@ const LOAD_FACTOR: u64 = 3;
 
 /// Hard ceiling on the bucket count (the directory's capacity).
 const MAX_BUCKETS: u64 = 1 << 20;
+
+/// Links [`ResizableHashDict::count_present`]'s hint pass follows past a
+/// bucket's sentinel: the sentinel's aux node, then a cell+aux pair for
+/// each item a lookup passes in a bucket of about `LOAD_FACTOR` items
+/// (half of them on average, plus the one it stops at).
+const HINT_HOPS: usize = 1 + 2 * (LOAD_FACTOR as usize / 2 + 1);
 
 /// One cell of the split-ordered list: a bucket sentinel (`key: None`)
 /// or a data item (`key: Some`). Sorted by `(so, sentinel-before-item,
@@ -393,6 +401,51 @@ where
         }
     }
 
+    /// [`Dictionary::contains`] for a key whose hash is already known.
+    fn contains_hashed(&self, key: &K, hash: u64) -> bool {
+        let so = data_order(hash);
+        let size = self.size.load(Ordering::Acquire);
+        let mut cursor = self.bucket_cursor(hash & (size - 1));
+        cursor.find_from(|item| item.cmp_to(so, Some(key)))
+    }
+
+    /// How many of `keys` are present: [`Dictionary::contains`] on each
+    /// key, each an independent linearizable lookup, with a hint pass
+    /// in front.
+    ///
+    /// The keys go in rounds of [`HINT_ROUND`]. Each round first hashes
+    /// every key and prefetches its bucket's directory slot, then lets
+    /// [`List::prefetch_entry`] prefetch each published sentinel and the
+    /// five links past it that a lookup at the load factor of 3 passes on
+    /// average (`HINT_HOPS`), stage by stage across the round. So
+    /// the dependent cache misses of a cold lookup (directory slot,
+    /// sentinel, then cell and aux node by turns) overlap across the
+    /// round's keys instead of running back to back, and the lookups
+    /// that follow find their lines warm. The hint pass never allocates
+    /// a directory segment or initializes a bucket; only the lookups do.
+    pub fn count_present(&self, keys: &[K]) -> usize {
+        let mut present = 0;
+        for round in keys.chunks(HINT_ROUND) {
+            let size = self.size.load(Ordering::Acquire);
+            let mut hashes = [0u64; HINT_ROUND];
+            let mut roots = [None; HINT_ROUND];
+            for ((key, hash), root) in round.iter().zip(&mut hashes).zip(&mut roots) {
+                *hash = self.hasher.hash_one(key);
+                *root = self.buckets.get((*hash & (size - 1)) as usize);
+                if let Some(root) = root {
+                    prefetch_read(*root);
+                }
+            }
+            self.list.prefetch_entry(&roots[..round.len()], HINT_HOPS);
+            present += round
+                .iter()
+                .zip(hashes)
+                .filter(|&(key, hash)| self.contains_hashed(key, hash))
+                .count();
+        }
+        present
+    }
+
     /// The current bucket count (a power of two; grows, never shrinks).
     pub fn bucket_count(&self) -> u64 {
         self.size.load(Ordering::Acquire)
@@ -635,10 +688,7 @@ where
     }
 
     fn contains(&self, key: &K) -> bool {
-        let (hash, so) = self.split_key(key);
-        let size = self.size.load(Ordering::Acquire);
-        let mut cursor = self.bucket_cursor(hash & (size - 1));
-        cursor.find_from(|item| item.cmp_to(so, Some(key)))
+        self.contains_hashed(key, self.hasher.hash_one(key))
     }
 
     fn len(&self) -> usize {

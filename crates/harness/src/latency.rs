@@ -1,25 +1,54 @@
-//! Log-scale latency histograms for per-operation timing.
+//! Log-linear latency histograms for per-operation timing.
 //!
 //! The convoy effects the paper describes (§1) show up far more clearly in
 //! tail latency than in throughput: a stalled lock holder turns every
 //! waiter's operation into a multi-millisecond outlier. The runner records
 //! into a [`LatencyHistogram`] when asked; experiments report p50/p99/max.
+//!
+//! Buckets are HdrHistogram-style: every power of two `[2^k, 2^(k+1))` is
+//! split into 16 equal sub-buckets, so a reported bound is at most
+//! 1/16 = 6.25% above the samples it stands for, and values below 32 ns
+//! are exact. A record stays one relaxed `fetch_add`.
 
 use std::fmt;
 use std::time::Duration;
 use valois_sync::shim::atomic::{AtomicU64, Ordering};
 
-/// Number of power-of-two buckets (covers 1 ns ..= ~18 s).
-const BUCKETS: usize = 64;
+/// Sub-buckets per power of two, as a bit count.
+const SUB_BITS: usize = 4;
+/// Sub-buckets per power of two.
+const SUB: usize = 1 << SUB_BITS;
+/// Buckets: `SUB` exact ones below `SUB` ns, then `SUB` for each power
+/// of two from `2^SUB_BITS` up to `2^63` (covers 1 ns ..= ~584 years).
+const BUCKETS: usize = (64 - SUB_BITS + 1) * SUB;
 
-/// A concurrent power-of-two-bucket latency histogram.
+/// The bucket a sample of `ns` nanoseconds falls in.
+fn bucket_of(ns: u64) -> usize {
+    let k = 63 - ns.max(1).leading_zeros() as usize; // floor(log2 ns)
+    if k < SUB_BITS {
+        return ns as usize;
+    }
+    (k - SUB_BITS + 1) * SUB + ((ns >> (k - SUB_BITS)) as usize & (SUB - 1))
+}
+
+/// The exclusive upper bound, in nanoseconds, of bucket `i` (saturating
+/// at `u64::MAX` for the last bucket).
+fn upper_bound(i: usize) -> u64 {
+    if i < SUB {
+        return i as u64 + 1;
+    }
+    let (k, sub) = (i / SUB + SUB_BITS - 1, i % SUB);
+    let upper = ((SUB + sub + 1) as u128) << (k - SUB_BITS);
+    upper.min(u64::MAX as u128) as u64
+}
+
+/// A concurrent log-linear latency histogram (see the module docs).
 ///
 /// Recording is one relaxed `fetch_add`; any thread may record while
 /// another reads quantiles (reads are racy snapshots, as all live
 /// monitoring is).
 pub struct LatencyHistogram {
     buckets: [AtomicU64; BUCKETS],
-    count: AtomicU64,
 }
 
 impl Default for LatencyHistogram {
@@ -33,26 +62,23 @@ impl LatencyHistogram {
     pub fn new() -> Self {
         Self {
             buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            count: AtomicU64::new(0),
         }
     }
 
     /// Records one sample.
     pub fn record(&self, latency: Duration) {
-        let ns = latency.as_nanos().max(1) as u64;
-        let bucket = (63 - ns.leading_zeros() as usize).min(BUCKETS - 1);
-        self.buckets[bucket].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
+        let ns = u64::try_from(latency.as_nanos()).unwrap_or(u64::MAX);
+        self.buckets[bucket_of(ns)].fetch_add(1, Ordering::Relaxed);
     }
 
     /// Total samples recorded.
     pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
+        self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).sum()
     }
 
     /// The upper bound of the bucket containing quantile `q` (0.0–1.0),
-    /// i.e. the latency below which ~q of samples fall (within the 2×
-    /// bucket resolution). `None` when empty.
+    /// i.e. the latency below which ~q of samples fall (at most 6.25%
+    /// above the samples in that bucket). `None` when empty.
     ///
     /// Nearest-rank semantics: the sample at rank `ceil(q·n)` (1-based).
     /// At small sample counts high quantiles *saturate to the maximum
@@ -78,9 +104,7 @@ impl LatencyHistogram {
         for (i, b) in self.buckets.iter().enumerate() {
             seen += b.load(Ordering::Relaxed);
             if seen >= rank {
-                return Some(Duration::from_nanos(
-                    1u64.checked_shl(i as u32 + 1).unwrap_or(u64::MAX),
-                ));
+                return Some(Duration::from_nanos(upper_bound(i)));
             }
         }
         Some(Duration::from_nanos(u64::MAX))
@@ -107,8 +131,6 @@ impl LatencyHistogram {
         for (a, b) in self.buckets.iter().zip(other.buckets.iter()) {
             a.fetch_add(b.load(Ordering::Relaxed), Ordering::Relaxed);
         }
-        self.count
-            .fetch_add(other.count.load(Ordering::Relaxed), Ordering::Relaxed);
     }
 }
 
@@ -172,10 +194,54 @@ mod tests {
     }
 
     #[test]
-    fn bucket_bounds_are_powers_of_two() {
+    fn bucket_bounds_are_log_linear() {
         let h = LatencyHistogram::new();
-        h.record(Duration::from_nanos(1000)); // bucket [512, 1024)
+        h.record(Duration::from_nanos(1000)); // bucket [992, 1024)
         assert_eq!(h.quantile(1.0), Some(Duration::from_nanos(1024)));
+        // Exact below 32 ns, then 16 sub-buckets per power of two.
+        assert_eq!(upper_bound(bucket_of(0)), 1);
+        assert_eq!(upper_bound(bucket_of(17)), 18);
+        assert_eq!(upper_bound(bucket_of(700)), 704); // [672, 704)
+        assert_eq!(upper_bound(bucket_of(u64::MAX)), u64::MAX);
+        assert_eq!(bucket_of(u64::MAX), BUCKETS - 1);
+    }
+
+    /// Every bound lies above its sample and at most 6.25% beyond it, and
+    /// bucket indices rise with the sample.
+    #[test]
+    fn bucket_error_is_at_most_one_sixteenth() {
+        let mut last = 0;
+        let mut v = 1u64;
+        while v < u64::MAX / 2 {
+            for x in [v, v + v / 3, v + v / 2, 2 * v - 1] {
+                let (i, ub) = (bucket_of(x), upper_bound(bucket_of(x)));
+                assert!(ub > x, "{x} above its bound {ub}");
+                assert!(ub - x <= x / SUB as u64 + 1, "{x}: bound {ub} too loose");
+                assert!(i >= last, "{x}: bucket {i} below {last}");
+                last = i;
+            }
+            v *= 2;
+        }
+    }
+
+    /// Two modes inside one power of two (2.1 µs and 3.5 µs): p50 and p99
+    /// land on different buckets, each within 6.25% of its mode. Under
+    /// power-of-two buckets both read 4.1 µs.
+    #[test]
+    fn p50_and_p99_differ_on_a_two_mode_sample() {
+        let h = LatencyHistogram::new();
+        for i in 0..1000 {
+            let ns = if i % 20 == 0 { 3_500 } else { 2_100 };
+            h.record(Duration::from_nanos(ns));
+        }
+        let s = h.summary().unwrap();
+        assert_ne!(s.p50, s.p99, "{s}");
+        let near = |d: Duration, mode: f64| {
+            let ns = d.as_nanos() as f64;
+            ns > mode && ns <= mode * 1.0625
+        };
+        assert!(near(s.p50, 2_100.0), "p50 {:?}", s.p50);
+        assert!(near(s.p99, 3_500.0), "p99 {:?}", s.p99);
     }
 
     #[test]
@@ -205,8 +271,8 @@ mod tests {
     #[test]
     fn boundary_n1_every_quantile_is_the_sample() {
         let h = LatencyHistogram::new();
-        h.record(Duration::from_nanos(700)); // bucket (512, 1024]
-        let expect = Duration::from_nanos(1024);
+        h.record(Duration::from_nanos(700)); // bucket [672, 704)
+        let expect = Duration::from_nanos(704);
         for q in [0.0, 0.5, 0.99, 0.999, 1.0] {
             assert_eq!(h.quantile(q), Some(expect), "q={q}");
         }
@@ -223,9 +289,9 @@ mod tests {
     #[test]
     fn boundary_n2_p999_saturates_to_max() {
         let h = LatencyHistogram::new();
-        h.record(Duration::from_nanos(100)); // bucket bound 128
-        h.record(Duration::from_millis(10)); // bucket bound ~16.8ms
-        assert_eq!(h.quantile(0.5), Some(Duration::from_nanos(128)));
+        h.record(Duration::from_nanos(100)); // bucket [100, 104)
+        h.record(Duration::from_millis(10)); // bucket bound ~10.5ms
+        assert_eq!(h.quantile(0.5), Some(Duration::from_nanos(104)));
         assert_eq!(h.quantile(0.999), h.max());
         assert!(h.quantile(0.999).unwrap() >= Duration::from_millis(8));
     }
@@ -284,7 +350,7 @@ mod tests {
         assert_eq!(h.quantile(2.0), h.max());
         assert_eq!(h.quantile(f64::NAN), h.max());
         assert_eq!(h.quantile(f64::INFINITY), h.max());
-        assert_eq!(h.quantile(-3.0), Some(Duration::from_nanos(128)));
+        assert_eq!(h.quantile(-3.0), Some(Duration::from_nanos(104)));
     }
 
     #[test]

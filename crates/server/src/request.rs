@@ -17,8 +17,8 @@ pub enum Op {
     Put(u64, u64),
     /// Remove a key.
     Del(u64),
-    /// Count the present keys in `start .. start + len` that this
-    /// request's shard owns. A sharded scan is a scatter-gather in a
+    /// Count the present keys in `start .. start + len` (cut off after
+    /// `u64::MAX`) that this request's shard owns. A sharded scan is a scatter-gather in a
     /// real deployment; here each scan inspects one shard's slice of
     /// the range, which is the part that stresses the dictionary.
     Scan {

@@ -13,7 +13,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use valois_core::channel::Receiver;
-use valois_core::AllocError;
+use valois_core::{AllocError, HINT_ROUND};
 use valois_dict::{Dictionary, ResizableHashDict};
 use valois_harness::LatencyHistogram;
 use valois_mem::{MemStats, Reclaimer};
@@ -78,13 +78,23 @@ impl<R: Reclaimer> Shard<R> {
             },
             Op::Del(k) => Outcome::Deleted(self.dict.remove(&k)),
             Op::Scan { start, len } => {
-                let mut hits = 0u32;
-                for k in start..start.saturating_add(len as u64) {
-                    if route(k, self.shards) == self.id && self.dict.contains(&k) {
-                        hits += 1;
+                // The shard's keys of the range go to `count_present` in
+                // stack chunks of one hint round each. The range stops at
+                // `u64::MAX` inclusive.
+                let (mut chunk, mut n, mut hits) = ([0u64; HINT_ROUND], 0, 0);
+                let keys = (0..u64::from(len)).map_while(|i| start.checked_add(i));
+                for k in keys {
+                    if route(k, self.shards) == self.id {
+                        chunk[n] = k;
+                        n += 1;
+                    }
+                    if n == HINT_ROUND {
+                        hits += self.dict.count_present(&chunk);
+                        n = 0;
                     }
                 }
-                Outcome::Scanned(hits)
+                hits += self.dict.count_present(&chunk[..n]);
+                Outcome::Scanned(hits as u32)
             }
         }
     }

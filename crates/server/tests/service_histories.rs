@@ -10,9 +10,10 @@ use valois_dict::Dictionary;
 use valois_harness::{check_linearizable, History, KeyDist, Op as HOp};
 use valois_mem::{AllocError, Epoch, Reclaimer, RefCount};
 use valois_server::{
-    run_service, Op, Outcome, Request, Response, Server, ServiceConfig, ServiceMix, SimConfig,
-    StatsFeed,
+    route, run_service, Op, Outcome, Request, Response, Server, ServiceConfig, ServiceMix,
+    SimConfig, StatsFeed,
 };
+use valois_sync::rng::SmallRng;
 
 fn small_config(shards: usize) -> ServiceConfig {
     ServiceConfig {
@@ -315,6 +316,83 @@ fn server_mem_stats_folds_the_shards<R: Reclaimer + 'static>() {
     server.shutdown();
 }
 
+/// A scan's reply is the per-key `contains` truth over the range's keys
+/// that the request's shard owns, at 1 and 4 shards. The ranges cover
+/// empty ones, lengths past one hint round (16 keys), keys in buckets
+/// no operation has touched yet, and the top of the key space, where
+/// `start + len` passes `u64::MAX`.
+fn scan_counts_match_per_key_truth<R: Reclaimer + 'static>() {
+    let top = u64::MAX - 20;
+    for shards in [1, 4] {
+        let server: Server<R> = Server::start(&ServiceConfig {
+            initial_buckets: 2,
+            ..small_config(shards)
+        });
+        let owner = |k: u64| &server.shards()[route(k, shards)].dict;
+        // Every third key of 0..3000 plus the odd keys at the top.
+        let present = (0..3000).step_by(3).chain((top..=u64::MAX).step_by(2));
+        for k in present {
+            assert!(owner(k).insert(k, k), "fresh key {k}");
+        }
+        let (tx, rx) = channel::<Response>();
+        let mut ranges: Vec<(u64, u32)> = vec![
+            (0, 0),
+            (5, 1),
+            (u64::MAX, 1),
+            (u64::MAX, 40),
+            (u64::MAX - 1, 2),
+            (top, 16),
+            (top, 21),
+            (top + 7, u32::MAX),
+        ];
+        let mut rng = SmallRng::seed_from_u64(0x5CA7 + shards as u64);
+        // Beyond the filled keys too: their buckets start unpublished.
+        ranges.extend((0..200).map(|_| (rng.gen_range(0..6000u64), rng.gen_range(0..70u32))));
+        let published_before: u64 = server
+            .shards()
+            .iter()
+            .map(|s| s.dict.initialized_buckets())
+            .sum();
+        for (seq, &(start, len)) in ranges.iter().enumerate() {
+            let id = route(start, shards);
+            let end = (u128::from(start) + u128::from(len)).min(1 << 64);
+            let truth = (u128::from(start)..end)
+                .map(|k| k as u64)
+                .filter(|&k| route(k, shards) == id && owner(k).contains(&k))
+                .count() as u32;
+            server
+                .submit(Request {
+                    conn: 1,
+                    seq: seq as u64,
+                    op: Op::Scan { start, len },
+                    issued: Instant::now(),
+                    reply: tx.clone(),
+                })
+                .expect("server running");
+            let reply = rx.recv().expect("reply");
+            assert_eq!(
+                reply.outcome,
+                Outcome::Scanned(truth),
+                "{shards} shards: scan {start}+{len}"
+            );
+        }
+        let published_after: u64 = server
+            .shards()
+            .iter()
+            .map(|s| s.dict.initialized_buckets())
+            .sum();
+        assert!(
+            published_after > published_before,
+            "the ranges must reach buckets no insert published"
+        );
+        drop(tx);
+        for mut dict in server.shutdown() {
+            dict.check_invariants().unwrap();
+            dict.audit_refcounts().unwrap();
+        }
+    }
+}
+
 mod refcount {
     use super::*;
 
@@ -351,6 +429,11 @@ mod refcount {
     #[test]
     fn overloaded_put_is_an_error() {
         super::overloaded_put_is_an_error::<RefCount>();
+    }
+
+    #[test]
+    fn scan_counts_match_per_key_truth() {
+        super::scan_counts_match_per_key_truth::<RefCount>();
     }
 }
 
@@ -395,5 +478,10 @@ mod epoch {
     #[test]
     fn server_mem_stats_folds_the_shards() {
         super::server_mem_stats_folds_the_shards::<Epoch>();
+    }
+
+    #[test]
+    fn scan_counts_match_per_key_truth() {
+        super::scan_counts_match_per_key_truth::<Epoch>();
     }
 }

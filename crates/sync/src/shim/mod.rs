@@ -28,7 +28,7 @@
 //! | [`cell`] | `std::cell::UnsafeCell` | same (accesses are *not* checked) |
 //! | [`thread`] | `std::thread::{spawn, yield_now}` | scheduler-registered threads |
 //! | [`sync`] | `std::sync::{Mutex, MutexGuard}` | scheduler-aware blocking mutex |
-//! | [`hint`] | `std::hint::spin_loop` | no-op (spinning is modeled by the scheduler) |
+//! | [`hint`] | `std::hint::spin_loop`; `prefetch_read` (`_mm_prefetch` on x86_64) | no-ops (spinning is modeled by the scheduler) |
 //!
 //! # Example (model checking)
 //!
@@ -433,7 +433,7 @@ pub mod cell {
     pub use std::cell::UnsafeCell;
 }
 
-/// Spin-wait hint.
+/// Spin-wait and prefetch hints.
 pub mod hint {
     /// Backoff hint inside spin loops.
     ///
@@ -444,6 +444,26 @@ pub mod hint {
     pub fn spin_loop() {
         #[cfg(not(loom))]
         std::hint::spin_loop();
+    }
+
+    /// Asks the cache hierarchy to start loading the line at `p` for a
+    /// later read (`prefetcht0` on x86_64).
+    ///
+    /// A hint only: it reads nothing into the program and cannot fault,
+    /// so a null, stale or dangling `p` merely wastes the prefetch. It
+    /// compiles to nothing under the model checker (a prefetch is not a
+    /// memory access, so there is no interleaving to explore), under
+    /// Miri and on other targets.
+    #[inline(always)]
+    pub fn prefetch_read<T>(p: *const T) {
+        #[cfg(all(target_arch = "x86_64", not(loom), not(miri)))]
+        // SAFETY: SSE is part of the x86_64 baseline, and `prefetcht0`
+        // makes no architectural memory access, whatever the address.
+        unsafe {
+            std::arch::x86_64::_mm_prefetch::<{ std::arch::x86_64::_MM_HINT_T0 }>(p.cast());
+        }
+        #[cfg(not(all(target_arch = "x86_64", not(loom), not(miri))))]
+        let _ = p;
     }
 }
 

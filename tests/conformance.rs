@@ -17,7 +17,9 @@
 //! * on every arm but `HashDict`, which has no arena configuration of its
 //!   own, the capped-arena contract of `Dictionary::try_insert`: a
 //!   failed allocation sheds and retries once, and true exhaustion is an
-//!   `Err` with nothing half-linked.
+//!   `Err` with nothing half-linked;
+//! * on the two resizable arms, the batched `count_present` against
+//!   per-key `contains`, under churn and as a `smoke_` twin.
 //!
 //! Every test ends with `check_invariants` and the exact link-count
 //! audit, epoch arms included. Dictionary-specific tests follow the arms.
@@ -410,10 +412,78 @@ fn capped_true_exhaustion_surfaces<D: Subject>() {
     settle(&mut d, "true exhaustion");
 }
 
+/// `ResizableHashDict::count_present` (a hint pass, then `contains` on
+/// each key) agrees with per-key `contains` on a fixed key set while two
+/// threads churn a disjoint one through bucket splits and node reuse, so
+/// the hint reads meet recycled nodes and unpublished buckets.
+fn count_present_under_churn<R: Reclaimer>(d: &mut ResizableHashDict<u64, u64, RandomState, R>) {
+    // Keys 0..STABLE, present iff divisible by 3; churn keys lie above.
+    const STABLE: u64 = 3_000;
+    for k in (0..STABLE).step_by(3) {
+        assert!(d.insert(k, k));
+    }
+    let churners_done = AtomicU64::new(0);
+    std::thread::scope(|s| {
+        let (d, done) = (&*d, &churners_done);
+        for tid in 0..2u64 {
+            s.spawn(move || {
+                let base = STABLE + tid * 10_000;
+                for round in 0..4 {
+                    for k in base..base + 2_000 {
+                        assert!(d.insert(k, round));
+                    }
+                    for k in base..base + 2_000 {
+                        assert!(d.remove(&k));
+                    }
+                }
+                done.fetch_add(1, Ordering::Release);
+            });
+        }
+        for tid in 0..2u64 {
+            s.spawn(move || {
+                let mut rng = SmallRng::seed_from_u64(0xC0DE_0001 ^ tid);
+                let mut keys = Vec::new();
+                let mut batches = 0;
+                while done.load(Ordering::Acquire) < 2 || batches < 100 {
+                    keys.clear();
+                    let len = rng.gen_range(0..40usize);
+                    keys.extend((0..len).map(|_| rng.gen_range(0..STABLE)));
+                    let truth = keys.iter().filter(|&&k| k % 3 == 0).count();
+                    let per_key = keys.iter().filter(|k| d.contains(k)).count();
+                    assert_eq!(per_key, truth, "per-key contains of {keys:?}");
+                    assert_eq!(d.count_present(&keys), truth, "count_present of {keys:?}");
+                    batches += 1;
+                }
+            });
+        }
+    });
+    assert_eq!(d.len() as u64, STABLE / 3);
+    settle(d, "count_present under churn");
+}
+
+/// Miri-sized twin: `count_present` over prefixes that end inside, at
+/// and past one hint round, against per-key `contains`.
+fn smoke_count_present<R: Reclaimer>(d: &mut ResizableHashDict<u64, u64, RandomState, R>) {
+    for k in 0..12u64 {
+        assert!(d.insert(k, k));
+    }
+    for k in (0..12).step_by(3) {
+        assert!(d.remove(&k));
+    }
+    let keys: Vec<u64> = (0..20).collect();
+    for len in [0, 1, 16, 17, 20] {
+        let want = keys[..len].iter().filter(|k| d.contains(k)).count();
+        assert_eq!(d.count_present(&keys[..len]), want, "first {len} keys");
+    }
+    assert_eq!(d.count_present(&keys), 8);
+    settle(d, "smoke count_present");
+}
+
 /// Instantiates the suite for one `(arm, dictionary type)` pair; `capped`
-/// adds the capped-arena tests.
+/// adds the capped-arena tests and `count_present` the resizable table's
+/// batched lookup.
 macro_rules! arm {
-    ($arm:ident: $ty:ty $(, $capped:ident)?) => {
+    ($arm:ident: $ty:ty $(, $extra:ident)*) => {
         mod $arm {
             use super::*;
             type D = $ty;
@@ -449,7 +519,7 @@ macro_rules! arm {
             fn smoke_roundtrip() {
                 super::smoke_roundtrip(&mut D::fresh());
             }
-            $(arm!(@$capped);)?
+            $(arm!(@$extra);)*
         }
     };
     (@capped) => {
@@ -466,14 +536,24 @@ macro_rules! arm {
             super::capped_true_exhaustion_surfaces::<D>();
         }
     };
+    (@count_present) => {
+        #[test]
+        fn count_present_under_churn() {
+            super::count_present_under_churn(&mut D::fresh());
+        }
+        #[test]
+        fn smoke_count_present() {
+            super::smoke_count_present(&mut D::fresh());
+        }
+    };
 }
 
 arm!(sorted_refcount: SortedListDict<u64, u64, RefCount>, capped);
 arm!(sorted_epoch: SortedListDict<u64, u64, Epoch>, capped);
 arm!(hash_refcount: HashDict<u64, u64, RandomState, RefCount>);
 arm!(hash_epoch: HashDict<u64, u64, RandomState, Epoch>);
-arm!(resizable_refcount: ResizableHashDict<u64, u64, RandomState, RefCount>, capped);
-arm!(resizable_epoch: ResizableHashDict<u64, u64, RandomState, Epoch>, capped);
+arm!(resizable_refcount: ResizableHashDict<u64, u64, RandomState, RefCount>, capped, count_present);
+arm!(resizable_epoch: ResizableHashDict<u64, u64, RandomState, Epoch>, capped, count_present);
 arm!(skip: SkipListDict<u64, u64>, capped);
 arm!(bst: BstDict<u64, u64>, capped);
 
@@ -570,38 +650,76 @@ fn sorted_retries_within_the_amortized_bound() {
 /// over many buckets does not raise retries. Each worker inserts and
 /// removes its own 8 keys, interleaved with the other workers' keys
 /// (`j * threads + tid`), so in one bucket every cell a worker touches
-/// sits next to another worker's; the workers start on a barrier and run
-/// long enough to overlap on a loaded host.
+/// sits next to another worker's.
+///
+/// Retries need the workers to run at the same time, and a loaded host
+/// (more runnable threads than cores) may run them one after another.
+/// So both arms run in the same passes: every worker applies each
+/// operation to the one-bucket and the 64-bucket table in turn, swapping
+/// which goes first every window of 64 operations, so the two tables see
+/// the same overlap. Each worker also publishes its progress and counts
+/// the windows in which another worker advanced; passes repeat until
+/// the workers have overlapped for `OVERLAP` windows in all.
 #[test]
 fn hash_more_buckets_fewer_retries() {
-    let run = |buckets: usize| -> u64 {
-        let d: HashDict<u64, u64> = HashDict::with_buckets(buckets);
-        let t = threads();
-        let start = Barrier::new(t as usize);
+    const OPS: u64 = 20_000;
+    const WINDOW: u64 = 64;
+    const OVERLAP: u64 = 1_000;
+    let (single, many): (HashDict<u64, u64>, HashDict<u64, u64>) =
+        (HashDict::with_buckets(1), HashDict::with_buckets(64));
+    let t = threads();
+    let start = Barrier::new(t as usize);
+    let progress: Vec<AtomicU64> = (0..t).map(|_| AtomicU64::new(0)).collect();
+    let overlapped = AtomicU64::new(0);
+    let mut passes = 0;
+    while overlapped.load(Ordering::Relaxed) < OVERLAP {
+        assert!(
+            passes < 50,
+            "workers overlapped for only {overlapped:?} windows in 50 passes"
+        );
+        passes += 1;
         std::thread::scope(|s| {
-            let (d, start) = (&d, &start);
+            let arms = [&single, &many];
+            let (start, progress, overlapped) = (&start, &progress, &overlapped);
             for tid in 0..t {
                 s.spawn(move || {
+                    let others = || -> u64 {
+                        let all = progress.iter().map(|p| p.load(Ordering::Relaxed));
+                        all.sum::<u64>() - progress[tid as usize].load(Ordering::Relaxed)
+                    };
                     start.wait();
-                    for i in 0..20_000u64 {
+                    let mut seen = others();
+                    for i in 0..OPS {
                         let k = (i / 2 % 8) * t + tid;
-                        if i % 2 == 0 {
-                            d.insert(k, tid);
-                        } else {
-                            d.remove(&k);
+                        let first = (i / WINDOW % 2) as usize;
+                        for d in [arms[first], arms[1 - first]] {
+                            if i % 2 == 0 {
+                                d.insert(k, tid);
+                            } else {
+                                d.remove(&k);
+                            }
+                        }
+                        if i % 4 == 3 {
+                            progress[tid as usize].fetch_add(1, Ordering::Relaxed);
+                        }
+                        if i % WINDOW == WINDOW - 1 {
+                            let now = others();
+                            if now != seen {
+                                overlapped.fetch_add(1, Ordering::Relaxed);
+                            }
+                            seen = now;
                         }
                     }
                 });
             }
         });
-        d.total_retries()
-    };
-    let (single, many) = (run(1), run(64));
-    // Not a hard guarantee per run, but overwhelmingly true; equality is
-    // allowed where contention is negligible.
+    }
+    let (single, many) = (single.total_retries(), many.total_retries());
+    // Not a hard guarantee, but overwhelmingly true once the workers
+    // overlap; equality is allowed where contention is negligible.
     assert!(
         many <= single.max(1) * 2,
-        "1 bucket {single} retries vs 64 buckets {many}"
+        "1 bucket {single} retries vs 64 buckets {many} ({passes} passes)"
     );
 }
 
