@@ -1,11 +1,8 @@
-//! Experiment implementations regenerating the paper's performance claims
-//! (DESIGN.md §4). Each `eN` function runs one experiment and returns the
-//! paper-style table it printed; the `experiments` binary is a thin CLI
-//! over these, and the smoke tests call them with tiny budgets.
+//! Benchmarks for the paper's performance claims (DESIGN.md §4,
+//! EXPERIMENTS.md). The `benches/` targets run on [`criterion`], a
+//! dependency-free stand-in for the criterion API; the `stress` binary is
+//! the invariant soak.
 
 #![warn(missing_docs)]
 
 pub mod criterion;
-pub mod experiments;
-
-pub use experiments::{ExpConfig, ExperimentReport};

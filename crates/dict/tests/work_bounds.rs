@@ -1,18 +1,19 @@
-//! The paper's work bounds as tested properties (§4.1).
+//! The paper's work bounds as tested properties (§4.1, §4.2).
 //!
-//! Each test fills a dictionary to two sizes, runs the same seeded
-//! operations on both, and compares one layer's work per operation
+//! Each test fills a dictionary to two or three sizes, runs the same
+//! seeded operations on each, and compares one layer's work per operation
 //! between the sizes, or bounds it at each: SafeReads from `MemStats`
 //! deltas (the memory-protocol rung) or cursor `Next` steps from
 //! `ListStats` deltas (the cursor rung). Single-threaded runs are
-//! deterministic — the key stream is seeded and the skip list's tower
-//! heights come from a fixed-seed generator — so the bounds compare
+//! deterministic — the key stream is seeded, the skip list's tower
+//! heights come from a fixed-seed generator and the hash tables use
+//! `DefaultHasher`'s fixed keys — so the bounds compare
 //! exact counts and cannot flake on a loaded host.
 
 use std::hash::{BuildHasherDefault, DefaultHasher};
 
 use valois_core::ArenaConfig;
-use valois_dict::{Dictionary, HashDict, SkipListDict, SortedListDict};
+use valois_dict::{BstDict, Dictionary, HashDict, ResizableHashDict, SkipListDict, SortedListDict};
 
 /// Churn operations measured per size on the skip list.
 const CHURN_OPS: u64 = 20_000;
@@ -152,6 +153,17 @@ fn sorted_list_finds_start_near_a_recent_anchor() {
     }
 }
 
+/// Fills `d` to `n` keys, then returns the SafeReads per uniform find
+/// over `CHURN_OPS` finds on the same key stream.
+fn safe_reads_per_find<D: Dictionary<u64, u64>>(d: &D, n: u64, reads: impl Fn(&D) -> u64) -> f64 {
+    let mut keys = fill(d, n);
+    let before = reads(d);
+    for _ in 0..CHURN_OPS {
+        d.find(&keys.below(2 * n));
+    }
+    (reads(d) - before) as f64 / CHURN_OPS as f64
+}
+
 /// §4.1's hash table: "we would expect the extra work done to be O(1)".
 /// At a fixed load factor (four keys per bucket) a bucket's list stays
 /// the same length however many keys the table holds, so a uniform
@@ -165,25 +177,62 @@ fn hash_finds_stay_flat_at_a_fixed_load_factor() {
     let per_find = |n: u64| {
         let d: HashDict<u64, u64, BuildHasherDefault<DefaultHasher>> =
             HashDict::with_buckets_and_hasher(n as usize / 4, BuildHasherDefault::default());
-        let mut keys = fill(&d, n);
-        let before = d.mem_stats().safe_reads;
-        for _ in 0..CHURN_OPS {
-            d.find(&keys.below(2 * n));
-        }
-        (d.mem_stats().safe_reads - before) as f64 / CHURN_OPS as f64
+        safe_reads_per_find(&d, n, |d| d.mem_stats().safe_reads)
     };
-    let small = per_find(1_000);
-    let large = per_find(10_000);
+    assert_flat("at four keys per bucket", per_find(1_000), per_find(10_000));
+}
+
+/// The same O(1) bound when the table sizes itself: a split-ordered
+/// table that starts at two buckets doubles as the fill crosses its load
+/// factor, so a find walks a bucket no longer at 10⁴ keys than at 10³,
+/// though the table went through three more doublings to get there.
+#[test]
+fn resizable_finds_stay_flat_across_doublings() {
+    let per_find = |n: u64| {
+        let d: ResizableHashDict<u64, u64, BuildHasherDefault<DefaultHasher>> =
+            ResizableHashDict::with_hasher(2, BuildHasherDefault::default());
+        let reads = safe_reads_per_find(&d, n, |d| d.mem_stats().safe_reads);
+        assert!(d.doublings() >= 3, "the fill to n={n} must resize: {d:?}");
+        reads
+    };
+    assert_flat("across doublings", per_find(1_000), per_find(10_000));
+}
+
+/// Holds SafeReads per find at n = 10³ (`small`) and 10⁴ (`large`) to
+/// O(1): at most 1.5× growth and at most 8 each.
+fn assert_flat(shape: &str, small: f64, large: f64) {
     let ratio = large / small;
     assert!(
         ratio <= 1.5,
         "SafeReads/find grew {ratio:.2}x from n=10^3 ({small:.1}) to n=10^4 ({large:.1}) \
-         at four keys per bucket; O(1) work allows at most 1.5x"
+         {shape}; O(1) work allows at most 1.5x"
     );
     for (n, reads) in [(1_000, small), (10_000, large)] {
         assert!(
             reads <= 8.0,
-            "a find took {reads:.1} SafeReads at n={n} with four keys per bucket; at most 8"
+            "a find took {reads:.1} SafeReads at n={n} {shape}; at most 8"
         );
+    }
+}
+
+/// §4.2's tree: a find on a tree built by random inserts walks one path
+/// from the root, whose expected length is O(log n), so each tenfold
+/// growth of n adds levels rather than multiplying them. The tree is
+/// freshly filled; alternating inserts and removes deepen it (see E6 in
+/// EXPERIMENTS.md), so this bound does not hold for a churned tree.
+#[test]
+fn bst_finds_grow_logarithmically() {
+    let per_find = |n: u64| safe_reads_per_find(&BstDict::new(), n, |d| d.mem_stats().safe_reads);
+    let mut prev = per_find(1_000);
+    for n in [10_000, 100_000] {
+        let reads = per_find(n);
+        let ratio = reads / prev;
+        assert!(
+            ratio <= 2.0,
+            "SafeReads/find grew {ratio:.2}x from n={} ({prev:.1}) to n={n} ({reads:.1}); \
+             logarithmic work allows at most 2x per tenfold n",
+            n / 10
+        );
+        prev = reads;
     }
 }

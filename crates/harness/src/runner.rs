@@ -1,4 +1,5 @@
-//! Duration-based multi-threaded throughput runs (experiments E1–E6).
+//! Duration-based multi-threaded throughput runs (the `vs_locks` and
+//! `resize` benches, and `tests/harness_runs.rs`).
 
 use std::fmt;
 use std::time::{Duration, Instant};
@@ -27,31 +28,6 @@ pub struct RunConfig {
     pub op_delay: Option<CriticalDelay>,
     /// Record per-operation latency (adds one clock read per op).
     pub measure_latency: bool,
-}
-
-impl RunConfig {
-    /// `threads` workers for `millis` ms over the standard workload.
-    pub fn new(threads: usize, millis: u64, workload: WorkloadSpec) -> Self {
-        Self {
-            threads,
-            duration: Duration::from_millis(millis),
-            workload,
-            op_delay: None,
-            measure_latency: false,
-        }
-    }
-
-    /// Adds a per-operation stall (see field docs).
-    pub fn with_op_delay(mut self, delay: CriticalDelay) -> Self {
-        self.op_delay = Some(delay);
-        self
-    }
-
-    /// Enables per-operation latency recording.
-    pub fn with_latency(mut self) -> Self {
-        self.measure_latency = true;
-        self
-    }
 }
 
 /// Result of one throughput run.
@@ -279,11 +255,20 @@ mod tests {
     use crate::workload::WorkloadSpec;
     use valois_dict::SortedListDict;
 
+    fn two_threads_50ms(measure_latency: bool) -> RunConfig {
+        RunConfig {
+            threads: 2,
+            duration: Duration::from_millis(50),
+            workload: WorkloadSpec::standard(64),
+            op_delay: None,
+            measure_latency,
+        }
+    }
+
     #[test]
     fn runner_counts_operations() {
         let dict: SortedListDict<u64, u64> = SortedListDict::new();
-        let cfg = RunConfig::new(2, 50, WorkloadSpec::standard(64));
-        let res = run_throughput(&dict, &cfg);
+        let res = run_throughput(&dict, &two_threads_50ms(false));
         assert!(res.total_ops > 0, "some operations must complete");
         assert_eq!(res.total_ops, res.finds + res.insert_hits + res.delete_hits);
         assert!(res.ops_per_sec() > 0.0);
@@ -310,8 +295,7 @@ mod tests {
     #[test]
     fn latency_recording_produces_summary() {
         let dict: SortedListDict<u64, u64> = SortedListDict::new();
-        let cfg = RunConfig::new(2, 50, WorkloadSpec::standard(64)).with_latency();
-        let res = run_throughput(&dict, &cfg);
+        let res = run_throughput(&dict, &two_threads_50ms(true));
         let lat = res.latency.expect("latency requested");
         assert!(lat.samples > 0);
         assert!(lat.p50 <= lat.p99 && lat.p99 <= lat.p999);

@@ -2,9 +2,9 @@
 //!
 //! §1 of the paper: "a number of efficient *spin locking* techniques have
 //! been developed [3, 8, 20]" (Anderson; Graunke & Thakkar; Mellor-Crummey &
-//! Scott). The E1/E2 experiments compare the lock-free list against lists
-//! protected by these locks, so this module implements the standard
-//! progression:
+//! Scott). The `vs_locks` bench (E1/E2/E9) compares the lock-free list
+//! against lists protected by these locks, so this module implements the
+//! standard progression:
 //!
 //! * [`TasLock`] — naive test-and-set,
 //! * [`TtasLock`] — test-and-test-and-set with exponential backoff

@@ -19,8 +19,8 @@
 //!   dictionaries in [`baseline`], plus the intentionally broken naive CAS
 //!   list whose Fig. 2/3 anomalies motivate the whole design.
 //! * Measurement: [`harness`] (workloads, throughput, latency histograms,
-//!   a linearizability checker) driving the E1–E9 experiment suite in
-//!   `valois-bench`.
+//!   a linearizability checker) driving the benches in `valois-bench`
+//!   (EXPERIMENTS.md).
 //!
 //! # Quickstart
 //!

@@ -1,6 +1,7 @@
 //! End-to-end harness runs through the facade: throughput measurement with
 //! delay injection and latency recording against every dictionary kind —
-//! the machinery behind experiments E1/E2/E9, exercised as a test.
+//! the machinery behind the `vs_locks` bench (E1, E2, E6, E9), exercised
+//! as a test.
 
 use std::time::Duration;
 
