@@ -11,34 +11,19 @@
 //!    table, where the fixed table pays O(n/16) per lookup and the
 //!    resizable table keeps expected-O(1) buckets.
 //!
-//! Writes the measured rates to `BENCH_resize.json` at the repo root so
-//! the fixed-vs-resizable ratio is machine-checkable.
+//! Each repeat fills a fresh pair of tables and runs the mix on them;
+//! `BENCH_resize.json` at the repo root records each rate as the median
+//! of the repeats with its range, so the fixed-vs-resizable ratio is
+//! machine-checkable.
 //!
 //! `--smoke` (CI): one tiny size, no JSON artifact — proves the harness
 //! end to end without measuring anything.
 
-use std::fs;
-use std::path::Path;
 use std::time::Duration;
 
-use valois_bench::criterion::smoke_mode;
+use valois_bench::report::{smoke_mode, Fields, Report, Sample};
 use valois_dict::{HashDict, ResizableHashDict};
 use valois_harness::{run_fill, run_throughput, RunConfig, WorkloadSpec};
-
-struct Row {
-    n: u64,
-    fixed_fill: f64,
-    resz_fill: f64,
-    fixed_mix: f64,
-    resz_mix: f64,
-    buckets: u64,
-    doublings: u64,
-}
-
-fn median(mut xs: Vec<f64>) -> f64 {
-    xs.sort_by(|a, b| a.partial_cmp(b).expect("rates are finite"));
-    xs[xs.len() / 2]
-}
 
 fn main() {
     let smoke = smoke_mode();
@@ -54,22 +39,10 @@ fn main() {
         .unwrap_or(4)
         .min(8);
 
-    let mut rows: Vec<Row> = Vec::new();
+    let mut sizes_json = Vec::new();
+    // (n, fill speedup, mix speedup) of the largest size.
+    let mut head = (0, 0.0, 0.0);
     for &n in sizes {
-        // Median fill rate over fresh tables (a fill is one-shot: it is
-        // exactly the growth phase, so each repeat needs a new table).
-        let mut fixed_fills = Vec::new();
-        let mut resz_fills = Vec::new();
-        let mut last_pair: Option<(HashDict<u64, u64>, ResizableHashDict<u64, u64>)> = None;
-        for _ in 0..repeats {
-            let fixed: HashDict<u64, u64> = HashDict::with_buckets(16);
-            fixed_fills.push(run_fill(&fixed, n, threads).inserts_per_sec());
-            let resz: ResizableHashDict<u64, u64> = ResizableHashDict::new();
-            resz_fills.push(run_fill(&resz, n, threads).inserts_per_sec());
-            last_pair = Some((fixed, resz));
-        }
-        let (fixed, resz) = last_pair.expect("repeats >= 1");
-
         let mut spec = WorkloadSpec::standard(n);
         spec.prefill = 0; // both tables already hold 0..n
         let run = RunConfig {
@@ -79,80 +52,58 @@ fn main() {
             op_delay: None,
             measure_latency: false,
         };
-        let fixed_mix = run_throughput(&fixed, &run).ops_per_sec();
-        let resz_mix = run_throughput(&resz, &run).ops_per_sec();
-
-        let row = Row {
-            n,
-            fixed_fill: median(fixed_fills),
-            resz_fill: median(resz_fills),
-            fixed_mix,
-            resz_mix,
-            buckets: resz.bucket_count(),
-            doublings: resz.doublings(),
-        };
-        println!(
-            "resize/{n}: fill {:.0}/s vs {:.0}/s ({:.2}x), mix {:.0}/s vs {:.0}/s ({:.2}x), \
-             {} buckets after {} doublings",
-            row.fixed_fill,
-            row.resz_fill,
-            row.resz_fill / row.fixed_fill.max(1.0),
-            row.fixed_mix,
-            row.resz_mix,
-            row.resz_mix / row.fixed_mix.max(1.0),
-            row.buckets,
-            row.doublings,
-        );
-        rows.push(row);
-    }
-
-    if smoke {
-        println!("resize: smoke run complete (no artifact written)");
-        return;
-    }
-
-    let head = rows.last().expect("at least one size measured");
-    let fill_speedup = head.resz_fill / head.fixed_fill.max(1.0);
-    let mix_speedup = head.resz_mix / head.fixed_mix.max(1.0);
-    println!(
-        "\nresize: at {} keys the resizable table runs {fill_speedup:.2}x the fixed-16 fill \
-         rate and {mix_speedup:.2}x its mixed-op throughput",
-        head.n
-    );
-
-    let mut sizes_json = String::new();
-    for (i, r) in rows.iter().enumerate() {
-        if i > 0 {
-            sizes_json.push(',');
+        // [fixed fill, resizable fill, fixed mix, resizable mix] per
+        // repeat. A fill is one-shot (it is exactly the growth phase), so
+        // each repeat needs fresh tables.
+        let mut rates: Vec<[f64; 4]> = Vec::new();
+        let (mut buckets, mut doublings) = (0, 0);
+        for _ in 0..repeats {
+            let fixed: HashDict<u64, u64> = HashDict::with_buckets(16);
+            let fixed_fill = run_fill(&fixed, n, threads).inserts_per_sec();
+            let resz: ResizableHashDict<u64, u64> = ResizableHashDict::new();
+            let resz_fill = run_fill(&resz, n, threads).inserts_per_sec();
+            let fixed_mix = run_throughput(&fixed, &run).ops_per_sec();
+            let resz_mix = run_throughput(&resz, &run).ops_per_sec();
+            rates.push([fixed_fill, resz_fill, fixed_mix, resz_mix]);
+            (buckets, doublings) = (resz.bucket_count(), resz.doublings());
         }
-        sizes_json.push_str(&format!(
-            "\n    {{ \"n\": {}, \"fixed16_fill_per_sec\": {:.0}, \"resizable_fill_per_sec\": {:.0}, \
-             \"fixed16_mix_ops_per_sec\": {:.0}, \"resizable_mix_ops_per_sec\": {:.0}, \
-             \"resizable_buckets\": {}, \"doublings\": {}, \"fill_speedup\": {:.2}, \
-             \"mix_speedup\": {:.2} }}",
-            r.n,
-            r.fixed_fill,
-            r.resz_fill,
-            r.fixed_mix,
-            r.resz_mix,
-            r.buckets,
-            r.doublings,
-            r.resz_fill / r.fixed_fill.max(1.0),
-            r.resz_mix / r.fixed_mix.max(1.0),
-        ));
+        let [fixed_fill, resz_fill, fixed_mix, resz_mix] =
+            [0, 1, 2, 3].map(|i| Sample::of(rates.iter().map(|r| r[i])));
+        let fill_speedup = resz_fill.median / fixed_fill.median.max(1.0);
+        let mix_speedup = resz_mix.median / fixed_mix.median.max(1.0);
+        println!(
+            "resize/{n}: fill {:.0}/s vs {:.0}/s ({fill_speedup:.2}x), mix {:.0}/s vs {:.0}/s \
+             ({mix_speedup:.2}x), {buckets} buckets after {doublings} doublings",
+            fixed_fill.median, resz_fill.median, fixed_mix.median, resz_mix.median,
+        );
+        sizes_json.push(
+            Fields::default()
+                .int("n", n)
+                .sample("fixed16_fill_per_sec", fixed_fill, 0)
+                .sample("resizable_fill_per_sec", resz_fill, 0)
+                .sample("fixed16_mix_ops_per_sec", fixed_mix, 0)
+                .sample("resizable_mix_ops_per_sec", resz_mix, 0)
+                .int("resizable_buckets", buckets)
+                .int("doublings", doublings)
+                .num("fill_speedup", fill_speedup, 2)
+                .num("mix_speedup", mix_speedup, 2),
+        );
+        head = (n, fill_speedup, mix_speedup);
     }
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let json = format!(
-        "{{\n  \"bench\": \"resize\",\n  \"host\": {{ \"cores\": {cores} }},\n  \
-         \"repeats\": {repeats},\n  \"fixed_buckets\": 16,\n  \"threads\": {threads},\n  \
-         \"sizes\": [{sizes_json}\n  ],\n  \
-         \"headline\": {{\n    \"n\": {},\n    \"fill_speedup\": {fill_speedup:.2},\n    \
-         \"mix_speedup\": {mix_speedup:.2}\n  }}\n}}\n",
-        head.n
+
+    let (n, fill_speedup, mix_speedup) = head;
+    println!(
+        "\nresize: at {n} keys the resizable table runs {fill_speedup:.2}x the fixed-16 fill \
+         rate and {mix_speedup:.2}x its mixed-op throughput",
     );
-    let out = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_resize.json");
-    match fs::write(&out, json) {
-        Ok(()) => println!("wrote {}", out.display()),
-        Err(e) => eprintln!("could not write {}: {e}", out.display()),
-    }
+    let headline = Fields::default()
+        .int("n", n)
+        .num("fill_speedup", fill_speedup, 2)
+        .num("mix_speedup", mix_speedup, 2);
+    let body = Fields::default()
+        .int("fixed_buckets", 16)
+        .int("threads", threads as u64)
+        .rows("sizes", sizes_json)
+        .obj("headline", headline);
+    Report::new("resize", repeats, body).write();
 }

@@ -10,34 +10,42 @@
 //! back to the conflict. The retry *count* is a property of the
 //! contention, not the positioning mechanism, so retries-per-op should
 //! match between the two configurations while ns-per-op collapses —
-//! exactly what `BENCH_retry.json` records at 1/2/4/all threads.
+//! exactly what `BENCH_retry.json` records at 1/2/4/all threads (ns per
+//! op as the median of the repeats with its range).
 //!
 //! `--smoke` (CI): one tiny shape, no JSON artifact — proves the harness
 //! end to end without measuring anything.
 
-use std::fs;
-use std::path::Path;
-
-use valois_bench::criterion::smoke_mode;
+use valois_bench::report::{smoke_mode, Fields, Report, Sample};
 use valois_core::ArenaConfig;
 use valois_dict::SortedListDict;
 use valois_harness::{run_hot_window, HotWindowConfig, HotWindowResult};
 
+/// One configuration over the repeats: medians of the per-op figures,
+/// `resumes` and `resume_hops` of the first run.
+struct Arm {
+    ns_per_op: Sample,
+    retries_per_op: f64,
+    steps_per_op: f64,
+    resumes: u64,
+    resume_hops: u64,
+}
+
 struct Row {
     threads: usize,
-    head: HotWindowResult,
-    resume: HotWindowResult,
+    head: Arm,
+    resume: Arm,
 }
 
-fn median_by<F: Fn(&HotWindowResult) -> f64>(runs: &[HotWindowResult], f: F) -> f64 {
-    let mut xs: Vec<f64> = runs.iter().map(f).collect();
-    xs.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-    xs[xs.len() / 2]
+impl Row {
+    fn speedup(&self) -> f64 {
+        self.head.ns_per_op.median / self.resume.ns_per_op.median.max(1.0)
+    }
 }
 
-/// Median-ns run (re-running the whole workload per repeat — fresh dict
-/// each time, the fill is part of neither measurement window).
-fn measure(cached: bool, config: &HotWindowConfig, repeats: usize) -> HotWindowResult {
+/// Re-runs the whole workload per repeat — fresh dict each time, the fill
+/// is part of neither measurement window.
+fn measure(cached: bool, config: &HotWindowConfig, repeats: usize) -> Arm {
     let runs: Vec<HotWindowResult> = (0..repeats)
         .map(|_| {
             let dict: SortedListDict<u64, u64> =
@@ -45,11 +53,14 @@ fn measure(cached: bool, config: &HotWindowConfig, repeats: usize) -> HotWindowR
             run_hot_window(&dict, config)
         })
         .collect();
-    let mut mid = runs[0];
-    mid.ns_per_op = median_by(&runs, |r| r.ns_per_op);
-    mid.retries_per_op = median_by(&runs, |r| r.retries_per_op);
-    mid.next_steps_per_op = median_by(&runs, |r| r.next_steps_per_op);
-    mid
+    let of = |f: fn(&HotWindowResult) -> f64| Sample::of(runs.iter().map(f));
+    Arm {
+        ns_per_op: of(|r| r.ns_per_op),
+        retries_per_op: of(|r| r.retries_per_op).median,
+        steps_per_op: of(|r| r.next_steps_per_op).median,
+        resumes: runs[0].resumes,
+        resume_hops: runs[0].resume_hops,
+    }
 }
 
 fn main() {
@@ -77,31 +88,25 @@ fn main() {
     let mut rows: Vec<Row> = Vec::new();
     for &threads in &thread_counts {
         let config = HotWindowConfig { threads, ..config };
-        let head = measure(false, &config, repeats);
-        let resume = measure(true, &config, repeats);
+        let row = Row {
+            threads,
+            head: measure(false, &config, repeats),
+            resume: measure(true, &config, repeats),
+        };
         println!(
             "retry/{threads}t: {:.0} ns/op vs {:.0} ns/op ({:.1}x), retries/op {:.3} vs {:.3}, \
              steps/op {:.0} vs {:.0}, {} resumes over {} hops",
-            head.ns_per_op,
-            resume.ns_per_op,
-            head.ns_per_op / resume.ns_per_op.max(1.0),
-            head.retries_per_op,
-            resume.retries_per_op,
-            head.next_steps_per_op,
-            resume.next_steps_per_op,
-            resume.resumes,
-            resume.resume_hops,
+            row.head.ns_per_op.median,
+            row.resume.ns_per_op.median,
+            row.speedup(),
+            row.head.retries_per_op,
+            row.resume.retries_per_op,
+            row.head.steps_per_op,
+            row.resume.steps_per_op,
+            row.resume.resumes,
+            row.resume.resume_hops,
         );
-        rows.push(Row {
-            threads,
-            head,
-            resume,
-        });
-    }
-
-    if smoke {
-        println!("retry: smoke run complete (no artifact written)");
-        return;
+        rows.push(row);
     }
 
     let hot = rows
@@ -109,58 +114,44 @@ fn main() {
         .filter(|r| r.threads >= 4)
         .max_by_key(|r| r.threads)
         .unwrap_or_else(|| rows.last().expect("at least one thread count"));
-    let speedup = hot.head.ns_per_op / hot.resume.ns_per_op.max(1.0);
     println!(
-        "\nretry: at {} threads resumption runs {speedup:.1}x restart-from-head \
+        "\nretry: at {} threads resumption runs {:.1}x restart-from-head \
          (retries/op {:.3} vs {:.3})",
-        hot.threads, hot.head.retries_per_op, hot.resume.retries_per_op,
-    );
-
-    let mut rows_json = String::new();
-    for (i, r) in rows.iter().enumerate() {
-        if i > 0 {
-            rows_json.push(',');
-        }
-        rows_json.push_str(&format!(
-            "\n    {{ \"threads\": {}, \"head_ns_per_op\": {:.0}, \"resume_ns_per_op\": {:.0}, \
-             \"speedup\": {:.2}, \"head_retries_per_op\": {:.3}, \"resume_retries_per_op\": {:.3}, \
-             \"head_steps_per_op\": {:.1}, \"resume_steps_per_op\": {:.1}, \
-             \"resumes\": {}, \"resume_hops\": {} }}",
-            r.threads,
-            r.head.ns_per_op,
-            r.resume.ns_per_op,
-            r.head.ns_per_op / r.resume.ns_per_op.max(1.0),
-            r.head.retries_per_op,
-            r.resume.retries_per_op,
-            r.head.next_steps_per_op,
-            r.resume.next_steps_per_op,
-            r.resume.resumes,
-            r.resume.resume_hops,
-        ));
-    }
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let json = format!(
-        "{{\n  \"bench\": \"retry\",\n  \"host\": {{ \"cores\": {cores} }},\n  \
-         \"repeats\": {repeats},\n  \"workload\": \"deterministic hot-window \
-         (prefix {}, window {}, {} pairs/thread)\",\n  \"threads\": [{}],\n  \
-         \"rows\": [{rows_json}\n  ],\n  \
-         \"headline\": {{\n    \"threads\": {},\n    \"speedup\": {speedup:.2},\n    \
-         \"head_retries_per_op\": {:.3},\n    \"resume_retries_per_op\": {:.3}\n  }}\n}}\n",
-        config.prefix,
-        config.window,
-        config.pairs_per_thread,
-        thread_counts
-            .iter()
-            .map(|t| t.to_string())
-            .collect::<Vec<_>>()
-            .join(", "),
         hot.threads,
+        hot.speedup(),
         hot.head.retries_per_op,
         hot.resume.retries_per_op,
     );
-    let out = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_retry.json");
-    match fs::write(&out, json) {
-        Ok(()) => println!("wrote {}", out.display()),
-        Err(e) => eprintln!("could not write {}: {e}", out.display()),
-    }
+
+    let rows_json = rows
+        .iter()
+        .map(|r| {
+            Fields::default()
+                .int("threads", r.threads as u64)
+                .sample("head_ns_per_op", r.head.ns_per_op, 0)
+                .sample("resume_ns_per_op", r.resume.ns_per_op, 0)
+                .num("speedup", r.speedup(), 2)
+                .num("head_retries_per_op", r.head.retries_per_op, 3)
+                .num("resume_retries_per_op", r.resume.retries_per_op, 3)
+                .num("head_steps_per_op", r.head.steps_per_op, 1)
+                .num("resume_steps_per_op", r.resume.steps_per_op, 1)
+                .int("resumes", r.resume.resumes)
+                .int("resume_hops", r.resume.resume_hops)
+        })
+        .collect();
+    let headline = Fields::default()
+        .int("threads", hot.threads as u64)
+        .num("speedup", hot.speedup(), 2)
+        .num("head_retries_per_op", hot.head.retries_per_op, 3)
+        .num("resume_retries_per_op", hot.resume.retries_per_op, 3);
+    let workload = format!(
+        "deterministic hot-window (prefix {}, window {}, {} pairs/thread)",
+        config.prefix, config.window, config.pairs_per_thread
+    );
+    let body = Fields::default()
+        .str("workload", &workload)
+        .list("threads", &thread_counts)
+        .rows("rows", rows_json)
+        .obj("headline", headline);
+    Report::new("retry", repeats, body).write();
 }

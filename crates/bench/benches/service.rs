@@ -14,18 +14,15 @@
 //! service scales past its storage round-trips. The same matrix runs a
 //! second time without the stall (`commit_stall_us: 0`): those data-path
 //! rows measure serving work (dictionary, channel, scans) instead of
-//! overlapping sleeps. `BENCH_service.json` commits both, with the host's
-//! core count, the rustc version, the git revision and the repeat count.
+//! overlapping sleeps. `BENCH_service.json` commits both: every rate and
+//! latency quantile is the median of the repeats with its range.
 //!
 //! `--smoke` (CI): one tiny cell per backend, no JSON artifact — proves
 //! the server + sim + telemetry stack end to end without measuring.
 
-use std::fs;
-use std::path::Path;
-use std::process::Command;
 use std::time::Duration;
 
-use valois_bench::criterion::smoke_mode;
+use valois_bench::report::{smoke_mode, Fields, Report, Sample};
 use valois_harness::KeyDist;
 use valois_mem::{Epoch, Reclaimer, RefCount};
 use valois_server::{run_service, Server, ServiceConfig, ServiceMix, SimConfig};
@@ -35,10 +32,10 @@ struct Cell {
     threads: usize,
     mix: &'static str,
     commit_stall_us: u64,
-    ops_per_sec: f64,
-    p50_us: f64,
-    p99_us: f64,
-    p999_us: f64,
+    ops_per_sec: Sample,
+    p50_us: Sample,
+    p99_us: Sample,
+    p999_us: Sample,
     samples: u64,
     overloaded: u64,
     commits: u64,
@@ -55,9 +52,9 @@ fn mix_by_name(name: &str) -> ServiceMix {
     }
 }
 
-/// One matrix cell: fresh server, full traffic run, median ops/sec over
-/// `repeats` (latency quantiles from the last run). `commit_stall_us`
-/// 0 turns the group-commit stall off.
+/// One matrix cell: a fresh server per repeat, a full traffic run each.
+/// Rates and quantiles are samples over the repeats; the counts come from
+/// the last run. `commit_stall_us` 0 turns the group-commit stall off.
 fn run_cell<R: Reclaimer + 'static>(
     backend: &'static str,
     threads: usize,
@@ -85,8 +82,9 @@ fn run_cell<R: Reclaimer + 'static>(
         scan_len: 16,
         seed: 0x5EED_1995_C0DE ^ ((threads as u64) << 8),
     };
-    let mut rates: Vec<f64> = Vec::new();
-    let mut last: Option<Cell> = None;
+    // [ops/s, p50, p99, p999] per repeat.
+    let mut runs: Vec<[f64; 4]> = Vec::new();
+    let mut counts = (0, 0, 0);
     for _ in 0..repeats {
         let server: Server<R> = Server::start(&service);
         let report = run_service(&server, &sim);
@@ -105,29 +103,27 @@ fn run_cell<R: Reclaimer + 'static>(
                     .load(valois_sync::shim::atomic::Ordering::Relaxed)
             })
             .sum();
-        rates.push(report.ops_per_sec);
-        last = Some(Cell {
-            backend,
-            threads,
-            mix: mix_name,
-            commit_stall_us,
-            ops_per_sec: report.ops_per_sec,
-            p50_us: us(lat.p50),
-            p99_us: us(lat.p99),
-            p999_us: us(lat.p999),
-            samples: lat.samples,
-            overloaded: report.overloaded,
-            commits,
-        });
+        runs.push([report.ops_per_sec, us(lat.p50), us(lat.p99), us(lat.p999)]);
+        counts = (lat.samples, report.overloaded, commits);
         for mut dict in server.shutdown() {
             dict.check_invariants()
                 .unwrap_or_else(|e| panic!("shard dictionary corrupt after bench run: {e}"));
         }
     }
-    rates.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-    let mut cell = last.expect("at least one repeat");
-    cell.ops_per_sec = rates[rates.len() / 2];
-    cell
+    let col = |i: usize| Sample::of(runs.iter().map(|r| r[i]));
+    Cell {
+        backend,
+        threads,
+        mix: mix_name,
+        commit_stall_us,
+        ops_per_sec: col(0),
+        p50_us: col(1),
+        p99_us: col(2),
+        p999_us: col(3),
+        samples: counts.0,
+        overloaded: counts.1,
+        commits: counts.2,
+    }
 }
 
 fn run_backend<R: Reclaimer + 'static>(
@@ -142,35 +138,26 @@ fn run_backend<R: Reclaimer + 'static>(
     for &stall in stalls_us {
         for &threads in thread_counts {
             for &mix in mixes {
-                cells.push(run_cell::<R>(backend, threads, mix, stall, smoke, repeats));
-                let cell = cells.last().expect("just pushed");
+                let cell = run_cell::<R>(backend, threads, mix, stall, smoke, repeats);
                 println!(
-                    "service/{backend}/{threads}t/{mix}/stall{stall}us: {:.0} ops/s, p50 {:.1}µs \
-                     p99 {:.1}µs p999 {:.1}µs ({} samples, {} commits, {} overloaded)",
-                    cell.ops_per_sec,
-                    cell.p50_us,
-                    cell.p99_us,
-                    cell.p999_us,
+                    "service/{backend}/{threads}t/{mix}/stall{stall}us: {:.0} ops/s \
+                     ({:.0}-{:.0}), p50 {:.1}µs p99 {:.1}µs p999 {:.1}µs ({} samples, \
+                     {} commits, {} overloaded)",
+                    cell.ops_per_sec.median,
+                    cell.ops_per_sec.min,
+                    cell.ops_per_sec.max,
+                    cell.p50_us.median,
+                    cell.p99_us.median,
+                    cell.p999_us.median,
                     cell.samples,
                     cell.commits,
                     cell.overloaded,
                 );
+                cells.push(cell);
             }
         }
     }
     cells
-}
-
-/// The first line a command prints, or `"unknown"`.
-fn command_line(program: &str, args: &[&str]) -> String {
-    Command::new(program)
-        .args(args)
-        .output()
-        .ok()
-        .filter(|out| out.status.success())
-        .and_then(|out| String::from_utf8(out.stdout).ok())
-        .and_then(|text| text.lines().next().map(str::to_owned))
-        .unwrap_or_else(|| "unknown".to_owned())
 }
 
 fn main() {
@@ -206,93 +193,75 @@ fn main() {
         repeats,
     ));
 
-    if smoke {
-        println!("service: smoke run complete (no artifact written)");
-        return;
-    }
-
     // Headline: max-threads vs 1-thread throughput per backend on the
-    // read-mostly mix with the stall (the scaling acceptance bar).
+    // read-mostly mix with the stall (the scaling acceptance bar). The
+    // smoke shape has neither a 1-shard nor a stalled cell.
     let max_t = *thread_counts.last().expect("nonempty");
     let pick = |backend: &str, threads: usize| {
-        cells
-            .iter()
-            .find(|c| {
-                c.backend == backend
-                    && c.threads == threads
-                    && c.mix == "read_mostly"
-                    && c.commit_stall_us > 0
-            })
-            .expect("matrix cell present")
+        cells.iter().find(|c| {
+            c.backend == backend
+                && c.threads == threads
+                && c.mix == "read_mostly"
+                && c.commit_stall_us > 0
+        })
     };
-    let mut headline = String::new();
+    let mut headline = Vec::new();
     for backend in ["refcount", "epoch"] {
-        let one = pick(backend, 1);
-        let max = pick(backend, max_t);
-        let scaling = max.ops_per_sec / one.ops_per_sec.max(1.0);
+        let (Some(one), Some(max)) = (pick(backend, 1), pick(backend, max_t)) else {
+            continue;
+        };
+        let scaling = max.ops_per_sec.median / one.ops_per_sec.median.max(1.0);
         println!(
             "\nservice/{backend}: {max_t} shards run {scaling:.2}x of 1 shard \
              ({:.0} vs {:.0} ops/s, read-mostly)",
-            max.ops_per_sec, one.ops_per_sec,
+            max.ops_per_sec.median, one.ops_per_sec.median,
         );
         if scaling <= 1.0 {
             eprintln!("service/{backend}: WARNING — no scaling observed");
         }
-        if !headline.is_empty() {
-            headline.push(',');
-        }
-        headline.push_str(&format!(
-            "\n    {{ \"backend\": \"{backend}\", \"threads\": {max_t}, \
-             \"scaling_vs_1_thread\": {scaling:.2} }}"
-        ));
+        headline.push(
+            Fields::default()
+                .str("backend", backend)
+                .int("threads", max_t as u64)
+                .num("scaling_vs_1_thread", scaling, 2),
+        );
     }
 
-    let mut rows = String::new();
-    for (i, c) in cells.iter().enumerate() {
-        if i > 0 {
-            rows.push(',');
-        }
-        rows.push_str(&format!(
-            "\n    {{ \"backend\": \"{}\", \"threads\": {}, \"mix\": \"{}\", \
-             \"commit_stall_us\": {}, \"ops_per_sec\": {:.0}, \"p50_us\": {:.1}, \
-             \"p99_us\": {:.1}, \"p999_us\": {:.1}, \"samples\": {}, \"commits\": {}, \
-             \"overloaded\": {} }}",
-            c.backend,
-            c.threads,
-            c.mix,
-            c.commit_stall_us,
-            c.ops_per_sec,
-            c.p50_us,
-            c.p99_us,
-            c.p999_us,
-            c.samples,
-            c.commits,
-            c.overloaded,
-        ));
-    }
-    let rustc = command_line("rustc", &["--version"]);
-    let rev = command_line("git", &["describe", "--always", "--dirty"]);
-    let json = format!(
-        "{{\n  \"bench\": \"service\",\n  \"host\": {{ \"cores\": {cores}, \
-         \"rustc\": \"{rustc}\", \"git_rev\": \"{rev}\" }},\n  \"repeats\": {repeats},\n  \
-         \"workload\": \"1024 connections x 48 requests, Zipfian over 1M keys; \
-         mixes read_mostly (70/15/10/5 get/put/del/scan) and scan_heavy (30/25/20/25)\",\n  \
-         \"model\": \"shards == threads; rows with commit_stall_us 500 pay one 500us \
-         group-commit stall per 32 puts per shard (fsync/replication-ack proxy), which overlap \
-         across shards, so they measure shard-count scaling of overlapped durability waits; \
-         rows with commit_stall_us 0 measure the data path alone; ops_per_sec is the median \
-         of the repeats, latency quantiles (log-linear histogram, <= 6.25% high) come from \
-         the last\",\n  \"threads\": [{}],\n  \"backends\": [\"refcount\", \"epoch\"],\n  \
-         \"rows\": [{rows}\n  ],\n  \"headline\": [{headline}\n  ]\n}}\n",
-        thread_counts
-            .iter()
-            .map(|t| t.to_string())
-            .collect::<Vec<_>>()
-            .join(", "),
-    );
-    let out = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_service.json");
-    match fs::write(&out, json) {
-        Ok(()) => println!("wrote {}", out.display()),
-        Err(e) => eprintln!("could not write {}: {e}", out.display()),
-    }
+    let rows = cells
+        .iter()
+        .map(|c| {
+            Fields::default()
+                .str("backend", c.backend)
+                .int("threads", c.threads as u64)
+                .str("mix", c.mix)
+                .int("commit_stall_us", c.commit_stall_us)
+                .sample("ops_per_sec", c.ops_per_sec, 0)
+                .sample("p50_us", c.p50_us, 1)
+                .sample("p99_us", c.p99_us, 1)
+                .sample("p999_us", c.p999_us, 1)
+                .int("samples", c.samples)
+                .int("commits", c.commits)
+                .int("overloaded", c.overloaded)
+        })
+        .collect();
+    let body = Fields::default()
+        .str(
+            "workload",
+            "1024 connections x 48 requests, Zipfian over 1M keys; mixes read_mostly \
+             (70/15/10/5 get/put/del/scan) and scan_heavy (30/25/20/25)",
+        )
+        .str(
+            "model",
+            "shards == threads; rows with commit_stall_us 500 pay one 500us group-commit \
+             stall per 32 puts per shard (fsync/replication-ack proxy), which overlap across \
+             shards, so they measure shard-count scaling of overlapped durability waits; rows \
+             with commit_stall_us 0 measure the data path alone; ops_per_sec and the latency \
+             quantiles (log-linear histogram, <= 6.25% high) are medians of the repeats, \
+             with their ranges; samples, commits and overloaded come from the last repeat",
+        )
+        .list("threads", &thread_counts)
+        .list("backends", &["refcount", "epoch"])
+        .rows("rows", rows)
+        .rows("headline", headline);
+    Report::new("service", repeats, body).write();
 }

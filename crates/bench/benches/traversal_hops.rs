@@ -7,10 +7,10 @@
 //! cursor-resident tallies the counted backend pays two `SafeRead`
 //! increments plus two amortized deferred decrements — and the epoch
 //! backend pays none at all (one pin per traversal, plain loads per hop).
-//! The bench reports ns per *hop* (node visited) and — unlike the other
-//! benches — writes the measured costs to `BENCH_traversal.json` at the
-//! repo root next to the recorded seed baseline, so the before/after ratio
-//! is machine-checkable.
+//! The bench reports ns per *hop* (node visited) and writes the measured
+//! costs, each a median with its range over the timer's samples, to
+//! `BENCH_traversal.json` at the repo root next to the recorded seed
+//! baseline, so the before/after ratio is machine-checkable.
 //!
 //! Two sections:
 //!
@@ -24,12 +24,7 @@
 //! `--smoke` (CI): run one short iteration of each case and skip the JSON
 //! artifact — proves the harness end to end without measuring anything.
 
-use std::fs;
-use std::path::Path;
-
-use valois_bench::criterion::{
-    black_box, last_median_ns, smoke_mode, BenchmarkGroup, BenchmarkId, Criterion, Throughput,
-};
+use valois_bench::report::{black_box, smoke_mode, time, Fields, Report, Sample, SAMPLES};
 use valois_core::{Epoch, List, Reclaimer, RefCount};
 
 /// Seed-tree E8 measurements (EXPERIMENTS.md, single-core container):
@@ -38,16 +33,10 @@ use valois_core::{Epoch, List, Reclaimer, RefCount};
 const BASELINE_PROTECTED_NS_PER_HOP: f64 = 95.7;
 const BASELINE_RAW_NS_PER_HOP: f64 = 3.5;
 
-struct Row {
-    n: u64,
-    protected_ns: f64,
-    raw_ns: f64,
-}
-
 struct MatrixRow {
     backend: &'static str,
     threads: usize,
-    ns_per_hop: f64,
+    ns_per_hop: Sample,
 }
 
 /// 1, 2, 4, and all cores — deduplicated and sorted (a 1-core container
@@ -69,82 +58,65 @@ fn thread_points(smoke: bool) -> Vec<usize> {
 /// Measures one protected arm: `threads` walkers share one `List<_, R>`,
 /// each doing `passes` full protected traversals per timed iteration.
 fn bench_protected_arm<R: Reclaimer>(
-    group: &mut BenchmarkGroup<'_>,
     backend: &'static str,
     threads: usize,
     n: u64,
     passes: u64,
 ) -> MatrixRow {
     let list: List<u64, R> = (0..n).collect();
-    let hops = n * passes * threads as u64;
-    group.throughput(Throughput::Elements(hops));
-    let id = BenchmarkId::new(backend, format!("t{threads}"));
-    group.bench_with_input(id, &threads, |b, &t| {
-        b.iter(|| {
-            if t == 1 {
-                let mut sum = 0u64;
-                for _ in 0..passes {
-                    list.for_each(|v| sum += *v);
+    let walk = || {
+        let mut sum = 0u64;
+        for _ in 0..passes {
+            list.for_each(|v| sum += *v);
+        }
+        black_box(sum);
+    };
+    let label = format!("traversal_backends/{backend}/t{threads}");
+    let iter = time(&label, || {
+        if threads == 1 {
+            walk();
+        } else {
+            std::thread::scope(|s| {
+                for _ in 0..threads {
+                    s.spawn(walk);
                 }
-                black_box(sum);
-            } else {
-                std::thread::scope(|s| {
-                    for _ in 0..t {
-                        s.spawn(|| {
-                            let mut sum = 0u64;
-                            for _ in 0..passes {
-                                list.for_each(|v| sum += *v);
-                            }
-                            black_box(sum);
-                        });
-                    }
-                });
-            }
-        });
+            });
+        }
     });
     MatrixRow {
         backend,
         threads,
-        ns_per_hop: last_median_ns() / hops as f64,
+        ns_per_hop: iter.scale(1.0 / (n * passes * threads as u64) as f64),
     }
 }
 
 /// Measures the raw-walk floor: `for_each_unprotected` requires `&mut`
 /// (no protection means no sharing), so each thread owns an identical
 /// private list.
-fn bench_raw_arm(group: &mut BenchmarkGroup<'_>, threads: usize, n: u64, passes: u64) -> MatrixRow {
+fn bench_raw_arm(threads: usize, n: u64, passes: u64) -> MatrixRow {
     let mut lists: Vec<List<u64>> = (0..threads).map(|_| (0..n).collect()).collect();
-    let hops = n * passes * threads as u64;
-    group.throughput(Throughput::Elements(hops));
-    let id = BenchmarkId::new("raw", format!("t{threads}"));
-    group.bench_with_input(id, &threads, |b, &t| {
-        b.iter(|| {
-            if t == 1 {
-                let list = &mut lists[0];
-                let mut sum = 0u64;
-                for _ in 0..passes {
-                    list.for_each_unprotected(|v| sum += *v);
+    let walk = |list: &mut List<u64>| {
+        let mut sum = 0u64;
+        for _ in 0..passes {
+            list.for_each_unprotected(|v| sum += *v);
+        }
+        black_box(sum);
+    };
+    let iter = time(&format!("traversal_backends/raw/t{threads}"), || {
+        if threads == 1 {
+            walk(&mut lists[0]);
+        } else {
+            std::thread::scope(|s| {
+                for list in lists.iter_mut() {
+                    s.spawn(move || walk(list));
                 }
-                black_box(sum);
-            } else {
-                std::thread::scope(|s| {
-                    for list in lists.iter_mut() {
-                        s.spawn(move || {
-                            let mut sum = 0u64;
-                            for _ in 0..passes {
-                                list.for_each_unprotected(|v| sum += *v);
-                            }
-                            black_box(sum);
-                        });
-                    }
-                });
-            }
-        });
+            });
+        }
     });
     MatrixRow {
         backend: "raw",
         threads,
-        ns_per_hop: last_median_ns() / hops as f64,
+        ns_per_hop: iter.scale(1.0 / (n * passes * threads as u64) as f64),
     }
 }
 
@@ -153,120 +125,91 @@ fn main() {
     let sizes: &[u64] = if smoke { &[64] } else { &[1_000, 10_000] };
     let (matrix_n, passes) = if smoke { (64, 1) } else { (10_000, 4) };
 
-    let mut c = Criterion::default();
-    let mut rows: Vec<Row> = Vec::new();
-    {
-        let mut group = c.benchmark_group("traversal_hops");
-        for &n in sizes {
-            let mut list: List<u64> = (0..n).collect();
-            group.throughput(Throughput::Elements(n));
-            group.bench_with_input(BenchmarkId::new("protected_cursor", n), &n, |b, _| {
-                b.iter(|| {
-                    let mut sum = 0u64;
-                    list.for_each(|v| sum += *v);
-                    black_box(sum)
-                });
-            });
-            let protected_ns = last_median_ns() / n as f64;
-            group.bench_with_input(BenchmarkId::new("raw_walk", n), &n, |b, _| {
-                b.iter(|| {
-                    let mut sum = 0u64;
-                    list.for_each_unprotected(|v| sum += *v);
-                    black_box(sum)
-                });
-            });
-            let raw_ns = last_median_ns() / n as f64;
-            rows.push(Row {
-                n,
-                protected_ns,
-                raw_ns,
-            });
-        }
-        group.finish();
+    // (n, protected, raw) ns per hop.
+    let mut rows: Vec<(u64, Sample, Sample)> = Vec::new();
+    for &n in sizes {
+        let mut list: List<u64> = (0..n).collect();
+        let per_hop = 1.0 / n as f64;
+        let protected = time(&format!("traversal_hops/protected_cursor/{n}"), || {
+            let mut sum = 0u64;
+            list.for_each(|v| sum += *v);
+            sum
+        });
+        let raw = time(&format!("traversal_hops/raw_walk/{n}"), || {
+            let mut sum = 0u64;
+            list.for_each_unprotected(|v| sum += *v);
+            sum
+        });
+        rows.push((n, protected.scale(per_hop), raw.scale(per_hop)));
     }
 
     // Backend × thread-count matrix.
     let mut matrix: Vec<MatrixRow> = Vec::new();
-    {
-        let mut group = c.benchmark_group("traversal_backends");
-        for &t in &thread_points(smoke) {
-            matrix.push(bench_protected_arm::<RefCount>(
-                &mut group, "refcount", t, matrix_n, passes,
-            ));
-            matrix.push(bench_protected_arm::<Epoch>(
-                &mut group, "epoch", t, matrix_n, passes,
-            ));
-            matrix.push(bench_raw_arm(&mut group, t, matrix_n, passes));
-        }
-        group.finish();
-    }
-
-    if smoke {
-        println!("traversal_hops: smoke run complete (no artifact written)");
-        return;
+    for &t in &thread_points(smoke) {
+        matrix.push(bench_protected_arm::<RefCount>(
+            "refcount", t, matrix_n, passes,
+        ));
+        matrix.push(bench_protected_arm::<Epoch>("epoch", t, matrix_n, passes));
+        matrix.push(bench_raw_arm(t, matrix_n, passes));
     }
 
     // Summary + artifact. The headline number is the larger list (cold-ish
     // cache, amortized batch boundaries all exercised).
-    let head = rows.last().expect("at least one size measured");
-    let speedup = BASELINE_PROTECTED_NS_PER_HOP / head.protected_ns;
+    let &(_, head_protected, head_raw) = rows.last().expect("at least one size measured");
+    let speedup = BASELINE_PROTECTED_NS_PER_HOP / head_protected.median;
     println!(
         "\ntraversal_hops: protected {:.1} ns/hop (baseline {BASELINE_PROTECTED_NS_PER_HOP}) \
          — {speedup:.2}x vs seed, {:.2}x over raw walk",
-        head.protected_ns,
-        head.protected_ns / head.raw_ns,
+        head_protected.median,
+        head_protected.median / head_raw.median,
     );
     let per_hop = |backend: &str, threads: usize| {
         matrix
             .iter()
             .find(|r| r.backend == backend && r.threads == threads)
-            .map(|r| r.ns_per_hop)
-            .unwrap_or(f64::NAN)
+            .map_or(f64::NAN, |r| r.ns_per_hop.median)
     };
     let epoch_vs_raw_t1 = per_hop("epoch", 1) / per_hop("raw", 1);
     let refcount_vs_raw_t1 = per_hop("refcount", 1) / per_hop("raw", 1);
     println!(
-        "traversal_backends: single-thread epoch {:.2}x raw, refcount {:.2}x raw",
-        epoch_vs_raw_t1, refcount_vs_raw_t1,
+        "traversal_backends: single-thread epoch {epoch_vs_raw_t1:.2}x raw, \
+         refcount {refcount_vs_raw_t1:.2}x raw",
     );
 
-    let mut sizes_json = String::new();
-    for (i, r) in rows.iter().enumerate() {
-        if i > 0 {
-            sizes_json.push(',');
-        }
-        sizes_json.push_str(&format!(
-            "\n    {{ \"n\": {}, \"protected_ns_per_hop\": {:.2}, \"raw_ns_per_hop\": {:.2}, \
-             \"protection_overhead_ratio\": {:.2} }}",
-            r.n,
-            r.protected_ns,
-            r.raw_ns,
-            r.protected_ns / r.raw_ns
-        ));
-    }
-    let mut matrix_json = String::new();
-    for (i, r) in matrix.iter().enumerate() {
-        if i > 0 {
-            matrix_json.push(',');
-        }
-        matrix_json.push_str(&format!(
-            "\n    {{ \"backend\": \"{}\", \"threads\": {}, \"ns_per_hop\": {:.2} }}",
-            r.backend, r.threads, r.ns_per_hop
-        ));
-    }
-    let json = format!(
-        "{{\n  \"bench\": \"traversal_hops\",\n  \"unit\": \"ns_per_hop\",\n  \"sizes\": [{sizes_json}\n  ],\n  \
-         \"matrix\": [{matrix_json}\n  ],\n  \
-         \"epoch_vs_raw_single_thread\": {epoch_vs_raw_t1:.2},\n  \
-         \"refcount_vs_raw_single_thread\": {refcount_vs_raw_t1:.2},\n  \
-         \"baseline\": {{\n    \"source\": \"EXPERIMENTS.md E8 (seed, pre-batching)\",\n    \
-         \"protected_ns_per_hop\": {BASELINE_PROTECTED_NS_PER_HOP},\n    \
-         \"raw_ns_per_hop\": {BASELINE_RAW_NS_PER_HOP}\n  }},\n  \
-         \"speedup_vs_baseline\": {speedup:.2}\n}}\n"
-    );
-    let out = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_traversal.json");
-    match fs::write(&out, json) {
-        Ok(()) => println!("wrote {}", out.display()),
-        Err(e) => eprintln!("could not write {}: {e}", out.display()),
-    }
+    let sizes = rows
+        .iter()
+        .map(|&(n, protected, raw)| {
+            Fields::default()
+                .int("n", n)
+                .sample("protected_ns_per_hop", protected, 2)
+                .sample("raw_ns_per_hop", raw, 2)
+                .num(
+                    "protection_overhead_ratio",
+                    protected.median / raw.median,
+                    2,
+                )
+        })
+        .collect();
+    let matrix = matrix
+        .iter()
+        .map(|r| {
+            Fields::default()
+                .str("backend", r.backend)
+                .int("threads", r.threads as u64)
+                .sample("ns_per_hop", r.ns_per_hop, 2)
+        })
+        .collect();
+    let baseline = Fields::default()
+        .str("source", "EXPERIMENTS.md E8 (seed, pre-batching)")
+        .num("protected_ns_per_hop", BASELINE_PROTECTED_NS_PER_HOP, 1)
+        .num("raw_ns_per_hop", BASELINE_RAW_NS_PER_HOP, 1);
+    let body = Fields::default()
+        .str("unit", "ns_per_hop")
+        .rows("sizes", sizes)
+        .rows("matrix", matrix)
+        .num("epoch_vs_raw_single_thread", epoch_vs_raw_t1, 2)
+        .num("refcount_vs_raw_single_thread", refcount_vs_raw_t1, 2)
+        .obj("baseline", baseline)
+        .num("speedup_vs_baseline", speedup, 2);
+    Report::new("traversal", SAMPLES, body).write();
 }

@@ -17,6 +17,7 @@
 //! structure.
 
 use std::time::{Duration, Instant};
+use valois_sync::rng::SmallRng;
 use valois_sync::shim::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use valois_core::adt::{PriorityQueue, Stack};
@@ -90,13 +91,6 @@ fn parse_args() -> Args {
     args
 }
 
-fn xorshift(x: &mut u64) -> u64 {
-    *x ^= *x << 13;
-    *x ^= *x >> 7;
-    *x ^= *x << 17;
-    *x
-}
-
 /// Generic dictionary soak: conservation accounting (callers run their
 /// structure-specific invariant checks after this returns).
 fn soak_dict<D: Dictionary<u64, u64>>(name: &str, dict: &D, secs: u64, threads: usize) {
@@ -111,9 +105,9 @@ fn soak_dict<D: Dictionary<u64, u64>>(name: &str, dict: &D, secs: u64, threads: 
         let ops = &ops;
         for t in 0..threads as u64 {
             s.spawn(move || {
-                let mut x = t.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+                let mut rng = SmallRng::seed_from_u64(t.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1);
                 while !stop.load(Ordering::Relaxed) {
-                    let r = xorshift(&mut x);
+                    let r = rng.next_u64();
                     let key = r % 512;
                     match (r >> 16) % 4 {
                         0 | 1 => {
@@ -160,12 +154,13 @@ fn soak_list(secs: u64, threads: usize) {
         let ops = &ops;
         for t in 0..threads as u64 {
             s.spawn(move || {
-                let mut x = t.wrapping_mul(0x9E37_79B9) | 1;
+                let mut rng = SmallRng::seed_from_u64(t.wrapping_mul(0x9E37_79B9) | 1);
                 let mut cur = list.cursor();
                 while !stop.load(Ordering::Relaxed) {
-                    match xorshift(&mut x) % 4 {
+                    let r = rng.next_u64();
+                    match r % 4 {
                         0 => {
-                            cur.insert(x).unwrap();
+                            cur.insert(r).unwrap();
                             cur.update();
                         }
                         1 => {
@@ -211,10 +206,11 @@ fn soak_queue(secs: u64, threads: usize) {
         let deq = &deq;
         for t in 0..threads as u64 {
             s.spawn(move || {
-                let mut x = t.wrapping_mul(0x2545_F491_4F6C_DD1D) | 1;
+                let mut rng = SmallRng::seed_from_u64(t.wrapping_mul(0x2545_F491_4F6C_DD1D) | 1);
                 while !stop.load(Ordering::Relaxed) {
-                    if xorshift(&mut x).is_multiple_of(2) {
-                        q.enqueue(x).unwrap();
+                    let r = rng.next_u64();
+                    if r.is_multiple_of(2) {
+                        q.enqueue(r).unwrap();
                         enq.fetch_add(1, Ordering::Relaxed);
                     } else if q.dequeue().is_some() {
                         deq.fetch_add(1, Ordering::Relaxed);
@@ -252,11 +248,12 @@ fn soak_stack_pqueue(secs: u64, threads: usize) {
         let popped = &popped;
         for t in 0..threads as u64 {
             s.spawn(move || {
-                let mut x = t.wrapping_mul(0xD134_2543_DE82_EF95) | 1;
+                let mut rng = SmallRng::seed_from_u64(t.wrapping_mul(0xD134_2543_DE82_EF95) | 1);
                 while !stop.load(Ordering::Relaxed) {
-                    match xorshift(&mut x) % 4 {
+                    let r = rng.next_u64();
+                    match r % 4 {
                         0 => {
-                            st.push(x).unwrap();
+                            st.push(r).unwrap();
                             pushed.fetch_add(1, Ordering::Relaxed);
                         }
                         1 => {
@@ -265,7 +262,7 @@ fn soak_stack_pqueue(secs: u64, threads: usize) {
                             }
                         }
                         2 => {
-                            pq.insert(x % 1000).unwrap();
+                            pq.insert(r % 1000).unwrap();
                             pushed.fetch_add(1, Ordering::Relaxed);
                         }
                         _ => {
@@ -314,12 +311,12 @@ fn soak_service(secs: u64, threads: usize) {
         ..ServiceConfig::default()
     });
     let deadline = Instant::now() + Duration::from_secs(secs);
-    let mut seed = 0x5EED_50AC_5E4F_0001u64;
+    let mut rng = SmallRng::seed_from_u64(0x5EED_50AC_5E4F_0001);
     let mut bursts = 0u64;
     let mut issued = 0u64;
     let mut overloaded = 0u64;
     while Instant::now() < deadline {
-        let r = xorshift(&mut seed);
+        let r = rng.next_u64();
         let mix = match r % 3 {
             0 => ServiceMix::read_mostly(),
             1 => ServiceMix::scan_heavy(),
