@@ -19,16 +19,16 @@
 //! | Fig. 12 `Insert`   | [`Cursor::link_unique`] (wrapped by [`Cursor::insert_unique`]) |
 //! | Fig. 13 `Delete`   | [`Cursor::find_and_delete`] |
 //!
-//! The engine is generic over the [`ListNode`] contract and runs on one
-//! level of a multi-level node at a time: a flat [`List`] has the one
-//! level 0, and the §4.1 skip list runs every level's search, insert and
-//! delete on this same code, moving one cursor between levels with
-//! [`Cursor::lower`] and [`Cursor::reopen`].
+//! The engine runs on one level of a multi-level [`Node`] at a time: a
+//! flat [`List`] has the one level 0, and the §4.1 skip list, whose
+//! towers are `Node<(K, V), MAX_LEVELS>`, runs every level's search,
+//! insert and delete on this same code, moving one cursor between levels
+//! with [`Cursor::lower`] and [`Cursor::reopen`].
 
 use std::cmp::Ordering;
 use std::fmt;
 
-use valois_mem::{AllocError, DeferredReleases, MemStats, Reclaimer, RefCount};
+use valois_mem::{AllocError, DeferredReleases, Link, MemStats, Reclaimer, RefCount};
 
 /// Race-window widener: under `--features race-amplify`, yields the CPU at
 /// the algorithms' critical interleaving points so stress tests on few
@@ -58,7 +58,7 @@ fn amplify() {
 }
 
 use crate::list::{List, PreparedInsert};
-use crate::node::{ListNode, Node, NodeKind};
+use crate::node::{Node, NodeKind};
 use crate::stats::ListStats;
 
 /// Live-stats freshness bound: a cursor publishes its batched tallies to
@@ -108,21 +108,21 @@ const STATS_FLUSH_EVERY: u32 = 256;
 ///
 /// # Levels
 ///
-/// `N` is the node type ([`Node`] for a flat list). A cursor visits one
-/// level of a multi-level node type at a time — every link it reads or
-/// swings is the level-`lvl` one — so each skip-list level is this
-/// engine over that level's links.
-pub struct Cursor<'a, T: Send + Sync, R: Reclaimer = RefCount, N: ListNode<Item = T> = Node<T>> {
-    list: &'a List<T, R, N>,
+/// `L` is the list's number of levels (1 for a flat list). A cursor
+/// visits one level at a time — every link it reads or swings is the
+/// level-`lvl` one — so each skip-list level is this engine over that
+/// level's links.
+pub struct Cursor<'a, T: Send + Sync, R: Reclaimer = RefCount, const L: usize = 1> {
+    list: &'a List<T, R, L>,
     /// The level whose links this cursor follows (0 for a flat list).
     lvl: usize,
-    target: *mut N,
-    pre_aux: *mut N,
-    pre_cell: *mut N,
+    target: *mut Node<T, L>,
+    pre_aux: *mut Node<T, L>,
+    pre_cell: *mut Node<T, L>,
     /// Parked `Release`s from the hop loop (drained in batches, and fully
     /// on drop): deferring a decrement only delays reclamation, never
     /// anticipates it, so protection is unaffected.
-    defer: DeferredReleases<N>,
+    defer: DeferredReleases<Node<T, L>>,
     /// Batched §5 protocol events (folded into the arena's sharded
     /// counters on drop / [`Cursor::flush_stats`]).
     tally: MemStats,
@@ -142,14 +142,14 @@ pub struct Cursor<'a, T: Send + Sync, R: Reclaimer = RefCount, N: ListNode<Item 
 // slot. Shared (&Cursor) access is read-only (`get`, `is_at_end`,
 // `is_valid`) and the owner's pin protects those reads under either
 // backend, so Sync is sound for both.
-unsafe impl<T: Send + Sync, N: ListNode<Item = T>> Send for Cursor<'_, T, RefCount, N> {}
+unsafe impl<T: Send + Sync, const L: usize> Send for Cursor<'_, T, RefCount, L> {}
 // SAFETY: as above — the shared-reference surface is read-only.
-unsafe impl<T: Send + Sync, R: Reclaimer, N: ListNode<Item = T>> Sync for Cursor<'_, T, R, N> {}
+unsafe impl<T: Send + Sync, R: Reclaimer, const L: usize> Sync for Cursor<'_, T, R, L> {}
 
-impl<'a, T: Send + Sync, R: Reclaimer, N: ListNode<Item = T>> Cursor<'a, T, R, N> {
+impl<'a, T: Send + Sync, R: Reclaimer, const L: usize> Cursor<'a, T, R, L> {
     /// An unpositioned cursor at `lvl` (all three fields null). Opens
     /// the protection window; every constructor positions it next.
-    pub(crate) fn unpositioned(list: &'a List<T, R, N>, lvl: usize) -> Self {
+    pub(crate) fn unpositioned(list: &'a List<T, R, L>, lvl: usize) -> Self {
         // Epoch backend: the cursor's protection window opens here and
         // closes in `Drop` (matched `pin_exit`). No-op under refcount.
         list.arena().pin_enter();
@@ -168,7 +168,7 @@ impl<'a, T: Send + Sync, R: Reclaimer, N: ListNode<Item = T>> Cursor<'a, T, R, N
 
     /// Fig. 6 `First` at level `lvl`: a cursor visiting the level's first
     /// item (or the end position of an empty level).
-    pub(crate) fn at_first(list: &'a List<T, R, N>, lvl: usize) -> Self {
+    pub(crate) fn at_first(list: &'a List<T, R, L>, lvl: usize) -> Self {
         let mut cursor = Self::unpositioned(list, lvl);
         cursor.seek_first_inner();
         cursor
@@ -186,7 +186,7 @@ impl<'a, T: Send + Sync, R: Reclaimer, N: ListNode<Item = T>> Cursor<'a, T, R, N
     /// published (bucket sentinels satisfy this by construction).
     // COUNT: both SafeRead counts are transferred into the cursor's
     // `pre_cell`/`pre_aux` fields; `Drop` releases them.
-    pub(crate) fn at_entry(list: &'a List<T, R, N>, root: &valois_mem::Link<N>) -> Option<Self> {
+    pub(crate) fn at_entry(list: &'a List<T, R, L>, root: &Link<Node<T, L>>) -> Option<Self> {
         // Epoch backend: the pin is taken before the first read; the
         // early-return None path drops the cursor, whose Drop unpins.
         let mut cursor = Self::unpositioned(list, 0);
@@ -213,14 +213,14 @@ impl<'a, T: Send + Sync, R: Reclaimer, N: ListNode<Item = T>> Cursor<'a, T, R, N
     /// structures built over the engine use it for pointer-identity
     /// matches and count transfers ([`List::publish_entry`], the skip
     /// list's tower unlinks).
-    pub fn target_ptr(&self) -> *mut N {
+    pub fn target_ptr(&self) -> *mut Node<T, L> {
         self.target
     }
 
     /// The raw `pre_cell` pointer (the cursor's anchor), protected until
     /// the cursor moves ([`List::cache_entry`]'s count transfer, the skip
     /// list's saved per-level predecessors).
-    pub fn pre_cell_ptr(&self) -> *mut N {
+    pub fn pre_cell_ptr(&self) -> *mut Node<T, L> {
         self.pre_cell
     }
 
@@ -234,7 +234,7 @@ impl<'a, T: Send + Sync, R: Reclaimer, N: ListNode<Item = T>> Cursor<'a, T, R, N
     /// `link` must be a counted link of this cursor's arena.
     // COUNT: the protected reference transfers to the caller, who gives
     // it up with `park`.
-    pub(crate) unsafe fn protect_read(&mut self, link: &valois_mem::Link<N>) -> *mut N {
+    pub(crate) unsafe fn protect_read(&mut self, link: &Link<Node<T, L>>) -> *mut Node<T, L> {
         // SAFETY: per the contract `link` is a counted link of this arena.
         unsafe { self.list.arena().safe_read_tallied(link, &mut self.tally) }
     }
@@ -246,7 +246,7 @@ impl<'a, T: Send + Sync, R: Reclaimer, N: ListNode<Item = T>> Cursor<'a, T, R, N
     ///
     /// The caller must hold a protected reference on non-null `p`.
     // GUARD: p — caller holds the protected reference being parked.
-    pub(crate) unsafe fn park(&mut self, p: *mut N) {
+    pub(crate) unsafe fn park(&mut self, p: *mut Node<T, L>) {
         // SAFETY: per the contract the reference is the caller's to give.
         unsafe { self.list.arena().unprotect_deferred(&mut self.defer, p) }
     }
@@ -368,7 +368,7 @@ impl<'a, T: Send + Sync, R: Reclaimer, N: ListNode<Item = T>> Cursor<'a, T, R, N
     // COUNT: consumes the caller's reference on `from`; the returned
     // pointer carries one protected reference that transfers to the
     // caller.
-    unsafe fn backtrack(&mut self, from: *mut N) -> *mut N {
+    unsafe fn backtrack(&mut self, from: *mut Node<T, L>) -> *mut Node<T, L> {
         let arena = self.list.arena();
         let lvl = self.lvl;
         let mut p = from;
@@ -486,7 +486,7 @@ impl<'a, T: Send + Sync, R: Reclaimer, N: ListNode<Item = T>> Cursor<'a, T, R, N
     // (released on `Drop` or the next move); the superseded fields are
     // parked for a deferred drain.
     // INVARIANT: I10
-    pub unsafe fn reopen(&mut self, lvl: usize, from: *mut N) {
+    pub unsafe fn reopen(&mut self, lvl: usize, from: *mut Node<T, L>) {
         let arena = self.list.arena();
         // SAFETY: per the contract `from` is protected and carries a
         // level-`lvl` link; the cursor's own fields hold references.
@@ -583,7 +583,7 @@ impl<'a, T: Send + Sync, R: Reclaimer, N: ListNode<Item = T>> Cursor<'a, T, R, N
     /// call must be their only linker at this level: neither may be
     /// reachable at this level yet.
     // GUARD: cell, aux — caller holds a count on each across the call.
-    pub unsafe fn try_link(&mut self, cell: *mut N, aux: *mut N) -> bool {
+    pub unsafe fn try_link(&mut self, cell: *mut Node<T, L>, aux: *mut Node<T, L>) -> bool {
         self.ops.insert_attempts += 1;
         let arena = self.list.arena();
         let lvl = self.lvl;
@@ -770,8 +770,8 @@ impl<'a, T: Send + Sync, R: Reclaimer, N: ListNode<Item = T>> Cursor<'a, T, R, N
     // GUARD: cell, aux — caller holds a count on each across the call.
     pub unsafe fn link_unique(
         &mut self,
-        cell: *mut N,
-        aux: *mut N,
+        cell: *mut Node<T, L>,
+        aux: *mut Node<T, L>,
         mut cmp: impl FnMut(&T, &T) -> Ordering,
     ) -> bool {
         // WAIT-FREE: lock-free, not wait-free — each failed TryInsert
@@ -816,7 +816,7 @@ impl<'a, T: Send + Sync, R: Reclaimer, N: ListNode<Item = T>> Cursor<'a, T, R, N
     }
 
     /// The list this cursor traverses.
-    pub fn list(&self) -> &'a List<T, R, N> {
+    pub fn list(&self) -> &'a List<T, R, L> {
         self.list
     }
 }
@@ -923,7 +923,7 @@ impl<'a, T: Send + Sync, R: Reclaimer> Cursor<'a, T, R> {
     }
 }
 
-impl<T: Send + Sync, R: Reclaimer, N: ListNode<Item = T>> Clone for Cursor<'_, T, R, N> {
+impl<T: Send + Sync, R: Reclaimer, const L: usize> Clone for Cursor<'_, T, R, L> {
     fn clone(&self) -> Self {
         let arena = self.list.arena();
         // The clone protects its position independently: its own pin
@@ -953,7 +953,7 @@ impl<T: Send + Sync, R: Reclaimer, N: ListNode<Item = T>> Clone for Cursor<'_, T
     }
 }
 
-impl<T: Send + Sync, R: Reclaimer, N: ListNode<Item = T>> Drop for Cursor<'_, T, R, N> {
+impl<T: Send + Sync, R: Reclaimer, const L: usize> Drop for Cursor<'_, T, R, L> {
     fn drop(&mut self) {
         let arena = self.list.arena();
         // SAFETY: the cursor's fields are protected references (or null),
@@ -972,7 +972,7 @@ impl<T: Send + Sync, R: Reclaimer, N: ListNode<Item = T>> Drop for Cursor<'_, T,
     }
 }
 
-impl<T: Send + Sync, R: Reclaimer, N: ListNode<Item = T>> fmt::Debug for Cursor<'_, T, R, N> {
+impl<T: Send + Sync, R: Reclaimer, const L: usize> fmt::Debug for Cursor<'_, T, R, L> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Cursor")
             .field("level", &self.lvl)

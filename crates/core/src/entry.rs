@@ -41,7 +41,7 @@ use valois_sync::shim::hint::prefetch_read;
 
 use crate::cursor::Cursor;
 use crate::list::List;
-use crate::node::{ListNode, Node, NodeKind};
+use crate::node::{Node, NodeKind};
 
 /// A published, counted shortcut into a [`List`] (see the module docs).
 ///
@@ -115,7 +115,7 @@ impl<T: Send + Sync, R: Reclaimer> List<T, R> {
                     // the list lives, so `*p` addresses some `Node<T>` of
                     // it, live or recycled, whose `next` is an atomic word
                     // (the hint rule in docs/PROTOCOL.md).
-                    *p = unsafe { (**p).next.read() };
+                    *p = unsafe { (**p).next(0).read() };
                     prefetch_read(*p);
                 }
             }

@@ -49,7 +49,7 @@ pub use adt::{PriorityQueue, Stack};
 pub use cursor::Cursor;
 pub use entry::{EntryRoot, HINT_ROUND};
 pub use list::{AuxChainReport, Iter, List, PreparedInsert};
-pub use node::{ListNode, Node, NodeKind};
+pub use node::{Node, NodeKind};
 pub use queue::FifoQueue;
 pub use stats::ListStats;
 pub use valois_mem::{AllocError, ArenaConfig, Epoch, MemStats, Reclaimer, RefCount};

@@ -11,17 +11,17 @@
 //! All access goes through [`Cursor`]s (§2.1): traversal, insertion before
 //! the cursor's position, and deletion of the visited item.
 //!
-//! The node type is a parameter ([`ListNode`]): a node with `k` levels of
-//! links makes the same `List` a collection of `k` lists over shared
-//! dummies — the §4.1 skip list's levels — with one arena, one set of
-//! counters, one reference-count audit and one cycle sweep.
+//! The level count is a parameter: nodes with `k` levels of links make
+//! the same `List` a collection of `k` lists over shared dummies — the
+//! §4.1 skip list's levels — with one arena, one set of counters, one
+//! reference-count audit and one cycle sweep.
 
 use std::fmt;
 
 use valois_mem::{AllocError, Arena, ArenaConfig, Managed, MemStats, Reclaimer, RefCount};
 
 use crate::cursor::Cursor;
-use crate::node::{ListNode, Node, NodeKind};
+use crate::node::{Node, NodeKind};
 use crate::stats::{ListCounters, ListStats};
 
 /// A lock-free singly-linked list of `T` (Valois, PODC 1995, §3).
@@ -63,52 +63,51 @@ use crate::stats::{ListCounters, ListStats};
 /// assert_eq!(list.iter().collect::<Vec<_>>(), vec![1]);
 /// ```
 ///
-/// # Node types
+/// # Levels
 ///
-/// The third type parameter is the node type, [`Node`] by default. A
-/// node type with [`ListNode::LEVELS`] `= k` makes this `k` lists that
-/// share the two dummies (the §4.1 skip list); [`List::level_cursor`]
-/// opens a cursor on any one of them.
-pub struct List<T: Send + Sync, R: Reclaimer = RefCount, N: ListNode<Item = T> = Node<T>> {
-    pub(crate) arena: Arena<N, R>,
+/// The third parameter `L` is the number of levels of links per
+/// [`Node`], 1 by default. `L = k` makes this `k` lists that share the
+/// two dummies (the §4.1 skip list, whose towers are `Node<T, k>`);
+/// [`List::level_cursor`] opens a cursor on any one of them.
+pub struct List<T: Send + Sync, R: Reclaimer = RefCount, const L: usize = 1> {
+    pub(crate) arena: Arena<Node<T, L>, R>,
     /// `First` root (counted): points at the first dummy cell, immutable
     /// after construction.
-    first_root: valois_mem::Link<N>,
+    first_root: valois_mem::Link<Node<T, L>>,
     /// `Last` root (counted): points at the last dummy cell.
-    last_root: valois_mem::Link<N>,
+    last_root: valois_mem::Link<Node<T, L>>,
     /// Stable raw copies for pointer comparisons (the dummies are never
     /// reclaimed while the list lives — the roots hold counts).
-    first: *mut N,
-    last: *mut N,
+    first: *mut Node<T, L>,
+    last: *mut Node<T, L>,
     counters: ListCounters,
 }
 
 // SAFETY: all shared state is managed through the arena protocol and
 // atomics; raw pointer fields are immutable after construction.
-unsafe impl<T: Send + Sync, R: Reclaimer, N: ListNode<Item = T>> Send for List<T, R, N> {}
+unsafe impl<T: Send + Sync, R: Reclaimer, const L: usize> Send for List<T, R, L> {}
 // SAFETY: as above — shared access goes through the same protocol paths.
-unsafe impl<T: Send + Sync, R: Reclaimer, N: ListNode<Item = T>> Sync for List<T, R, N> {}
+unsafe impl<T: Send + Sync, R: Reclaimer, const L: usize> Sync for List<T, R, L> {}
 
-impl<T: Send + Sync, R: Reclaimer, N: ListNode<Item = T>> List<T, R, N> {
+impl<T: Send + Sync, R: Reclaimer, const L: usize> List<T, R, L> {
     /// Creates an empty list with the default arena configuration.
     pub fn new() -> Self {
         Self::with_config(ArenaConfig::default())
     }
 
     /// Creates an empty list with `config`: the two dummy cells and, per
-    /// level, one auxiliary node between them (Fig. 4, `N::LEVELS` times
-    /// over).
+    /// level, one auxiliary node between them (Fig. 4, `L` times over).
     ///
     /// # Panics
     ///
-    /// Panics if `config` caps the pool below the `N::LEVELS + 2` nodes
+    /// Panics if `config` caps the pool below the `L + 2` nodes
     /// an empty list needs.
     pub fn with_config(config: ArenaConfig) -> Self {
         let config = ArenaConfig {
-            initial_capacity: config.initial_capacity.max(N::LEVELS + 7),
+            initial_capacity: config.initial_capacity.max(L + 7),
             ..config
         };
-        let arena: Arena<N, R> = Arena::with_config(config);
+        let arena: Arena<Node<T, L>, R> = Arena::with_config(config);
         let first = arena.alloc().expect("pool too small for an empty list");
         let last = arena.alloc().expect("pool too small for an empty list");
         let list = Self {
@@ -126,7 +125,7 @@ impl<T: Send + Sync, R: Reclaimer, N: ListNode<Item = T>> List<T, R, N> {
             (*last).set_kind(NodeKind::LastDummy);
             list.arena.store_link(&list.first_root, first);
             list.arena.store_link(&list.last_root, last);
-            for lvl in 0..N::LEVELS {
+            for lvl in 0..L {
                 let aux = list
                     .arena
                     .alloc()
@@ -138,7 +137,7 @@ impl<T: Send + Sync, R: Reclaimer, N: ListNode<Item = T>> List<T, R, N> {
             }
             // Drop the allocation references; counts are now exactly the
             // incoming links: first=1 (root), each aux=1 (first.next),
-            // last=1+LEVELS (root + every aux.next).
+            // last=1+L (root + every aux.next).
             list.arena.release(first);
             list.arena.release(last);
         }
@@ -147,7 +146,7 @@ impl<T: Send + Sync, R: Reclaimer, N: ListNode<Item = T>> List<T, R, N> {
 
     /// Opens a cursor visiting the first item (Fig. 6), or the end position
     /// if the list is empty.
-    pub fn cursor(&self) -> Cursor<'_, T, R, N> {
+    pub fn cursor(&self) -> Cursor<'_, T, R, L> {
         self.level_cursor(0)
     }
 
@@ -156,9 +155,9 @@ impl<T: Send + Sync, R: Reclaimer, N: ListNode<Item = T>> List<T, R, N> {
     ///
     /// # Panics
     ///
-    /// Panics if `lvl >= N::LEVELS`.
-    pub fn level_cursor(&self, lvl: usize) -> Cursor<'_, T, R, N> {
-        assert!(lvl < N::LEVELS, "level {lvl} out of range");
+    /// Panics if `lvl >= L`.
+    pub fn level_cursor(&self, lvl: usize) -> Cursor<'_, T, R, L> {
+        assert!(lvl < L, "level {lvl} out of range");
         Cursor::at_first(self, lvl)
     }
 
@@ -214,7 +213,7 @@ impl<T: Send + Sync, R: Reclaimer, N: ListNode<Item = T>> List<T, R, N> {
     /// let list: List<u64> = List::new();
     /// assert_send(list.cursor()); // RefCount cursors are Send
     /// ```
-    pub fn with_cursor<O>(&self, f: impl FnOnce(&mut Cursor<'_, T, R, N>) -> O) -> O {
+    pub fn with_cursor<O>(&self, f: impl FnOnce(&mut Cursor<'_, T, R, L>) -> O) -> O {
         let mut cursor = self.cursor();
         f(&mut cursor)
     }
@@ -308,15 +307,15 @@ impl<T: Send + Sync, R: Reclaimer, N: ListNode<Item = T>> List<T, R, N> {
 
     /// The node arena: structures that build their own nodes over this
     /// list (the skip list's towers) allocate and count through it.
-    pub fn arena(&self) -> &Arena<N, R> {
+    pub fn arena(&self) -> &Arena<Node<T, L>, R> {
         &self.arena
     }
 
-    pub(crate) fn first_root(&self) -> &valois_mem::Link<N> {
+    pub(crate) fn first_root(&self) -> &valois_mem::Link<Node<T, L>> {
         &self.first_root
     }
 
-    pub(crate) fn last_ptr(&self) -> *mut N {
+    pub(crate) fn last_ptr(&self) -> *mut Node<T, L> {
         self.last
     }
 
@@ -327,12 +326,14 @@ impl<T: Send + Sync, R: Reclaimer, N: ListNode<Item = T>> List<T, R, N> {
     /// auxiliary nodes. A plain list has one level, `0`.
     ///
     /// Requires `&mut self` so the borrow checker guarantees no live
-    /// cursors or concurrent operations.
+    /// cursors or concurrent operations. The walk stops after one hop per
+    /// arena node, since more hops than nodes means a cycle.
     ///
     /// # Errors
     ///
     /// Returns a description of the first violated invariant.
     pub fn check_structure(&mut self, lvl: usize) -> Result<(), String> {
+        let nodes = self.arena.capacity();
         // SAFETY: &mut self guarantees quiescence; raw walks are exclusive.
         unsafe {
             let mut p = self.first;
@@ -340,7 +341,7 @@ impl<T: Send + Sync, R: Reclaimer, N: ListNode<Item = T>> List<T, R, N> {
                 return Err("First root does not point at the first dummy".into());
             }
             let mut expect_aux = true;
-            loop {
+            for _ in 0..nodes {
                 let n = (*p).next(lvl).read();
                 if n.is_null() {
                     return Err(format!("unexpected null next after kind {:?}", (*p).kind()));
@@ -369,6 +370,7 @@ impl<T: Send + Sync, R: Reclaimer, N: ListNode<Item = T>> List<T, R, N> {
                 p = n;
             }
         }
+        Err(format!("no last dummy within {nodes} hops (cycle)"))
     }
 
     pub(crate) fn absorb(&self, tally: &mut ListStats) {
@@ -458,7 +460,7 @@ impl<T: Send + Sync, R: Reclaimer> List<T, R> {
         unsafe {
             let mut p = self.first;
             loop {
-                let n = (*p).next.read();
+                let n = (*p).next(0).read();
                 if n.is_null() {
                     break;
                 }
@@ -530,7 +532,9 @@ impl<T: Send + Sync, R: Reclaimer> List<T, R> {
     /// `aux_chain_theorem_holds_at_quiescence` and experiment E7).
     ///
     /// Safe to call concurrently (the walk is a protected traversal); the
-    /// report is then a live sample rather than a ground truth.
+    /// report is then a live sample rather than a ground truth. The walk
+    /// stops at [`List::check_invariants`]' hop bound, so a cyclic chain
+    /// yields a partial report rather than a hang.
     pub fn aux_chain_report(&self) -> AuxChainReport {
         let mut report = AuxChainReport::default();
         // The guard is the epoch backend's protection for the whole walk
@@ -539,9 +543,10 @@ impl<T: Send + Sync, R: Reclaimer> List<T, R> {
         // SAFETY: roots and held-node fields are counted links of our arena.
         unsafe {
             let mut p = self.arena.safe_read(&self.first_root);
-            let mut run = 0usize;
-            loop {
-                let n = self.arena.safe_read(&(*p).next);
+            let (mut run, mut hops) = (0usize, 0);
+            while hops < self.hop_bound() {
+                hops += 1;
+                let n = self.arena.safe_read((*p).next(0));
                 self.arena.unprotect(p);
                 if n.is_null() {
                     // Fell off past the last dummy (shouldn't happen from
@@ -597,11 +602,6 @@ impl<T: Send + Sync, R: Reclaimer> List<T, R> {
     /// 4. a normal cell's successor is an auxiliary node (§3 invariant;
     ///    auxiliary runs of length ≥ 2 are legal mid-`TryDelete`).
     pub fn check_invariants(&self) -> Result<(), String> {
-        // Concurrent inserts may lengthen the chain under our feet, so the
-        // bound follows the arena's growth; it exists only to turn a
-        // corruption cycle into an error.
-        let bound = || self.arena.capacity() * 8 + 64;
-        let mut max_hops = bound();
         let mut hops = 0;
         // Epoch backend: the pin is the walk's protection window.
         let _pin = self.arena.pin();
@@ -612,14 +612,7 @@ impl<T: Send + Sync, R: Reclaimer> List<T, R> {
             if p.is_null() {
                 return Err("first root is null".into());
             }
-            loop {
-                if hops == max_hops {
-                    let grown = bound();
-                    if grown == max_hops {
-                        break;
-                    }
-                    max_hops = grown;
-                }
+            while hops < self.hop_bound() {
                 hops += 1;
                 let kind = (*p).kind();
                 let refct = (*p).header().refcount();
@@ -637,7 +630,7 @@ impl<T: Send + Sync, R: Reclaimer> List<T, R> {
                     self.arena.unprotect(p);
                     return Ok(());
                 }
-                let n = self.arena.safe_read(&(*p).next);
+                let n = self.arena.safe_read((*p).next(0));
                 if n.is_null() {
                     let e =
                         format!("{kind:?} node {p:p} has a null successor before the last dummy");
@@ -658,9 +651,16 @@ impl<T: Send + Sync, R: Reclaimer> List<T, R> {
             }
             self.arena.unprotect(p);
             Err(format!(
-                "chain did not reach the last dummy within {max_hops} hops (cycle?)"
+                "chain did not reach the last dummy within {hops} hops (cycle?)"
             ))
         }
+    }
+
+    /// The hop bound of a protected walk. Concurrent inserts may lengthen
+    /// the chain under the walker's feet, so it follows the arena's
+    /// growth; it exists only to turn a corruption cycle into an exit.
+    fn hop_bound(&self) -> usize {
+        self.arena.capacity() * 8 + 64
     }
 
     /// Renders the quiescent chain (and each node's header state) for
@@ -693,20 +693,20 @@ impl<T: Send + Sync, R: Reclaimer> List<T, R> {
                 if (*p).kind() == NodeKind::LastDummy {
                     break;
                 }
-                p = (*p).next.read();
+                p = (*p).next(0).read();
             }
         }
         out
     }
 }
 
-impl<T: Send + Sync, R: Reclaimer, N: ListNode<Item = T>> Default for List<T, R, N> {
+impl<T: Send + Sync, R: Reclaimer, const L: usize> Default for List<T, R, L> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<T: Send + Sync, R: Reclaimer, N: ListNode<Item = T>> Drop for List<T, R, N> {
+impl<T: Send + Sync, R: Reclaimer, const L: usize> Drop for List<T, R, L> {
     fn drop(&mut self) {
         // Release the root counts; the cascade reclaims the whole chain.
         // SAFETY: &mut self (drop) guarantees no cursors or operations.
@@ -856,5 +856,36 @@ impl<T: Send + Sync, R: Reclaimer> Drop for PreparedInsert<'_, T, R> {
 impl<T: Send + Sync, R: Reclaimer> fmt::Debug for PreparedInsert<'_, T, R> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str("PreparedInsert { .. }")
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn structure_walks_stop_on_a_cycle() {
+        let mut list: List<u32> = (0..3).collect();
+        // SAFETY: single-threaded; the link is rewritten without count
+        // changes and restored before the list drops.
+        unsafe {
+            let mut cells = Vec::new();
+            let mut p = list.first;
+            while (*p).kind() != NodeKind::LastDummy {
+                p = (*p).next(0).read();
+                if (*p).kind() == NodeKind::Cell {
+                    cells.push(p);
+                }
+            }
+            // The last cell's aux now leads back to the first cell.
+            let aux = (*cells[2]).next(0).read();
+            let last = (*aux).next(0).read();
+            (*aux).next(0).write(cells[0]);
+            assert!(list.check_structure(0).is_err());
+            assert!(list.check_invariants().is_err());
+            assert!(list.aux_chain_report().cells > 3);
+            (*aux).next(0).write(last);
+        }
+        list.check_structure(0).unwrap();
     }
 }

@@ -1,6 +1,5 @@
 //! The list's node type: normal cells, auxiliary nodes, and the two
-//! dummy cells (paper §3, Fig. 4), and the [`ListNode`] contract the §3
-//! engine ([`Cursor`](crate::Cursor)) runs on.
+//! dummy cells (paper §3, Fig. 4).
 //!
 //! The paper distinguishes *normal cells* (carrying an item) from
 //! *auxiliary nodes* ("a cell that contains only a `next` field"). Both are
@@ -8,9 +7,8 @@
 //! all cells of one size class to be interchangeable — discriminated by a
 //! kind tag set between `Alloc` and publication.
 //!
-//! A node type with several levels of links (the §4.1 skip list's towers)
-//! implements [`ListNode`] too: each level is one Valois list, and the
-//! same cursor code runs on every level.
+//! A node with several levels of links is a §4.1 skip-list tower: each
+//! level is one Valois list, and the same cursor code runs on every level.
 
 use std::mem::MaybeUninit;
 use valois_sync::shim::atomic::{AtomicU8, Ordering};
@@ -55,40 +53,126 @@ impl NodeKind {
     }
 }
 
-/// A node of a Valois list with `LEVELS` levels of links: the contract
-/// the §3 engine ([`Cursor`](crate::Cursor)) runs on.
+/// A list node: a normal cell, an auxiliary node, or a dummy, with `L`
+/// levels of links (one for a flat list).
 ///
-/// A flat list's [`Node`] has one level. A skip-list tower cell is a
-/// member of levels `0..height`, each an independent list with its own
-/// `next[lvl]`/`back_link[lvl]`; an auxiliary node serves exactly one
-/// level and answers its single link at every `lvl`.
-///
-/// # Safety
-///
-/// [`List`](crate::List) and [`Cursor`](crate::Cursor) dereference and
-/// count through these accessors without further checks, so an
-/// implementation must guarantee that `next(lvl)` and `back_link(lvl)`
-/// are counted links of the node itself (an auxiliary node answering the
-/// same link at every level) and among those [`Managed::links`] yields,
-/// and that `item()` reads the slot written before the kind became
-/// `Cell`.
-pub unsafe trait ListNode: Managed + Default {
-    /// The item a normal cell carries.
-    type Item: Send + Sync;
+/// Layout follows §2.1/§3: `next` links, `back_link`s (added by §3 for
+/// `TryDelete`'s recovery walk), the §5.1 header (`refct` + `claim`), and
+/// an inline value slot used only by `Cell` nodes. A §4.1 skip-list tower
+/// cell is a member of levels `0..height`, each an independent list with
+/// its own `next[lvl]`/`back_link[lvl]`; an auxiliary node serves exactly
+/// one level and answers `next[0]` at every `lvl`. Its fields are private
+/// to this crate; it is public as the node of [`List`](crate::List) and
+/// [`Cursor`](crate::Cursor).
+pub struct Node<T, const L: usize = 1> {
+    header: NodeHeader,
+    kind: AtomicU8,
+    /// For a tower cell: the number of levels it spans (`1..=L`).
+    height: AtomicU8,
+    /// Counted links to the successor at each level. `next[0]` doubles as
+    /// the free-list link when the node is free (Fig. 18 line 2 reuses
+    /// `next`).
+    next: [Link<Self>; L],
+    /// Counted links set by `TryDelete` (Fig. 10 line 6) to the cell that
+    /// preceded this one at each level when it was deleted there.
+    back_link: [Link<Self>; L],
+    value: UnsafeCell<MaybeUninit<T>>,
+}
 
-    /// Levels of links per node (1 for a flat list).
-    const LEVELS: usize;
+// SAFETY: the value slot is only accessed under the protocol's ownership
+// rules (exclusive at init/drop; shared reads only while the reader holds a
+// counted reference and the node is a Cell), so a Node is as thread-safe as
+// T itself.
+unsafe impl<T: Send + Sync, const L: usize> Send for Node<T, L> {}
+// SAFETY: as above — shared reads require a counted reference.
+unsafe impl<T: Send + Sync, const L: usize> Sync for Node<T, L> {}
 
-    /// The kind discriminant (a [`NodeKind`] as `u8`), read and written
-    /// through [`ListNode::kind`]/[`ListNode::set_kind`].
-    fn tag(&self) -> &AtomicU8;
+impl<T, const L: usize> Default for Node<T, L> {
+    fn default() -> Self {
+        Self {
+            header: NodeHeader::new_free(),
+            kind: AtomicU8::new(NodeKind::Free as u8),
+            height: AtomicU8::new(0),
+            next: std::array::from_fn(|_| Link::null()),
+            back_link: std::array::from_fn(|_| Link::null()),
+            value: UnsafeCell::new(MaybeUninit::uninit()),
+        }
+    }
+}
 
-    /// The counted successor link at level `lvl`.
-    fn next(&self, lvl: usize) -> &Link<Self>;
+impl<T: Send + Sync, const L: usize> std::fmt::Debug for Node<T, L> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Node")
+            .field("kind", &self.kind())
+            .finish_non_exhaustive()
+    }
+}
+
+impl<T: Send + Sync, const L: usize> Node<T, L> {
+    /// The node's kind.
+    pub fn kind(&self) -> NodeKind {
+        // ORDER: Acquire — pairs with `set_kind`'s Release so a reader
+        // that observes a kind also observes the initialization (value
+        // write, link resets) that preceded the kind's publication.
+        NodeKind::from_u8(self.kind.load(Ordering::Acquire))
+    }
+
+    /// Sets the discriminant. Caller must have exclusive logical ownership
+    /// (freshly allocated, unpublished).
+    pub fn set_kind(&self, kind: NodeKind) {
+        // ORDER: Release — the discriminant is the last word written
+        // during init (and the first during drain); it must publish every
+        // prior field write to `kind()`'s Acquire load.
+        self.kind.store(kind as u8, Ordering::Release);
+    }
+
+    /// Whether this is an auxiliary node.
+    pub fn is_aux(&self) -> bool {
+        self.kind() == NodeKind::Aux
+    }
+
+    /// Whether this is a normal cell (an item cell or a dummy).
+    pub fn is_normal_cell(&self) -> bool {
+        self.kind().is_normal_cell()
+    }
+
+    /// The counted successor link at level `lvl`. An auxiliary node serves
+    /// one level, and its outgoing link is `next[0]` whichever that is;
+    /// for a flat node (`L == 1`) the test folds away.
+    #[inline(always)]
+    pub fn next(&self, lvl: usize) -> &Link<Self> {
+        if L == 1 || self.is_aux() {
+            &self.next[0]
+        } else {
+            &self.next[lvl]
+        }
+    }
 
     /// The counted back link at level `lvl`, set by `TryDelete` (Fig. 10
     /// line 6) to the cell that preceded this one at that level.
-    fn back_link(&self, lvl: usize) -> &Link<Self>;
+    #[inline(always)]
+    pub fn back_link(&self, lvl: usize) -> &Link<Self> {
+        &self.back_link[if L == 1 { 0 } else { lvl }]
+    }
+
+    /// The number of levels a tower cell spans, as set by
+    /// [`Node::set_height`] (0 until then).
+    pub fn height(&self) -> usize {
+        // ORDER: Acquire is belt-and-braces — the height is only ever
+        // written before the node is published (the Release link CAS and
+        // the counted reference a reader holds already order it); no
+        // height store needs Release to pair with this.
+        self.height.load(Ordering::Acquire) as usize
+    }
+
+    /// Records that a tower cell spans levels `0..height`. Caller must
+    /// have exclusive logical ownership (freshly allocated, unpublished).
+    pub fn set_height(&self, height: usize) {
+        debug_assert!((1..=L).contains(&height), "height {height} of {L} levels");
+        // ORDER: Relaxed — written before publication, which the link CAS
+        // (Release) orders.
+        self.height.store(height as u8, Ordering::Relaxed);
+    }
 
     /// The item of a normal `Cell`.
     ///
@@ -97,121 +181,18 @@ pub unsafe trait ListNode: Managed + Default {
     /// The caller must hold a protected reference (so the item cannot be
     /// dropped concurrently) and the node must be a `Cell`. Cell
     /// persistence (§2.2) makes this legal after the cell is deleted.
-    unsafe fn item(&self) -> &Self::Item;
-
-    /// The node's kind.
-    fn kind(&self) -> NodeKind {
-        // ORDER: Acquire — pairs with `set_kind`'s Release so a reader
-        // that observes a kind also observes the initialization (value
-        // write, link resets) that preceded the kind's publication.
-        NodeKind::from_u8(self.tag().load(Ordering::Acquire))
-    }
-
-    /// Sets the discriminant. Caller must have exclusive logical ownership
-    /// (freshly allocated, unpublished).
-    fn set_kind(&self, kind: NodeKind) {
-        // ORDER: Release — the discriminant is the last word written
-        // during init (and the first during drain); it must publish every
-        // prior field write to `kind()`'s Acquire load.
-        self.tag().store(kind as u8, Ordering::Release);
-    }
-
-    /// Whether this is an auxiliary node.
-    fn is_aux(&self) -> bool {
-        self.kind() == NodeKind::Aux
-    }
-
-    /// Whether this is a normal cell (an item cell or a dummy).
-    fn is_normal_cell(&self) -> bool {
-        self.kind().is_normal_cell()
-    }
-}
-
-/// A flat list node: either a normal cell, an auxiliary node, or a dummy.
-///
-/// Layout follows §2.1/§3: a `next` link, a `back_link` (added by §3 for
-/// `TryDelete`'s recovery walk), the §5.1 header (`refct` + `claim`), and
-/// an inline value slot used only by `Cell` nodes. Its fields are private
-/// to this crate; it is public only as the default node of
-/// [`List`](crate::List) and [`Cursor`](crate::Cursor).
-pub struct Node<T> {
-    header: NodeHeader,
-    kind: AtomicU8,
-    /// Counted link to the successor. Doubles as the free-list link when
-    /// the node is free (Fig. 18 line 2 reuses `next`).
-    pub(crate) next: Link<Node<T>>,
-    /// Counted link set by `TryDelete` (Fig. 10 line 6) to the cell that
-    /// preceded this one when it was deleted.
-    pub(crate) back_link: Link<Node<T>>,
-    value: UnsafeCell<MaybeUninit<T>>,
-}
-
-// SAFETY: the value slot is only accessed under the protocol's ownership
-// rules (exclusive at init/drop; shared reads only while the reader holds a
-// counted reference and the node is a Cell), so a Node is as thread-safe as
-// T itself.
-unsafe impl<T: Send + Sync> Send for Node<T> {}
-// SAFETY: as above — shared reads require a counted reference.
-unsafe impl<T: Send + Sync> Sync for Node<T> {}
-
-impl<T> Default for Node<T> {
-    fn default() -> Self {
-        Self {
-            header: NodeHeader::new_free(),
-            kind: AtomicU8::new(NodeKind::Free as u8),
-            next: Link::null(),
-            back_link: Link::null(),
-            value: UnsafeCell::new(MaybeUninit::uninit()),
-        }
-    }
-}
-
-impl<T: Send + Sync> std::fmt::Debug for Node<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Node")
-            .field("kind", &self.kind())
-            .finish_non_exhaustive()
-    }
-}
-
-// SAFETY: both accessors return the node's own counted links, and
-// `item()` reads the slot `init_value` wrote before publishing the `Cell`
-// kind.
-unsafe impl<T: Send + Sync> ListNode for Node<T> {
-    type Item = T;
-
-    const LEVELS: usize = 1;
-
-    fn tag(&self) -> &AtomicU8 {
-        &self.kind
-    }
-
-    #[inline(always)]
-    fn next(&self, _lvl: usize) -> &Link<Self> {
-        &self.next
-    }
-
-    #[inline(always)]
-    fn back_link(&self, _lvl: usize) -> &Link<Self> {
-        &self.back_link
-    }
-
-    // SAFETY: the trait's contract — a protected reference on a `Cell`,
-    // whose value slot was initialized before its kind was published.
-    unsafe fn item(&self) -> &T {
+    pub unsafe fn item(&self) -> &T {
         debug_assert_eq!(self.kind(), NodeKind::Cell);
         (*self.value.get()).assume_init_ref()
     }
-}
 
-impl<T: Send + Sync> Node<T> {
     /// Writes the value slot and marks the node a `Cell`.
     ///
     /// # Safety
     ///
     /// Caller must have exclusive ownership (unpublished) and the slot must
     /// be vacant.
-    pub(crate) unsafe fn init_value(&self, value: T) {
+    pub unsafe fn init_value(&self, value: T) {
         debug_assert_eq!(self.kind(), NodeKind::Free);
         (*self.value.get()).write(value);
         self.set_kind(NodeKind::Cell);
@@ -235,20 +216,21 @@ impl<T: Send + Sync> Node<T> {
     }
 }
 
-impl<T: Send + Sync> Managed for Node<T> {
+impl<T: Send + Sync, const L: usize> Managed for Node<T, L> {
     fn header(&self) -> &NodeHeader {
         &self.header
     }
 
     fn free_link(&self) -> &Link<Self> {
-        &self.next
+        &self.next[0]
     }
 
     fn drain_links(&self) -> ReclaimedLinks<Self> {
         // Exclusive: we are the claim winner at count zero.
         let mut links = ReclaimedLinks::new();
-        links.push(self.next.swap(std::ptr::null_mut()));
-        links.push(self.back_link.swap(std::ptr::null_mut()));
+        for l in self.links() {
+            links.push(l.swap(std::ptr::null_mut()));
+        }
         if self.kind() == NodeKind::Cell {
             // SAFETY: exclusive ownership; the slot was initialized when the
             // node became a Cell and is dropped exactly once here.
@@ -259,14 +241,17 @@ impl<T: Send + Sync> Managed for Node<T> {
     }
 
     fn links(&self) -> impl Iterator<Item = &Link<Self>> {
-        [&self.next, &self.back_link].into_iter()
+        self.next.iter().chain(&self.back_link)
     }
 
     fn reset_for_alloc(&self) {
-        // `next` held the free-list link whose count was transferred to the
-        // free-list head at pop: null it *without* releasing.
-        self.next.write(std::ptr::null_mut());
-        self.back_link.write(std::ptr::null_mut());
+        // `next[0]` held the free-list link whose count was transferred to
+        // the free-list head at pop: null it *without* releasing.
+        for l in self.links() {
+            l.write(std::ptr::null_mut());
+        }
+        // ORDER: Relaxed — the node is exclusively owned until published.
+        self.height.store(0, Ordering::Relaxed);
         debug_assert_eq!(self.kind(), NodeKind::Free);
     }
 }
@@ -337,8 +322,8 @@ mod tests {
         let c = arena.alloc().unwrap();
         unsafe {
             (*a).set_kind(NodeKind::Aux);
-            arena.store_link(&(*a).next, b);
-            arena.store_link(&(*a).back_link, c);
+            arena.store_link((*a).next(0), b);
+            arena.store_link((*a).back_link(0), c);
             arena.release(b);
             arena.release(c);
             // b and c are now held alive solely by a's links.
@@ -349,5 +334,26 @@ mod tests {
             0,
             "drain must release both link targets"
         );
+    }
+
+    #[cfg(all(target_pointer_width = "64", not(loom)))]
+    #[test]
+    fn height_byte_sits_in_padding() {
+        use std::mem::size_of;
+        assert_eq!(size_of::<Node<u64>>(), 56);
+        assert_eq!(size_of::<Node<(u64, u64), 12>>(), 240);
+    }
+
+    #[test]
+    fn aux_answers_next_0_at_every_level() {
+        let n: Node<(u64, u64), 12> = Node::default();
+        n.set_kind(NodeKind::Aux);
+        for lvl in 0..12 {
+            assert!(std::ptr::eq(n.next(lvl), &n.next[0]), "aux at {lvl}");
+        }
+        n.set_kind(NodeKind::Cell);
+        for lvl in 0..12 {
+            assert!(std::ptr::eq(n.next(lvl), &n.next[lvl]), "cell at {lvl}");
+        }
     }
 }

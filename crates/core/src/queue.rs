@@ -19,7 +19,7 @@ use std::fmt;
 
 use valois_mem::{AllocError, Arena, ArenaConfig, Link, MemStats};
 
-use crate::node::{ListNode, Node, NodeKind};
+use crate::node::{Node, NodeKind};
 
 /// A lock-free multi-producer multi-consumer FIFO queue (\[27\]).
 ///
@@ -101,7 +101,7 @@ impl<T: Send + Sync> FifoQueue<T> {
                 // dequeued dummy's next persists, so the walk always
                 // reaches the live chain).
                 loop {
-                    let next = self.arena.safe_read(&(*t).next);
+                    let next = self.arena.safe_read((*t).next(0));
                     if next.is_null() {
                         break;
                     }
@@ -109,7 +109,7 @@ impl<T: Send + Sync> FifoQueue<T> {
                     t = next;
                 }
                 // The linearization point: CAS the last node's next.
-                if self.arena.swing(&(*t).next, std::ptr::null_mut(), q) {
+                if self.arena.swing((*t).next(0), std::ptr::null_mut(), q) {
                     break;
                 }
                 // Someone else appended first; re-walk from where we are.
@@ -140,7 +140,7 @@ impl<T: Send + Sync> FifoQueue<T> {
             // (system-wide progress); each retry re-reads a fresh head.
             loop {
                 let h = self.arena.safe_read(&self.head);
-                let next = self.arena.safe_read(&(*h).next);
+                let next = self.arena.safe_read((*h).next(0));
                 if next.is_null() {
                     self.arena.release(h);
                     return None; // empty (head is the dummy)
@@ -165,7 +165,7 @@ impl<T: Send + Sync> FifoQueue<T> {
         // SAFETY: head is a counted root; h is held during the read.
         unsafe {
             let h = self.arena.safe_read(&self.head);
-            let empty = (*h).next.read().is_null();
+            let empty = (*h).next(0).read().is_null();
             self.arena.release(h);
             empty
         }
@@ -178,7 +178,7 @@ impl<T: Send + Sync> FifoQueue<T> {
         unsafe {
             let mut p = self.arena.safe_read(&self.head);
             loop {
-                let next = self.arena.safe_read(&(*p).next);
+                let next = self.arena.safe_read((*p).next(0));
                 self.arena.release(p);
                 if next.is_null() {
                     break;

@@ -8,12 +8,12 @@
 //! working down."
 //!
 //! Cells are *towers* shared by every level they belong to (the "subset of
-//! the cells" phrasing); each level is an independent Valois list — with
-//! its own per-level auxiliary nodes and back links — run by the core
-//! [`Cursor`] over the tower's level-`lvl` links ([`ListNode`]). The two
-//! dummy cells are shared across all levels. This module holds only the
-//! tower logic: the descent, bottom-up linking, top-down deletion and the
-//! orphan-tower sweep.
+//! the cells" phrasing): core [`Node`]s with `MAX_LEVELS` levels of links.
+//! Each level is an independent Valois list — with its own per-level
+//! auxiliary nodes and back links — run by the core [`Cursor`] over the
+//! towers' level-`lvl` links. The two dummy cells are shared across all
+//! levels. This module holds only the tower logic: the descent, bottom-up
+//! linking, top-down deletion and the orphan-tower sweep.
 //!
 //! Membership is defined by the bottom list: a key is in the dictionary
 //! iff its cell is in level 0. Upper levels are an index; a cell removed
@@ -22,12 +22,10 @@
 
 use std::cmp::Ordering as CmpOrdering;
 use std::fmt;
-use std::mem::MaybeUninit;
-use valois_sync::shim::atomic::{fence, AtomicU64, AtomicU8, Ordering};
-use valois_sync::shim::cell::UnsafeCell;
+use valois_sync::shim::atomic::{fence, AtomicU64, Ordering};
 
-use valois_core::{Cursor, List, ListNode, ListStats, NodeKind, RefCount};
-use valois_mem::{AllocError, ArenaConfig, Link, Managed, MemStats, NodeHeader, ReclaimedLinks};
+use valois_core::{Cursor, List, ListStats, Node, NodeKind, RefCount};
+use valois_mem::{AllocError, ArenaConfig, MemStats};
 
 use crate::traits::Dictionary;
 
@@ -48,121 +46,19 @@ const _: () = assert!(
 /// A skip-list node: a tower cell (key/value + one list membership per
 /// level), a per-level auxiliary node (uses `next[0]` only), or a shared
 /// dummy.
-struct SkipNode<K, V> {
-    header: NodeHeader,
-    kind: AtomicU8,
-    /// For cells: number of levels the tower spans (1..=MAX_LEVELS).
-    level: AtomicU8,
-    next: [Link<SkipNode<K, V>>; MAX_LEVELS],
-    back_link: [Link<SkipNode<K, V>>; MAX_LEVELS],
-    entry: UnsafeCell<MaybeUninit<(K, V)>>,
-}
-
-// SAFETY: the entry slot is accessed only under the §5 ownership rules
-// (exclusive at init/drain; shared reads while counted and kind == Cell).
-unsafe impl<K: Send + Sync, V: Send + Sync> Send for SkipNode<K, V> {}
-// SAFETY: as above — shared reads require a counted reference.
-unsafe impl<K: Send + Sync, V: Send + Sync> Sync for SkipNode<K, V> {}
-
-impl<K, V> Default for SkipNode<K, V> {
-    fn default() -> Self {
-        Self {
-            header: NodeHeader::new_free(),
-            kind: AtomicU8::new(NodeKind::Free as u8),
-            level: AtomicU8::new(0),
-            next: std::array::from_fn(|_| Link::null()),
-            back_link: std::array::from_fn(|_| Link::null()),
-            entry: UnsafeCell::new(MaybeUninit::uninit()),
-        }
-    }
-}
-
-// SAFETY: `next(lvl)`/`back_link(lvl)` return the node's own counted
-// links (an aux node's one link is `next[0]` at every level), and
-// `item()` reads the entry written before the tower was published as a
-// `Cell`.
-unsafe impl<K: Send + Sync, V: Send + Sync> ListNode for SkipNode<K, V> {
-    type Item = (K, V);
-
-    const LEVELS: usize = MAX_LEVELS;
-
-    fn tag(&self) -> &AtomicU8 {
-        &self.kind
-    }
-
-    /// An aux node serves one level, and its outgoing link lives in
-    /// `next[0]` regardless of which; cells and dummies use `next[lvl]`.
-    fn next(&self, lvl: usize) -> &Link<Self> {
-        if self.is_aux() {
-            &self.next[0]
-        } else {
-            &self.next[lvl]
-        }
-    }
-
-    fn back_link(&self, lvl: usize) -> &Link<Self> {
-        &self.back_link[lvl]
-    }
-
-    // SAFETY: the trait's contract — a protected reference on a `Cell`,
-    // whose entry slot was initialized before its kind was published.
-    unsafe fn item(&self) -> &(K, V) {
-        (*self.entry.get()).assume_init_ref()
-    }
-}
-
-impl<K: Send + Sync, V: Send + Sync> Managed for SkipNode<K, V> {
-    fn header(&self) -> &NodeHeader {
-        &self.header
-    }
-
-    fn free_link(&self) -> &Link<Self> {
-        &self.next[0]
-    }
-
-    fn drain_links(&self) -> ReclaimedLinks<Self> {
-        let mut links = ReclaimedLinks::new();
-        for l in self.links() {
-            links.push(l.swap(std::ptr::null_mut()));
-        }
-        debug_assert!(
-            links.len() <= valois_mem::MAX_LINKS,
-            "skip tower drained {} links, over the MAX_LINKS cap",
-            links.len()
-        );
-        if self.kind() == NodeKind::Cell {
-            // SAFETY: claim winner at count zero — exclusive.
-            unsafe { (*self.entry.get()).assume_init_drop() };
-        }
-        self.set_kind(NodeKind::Free);
-        links
-    }
-
-    fn links(&self) -> impl Iterator<Item = &Link<Self>> {
-        self.next.iter().chain(&self.back_link)
-    }
-
-    fn reset_for_alloc(&self) {
-        // next[0] held the free-list link (count transferred at pop).
-        for l in self.links() {
-            l.write(std::ptr::null_mut());
-        }
-        self.level.store(0, Ordering::Relaxed);
-        debug_assert_eq!(self.kind(), NodeKind::Free);
-    }
-}
+type Tower<K, V> = Node<(K, V), MAX_LEVELS>;
 
 /// The skip list's k levels: one core `List` whose nodes carry
 /// `MAX_LEVELS` levels of links, the towers shared by every level.
-type Levels<K, V> = List<(K, V), RefCount, SkipNode<K, V>>;
+type Levels<K, V> = List<(K, V), RefCount, MAX_LEVELS>;
 
 /// The core cursor on one level of [`Levels`].
-type SkipCursor<'a, K, V> = Cursor<'a, (K, V), RefCount, SkipNode<K, V>>;
+type SkipCursor<'a, K, V> = Cursor<'a, (K, V), RefCount, MAX_LEVELS>;
 
 /// Counted per-level predecessors from one descent, indexed by level
 /// (slot 0 stays null): where bottom-up linking and the remover's orphan
 /// sweep start each level.
-type Saved<K, V> = [*mut SkipNode<K, V>; MAX_LEVELS];
+type Saved<K, V> = [*mut Tower<K, V>; MAX_LEVELS];
 
 /// Orders a tower's entry against the sought key.
 fn by_key<K: Ord, V>(key: &K) -> impl Fn(&(K, V)) -> CmpOrdering + Copy + '_ {
@@ -201,10 +97,6 @@ where
 
     /// Creates an empty skip list with `config`.
     pub fn with_config(config: ArenaConfig) -> Self {
-        let config = ArenaConfig {
-            initial_capacity: config.initial_capacity.max(MAX_LEVELS + 8),
-            ..config
-        };
         Self {
             levels: List::with_config(config),
             rng_state: AtomicU64::new(0x853c_49e6_748f_ea9b),
@@ -322,9 +214,8 @@ where
             }
             // Initialize the tower cell.
             let [cell, aux0] = pair;
-            (*(*cell).entry.get()).write((key, value));
-            (*cell).level.store(height as u8, Ordering::Relaxed);
-            (*cell).set_kind(NodeKind::Cell);
+            (*cell).set_height(height);
+            (*cell).init_value((key, value));
             // The cell owns the key now.
             let key = &(*cell).item().0;
             // Level 0: the membership-defining insertion (Fig. 12).
@@ -475,11 +366,7 @@ where
         // INVARIANT: I9 (fence pairing) — partner is the inserter's
         // post-link fence in `insert`; preserves I8.
         fence(Ordering::SeqCst);
-        // ORDER: Acquire is belt-and-braces — `level` is only ever
-        // written before the node is published (the Release link CAS and
-        // the counted reference the cursor holds already order it); no
-        // `level` store needs Release to pair with this.
-        let height = (*d).level.load(Ordering::Acquire) as usize;
+        let height = (*d).height();
         if height == 1 {
             return;
         }
@@ -507,7 +394,7 @@ where
     /// `d` must be a counted reference to a tower cell spanning the
     /// cursor's level.
     // GUARD: d — caller holds a count on the dying tower across the call.
-    unsafe fn unlink_tower(&self, c: &mut SkipCursor<'_, K, V>, d: *mut SkipNode<K, V>) -> bool {
+    unsafe fn unlink_tower(&self, c: &mut SkipCursor<'_, K, V>, d: *mut Tower<K, V>) -> bool {
         let key = &(*d).item().0;
         // WAIT-FREE: each failed `try_delete` means another actor changed
         // this level's chain around `d` (system-wide progress), and at
@@ -892,13 +779,12 @@ mod tests {
         // panics past `valois_mem::MAX_LINKS`, so this must fit with room
         // to spare — silently relying on towers never reaching max height
         // would turn a rare geometric draw into a production abort.
-        let node: SkipNode<u32, u32> = SkipNode::default();
-        let sink: SkipNode<u32, u32> = SkipNode::default();
-        let target = &sink as *const _ as *mut SkipNode<u32, u32>;
-        node.level.store(MAX_LEVELS as u8, Ordering::Relaxed);
-        for lvl in 0..MAX_LEVELS {
-            node.next[lvl].write(target);
-            node.back_link[lvl].write(target);
+        use valois_mem::Managed;
+        let node: Tower<u32, u32> = Node::default();
+        let sink: Tower<u32, u32> = Node::default();
+        let target = &sink as *const _ as *mut Tower<u32, u32>;
+        for l in node.links() {
+            l.write(target);
         }
         let links = node.drain_links();
         assert_eq!(links.len(), 2 * MAX_LEVELS);

@@ -8,8 +8,8 @@ use valois_sync::shim::atomic::{AtomicUsize, Ordering};
 
 /// Maximum number of counted outgoing links a node may report at
 /// reclamation time. The list's cells have two (`next`, `back_link`); BST
-/// cells have up to three (`left`, `right`, `back_link`); skip-list tower
-/// cells have two per level (next + back link, up to 12 levels).
+/// cells have two (`left`, `right`); skip-list tower cells have two per
+/// level (next + back link, up to 12 levels).
 pub const MAX_LINKS: usize = 26;
 
 /// A counted pointer field inside a node (`next`, `back_link`, roots).

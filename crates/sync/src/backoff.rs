@@ -1,10 +1,11 @@
 //! Bounded exponential backoff for CAS retry loops.
 //!
 //! §2.1 of the paper: "starvation at high levels of contention is more
-//! efficiently handled by techniques such as exponential backoff". Every
-//! retry loop in the dictionary layer takes an optional [`Backoff`]; the
-//! `backoff` Criterion bench measures its effect (ablation of a design
-//! choice called out in DESIGN.md).
+//! efficiently handled by techniques such as exponential backoff". The
+//! BST's retry loops, the arena's wait for a busy magazine and the TTAS
+//! lock spin on a [`Backoff`]; the `cas_backoff_ablation/*` rows of the
+//! `micro` bench measure its effect (ablation of a design choice called
+//! out in DESIGN.md).
 //!
 //! The wait length is **jittered**: a purely deterministic `2^k` schedule
 //! puts every contending thread on the *same* wait sequence, so threads

@@ -4,7 +4,7 @@
 //! silently loses them must fail this file, not a downstream user.
 
 use valois::baseline::{LockedBstDict, LockedHashDict, LockedListDict, MutexListDict, NaiveList};
-use valois::core::{Cursor, PreparedInsert};
+use valois::core::{Cursor, Node, PreparedInsert};
 use valois::harness::LatencyHistogram;
 use valois::mem::Arena;
 use valois::{
@@ -40,12 +40,9 @@ fn cursors_and_prepared_inserts_move_across_threads() {
 
 #[test]
 fn memory_manager_is_send_sync() {
-    // Arena is generic over the node type; the facade list's node type is
-    // private, so assert through a structure instead.
-    fn arena_send_sync<N: valois::mem::Managed + Send + Sync>() {
-        assert_send_sync::<Arena<N>>();
-    }
-    let _ = arena_send_sync::<DummyNode>;
+    // The arenas of the flat list and of the skip list's towers.
+    assert_send_sync::<Arena<Node<u64>>>();
+    assert_send_sync::<Arena<Node<(u64, String), 12>>>();
 }
 
 #[test]
@@ -61,31 +58,4 @@ fn locks_and_baselines_are_send_sync() {
     assert_send_sync::<LockedBstDict<u64, u64>>();
     assert_send_sync::<NaiveList<u64>>();
     assert_send_sync::<LatencyHistogram>();
-}
-
-/// Minimal Managed impl for the generic Arena assertion.
-#[derive(Default)]
-struct DummyNode {
-    header: valois::mem::NodeHeader,
-    next: valois::mem::Link<DummyNode>,
-}
-
-impl valois::mem::Managed for DummyNode {
-    fn header(&self) -> &valois::mem::NodeHeader {
-        &self.header
-    }
-    fn free_link(&self) -> &valois::mem::Link<Self> {
-        &self.next
-    }
-    fn drain_links(&self) -> valois::mem::ReclaimedLinks<Self> {
-        let mut links = valois::mem::ReclaimedLinks::new();
-        links.push(self.next.swap(std::ptr::null_mut()));
-        links
-    }
-    fn links(&self) -> impl Iterator<Item = &valois::mem::Link<Self>> {
-        std::iter::once(&self.next)
-    }
-    fn reset_for_alloc(&self) {
-        self.next.write(std::ptr::null_mut());
-    }
 }
