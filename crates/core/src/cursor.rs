@@ -224,33 +224,6 @@ impl<'a, T: Send + Sync, R: Reclaimer, const L: usize> Cursor<'a, T, R, L> {
         self.pre_cell
     }
 
-    /// A protected read of `link` batched on this cursor's tallies, for
-    /// constructors that inspect candidate start nodes inside the
-    /// cursor's protection window before positioning it
-    /// ([`List::cursor_at_nearest`](crate::List::cursor_at_nearest)).
-    ///
-    /// # Safety
-    ///
-    /// `link` must be a counted link of this cursor's arena.
-    // COUNT: the protected reference transfers to the caller, who gives
-    // it up with `park`.
-    pub(crate) unsafe fn protect_read(&mut self, link: &Link<Node<T, L>>) -> *mut Node<T, L> {
-        // SAFETY: per the contract `link` is a counted link of this arena.
-        unsafe { self.list.arena().safe_read_tallied(link, &mut self.tally) }
-    }
-
-    /// Gives up the caller's protected reference on `p` through this
-    /// cursor's deferred-release buffer (drained with the cursor's own).
-    ///
-    /// # Safety
-    ///
-    /// The caller must hold a protected reference on non-null `p`.
-    // GUARD: p — caller holds the protected reference being parked.
-    pub(crate) unsafe fn park(&mut self, p: *mut Node<T, L>) {
-        // SAFETY: per the contract the reference is the caller's to give.
-        unsafe { self.list.arena().unprotect_deferred(&mut self.defer, p) }
-    }
-
     // COUNT: both SafeRead counts are transferred into the cursor's
     // `pre_cell`/`pre_aux` fields; `Drop`/`seek_first` release them.
     fn seek_first_inner(&mut self) {

@@ -26,17 +26,18 @@
 //! keeps it readable, cell persistence — but cursors opened from it
 //! could start before list structure they can no longer reach.)
 //!
-//! Cached cursors use roots the other way: [`List::cache_entry`]
-//! overwrites a root with the cell a cursor just passed, which may be
-//! deleted later, and [`List::cursor_at_nearest`] opens at the nearest
-//! usable anchor among many roots, resuming past a dead one and swinging
-//! that root to the live cell it landed on (invariant I10).
+//! Cached cursors use roots the other way, through [`CacheSlot`]s:
+//! [`List::cache_entry`] overwrites a slot with the cell a cursor just
+//! passed, which may be deleted later, and [`List::cursor_at_nearest`]
+//! probes many slots without counting, opens at the nearest usable
+//! anchor, resumes past a dead one and swings that slot to the live cell
+//! it landed on (invariants I10 and I12).
 
-use std::cmp::Ordering;
+use std::cmp::Ordering as KeyOrder;
 use std::fmt;
-use std::mem::MaybeUninit;
 
 use valois_mem::{Link, Reclaimer};
+use valois_sync::shim::atomic::{AtomicUsize, Ordering};
 use valois_sync::shim::hint::prefetch_read;
 
 use crate::cursor::Cursor;
@@ -78,6 +79,95 @@ impl<T: Send + Sync> fmt::Debug for EntryRoot<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("EntryRoot")
             .field("published", &self.is_published())
+            .finish()
+    }
+}
+
+/// One slot of a shared cursor cache: an anchor root that opens probe
+/// without counting ([`List::cursor_at_nearest`]), the count last
+/// displaced from it, and a gate that serializes the slot's writers.
+///
+/// Under `RefCount` a probe reads a slot's anchor inside a pin of the
+/// arena's epoch domain, with no count of its own, so the anchor must
+/// stay readable while any probe pinned before a write to the slot may
+/// still be reading it. A write therefore does not release the count it
+/// displaces while any pin is held: the count waits in `displaced`,
+/// stamped with the global epoch, until its grace period has elapsed
+/// (I12's rule, `stamp + 2 <= horizon`), and the next write to the slot
+/// releases it. A write that finds the displaced count still inside its
+/// grace period skips. So a slot holds at most two counts, and a stalled
+/// probe stops saves rather than growing memory.
+///
+/// Dropping a slot that still holds counts leaks them (it has no arena
+/// handle), so owners call [`List::retire_cache`] on every slot first.
+pub struct CacheSlot<T: Send + Sync> {
+    anchor: EntryRoot<T>,
+    displaced: EntryRoot<T>,
+    /// The displaced count's epoch stamp, or [`GATE_BUSY`] while a
+    /// writer holds the slot.
+    gate: AtomicUsize,
+}
+
+/// [`CacheSlot::gate`] value while a writer holds the slot.
+const GATE_BUSY: usize = usize::MAX;
+
+impl<T: Send + Sync> CacheSlot<T> {
+    /// An empty slot.
+    pub fn new() -> Self {
+        Self {
+            anchor: EntryRoot::new(),
+            displaced: EntryRoot::new(),
+            gate: AtomicUsize::new(0),
+        }
+    }
+
+    /// The anchor root, for reading the anchor with
+    /// [`List::with_entry`].
+    pub fn anchor(&self) -> &EntryRoot<T> {
+        &self.anchor
+    }
+
+    /// Both counted roots (the anchor and the displaced count), for
+    /// [`List::audit_refcounts_with_entries`].
+    pub fn roots(&self) -> [&EntryRoot<T>; 2] {
+        [&self.anchor, &self.displaced]
+    }
+
+    /// Takes the gate: `Some(stamp of the displaced count)`, or `None`
+    /// when another writer holds it.
+    fn lock(&self) -> Option<usize> {
+        // ORDER: Acquire — pairs with `unlock`'s Release, so this writer
+        // sees the previous writer's anchor, displaced link and stamp.
+        let stamp = self.gate.load(Ordering::Acquire);
+        if stamp == GATE_BUSY {
+            return None;
+        }
+        // ORDER: Acquire on success, as above; a failure means another
+        // writer took the gate, and this one skips.
+        self.gate
+            .compare_exchange(stamp, GATE_BUSY, Ordering::Acquire, Ordering::Relaxed)
+            .ok()
+    }
+
+    /// Releases the gate, recording the displaced count's `stamp`.
+    fn unlock(&self, stamp: usize) {
+        // ORDER: Release — publishes this writer's link writes to the
+        // next writer's `lock`.
+        self.gate.store(stamp, Ordering::Release);
+    }
+}
+
+impl<T: Send + Sync> Default for CacheSlot<T> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl<T: Send + Sync> fmt::Debug for CacheSlot<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("CacheSlot")
+            .field("anchored", &self.anchor.is_published())
+            .field("displaced", &self.displaced.is_published())
             .finish()
     }
 }
@@ -150,22 +240,27 @@ impl<T: Send + Sync, R: Reclaimer> List<T, R> {
         unsafe { self.arena().swing(&root.link, std::ptr::null_mut(), target) }
     }
 
-    /// Re-points `root` at the cursor's current anchor (`pre_cell`) — the
+    /// Re-points `slot` at the cursor's current anchor (`pre_cell`) — the
     /// Träff & Pöter cached-cursor pattern: a slot remembers a recently
     /// visited neighbourhood so a later operation can start there instead
-    /// of at `First`. Any number of threads may cache into one root. Returns `false` (slot untouched) when
-    /// the anchor is a dummy, i.e. the cursor sits at the start of the
-    /// list and caching would buy nothing.
+    /// of at `First`. Any number of threads may cache into one slot.
+    /// Returns whether the slot now names the anchor; `false` (slot
+    /// untouched) when the anchor is a dummy, i.e. the cursor sits at the
+    /// start of the list and caching would buy nothing, or when the
+    /// slot is busy (another writer holds it) or its displaced count is
+    /// still inside its grace period. A save is only a hint, so skipping
+    /// one loses nothing but a start position.
     ///
-    /// Unlike [`List::publish_entry`] this *overwrites*: the slot's
-    /// previous count is released after the swap. Unlike bucket
-    /// sentinels, a cached anchor **may be deleted** while the slot
-    /// points at it — cell persistence keeps it (and its `back_link`
-    /// chain) readable, and a cursor reopened from the slot must call
-    /// [`Cursor::resume`] before use so it re-enters the live list at an
-    /// undeleted predecessor (invariant I10 in docs/PROTOCOL.md).
+    /// The slot's previous count is displaced, not released at once
+    /// under `RefCount`: a probe pinned before the swap may still be
+    /// reading that anchor ([`CacheSlot`]). Unlike bucket sentinels, a
+    /// cached anchor **may be deleted** while the slot points at it —
+    /// cell persistence keeps it (and its `back_link` chain) readable,
+    /// and a cursor reopened from the slot must call [`Cursor::resume`]
+    /// before use so it re-enters the live list at an undeleted
+    /// predecessor (invariant I10 in docs/PROTOCOL.md).
     // INVARIANT: I10
-    pub fn cache_entry(&self, root: &EntryRoot<T>, cursor: &Cursor<'_, T, R>) -> bool {
+    pub fn cache_entry(&self, slot: &CacheSlot<T>, cursor: &Cursor<'_, T, R>) -> bool {
         assert!(
             std::ptr::eq(self, cursor.list()),
             "cursor of a different list"
@@ -176,121 +271,170 @@ impl<T: Send + Sync, R: Reclaimer> List<T, R> {
         if anchor.is_null() || unsafe { (*anchor).kind() } != NodeKind::Cell {
             return false;
         }
-        // SAFETY: `anchor` is held by the cursor, so incr_ref targets a
-        // live node; the link's previous count transfers to us on the
-        // swap and releasing it is the transfer's obligation.
-        // COUNT: the incr_ref's count transfers to the slot's link
-        // (released by the next `cache_entry`/`retire_entry`).
-        unsafe {
-            self.arena().incr_ref(anchor);
-            let old = root.link.swap(anchor);
-            self.arena().release(old);
-        }
-        true
+        // SAFETY: the cursor holds `anchor` across the call.
+        unsafe { self.replace_slot(slot, None, anchor) }
     }
 
-    /// Opens a cursor at the furthest usable anchor among `roots` — the
-    /// cached-cursor probe over every slot. Each distinct published
-    /// anchor costs one protected read: a root whose pointer equals one
-    /// this open already probed is skipped before its read (skipping
-    /// only loses a duplicate candidate). `usable` filters the anchors
-    /// (dictionaries pass `anchor.key < search_key`), `order` ranks the
-    /// survivors, and one cursor is opened at the greatest via
-    /// [`Cursor::reopen`], so it has already been [`Cursor::resume`]d.
-    /// Returns `None` when no root holds a usable anchor.
+    /// Empties `slot`: its anchor's count and any displaced count are
+    /// released once no probe can still read them. Returns `false` when
+    /// a count had to stay (the slot was busy, or a pinned probe may
+    /// still read its displaced anchor); at quiescence (no pins, no
+    /// concurrent writer — e.g. the owner's teardown) it always empties
+    /// the slot.
+    pub fn retire_cache(&self, slot: &CacheSlot<T>) -> bool {
+        // SAFETY: null needs no protection.
+        unsafe { self.replace_slot(slot, None, std::ptr::null_mut()) }
+    }
+
+    /// Opens a cursor at the furthest usable anchor among `slots` — the
+    /// cached-cursor probe over every slot. The probe is uncounted: under
+    /// a pin of the arena's epoch domain (the cursor's own pin under
+    /// `Epoch`, a separate one under `RefCount`) it plain-loads each
+    /// slot and reads that anchor's item, which the grace rule for
+    /// displaced slot counts keeps readable (I12). `usable` filters the
+    /// anchors (dictionaries pass `anchor.key < search_key`), `order`
+    /// ranks the survivors, and one cursor is opened at the greatest via
+    /// [`Cursor::reopen`], which takes the open's one counted reference
+    /// and has already [`Cursor::resume`]d. Returns `None` when no slot
+    /// holds a usable anchor.
     ///
     /// If the chosen anchor had been deleted, `resume` walked its
-    /// `back_link`s to a live predecessor, and the root is repaired: swung
-    /// from the dead anchor to that cell, or unpublished when the walk
-    /// reached the list head. So no root keeps pinning a growing
+    /// `back_link`s to a live predecessor, and the slot is repaired:
+    /// swung from the dead anchor to that cell, or emptied when the walk
+    /// reached the list head. So no slot keeps pinning a growing
     /// `back_link` chain, whether or not the thread that cached it is
-    /// still running. The repair is a counted CAS against the anchor
-    /// just read; if the root moved meanwhile (some thread re-cached
-    /// it), nothing happens.
-    // INVARIANT: I10
+    /// still running. If the slot moved meanwhile (some thread re-cached
+    /// it) or is busy, nothing happens.
+    // INVARIANT: I10, I12
     pub fn cursor_at_nearest<'a>(
         &'a self,
-        roots: &[EntryRoot<T>],
+        slots: &[CacheSlot<T>],
         mut usable: impl FnMut(&T) -> bool,
-        mut order: impl FnMut(&T, &T) -> Ordering,
+        mut order: impl FnMut(&T, &T) -> KeyOrder,
     ) -> Option<Cursor<'a, T, R>> {
-        // The cursor's protection window (the epoch pin) opens before the
-        // first probe and covers every candidate.
+        // Under `Epoch` the cursor's pin opens before the first probe and
+        // covers every candidate; under `RefCount` the slot pin does.
         let mut cursor = Cursor::unpositioned(self, 0);
-        let mut buf = [MaybeUninit::uninit(); PROBED_MAX];
-        let mut probed = Probed::new(&mut buf, roots.len());
+        let pin = R::COUNTED_READS.then(|| self.arena().epoch_domain().pin_guard());
         let mut best: *mut Node<T> = std::ptr::null_mut();
-        let mut best_root = None;
-        for root in roots {
-            // A plain load, never dereferenced: it only names the anchor
-            // for the duplicate check.
-            let peek = root.link.read();
-            if peek.is_null() || !probed.insert(peek as usize) {
+        let mut best_slot = None;
+        for slot in slots {
+            let p = slot.anchor.link.read_seqcst();
+            if p.is_null() {
                 continue;
             }
-            // SAFETY: `root.link` is a counted link of this arena; the
-            // probe holds `p` (and `best`) while reading their items, and
-            // only cells reach a root, so both carry values.
-            // COUNT: the probe's reference is parked at once unless `p`
-            // becomes the new `best`, whose superseded reference is
-            // parked instead.
-            unsafe {
-                let p = cursor.protect_read(&root.link);
-                if p.is_null() {
-                    continue;
-                }
+            // SAFETY: only cells reach a slot, and cells carry values.
+            // GUARD: p, best — slot anchors loaded inside the pin: a count
+            // displaced from a slot is released only after every pin that
+            // could have loaded it has ended (I12), so both stay readable.
+            let wins = unsafe {
                 let item = (*p).item();
-                if usable(item) && (best.is_null() || order(item, (*best).item()).is_gt()) {
-                    cursor.park(best);
-                    best = p;
-                    best_root = Some(root);
-                } else {
-                    cursor.park(p);
-                }
+                usable(item) && (best.is_null() || order(item, (*best).item()).is_gt())
+            };
+            if wins {
+                best = p;
+                best_slot = Some(slot);
             }
         }
-        let root = best_root?;
-        // SAFETY: the probe holds `best` across the reopen and the
-        // repair; the cursor holds the cell it landed on.
-        // COUNT: `reopen` duplicates the reference on `best` for the
-        // cursor; the probe's own is parked after the repair.
-        unsafe {
-            cursor.reopen(0, best);
-            let landed = cursor.pre_cell_ptr();
-            if landed != best {
-                self.repair_entry(root, best, landed);
+        let slot = best_slot?;
+        // SAFETY: the pin keeps `best` readable with a non-zero count, so
+        // `reopen` may duplicate a counted reference on it.
+        // GUARD: best — loaded from a slot inside the pin (I12).
+        // COUNT: `reopen` takes the open's one counted reference on
+        // `best` for the cursor's `pre_cell` (released when it moves).
+        unsafe { cursor.reopen(0, best) };
+        drop(pin);
+        let landed = cursor.pre_cell_ptr();
+        if landed != best {
+            // SAFETY: `landed` is the cell the cursor holds; the dead
+            // anchor is only compared against the slot, never read.
+            // `landed` is the head dummy when the walk reached the
+            // start, and then there is nothing worth caching.
+            unsafe {
+                let live = if (*landed).kind() == NodeKind::Cell {
+                    landed
+                } else {
+                    std::ptr::null_mut()
+                };
+                self.replace_slot(slot, Some(best), live);
             }
-            cursor.park(best);
         }
         Some(cursor)
     }
 
-    /// Swings `root` from its dead anchor `dead` to `live`, the cell a
-    /// resumed cursor landed on, or to null when `live` is the head
-    /// dummy (nothing worth caching). A counted CAS: when the root no
-    /// longer holds `dead` this does nothing; when it holds `dead` again
-    /// after other swaps (ABA), the swing still moves exactly the count
-    /// the link holds, so counts stay exact either way.
+    /// Writes `new` into `slot` if the slot holds `expect` (any value
+    /// when `None`), displacing its previous count; the one writer of
+    /// slot anchors (saves, repairs and retires all come here). Returns
+    /// whether the slot now holds `new`.
+    ///
+    /// The slot's gate makes writers exclusive: a writer that finds the
+    /// gate busy skips. Under the gate it first releases the slot's
+    /// displaced count if that count's grace period has elapsed, and
+    /// skips if it has not (so a slot holds at most two counts). Then it
+    /// swaps the anchor. Under `RefCount` the old anchor's count is
+    /// released at once only when no pin is held, and otherwise waits
+    /// in the displaced link, stamped; under `Epoch` it is released at
+    /// once, since its drop to zero already retires through limbo.
     ///
     /// # Safety
     ///
-    /// The caller must hold protected references on `dead` and `live`.
-    // GUARD: dead, live — caller holds protected references on both.
-    unsafe fn repair_entry(&self, root: &EntryRoot<T>, dead: *mut Node<T>, live: *mut Node<T>) {
-        // SAFETY: `live` is held, so inspecting its kind is protected.
-        let live = if unsafe { (*live).kind() } == NodeKind::Cell {
-            live
-        } else {
-            std::ptr::null_mut()
+    /// The caller must hold a protected reference on non-null `new`.
+    // GUARD: new — caller holds a protected reference across the call.
+    // INVARIANT: I10, I12
+    unsafe fn replace_slot(
+        &self,
+        slot: &CacheSlot<T>,
+        expect: Option<*mut Node<T>>,
+        new: *mut Node<T>,
+    ) -> bool {
+        let Some(stamp) = slot.lock() else {
+            return false;
         };
-        // SAFETY: `root.link` is a counted link of this arena and the
-        // caller holds `dead` and `live`.
-        // COUNT: on success the root's count moves from `dead` to `live`
-        // (released by the next `cache_entry`/`retire_entry`); on
-        // failure swing undid its own increment.
-        unsafe {
-            self.arena().swing(&root.link, dead, live);
+        let arena = self.arena();
+        let domain = arena.epoch_domain();
+        let parked = slot.displaced.link.read();
+        if !parked.is_null() {
+            if !domain.grace_elapsed(stamp) {
+                slot.unlock(stamp);
+                return false;
+            }
+            slot.displaced.link.write(std::ptr::null_mut());
+            // SAFETY: the displaced link's count transfers to us, and its
+            // grace period has elapsed: no probe can still read it.
+            unsafe { arena.release(parked) };
         }
+        let old = slot.anchor.link.read();
+        if expect.is_some_and(|e| e != old) || old == new {
+            slot.unlock(stamp);
+            return old == new;
+        }
+        // SAFETY: `new` is held by the caller, so incr_ref targets a live
+        // node; the anchor link's old count transfers to us on the swap.
+        // COUNT: the incr_ref's count transfers to the anchor link
+        // (displaced by the next write to the slot); the old count is
+        // released now or parked in the displaced link.
+        unsafe {
+            arena.incr_ref(new);
+            slot.anchor.link.swap(new);
+        }
+        let mut stamp = stamp;
+        if !old.is_null() {
+            if R::COUNTED_READS {
+                stamp = domain.displace_stamp();
+                if domain.grace_elapsed(stamp) {
+                    // SAFETY: no pin is held, so no probe can read `old`.
+                    unsafe { arena.release(old) };
+                } else {
+                    slot.displaced.link.write(old);
+                }
+            } else {
+                // SAFETY: probes under `Epoch` are covered by their
+                // cursor's pin, and the release retires through limbo.
+                unsafe { arena.release(old) };
+            }
+        }
+        slot.unlock(stamp);
+        true
     }
 
     /// Reads the entry cell's value under protection, or `None` if the
@@ -349,50 +493,3 @@ impl<T: Send + Sync, R: Reclaimer> List<T, R> {
 /// misses in flight to cover a cold lookup's chain, few enough that the
 /// first root's lines are still cached when its lookup runs.
 pub const HINT_ROUND: usize = 16;
-
-/// The anchors one open has probed: an open-addressed set of pointer
-/// values in a stack table at most half full, so the duplicate check
-/// costs O(1) per root. Only the `capacity` entries in use are
-/// initialized.
-struct Probed<'t> {
-    table: &'t mut [usize],
-}
-
-/// [`Probed`]'s stack table size: room for 64 roots at half load.
-const PROBED_MAX: usize = 128;
-
-impl<'t> Probed<'t> {
-    /// An empty set sized for `roots` pointers at half load. Beyond
-    /// `PROBED_MAX` distinct pointers the table is full, and every
-    /// further insert reports its pointer as new (no skip).
-    fn new(buf: &'t mut [MaybeUninit<usize>; PROBED_MAX], roots: usize) -> Self {
-        let capacity = (2 * roots).next_power_of_two().clamp(2, PROBED_MAX);
-        for entry in &mut buf[..capacity] {
-            entry.write(0);
-        }
-        // SAFETY: the first `capacity` entries were just initialized, and
-        // the slice borrows `buf` exclusively for `'t`.
-        let table = unsafe { std::slice::from_raw_parts_mut(buf.as_mut_ptr().cast(), capacity) };
-        Self { table }
-    }
-
-    /// Adds non-zero `value`; `false` when it was already present.
-    fn insert(&mut self, value: usize) -> bool {
-        let mask = self.table.len() - 1;
-        // Fibonacci hashing: the product's top bits spread pointers that
-        // differ only in their low (node-size) bits.
-        let shift = usize::BITS - self.table.len().trailing_zeros();
-        let mut at = value.wrapping_mul(0x9E37_79B9_7F4A_7C15_u64 as usize) >> shift;
-        for _ in 0..self.table.len() {
-            match self.table[at] {
-                0 => {
-                    self.table[at] = value;
-                    return true;
-                }
-                v if v == value => return false,
-                _ => at = (at + 1) & mask,
-            }
-        }
-        true
-    }
-}

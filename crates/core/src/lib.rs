@@ -47,7 +47,7 @@ mod stats;
 
 pub use adt::{PriorityQueue, Stack};
 pub use cursor::Cursor;
-pub use entry::{EntryRoot, HINT_ROUND};
+pub use entry::{CacheSlot, EntryRoot, HINT_ROUND};
 pub use list::{AuxChainReport, Iter, List, PreparedInsert};
 pub use node::{Node, NodeKind};
 pub use queue::FifoQueue;

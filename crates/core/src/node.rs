@@ -61,7 +61,7 @@ impl NodeKind {
 /// an inline value slot used only by `Cell` nodes. A §4.1 skip-list tower
 /// cell is a member of levels `0..height`, each an independent list with
 /// its own `next[lvl]`/`back_link[lvl]`; an auxiliary node serves exactly
-/// one level and answers `next[0]` at every `lvl`. Its fields are private
+/// one level and uses only that level's `next[lvl]`. Its fields are private
 /// to this crate; it is public as the node of [`List`](crate::List) and
 /// [`Cursor`](crate::Cursor).
 pub struct Node<T, const L: usize = 1> {
@@ -137,15 +137,12 @@ impl<T: Send + Sync, const L: usize> Node<T, L> {
     }
 
     /// The counted successor link at level `lvl`. An auxiliary node serves
-    /// one level, and its outgoing link is `next[0]` whichever that is;
-    /// for a flat node (`L == 1`) the test folds away.
+    /// one level and is only ever linked, read and swung at that level,
+    /// so it answers `next[lvl]` like a cell; for a flat node (`L == 1`)
+    /// the index folds to 0.
     #[inline(always)]
     pub fn next(&self, lvl: usize) -> &Link<Self> {
-        if L == 1 || self.is_aux() {
-            &self.next[0]
-        } else {
-            &self.next[lvl]
-        }
+        &self.next[if L == 1 { 0 } else { lvl }]
     }
 
     /// The counted back link at level `lvl`, set by `TryDelete` (Fig. 10
@@ -345,15 +342,19 @@ mod tests {
     }
 
     #[test]
-    fn aux_answers_next_0_at_every_level() {
+    fn every_kind_answers_its_own_level() {
         let n: Node<(u64, u64), 12> = Node::default();
-        n.set_kind(NodeKind::Aux);
-        for lvl in 0..12 {
-            assert!(std::ptr::eq(n.next(lvl), &n.next[0]), "aux at {lvl}");
+        for kind in [NodeKind::Aux, NodeKind::Cell, NodeKind::FirstDummy] {
+            n.set_kind(kind);
+            for lvl in 0..12 {
+                assert!(std::ptr::eq(n.next(lvl), &n.next[lvl]), "{kind:?} at {lvl}");
+            }
         }
-        n.set_kind(NodeKind::Cell);
-        for lvl in 0..12 {
-            assert!(std::ptr::eq(n.next(lvl), &n.next[lvl]), "cell at {lvl}");
-        }
+        let flat: Node<u64> = Node::default();
+        flat.set_kind(NodeKind::Aux);
+        assert!(
+            std::ptr::eq(flat.next(3), &flat.next[0]),
+            "a flat node folds to 0"
+        );
     }
 }

@@ -17,14 +17,21 @@
 //!    further (never loop, never leak a count), and the resumed
 //!    traversal must still observe every continuously-present cell
 //!    (invariant I10).
-//! 5. The cached-cursor repair swing (`List::cursor_at_nearest`) racing
-//!    a writer's `List::cache_entry` swap on one `EntryRoot`: the
-//!    writer's position always wins, the prober still reaches every
-//!    continuously present cell, and counts stay exact.
-//! 6. The same repair swing racing *two* writers' `cache_entry` swaps
-//!    on one `EntryRoot`, as when saves of several threads rotate onto
-//!    one shared slot: the last swap wins, the repair lands only ahead
-//!    of both swaps, and counts stay exact.
+//! 5. The cached-cursor repair (`List::cursor_at_nearest`) racing a
+//!    writer's `List::cache_entry` on one `CacheSlot`: the writer's
+//!    position wins unless the repair held the slot's gate, the prober
+//!    still reaches every continuously present cell, and counts stay
+//!    exact.
+//! 6. The same repair racing *two* writers' `cache_entry`s on one
+//!    `CacheSlot`, as when saves of several threads rotate onto one
+//!    shared slot: the slot ends at the last write that landed, and
+//!    counts stay exact.
+//! 7. (In `valois-dict`'s `cursor_cache.rs`.)
+//! 8. The uncounted probe's grace rule: a prober pinned before a save
+//!    displaces its anchor reads that anchor while another thread
+//!    deletes the cell and tries to release the displaced count. The
+//!    count waits until the prober unpins, so the read never meets a
+//!    reclaimed cell.
 //!
 //! Run with:
 //! `RUSTFLAGS="--cfg loom" cargo test -p valois-core --test loom_models`
@@ -33,7 +40,7 @@
 use std::ptr;
 use std::sync::Arc;
 
-use valois_core::{EntryRoot, List};
+use valois_core::{CacheSlot, EntryRoot, List};
 use valois_mem::{Arena, ArenaConfig, Link, Managed, NodeHeader, ReclaimedLinks};
 use valois_sync::shim::atomic::{AtomicUsize, Ordering};
 use valois_sync::shim::{thread, Builder};
@@ -367,36 +374,38 @@ fn resume_survives_predecessor_deleted_mid_resume() {
 }
 
 /// Model 5 — a writer's `cache_entry` racing another thread's probe and
-/// repair swing on the same `EntryRoot`.
+/// repair on the same `CacheSlot`.
 ///
-/// The list starts as `[5, 10, 20, 30]` with the root cached at `10`,
-/// which is then deleted, so the root pins a dead anchor. Thread A
-/// re-caches the root at `20`; thread B opens the nearest usable
+/// The list starts as `[5, 10, 20, 30]` with the slot cached at `10`,
+/// which is then deleted, so the slot pins a dead anchor. Thread A
+/// re-caches the slot at `20`; thread B opens the nearest usable
 /// entry for a search for `25`. If B probes the dead `10`, its cursor
-/// resumes back to `5` and B swings the root from `10` to `5`; if A's
-/// swap landed first, that CAS fails and does nothing; if A swapped
-/// after, it releases B's `5`. On every interleaving the root ends at
-/// `20`, B's search reaches `30` (continuously present, I10), and the
-/// audit is exact.
+/// resumes back to `5` and B re-points the slot from `10` to `5`; if
+/// A's write landed first, the repair finds `20` and does nothing; if A
+/// wrote after, it displaces B's `5`. A write that finds the slot's
+/// gate held by the other skips. On every interleaving the slot ends at
+/// `20` when A's write landed and at `5` when it skipped, B's search
+/// reaches `30` (continuously present, I10), and the audit over the
+/// anchor and the displaced count is exact.
 #[test]
 fn repair_swing_races_owner_recache() {
     // Schedules in which the prober opened at the dead anchor (and so
-    // ran the repair swing); counted outside the model.
+    // ran the repair); counted outside the model.
     static REPAIRS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
     let explored = Builder::new().preemption_bound(2).check(|| {
-        let shared: Arc<(List<u64>, EntryRoot<u64>)> = Arc::new((
+        let shared: Arc<(List<u64>, CacheSlot<u64>)> = Arc::new((
             List::with_config(ArenaConfig::new().initial_capacity(16).max_nodes(16)),
-            EntryRoot::new(),
+            CacheSlot::new(),
         ));
         {
-            let (list, root) = &*shared;
+            let (list, slot) = &*shared;
             for k in [30, 20, 10, 5] {
                 list.cursor().insert(k).expect("seed cells");
             }
             let mut c = list.cursor();
             assert!(c.next() && c.get() == Some(&10));
             assert!(c.next() && c.get() == Some(&20));
-            assert!(list.cache_entry(root, &c), "anchor 10 cached");
+            assert!(list.cache_entry(slot, &c), "anchor 10 cached");
             let mut d = list.cursor();
             assert!(d.next() && d.try_delete(), "anchor 10 deleted");
         }
@@ -404,45 +413,50 @@ fn repair_swing_races_owner_recache() {
         let owner = {
             let shared = Arc::clone(&shared);
             thread::spawn(move || {
-                let (list, root) = &*shared;
+                let (list, slot) = &*shared;
                 let mut c = list.cursor();
                 while c.get() != Some(&30) {
                     assert!(c.next(), "30 is never deleted");
                 }
-                assert!(list.cache_entry(root, &c));
+                list.cache_entry(slot, &c)
             })
         };
         let prober = {
             let shared = Arc::clone(&shared);
             thread::spawn(move || {
-                let (list, root) = &*shared;
+                let (list, slot) = &*shared;
                 let mut c = list
-                    .cursor_at_nearest(std::slice::from_ref(root), |&k| k < 25, |a, b| a.cmp(b))
-                    .expect("the root always holds a usable anchor");
+                    .cursor_at_nearest(std::slice::from_ref(slot), |&k| k < 25, |a, b| a.cmp(b))
+                    .expect("the slot always holds a usable anchor");
                 while c.get().is_some_and(|&k| k < 25) {
                     assert!(c.next());
                 }
                 assert_eq!(c.get(), Some(&30), "resumed cursor lost cell 30");
             })
         };
-        owner.join().unwrap();
+        let saved = owner.join().unwrap();
         prober.join().unwrap();
 
-        let (mut list, root) = Arc::try_unwrap(shared).ok().expect("all threads joined");
-        if list.stats().resumes > 0 {
+        let (mut list, slot) = Arc::try_unwrap(shared).ok().expect("all threads joined");
+        let repaired = list.stats().resumes > 0;
+        if repaired {
             REPAIRS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         }
+        assert!(saved || repaired, "only the repair can hold the gate");
         assert_eq!(
-            list.with_entry(&root, |&k| k),
-            Some(20),
-            "the writer's swap wins"
+            list.with_entry(slot.anchor(), |&k| k),
+            Some(if saved { 20 } else { 5 }),
+            "the writer's write wins unless it skipped"
         );
         if let Err(e) = list.check_structure(0) {
             panic!("§3 invariant chain: {e}\nchain: {}", list.dump_chain());
         }
-        list.audit_refcounts_with_entries([&root])
-            .expect("exact counts — the repair moved only the link's own count");
-        list.retire_entry(&root);
+        list.audit_refcounts_with_entries(slot.roots())
+            .expect("exact counts — writes move only the slot's own counts");
+        assert!(
+            list.retire_cache(&slot),
+            "a quiescent retire empties the slot"
+        );
         list.audit_refcounts().expect("exact counts after retire");
         assert_eq!(list.iter().collect::<Vec<u64>>(), vec![5, 20, 30]);
         list.quiescent_collect();
@@ -456,38 +470,41 @@ fn repair_swing_races_owner_recache() {
     );
 }
 
-/// Model 6 — two writers' `cache_entry` swaps racing a third thread's
-/// probe and repair swing on one shared `EntryRoot`.
+/// Model 6 — two writers' `cache_entry`s racing a third thread's probe
+/// and repair on one shared `CacheSlot`.
 ///
 /// Cache slots belong to no thread: any thread's save may land on any
-/// slot. The list starts as `[5, 10, 20, 30, 40]` with the shared root
-/// cached at `10`, which is then deleted, so the root pins a dead
-/// anchor. Thread A caches the root at `20` and thread B at `30`, each
+/// slot. The list starts as `[5, 10, 20, 30, 40]` with the shared slot
+/// cached at `10`, which is then deleted, so the slot pins a dead
+/// anchor. Thread A caches the slot at `20` and thread B at `30`, each
 /// opening its cursor from a private root so that a save is one open
-/// and one swap. Thread C opens the nearest usable entry for a search
+/// and one write. Thread C opens the nearest usable entry for a search
 /// for `35`. If C probes the dead `10`, its cursor resumes back to `5`
-/// and C swings the root from `10` to `5`; the CAS succeeds only ahead
-/// of both swaps (each swap then releases what it replaced) and fails
-/// harmlessly after either. On every interleaving the root ends at the
-/// last writer's anchor, C's search reaches `40` (continuously present,
-/// I10), and the audit over all three roots is exact.
+/// and C re-points the slot from `10` to `5`, which lands only ahead of
+/// both writes. A write skips when another holds the slot's gate, or
+/// when the count it would have to release was displaced while C was
+/// pinned and C still is. On every interleaving the slot ends at the
+/// last write that landed, C's search reaches `40` (continuously
+/// present, I10), and the audit over the slot's two roots and the
+/// private roots is exact.
 #[test]
 fn repair_swing_races_two_recaching_writers() {
     use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-    // Schedules in which C's repair swing won, or lost to a swap;
+    // Schedules in which C's repair landed last, or was overtaken;
     // counted outside the model.
     static REPAIR_WON: AtomicU64 = AtomicU64::new(0);
     static REPAIR_LOST: AtomicU64 = AtomicU64::new(0);
     // One preemption already reaches both orders (the repair ahead of
-    // both swaps, and a swap between the probe and the repair CAS); a
+    // both writes, and a write between the probe and the repair); a
     // bound of 2 passes too but explores for minutes instead of seconds.
     let explored = Builder::new().preemption_bound(1).check(|| {
-        let shared: Arc<(List<u64>, [EntryRoot<u64>; 3])> = Arc::new((
+        let shared: Arc<(List<u64>, CacheSlot<u64>, [EntryRoot<u64>; 2])> = Arc::new((
             List::with_config(ArenaConfig::new().initial_capacity(16).max_nodes(16)),
-            [EntryRoot::new(), EntryRoot::new(), EntryRoot::new()],
+            CacheSlot::new(),
+            [EntryRoot::new(), EntryRoot::new()],
         ));
         let setup = {
-            let (list, [slot, at_20, at_30]) = &*shared;
+            let (list, slot, [at_20, at_30]) = &*shared;
             for k in [40, 30, 20, 10, 5] {
                 list.cursor().insert(k).expect("seed cells");
             }
@@ -502,8 +519,8 @@ fn repair_swing_races_two_recaching_writers() {
             let mut d = list.cursor();
             assert!(d.next() && d.try_delete(), "anchor 10 deleted");
             drop(d);
-            // Collapse the deletion's aux chain now, so the repair is the
-            // model's only swing.
+            // Collapse the deletion's aux chain now, so the cursors make
+            // no structural swing.
             let mut walk = list.cursor();
             while walk.next() {}
             drop(walk);
@@ -513,17 +530,17 @@ fn repair_swing_races_two_recaching_writers() {
         let writer = |private: usize| {
             let shared = Arc::clone(&shared);
             thread::spawn(move || {
-                let (list, roots) = &*shared;
+                let (list, slot, roots) = &*shared;
                 let c = list.cursor_at(&roots[private]).expect("published");
-                assert!(list.cache_entry(&roots[0], &c));
+                list.cache_entry(slot, &c)
             })
         };
-        let a = writer(1);
-        let b = writer(2);
+        let a = writer(0);
+        let b = writer(1);
         let prober = {
             let shared = Arc::clone(&shared);
             thread::spawn(move || {
-                let (list, [slot, ..]) = &*shared;
+                let (list, slot, _) = &*shared;
                 let mut c = list
                     .cursor_at_nearest(std::slice::from_ref(slot), |&k| k < 35, |a, b| a.cmp(b))
                     .expect("the slot always holds a usable anchor");
@@ -533,30 +550,38 @@ fn repair_swing_races_two_recaching_writers() {
                 assert_eq!(c.get(), Some(&40), "resumed cursor lost cell 40");
             })
         };
-        a.join().unwrap();
-        b.join().unwrap();
+        let (a_saved, b_saved) = (a.join().unwrap(), b.join().unwrap());
         prober.join().unwrap();
 
-        let (mut list, roots) = Arc::try_unwrap(shared).ok().expect("all threads joined");
-        let swings = list.mem_stats().since(&setup);
-        assert!(swings.swings <= 1, "only the repair swings: {swings:?}");
-        if swings.swings == 1 {
-            if swings.swing_failures == 0 {
+        let (mut list, slot, roots) = Arc::try_unwrap(shared).ok().expect("all threads joined");
+        let delta = list.mem_stats().since(&setup);
+        assert_eq!(
+            delta.swings, 0,
+            "the slot changes by gated writes only: {delta:?}"
+        );
+        let last = list.with_entry(slot.anchor(), |&k| k);
+        let repaired = list.stats().resumes > 0;
+        let landed = [(a_saved, 20), (b_saved, 30), (repaired, 5)];
+        assert!(
+            landed.iter().any(|&(wrote, k)| wrote && last == Some(k)),
+            "the slot holds the last write that landed: {last:?}, writes {landed:?}"
+        );
+        if repaired {
+            if last == Some(5) {
                 REPAIR_WON.fetch_add(1, Relaxed);
             } else {
                 REPAIR_LOST.fetch_add(1, Relaxed);
             }
         }
-        let last = list.with_entry(&roots[0], |&k| k);
-        assert!(
-            matches!(last, Some(20 | 30)),
-            "the last writer's swap wins, got {last:?}"
-        );
         if let Err(e) = list.check_structure(0) {
             panic!("§3 invariant chain: {e}\nchain: {}", list.dump_chain());
         }
-        list.audit_refcounts_with_entries(&roots)
-            .expect("exact counts — swaps and the repair move only the link's own count");
+        list.audit_refcounts_with_entries(slot.roots().into_iter().chain(&roots))
+            .expect("exact counts — writes and the repair move only the slot's own counts");
+        assert!(
+            list.retire_cache(&slot),
+            "a quiescent retire empties the slot"
+        );
         for root in &roots {
             list.retire_entry(root);
         }
@@ -569,7 +594,105 @@ fn repair_swing_races_two_recaching_writers() {
     let (won, lost) = (REPAIR_WON.load(Relaxed), REPAIR_LOST.load(Relaxed));
     assert!(
         won > 0 && lost > 0,
-        "both swap-vs-repair orders must be explored: the repair won in {won} and lost in \
+        "both write-vs-repair orders must be explored: the repair won in {won} and lost in \
          {lost} of {explored} schedules"
+    );
+}
+
+/// Model 8 — the uncounted probe's grace rule: a prober pinned before a
+/// save displaces its anchor reads that anchor while another thread
+/// deletes the cell and tries to release the displaced count.
+///
+/// The list starts as `[10, 20, 30]` with the slot cached at `10`.
+/// Thread P opens the nearest usable slot anchor for a search for `35`:
+/// it pins, loads the slot and reads the anchor's key without a count.
+/// Thread S saves a cursor anchored at `20` into the slot, displacing
+/// `10`'s count. Thread D deletes `10` and then retires the slot, which
+/// releases the displaced count only once its grace period has elapsed.
+/// Once `10` is deleted, that count is the last one, so releasing it
+/// while P may still read `10` would reclaim the cell under P's read
+/// (the read's `kind() == Cell` assertion in `Node::item` catches it).
+/// On every interleaving P reads a cell, its walk reaches `30`
+/// (continuously present, I10), and the audit over the slot's roots is
+/// exact before the final retire and after it.
+#[test]
+fn displaced_anchor_outlives_a_pinned_probe() {
+    use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+    // Schedules in which P read the anchor `10` after S displaced it.
+    static LATE_READS: AtomicU64 = AtomicU64::new(0);
+    let explored = Builder::new().preemption_bound(1).check(|| {
+        let shared: Arc<(List<u64>, CacheSlot<u64>, EntryRoot<u64>)> = Arc::new((
+            List::with_config(ArenaConfig::new().initial_capacity(16).max_nodes(16)),
+            CacheSlot::new(),
+            EntryRoot::new(),
+        ));
+        {
+            let (list, slot, at_20) = &*shared;
+            for k in [30, 20, 10] {
+                list.cursor().insert(k).expect("seed cells");
+            }
+            let mut c = list.cursor();
+            assert!(c.get() == Some(&10) && c.next() && c.get() == Some(&20));
+            assert!(list.cache_entry(slot, &c), "anchor 10 cached");
+            assert!(list.publish_entry(at_20, &c), "private root at 20");
+        }
+
+        let prober = {
+            let shared = Arc::clone(&shared);
+            thread::spawn(move || {
+                let (list, slot, _) = &*shared;
+                if let Some(mut c) =
+                    list.cursor_at_nearest(std::slice::from_ref(slot), |&k| k < 35, |a, b| a.cmp(b))
+                {
+                    while c.get().is_some_and(|&k| k < 30) {
+                        assert!(c.next());
+                    }
+                    assert_eq!(c.get(), Some(&30), "resumed cursor lost cell 30");
+                }
+            })
+        };
+        let saver = {
+            let shared = Arc::clone(&shared);
+            thread::spawn(move || {
+                let (list, slot, at_20) = &*shared;
+                let c = list.cursor_at(at_20).expect("published");
+                list.cache_entry(slot, &c)
+            })
+        };
+        let deleter = {
+            let shared = Arc::clone(&shared);
+            thread::spawn(move || {
+                let (list, slot, _) = &*shared;
+                let mut d = list.cursor();
+                assert!(d.get() == Some(&10) && d.try_delete(), "anchor 10 deleted");
+                drop(d);
+                list.retire_cache(slot);
+            })
+        };
+        prober.join().unwrap();
+        let saved = saver.join().unwrap();
+        deleter.join().unwrap();
+
+        let (mut list, slot, at_20) = Arc::try_unwrap(shared).ok().expect("all threads joined");
+        if saved && list.stats().resumes > 0 {
+            LATE_READS.fetch_add(1, Relaxed);
+        }
+        if let Err(e) = list.check_structure(0) {
+            panic!("§3 invariant chain: {e}\nchain: {}", list.dump_chain());
+        }
+        list.audit_refcounts_with_entries(slot.roots().into_iter().chain([&at_20]))
+            .expect("exact counts — the displaced count is declared");
+        assert!(
+            list.retire_cache(&slot),
+            "a quiescent retire empties the slot"
+        );
+        list.retire_entry(&at_20);
+        list.audit_refcounts().expect("exact counts after retire");
+        assert_eq!(list.iter().collect::<Vec<u64>>(), vec![20, 30]);
+    });
+    assert!(explored > 1, "model must branch, explored {explored}");
+    assert!(
+        LATE_READS.load(Relaxed) > 0,
+        "some schedule must open at the displaced anchor: {explored} explored"
     );
 }

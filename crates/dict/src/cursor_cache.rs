@@ -4,19 +4,30 @@
 //! land near an earlier operation, so remembering recently visited
 //! neighbourhoods converts the per-operation O(n) positioning scan into
 //! O(distance-moved). Here a remembered position is a counted
-//! [`EntryRoot`] slot, re-pointed after every operation via
+//! [`CacheSlot`], re-pointed after every operation via
 //! [`List::cache_entry`].
 //!
-//! The slots belong to no thread. Each save writes the next slot of a
-//! per-thread rotation over the first `k` slots, starting at the
-//! thread's [`thread_index`], so the `k` slots hold the `k` most recent
-//! anchors of all threads, and two threads saving at the same rate
-//! write different slots. Every open probes the `k` slots
-//! ([`List::cursor_at_nearest`]) and starts at the nearest usable
-//! anchor. On uniform keys with `k` recent anchors the expected walk is
-//! about n/(k + 2) cells at two protected reads per cell (the cell and
-//! its auxiliary node), so an operation costs about
-//! 2n/(k + 2) + k protected reads, least at k = √(2n) − 2.
+//! The slots belong to no thread. Each save writes the slot at the
+//! cache's own rotation position, advanced once per written save, so
+//! the `k` slots in use hold the `k` most recent anchors of all threads,
+//! and saves that interleave over several caches (the buckets of a hash
+//! table) still cycle through every slot of each. Every open probes the
+//! `k` slots ([`List::cursor_at_nearest`]) and starts at the nearest
+//! usable anchor.
+//!
+//! The cost model. On uniform keys with `k` recent anchors the expected
+//! walk is about n/(k + 2) cells at two counted reads per cell (the cell
+//! and its auxiliary node). The probe counts nothing: inside a pin of
+//! the arena's epoch domain it plain-loads each slot and compares that
+//! anchor's key, and only the anchor it picks gets a counted reference.
+//! So an operation costs about 2n/(k + 2) + 1 counted reads plus `k`
+//! probe loads. `k` stays at round(√(2n)) − 2, the optimum when a probe
+//! cost one counted read. Probes are cheaper now, but not uniformly so:
+//! a hot 1,024-cell list measured a walked cell at 60 to 120 times a
+//! probed slot (2 and 1 threads), which puts the optimum at the 64-slot
+//! cap, yet with `k` at that optimum the 16-bucket hash fill of 10⁴ keys
+//! ran slower (its 64 anchors per bucket miss in cache), so the formula
+//! was left as it is (CHANGES.md has the numbers).
 //!
 //! So `k` follows the list: on every [`SAMPLE_EVERY`]-th save of a
 //! thread, the cache reads the list's own length estimate
@@ -25,20 +36,15 @@
 //! (lists of at most four cells, such as hash buckets at their usual
 //! load) opens start at the list head and saves write nothing. `k` never
 //! decreases: no slot ever leaves the rotation, so a save that read an
-//! older, smaller `k` still writes a slot every open probes, and a list
-//! that shrinks keeps its larger `k` cheap through the duplicate skip
-//! below.
-//!
-//! A probe costs one protected read per *distinct* anchor: a slot whose
-//! pointer equals one the open already probed is skipped before its
-//! read. When a hot window leaves many slots naming the same few cells,
-//! an open pays for those few, not for `k`.
+//! older, smaller `k` still writes a slot every open probes.
 //!
 //! Invalidation is the subtle part: the anchor cell may be deleted (or
 //! the list arbitrarily reshaped) between operations. The slot's count
-//! keeps the cell readable — cell persistence — and invariant I10
-//! (docs/PROTOCOL.md) guarantees that a cursor reopened from *any* held
-//! node, after [`Cursor::resume`], observes every cell that is
+//! keeps the cell readable — cell persistence — and a count displaced
+//! from a slot waits out the grace period of any probe pinned before
+//! the write (invariant I12), so a probe always reads a cell. Invariant
+//! I10 (docs/PROTOCOL.md) guarantees that a cursor reopened from *any*
+//! held node, after [`Cursor::resume`], observes every cell that is
 //! continuously present; who wrote the slot does not matter.
 //! The one thing counts cannot preserve is key ordering relative to a
 //! *new* search: a deleted anchor with key equal to the search key would
@@ -48,19 +54,22 @@
 //! and falls back to the list head when no slot qualifies.
 //!
 //! A dead anchor leaves its slot in one of two ways: an open picks it
-//! and swings the slot to the live cell the resumed cursor landed on,
-//! or the saving threads' rotations overwrite it. Once `k` has stopped
-//! rising (it rises at most [`SLOTS`] times), any `k` consecutive saves
-//! of one thread write every slot in use. So no slot pins a deleted
-//! anchor, and the `back_link` chain behind it, for the list's lifetime,
-//! whether or not the thread that cached it is still running and
-//! whether or not any search ever finds it usable.
+//! and re-points the slot at the live cell the resumed cursor landed
+//! on, or the rotation overwrites it. Once `k` has stopped rising (it
+//! rises at most [`SLOTS`] times), any `k` written saves write every
+//! slot in use. A save skips only while its slot is busy or its
+//! displaced count is inside its grace period, which ends once the
+//! probes pinned at the displacement have finished. So no slot pins a
+//! deleted anchor, and the `back_link` chain behind it, for the list's
+//! lifetime, whether or not the thread that cached it is still running
+//! and whether or not any search ever finds it usable; a probe stalled
+//! inside its pin holds each slot at two counts until it unpins.
 
 use std::cell::Cell;
 use std::cmp::Ordering;
 
-use valois_core::{Cursor, EntryRoot, List, Reclaimer};
-use valois_sync::sharded::thread_index;
+use valois_core::{CacheSlot, Cursor, EntryRoot, List, Reclaimer};
+use valois_sync::pad::CachePadded;
 use valois_sync::shim::atomic::{AtomicUsize, Ordering as AtomicOrdering};
 
 /// Slot count: the largest `k`, reached at about 2,150 cells.
@@ -73,17 +82,6 @@ pub(crate) const SLOTS: usize = 2;
 
 /// Saves per thread between two reads of the list's length.
 const SAMPLE_EVERY: usize = 64;
-
-/// A thread's place in the shared rotation.
-#[derive(Clone, Copy)]
-struct Rotation {
-    /// The next slot to write, before reduction modulo `k`; advances
-    /// only when a save writes.
-    next: usize,
-    /// Saves so far, written or not; every [`SAMPLE_EVERY`]-th re-derives
-    /// `k`.
-    saves: usize,
-}
 
 /// The cost model's optimum for a list of `n` cells: round(√(2n)) − 2,
 /// clamped to `[0, SLOTS]`.
@@ -100,21 +98,25 @@ pub(crate) fn slots_for(n: u64) -> usize {
 /// before the list is dropped, and may call it mid-flight to shed pinned
 /// memory when a capped arena runs dry.
 pub(crate) struct CursorCache<T: Send + Sync> {
-    slots: Box<[EntryRoot<T>]>,
+    slots: Box<[CacheSlot<T>]>,
     /// Slots in use, `slots[..k]`; only ever raised.
     k: AtomicUsize,
+    /// The rotation: the next position to write, before reduction
+    /// modulo `k`. Advanced once per position some save wrote.
+    next: CachePadded<AtomicUsize>,
 }
 
 impl<T: Send + Sync> CursorCache<T> {
     pub(crate) fn new() -> Self {
         Self {
-            slots: (0..SLOTS).map(|_| EntryRoot::new()).collect(),
+            slots: (0..SLOTS).map(|_| CacheSlot::new()).collect(),
             k: AtomicUsize::new(0),
+            next: CachePadded::new(AtomicUsize::new(0)),
         }
     }
 
     /// The slots in use.
-    fn in_use(&self) -> &[EntryRoot<T>] {
+    fn in_use(&self) -> &[CacheSlot<T>] {
         &self.slots[..self.k.load(AtomicOrdering::Relaxed)]
     }
 
@@ -128,10 +130,11 @@ impl<T: Send + Sync> CursorCache<T> {
     }
 
     /// Opens a cursor at the nearest usable cached position of *any*
-    /// thread: every slot in use is probed once per distinct anchor,
+    /// thread: every slot in use is probed (uncounted, under a pin),
     /// those whose anchor fails `usable` are skipped, and the cursor
-    /// opens at the greatest of the rest under `order`. `None` when no
-    /// slot qualifies (caller falls back to [`List::cursor`]).
+    /// opens at the greatest of the rest under `order`, with one counted
+    /// reference. `None` when no slot qualifies (caller falls back to
+    /// [`List::cursor`]).
     ///
     /// The returned cursor has been [`Cursor::resume`]d: if the anchor
     /// was deleted, it already back-walked to an undeleted predecessor,
@@ -151,65 +154,72 @@ impl<T: Send + Sync> CursorCache<T> {
         list.cursor_at_nearest(slots, usable, order)
     }
 
-    /// Re-points the next slot of this thread's rotation at `cursor`'s
-    /// anchor (no-op when the cursor sits at the list head — nothing
-    /// worth remembering — or when `k` is 0; the rotation then stays
-    /// put). Every [`SAMPLE_EVERY`]-th save of a thread first re-fits
-    /// `k` to the list's length.
+    /// Re-points the slot at the cache's rotation position at `cursor`'s
+    /// anchor, and advances the rotation if this save wrote it. A save
+    /// writes nothing when the cursor sits at the list head (nothing
+    /// worth remembering), when `k` is 0, or when the slot skips it
+    /// (busy, or its displaced count still in its grace period). Every
+    /// [`SAMPLE_EVERY`]-th save of a thread first re-fits `k` to the
+    /// list's length.
     pub(crate) fn save<R: Reclaimer>(&self, list: &List<T, R>, cursor: &Cursor<'_, T, R>) {
         thread_local! {
-            static ROTATION: Cell<Option<Rotation>> = const { Cell::new(None) };
+            static SAVES: Cell<usize> = const { Cell::new(0) };
         }
-        ROTATION.with(|cell| {
-            let mut rot = cell.get().unwrap_or_else(|| Rotation {
-                next: thread_index(),
-                saves: 0,
-            });
-            if rot.saves % SAMPLE_EVERY == 0 {
-                let stats = list.stats();
-                self.fit(
-                    stats
-                        .insert_successes
-                        .saturating_sub(stats.delete_successes),
-                );
-            }
-            rot.saves = rot.saves.wrapping_add(1);
-            if self.write(rot.next, list, cursor) {
-                rot.next = rot.next.wrapping_add(1);
-            }
-            cell.set(Some(rot));
-        });
+        let saves = SAVES.replace(SAVES.get().wrapping_add(1));
+        if saves.is_multiple_of(SAMPLE_EVERY) {
+            let stats = list.stats();
+            self.fit(
+                stats
+                    .insert_successes
+                    .saturating_sub(stats.delete_successes),
+            );
+        }
+        let at = self.next.load(AtomicOrdering::Relaxed);
+        if self.write(at, list, cursor) {
+            // A failure means another save wrote this position and
+            // advanced it already.
+            let _ = self.next.compare_exchange(
+                at,
+                at.wrapping_add(1),
+                AtomicOrdering::Relaxed,
+                AtomicOrdering::Relaxed,
+            );
+        }
     }
 
     /// Writes `cursor`'s anchor to rotation position `at` modulo the
     /// current `k`. The `k` read may already be stale when the slot is
     /// written; the slot is then one below the old `k`, which every
-    /// later open still probes (`k` only rises). Returns whether a slot
-    /// was written.
+    /// later open still probes (`k` only rises). Returns whether the
+    /// slot was written.
     fn write<R: Reclaimer>(&self, at: usize, list: &List<T, R>, cursor: &Cursor<'_, T, R>) -> bool {
         let k = self.k.load(AtomicOrdering::Relaxed);
         k > 0 && list.cache_entry(&self.slots[at % k], cursor)
     }
 
-    /// Releases every slot's count. Subsequent opens fall back to the
-    /// head until positions are re-cached; used on teardown and, by a
-    /// running insert, under allocation pressure. Racing opens and saves
-    /// need no quiescence: each slot is emptied by one atomic swap whose
-    /// old count alone is released, a racing save's swap likewise
-    /// releases only the count it took out, a racing repair's CAS fails
-    /// against null, and a racing probe holds its own `SafeRead` count.
-    /// `k` is left as it is.
+    /// Empties every slot it can. Subsequent opens fall back to the head
+    /// until positions are re-cached; used on teardown and, by a running
+    /// insert, under allocation pressure. Racing opens and saves need no
+    /// quiescence: slot writers are serialized by each slot's gate, a
+    /// busy slot is skipped, and a count a pinned probe may still read
+    /// stays displaced until a later write or retire. At quiescence
+    /// every slot is emptied. `k` is left as it is.
     pub(crate) fn retire_all<R: Reclaimer>(&self, list: &List<T, R>) {
         for slot in self.slots.iter() {
-            list.retire_entry(slot);
+            list.retire_cache(slot);
         }
     }
 
-    /// Every slot, for refcount audits
-    /// ([`List::audit_refcounts_with_entries`]); slots above `k` are
-    /// null.
+    /// Every slot's anchor root; slots at or above `k` are null.
+    #[cfg(test)]
+    pub(crate) fn anchors(&self) -> impl Iterator<Item = &EntryRoot<T>> {
+        self.slots.iter().map(CacheSlot::anchor)
+    }
+
+    /// Every counted root of every slot — anchors and displaced counts —
+    /// for refcount audits ([`List::audit_refcounts_with_entries`]).
     pub(crate) fn roots(&self) -> impl Iterator<Item = &EntryRoot<T>> {
-        self.slots.iter()
+        self.slots.iter().flat_map(CacheSlot::roots)
     }
 }
 
@@ -219,10 +229,10 @@ impl<T: Send + Sync> Default for CursorCache<T> {
     }
 }
 
-/// Model 7 of the loom models (`--cfg loom` only; the other six are in
+/// Model 7 of the loom models (`--cfg loom` only; the others are in
 /// `valois-core`'s `tests/loom_models.rs`): a save indexing with a stale
 /// `k` while another thread raises `k`, racing an open's probe and
-/// repair swing. Run with
+/// repair. Run with
 /// `RUSTFLAGS="--cfg loom" cargo test -p valois-dict --lib cursor_cache::loom`.
 #[cfg(all(test, loom))]
 mod loom {
@@ -241,16 +251,20 @@ mod loom {
     /// 0 when A reads the stale `k` = 1 and slot 1 once `k` = 2. Thread
     /// B raises `k` to 2. Thread C opens the nearest usable slot for a
     /// search for `35`, probing `slots[..k]` for whichever `k` it reads;
-    /// if it picks the dead `10`, it resumes back to `5` and swings slot
-    /// 0 there. On every interleaving A's anchor ends in exactly the slot
-    /// its `k` read chose, C's search reaches `40` (continuously present,
-    /// I10), and the audit over every slot and the private root is exact.
+    /// if it picks the dead `10`, it resumes back to `5` and re-points
+    /// slot 0 there. On every interleaving A's anchor ends in exactly the
+    /// slot its `k` read chose, or A's save skipped because C's repair
+    /// held that slot, C's search reaches `40` (continuously present,
+    /// I10), and the audit over every slot's roots and the private root
+    /// is exact.
     #[test]
     fn stale_k_save_races_a_raise() {
         // Schedules in which A indexed with the stale and the raised `k`,
-        // counted once every model thread has joined.
+        // and in which A's save skipped, counted once every model thread
+        // has joined.
         static STALE: AtomicU64 = AtomicU64::new(0);
         static FRESH: AtomicU64 = AtomicU64::new(0);
+        static SKIPPED: AtomicU64 = AtomicU64::new(0);
         assert_eq!((slots_for(5), slots_for(8)), (1, 2));
         let explored = Builder::new().preemption_bound(1).check(|| {
             let shared: Arc<(List<u64>, CursorCache<u64>, EntryRoot<u64>)> = Arc::new((
@@ -284,7 +298,7 @@ mod loom {
                 thread::spawn(move || {
                     let (list, cache, at_20) = &*shared;
                     let c = list.cursor_at(at_20).expect("published");
-                    assert!(cache.write(1, list, &c));
+                    cache.write(1, list, &c)
                 })
             };
             let raiser = {
@@ -304,19 +318,20 @@ mod loom {
                     assert_eq!(c.get(), Some(&40), "resumed cursor lost cell 40");
                 })
             };
-            saver.join().unwrap();
+            let saved = saver.join().unwrap();
             raiser.join().unwrap();
             prober.join().unwrap();
 
             let (mut list, cache, at_20) = Arc::try_unwrap(shared).ok().expect("all joined");
             assert_eq!(cache.in_use().len(), 2, "the raise is never lost");
             let slots: Vec<Option<u64>> = cache
-                .roots()
+                .anchors()
                 .map(|slot| list.with_entry(slot, |&k| k))
                 .collect();
-            match slots.as_slice() {
-                [Some(20), None] => STALE.fetch_add(1, Relaxed),
-                [Some(5 | 10), Some(20)] => FRESH.fetch_add(1, Relaxed),
+            match (saved, slots.as_slice()) {
+                (true, [Some(20), None]) => STALE.fetch_add(1, Relaxed),
+                (true, [Some(5 | 10), Some(20)]) => FRESH.fetch_add(1, Relaxed),
+                (false, [Some(5), None]) => SKIPPED.fetch_add(1, Relaxed),
                 other => panic!("A's anchor must sit in the slot its k chose: {other:?}"),
             };
             if let Err(e) = list.check_structure(0) {
@@ -325,6 +340,7 @@ mod loom {
             list.audit_refcounts_with_entries(cache.roots().chain([&at_20]))
                 .expect("exact counts — saves and the repair move only the slot's own count");
             cache.retire_all(&list);
+            assert_eq!(cache.roots().filter(|r| r.is_published()).count(), 0);
             list.retire_entry(&at_20);
             list.audit_refcounts().expect("exact counts after retire");
             assert_eq!(list.iter().collect::<Vec<u64>>(), vec![5, 20, 30, 40]);

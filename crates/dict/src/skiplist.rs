@@ -44,7 +44,7 @@ const _: () = assert!(
 );
 
 /// A skip-list node: a tower cell (key/value + one list membership per
-/// level), a per-level auxiliary node (uses `next[0]` only), or a shared
+/// level), a per-level auxiliary node (uses its own level's `next` only), or a shared
 /// dummy.
 type Tower<K, V> = Node<(K, V), MAX_LEVELS>;
 

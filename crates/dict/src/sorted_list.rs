@@ -116,8 +116,8 @@ where
         self.list.cursor()
     }
 
-    /// Remembers `cursor`'s neighbourhood in the next cache slot of this
-    /// thread's rotation, for the next operations of any thread.
+    /// Remembers `cursor`'s neighbourhood in the cache slot at the
+    /// cache's rotation position, for the next operations of any thread.
     fn save_position(&self, cursor: &Cursor<'_, Entry<K, V>, R>) {
         if self.cached {
             self.cache.save(&self.list, cursor);
@@ -530,7 +530,7 @@ mod tests {
     fn slot_keys(d: &SortedListDict<u64, u64>) -> Vec<u64> {
         let mut keys: Vec<u64> = d
             .cache
-            .roots()
+            .anchors()
             .filter_map(|root| d.list.with_entry(root, |e| e.key))
             .collect();
         keys.sort_unstable();
@@ -667,24 +667,100 @@ mod tests {
     }
 
     #[test]
-    fn opens_read_each_distinct_anchor_once() {
-        // After `k` finds of one key every slot in use names the same
-        // anchor; an open then takes one SafeRead for all of them and two
-        // to open the cursor there (the anchor's auxiliary node and the
-        // next cell), not one per slot.
+    fn opens_take_one_counted_read_whatever_the_slots_hold() {
+        // The probe reads slot anchors without counting, so an open takes
+        // one counted reference, on the anchor it picks, plus the two
+        // SafeReads that position the cursor there (the anchor's
+        // auxiliary node and the next cell): three counts, released when
+        // the cursor drops, whether the `k` slots name one anchor or `k`
+        // distinct ones.
         let d: SortedListDict<u64, u64> = SortedListDict::new();
         let k = fill_64_and_fit(&d);
+        let open_counts = |d: &SortedListDict<u64, u64>| {
+            let before = d.mem_stats();
+            drop(d.cursor_for(&60));
+            let delta = d.mem_stats().since(&before);
+            (delta.safe_reads, delta.releases)
+        };
         for _ in 0..k {
             assert_eq!(d.find(&1), Some(1));
         }
         assert_eq!(slot_keys(&d), vec![0; k]);
-        let before = d.mem_stats().safe_reads;
-        drop(d.cursor_for(&2));
-        let reads = d.mem_stats().safe_reads - before;
+        assert_eq!(open_counts(&d), (2, 3), "{k} copies of one anchor");
+        for i in 0..k as u64 {
+            assert_eq!(d.find(&(2 * i + 1)), Some(2 * i + 1));
+        }
+        let distinct: Vec<u64> = (0..k as u64).map(|i| 2 * i).collect();
+        assert_eq!(slot_keys(&d), distinct);
+        assert_eq!(open_counts(&d), (2, 3), "{k} distinct anchors");
+    }
+
+    #[test]
+    fn each_cache_keeps_its_own_rotation() {
+        // A thread that interleaves saves over several dictionaries must
+        // still write every slot of each: the rotation belongs to the
+        // cache, not to the thread. (One rotation per thread advanced
+        // once per dictionary per round, so with three dictionaries and
+        // k = 9 each cache only ever saw every third position.)
+        let dicts: [SortedListDict<u64, u64>; 3] = std::array::from_fn(|_| SortedListDict::new());
+        let k = dicts.iter().map(fill_64_and_fit).max().unwrap();
+        for round in 0..100u64 {
+            for d in &dicts {
+                let key = round % 50 + 1;
+                assert_eq!(d.find(&key), Some(key));
+            }
+        }
+        // The last `k` rounds found 42..=50, each saving its cell's
+        // predecessor, so every slot holds one of 41..=49.
+        for d in &dicts {
+            assert_eq!(slot_keys(d), (50 - k as u64..50).collect::<Vec<u64>>());
+        }
+    }
+
+    #[test]
+    fn a_stalled_probe_pin_bounds_slot_counts_until_it_unpins() {
+        // A probe pinned across churn (a stalled prober) keeps every count
+        // displaced from a slot after its pin: a slot then holds its
+        // anchor and one displaced count, and later saves to it skip, so
+        // the slots' counts stop growing after the first round. Once the
+        // pin ends, the next write to each slot releases its displaced
+        // count and the garbage those counts held drains.
+        let mut d: SortedListDict<u64, u64> = SortedListDict::new();
+        let k = fill_64_and_fit(&d);
+        let baseline = d.mem_stats().live_nodes();
+        let held =
+            |d: &SortedListDict<u64, u64>| d.cache.roots().filter(|r| r.is_published()).count();
+        let pin = d.list.arena().epoch_domain().pin_guard();
+        let mut per_round = Vec::new();
+        for _ in 0..8 {
+            for key in 0..64 {
+                assert!(d.remove(&key));
+                assert!(d.insert(key, key));
+            }
+            per_round.push(held(&d));
+        }
         assert_eq!(
-            reads, 3,
-            "an open over {k} copies of one anchor took {reads} SafeReads"
+            per_round,
+            vec![2 * k; 8],
+            "every slot holds its anchor and one displaced count, and no more"
         );
+        assert!(
+            d.mem_stats().live_nodes() > baseline,
+            "the counts pin dead cells"
+        );
+        drop(pin);
+        d.audit_refcounts().unwrap();
+        for key in 1..=k as u64 {
+            assert_eq!(d.find(&key), Some(key));
+        }
+        assert_eq!(
+            held(&d),
+            k,
+            "the first write to each slot after the unpin drained it"
+        );
+        d.check_invariants().unwrap();
+        d.audit_refcounts().unwrap();
+        assert_eq!(d.mem_stats().live_nodes(), baseline);
     }
 
     #[test]

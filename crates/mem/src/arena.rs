@@ -143,8 +143,9 @@ pub struct Arena<N: Managed, R: Reclaimer = RefCount> {
     counters: StatCounters,
     total_nodes: valois_sync::shim::atomic::AtomicUsize,
     max_nodes: Option<usize>,
-    /// Epoch state for the [`crate::reclaim::Epoch`] backend (inert under
-    /// [`RefCount`]: never pinned, limbo never populated).
+    /// Epoch state for the [`crate::reclaim::Epoch`] backend. Under
+    /// [`RefCount`] limbo is never populated, and only the cursor
+    /// cache's probes pin it ([`Arena::epoch_domain`]).
     epoch: EpochDomain<N>,
     _backend: std::marker::PhantomData<R>,
 }
@@ -981,6 +982,15 @@ impl<N: Managed, R: Reclaimer> Arena<N, R> {
         if !R::COUNTED_READS {
             self.epoch.pin();
         }
+    }
+
+    /// The arena's epoch domain, for protocols that pin it under either
+    /// backend: the cursor cache's uncounted probe pins it with
+    /// [`EpochDomain::pin_guard`] under `RefCount` too, and grace-checks
+    /// the slot counts it displaces
+    /// ([`EpochDomain::displace_stamp`], [`EpochDomain::grace_elapsed`]).
+    pub fn epoch_domain(&self) -> &EpochDomain<N> {
+        &self.epoch
     }
 
     /// Releases a pin taken by [`Arena::pin_enter`].

@@ -1,8 +1,11 @@
 //! Epoch-based grace periods for the [`Epoch`](crate::reclaim::Epoch)
 //! reclamation backend.
 //!
-//! One [`EpochDomain`] lives inside every [`Arena`](crate::Arena) (inert
-//! under the refcount backend). It provides three things:
+//! One [`EpochDomain`] lives inside every [`Arena`](crate::Arena). Under
+//! the refcount backend only one user pins it: the cursor cache's
+//! uncounted probe, whose displaced slot counts wait out a grace period
+//! ([`EpochDomain::displace_stamp`], [`EpochDomain::grace_elapsed`]);
+//! limbo stays empty. It provides three things:
 //!
 //! 1. **Pins.** A thread calls [`EpochDomain::pin`] once per *operation*
 //!    (cursor lifetime), publishing `(epoch, count)` in a per-thread slot,
@@ -102,22 +105,30 @@ fn pack(epoch: usize, count: usize) -> usize {
     (epoch << COUNT_BITS) | count
 }
 
+/// One pin slot and the pin counter of the threads that hash to it,
+/// sharing the cache line the pin writes anyway.
+#[derive(Default)]
+struct PinSlot {
+    /// `(epoch << COUNT_BITS) | count`, count 0 = unpinned.
+    word: AtomicUsize,
+    /// Outermost pins taken through this slot (counter shard).
+    pins: AtomicU64,
+}
+
 /// Per-arena epoch state: the global epoch, the pin slots, and the limbo
 /// stack of retired nodes awaiting their grace period.
 pub struct EpochDomain<N: Managed> {
     /// The global epoch. Starts at 2 so `retire_epoch + 2 <= global` can
     /// never be satisfied by an uninitialized zero stamp.
     global: CachePadded<AtomicUsize>,
-    /// Pin slots: `(epoch << COUNT_BITS) | count`, count 0 = unpinned.
-    slots: Box<[CachePadded<AtomicUsize>]>,
+    /// Pin slots; each also shards the outermost-pin counter.
+    slots: Box<[CachePadded<PinSlot>]>,
     /// Treiber stack of retired nodes, chained through
     /// `NodeHeader::limbo_next` (a dedicated word — `free_link` aliases
     /// `next`, which must stay intact for pinned readers).
     limbo_head: CachePadded<AtomicUsize>,
     /// Nodes currently in limbo (gauge; exact under quiescence).
     limbo_len: AtomicUsize,
-    /// Outermost pins taken (counter).
-    pins: AtomicU64,
     /// Successful global-epoch advances (counter).
     advances: AtomicU64,
     /// Nodes retired into limbo (counter).
@@ -132,11 +143,10 @@ impl<N: Managed> Default for EpochDomain<N> {
         Self {
             global: CachePadded::new(AtomicUsize::new(2)),
             slots: (0..PIN_SLOTS)
-                .map(|_| CachePadded::new(AtomicUsize::new(0)))
+                .map(|_| CachePadded::new(PinSlot::default()))
                 .collect(),
             limbo_head: CachePadded::new(AtomicUsize::new(0)),
             limbo_len: AtomicUsize::new(0),
-            pins: AtomicU64::new(0),
             advances: AtomicU64::new(0),
             retires: AtomicU64::new(0),
             frees: AtomicU64::new(0),
@@ -148,7 +158,7 @@ impl<N: Managed> Default for EpochDomain<N> {
 impl<N: Managed> EpochDomain<N> {
     /// The current thread's slot.
     #[inline]
-    fn slot(&self) -> &AtomicUsize {
+    fn slot(&self) -> &PinSlot {
         &self.slots[valois_sync::sharded::thread_index() & (PIN_SLOTS - 1)]
     }
 
@@ -168,7 +178,7 @@ impl<N: Managed> EpochDomain<N> {
     /// Must be balanced by exactly one [`EpochDomain::unpin`]. Pointers
     /// read under a pin must not be used after the matching unpin.
     pub fn pin(&self) -> usize {
-        let slot = self.slot();
+        let PinSlot { word: slot, pins } = self.slot();
         // WAIT-FREE: a failed CAS means another pin/unpin on this shared
         // slot made progress; retries are bounded by slot sharers.
         loop {
@@ -188,7 +198,7 @@ impl<N: Managed> EpochDomain<N> {
                     .compare_exchange(s, pack(e, 1), Ordering::SeqCst, Ordering::SeqCst)
                     .is_ok()
                 {
-                    self.pins.fetch_add(1, Ordering::Relaxed);
+                    pins.fetch_add(1, Ordering::Relaxed);
                     valois_trace::probe!(EpochPin, e, slot_count(s) + 1);
                     return e;
                 }
@@ -209,7 +219,7 @@ impl<N: Managed> EpochDomain<N> {
 
     /// Releases one pin taken by [`EpochDomain::pin`].
     pub fn unpin(&self) {
-        let slot = self.slot();
+        let slot = &self.slot().word;
         // WAIT-FREE: a failed CAS means another pin/unpin on this shared
         // slot made progress; retries are bounded by slot sharers.
         loop {
@@ -233,7 +243,16 @@ impl<N: Managed> EpochDomain<N> {
     /// may be shared, so this is necessary-not-sufficient — good enough
     /// for the debug assertions on the plain-read path).
     pub fn current_thread_pinned(&self) -> bool {
-        slot_count(self.slot().load(Ordering::Acquire)) > 0
+        slot_count(self.slot().word.load(Ordering::Acquire)) > 0
+    }
+
+    /// Pins the current thread for the guard's lifetime
+    /// ([`EpochDomain::pin`] and [`EpochDomain::unpin`]). Usable under
+    /// either backend: the cursor cache's uncounted probe pins this way
+    /// under `RefCount`, where the arena's own `pin` is a no-op.
+    pub fn pin_guard(&self) -> DomainPin<'_, N> {
+        self.pin();
+        DomainPin { domain: self }
     }
 
     /// Tries to advance the global epoch by one. Succeeds only when every
@@ -252,7 +271,7 @@ impl<N: Managed> EpochDomain<N> {
             // ORDER: SeqCst — the scan side of the pin/scan total order
             // (I12); an Acquire load could legally miss a pin whose CAS
             // the fence above already ordered before us.
-            let s = slot.load(Ordering::SeqCst);
+            let s = slot.word.load(Ordering::SeqCst);
             if slot_count(s) != 0 && slot_epoch(s) != g {
                 return None;
             }
@@ -276,6 +295,13 @@ impl<N: Managed> EpochDomain<N> {
     /// The reclamation horizon: `min(global_epoch, every pinned epoch)`.
     /// A limbo node is freeable iff `retire_epoch + 2 <= horizon()` (I12).
     pub fn horizon(&self) -> usize {
+        let (global, oldest) = self.scan();
+        oldest.map_or(global, |e| e.min(global))
+    }
+
+    /// The global epoch and the oldest pinned slot's stamp (`None` when
+    /// no slot is pinned), read after a `SeqCst` fence.
+    fn scan(&self) -> (usize, Option<usize>) {
         // INVARIANT: I12
         // ORDER: SeqCst fence — globally orders the slot loads below
         // against pin-publication CASes, exactly as in `try_advance`: a
@@ -283,16 +309,50 @@ impl<N: Managed> EpochDomain<N> {
         // stamp is >= the global epoch read here and cannot undercut the
         // returned horizon.
         fence(Ordering::SeqCst);
-        let mut h = self.global_epoch();
+        let global = self.global_epoch();
+        let mut oldest: Option<usize> = None;
         for slot in self.slots.iter() {
             // ORDER: SeqCst — scan side of the pin/scan total order
             // (I12); see `try_advance`.
-            let s = slot.load(Ordering::SeqCst);
+            let s = slot.word.load(Ordering::SeqCst);
             if slot_count(s) != 0 {
-                h = h.min(slot_epoch(s));
+                let e = slot_epoch(s);
+                oldest = Some(oldest.map_or(e, |o| o.min(e)));
             }
         }
-        h
+        (global, oldest)
+    }
+
+    /// Stamps a count just displaced from a location that pinned readers
+    /// load without counting (a cursor-cache slot under `RefCount`): the
+    /// global epoch, read after a `SeqCst` fence that orders the
+    /// displacing write before it. Pass the stamp to
+    /// [`EpochDomain::grace_elapsed`] before releasing the count.
+    pub fn displace_stamp(&self) -> usize {
+        // INVARIANT: I12
+        // ORDER: SeqCst fence — a reader whose pin reads an epoch of at
+        // least stamp + 2 pinned after this fence in the SeqCst order,
+        // so its SeqCst load of the location sees the displacing write.
+        fence(Ordering::SeqCst);
+        self.global_epoch()
+    }
+
+    /// Whether a count stamped `stamp` by [`EpochDomain::displace_stamp`]
+    /// may be released: no slot is pinned now, or `stamp + 2 <= horizon`
+    /// (I12). When pinned slots hold it back, it tries one advance, so
+    /// later checks can pass once the pins catch up.
+    pub fn grace_elapsed(&self, stamp: usize) -> bool {
+        let (global, oldest) = self.scan();
+        let Some(oldest) = oldest else {
+            // Every pin that could have read the old value has unpinned,
+            // and the scan acquired each unpin.
+            return true;
+        };
+        if stamp + 2 <= oldest.min(global) {
+            return true;
+        }
+        self.try_advance();
+        false
     }
 
     /// Retires a claimed node into limbo, stamped with the current global
@@ -393,7 +453,7 @@ impl<N: Managed> EpochDomain<N> {
             // ORDER: SeqCst — same scan discipline as `horizon` (I12);
             // the gauge must never under-report a pin the collector
             // would have to respect.
-            let s = slot.load(Ordering::SeqCst);
+            let s = slot.word.load(Ordering::SeqCst);
             if slot_count(s) != 0 {
                 oldest = oldest.min(slot_epoch(s));
             }
@@ -403,12 +463,34 @@ impl<N: Managed> EpochDomain<N> {
 
     /// Writes the `epoch_*` counters and gauges into `s`.
     pub(crate) fn record(&self, s: &mut MemStats) {
-        s.epoch_pins = self.pins.load(Ordering::Relaxed);
+        s.epoch_pins = self
+            .slots
+            .iter()
+            .map(|slot| slot.pins.load(Ordering::Relaxed))
+            .sum();
         s.epoch_advances = self.advances.load(Ordering::Relaxed);
         s.epoch_retires = self.retires.load(Ordering::Relaxed);
         s.epoch_frees = self.frees.load(Ordering::Relaxed);
         s.epoch_limbo_depth = self.limbo_depth() as u64;
         s.epoch_pin_lag = self.pin_lag() as u64;
+    }
+}
+
+/// RAII pin on an [`EpochDomain`] (see [`EpochDomain::pin_guard`]).
+#[must_use = "dropping the guard immediately unpins"]
+pub struct DomainPin<'a, N: Managed> {
+    domain: &'a EpochDomain<N>,
+}
+
+impl<N: Managed> Drop for DomainPin<'_, N> {
+    fn drop(&mut self) {
+        self.domain.unpin();
+    }
+}
+
+impl<N: Managed> fmt::Debug for DomainPin<'_, N> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("DomainPin").finish_non_exhaustive()
     }
 }
 

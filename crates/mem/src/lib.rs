@@ -118,7 +118,7 @@ pub mod stats;
 
 pub use arena::{AllocError, Arena, ArenaConfig, EpochGuard};
 pub use defer::DeferredReleases;
-pub use epoch::EpochDomain;
+pub use epoch::{DomainPin, EpochDomain};
 pub use managed::{Link, Managed, NodeHeader, ReclaimedLinks, MAX_LINKS};
 pub use reclaim::{Epoch, Reclaimer, RefCount};
 pub use segtable::SegmentTable;

@@ -50,12 +50,15 @@ valois_sync::counter_table! {
         swing_failures,
         /// Arena segment growth events.
         grows,
-        /// Epoch backend: outermost pins taken (one per protected operation).
-        /// Zero under the refcount backend (likewise for every field below).
+        /// Outermost epoch pins taken: one per protected operation under
+        /// the epoch backend; under the refcount backend, one per
+        /// cursor-cache probe.
         epoch_pins,
-        /// Epoch backend: successful global-epoch advances.
+        /// Successful global-epoch advances (under the refcount backend,
+        /// the cursor cache's grace checks advance).
         epoch_advances,
         /// Epoch backend: nodes retired into limbo (link in-degree hit zero).
+        /// Zero under the refcount backend, as is `epoch_frees`.
         epoch_retires,
         /// Epoch backend: limbo nodes whose grace period elapsed and were
         /// recycled.
@@ -63,7 +66,7 @@ valois_sync::counter_table! {
     }
     gauges {
         /// Epoch backend **gauge** (point-in-time, not cumulative): nodes
-        /// currently in limbo. A large value alongside `AllocError` means
+        /// currently in limbo (always 0 under the refcount backend). A large value alongside `AllocError` means
         /// reclamation is blocked — check `epoch_pin_lag`.
         epoch_limbo_depth,
         /// Epoch backend **gauge**: how many epochs the oldest pinned thread

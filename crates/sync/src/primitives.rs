@@ -67,6 +67,17 @@ impl<T> CasPtr<T> {
         self.ptr.load(Ordering::Acquire)
     }
 
+    /// Atomic read with sequentially consistent ordering, for a read that
+    /// must join a store-buffer pairing with a writer's `SeqCst` fence
+    /// (the cursor cache's uncounted probe, docs/PROTOCOL.md I12).
+    pub fn read_seqcst(&self) -> *mut T {
+        // ORDER: SeqCst — the reader pins (a SeqCst RMW) and then reads
+        // here; a writer swaps the word, fences SeqCst and scans the
+        // pins. SeqCst on both loads rules out each side missing the
+        // other's write.
+        self.ptr.load(Ordering::SeqCst)
+    }
+
     /// Atomic write with release ordering.
     pub fn write(&self, value: *mut T) {
         // ORDER: Release — publishing a node pointer must publish the
