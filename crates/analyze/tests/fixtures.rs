@@ -500,11 +500,11 @@ fn probe_accepts_the_macro_form() {
 
 #[test]
 fn probe_accepts_other_valois_trace_items() {
-    // snapshot/dump/arm_panic_dump are cold-path API, not probes.
+    // dump/arm_panic_dump are cold-path API, not probes.
     let src = "fn summary() {\n\
-               \x20   let m = valois_trace::snapshot();\n\
+               \x20   let path = valois_trace::dump(\"..\");\n\
                \x20   valois_trace::arm_panic_dump();\n\
-               \x20   let _ = m;\n\
+               \x20   let _ = path;\n\
                }\n";
     assert_eq!(count(LIB, src, "probe-discipline"), 0);
 }

@@ -94,17 +94,8 @@ fn run_cell<R: Reclaimer + 'static>(
             "every simulated request must be answered"
         );
         let lat = report.latency.expect("nonempty run has latency samples");
-        let commits: u64 = server
-            .shards()
-            .iter()
-            .map(|s| {
-                s.stats
-                    .commits
-                    .load(valois_sync::shim::atomic::Ordering::Relaxed)
-            })
-            .sum();
         runs.push([report.ops_per_sec, us(lat.p50), us(lat.p99), us(lat.p999)]);
-        counts = (lat.samples, report.overloaded, commits);
+        counts = (lat.samples, report.overloaded, server.stats().commits);
         for mut dict in server.shutdown() {
             dict.check_invariants()
                 .unwrap_or_else(|e| panic!("shard dictionary corrupt after bench run: {e}"));

@@ -12,6 +12,9 @@
 //! `--features trace` the panic must leave a *.vtrace file behind; see
 //! docs/OBSERVABILITY.md).
 //!
+//! After each soak the structure's always-on counter tables (`ListStats`,
+//! `MemStats`, the service's `ShardStats`) are printed, one line each.
+//!
 //! Intended for long unattended runs (`cargo run --release -p valois-bench
 //! --bin stress -- --secs 300`); the CI-sized default is 5 seconds per
 //! structure.
@@ -89,6 +92,14 @@ fn parse_args() -> Args {
         std::process::exit(2);
     }
     args
+}
+
+/// Prints a soaked structure's counter-table snapshots, one per line
+/// (their derived `Debug` names every field).
+fn print_counters(tables: &[&dyn std::fmt::Debug]) {
+    for table in tables {
+        println!("{:>12}  {table:?}", "");
+    }
 }
 
 /// Generic dictionary soak: conservation accounting (callers run their
@@ -192,6 +203,7 @@ fn soak_list(secs: u64, threads: usize) {
         ops.load(Ordering::Relaxed),
         list.len()
     );
+    print_counters(&[&list.stats(), &list.mem_stats()]);
 }
 
 fn soak_queue(secs: u64, threads: usize) {
@@ -232,6 +244,7 @@ fn soak_queue(secs: u64, threads: usize) {
         deq.load(Ordering::Relaxed),
         net
     );
+    print_counters(&[&q.mem_stats()]);
 }
 
 fn soak_stack_pqueue(secs: u64, threads: usize) {
@@ -341,7 +354,9 @@ fn soak_service(secs: u64, threads: usize) {
         issued += report.issued;
         overloaded += report.overloaded;
     }
-    assert_eq!(server.completed(), issued, "service lost requests");
+    let stats = server.stats();
+    assert_eq!(stats.completed, issued, "service lost requests");
+    let mem = server.mem_stats();
     let len = server.len() as u64;
     let dicts = server.shutdown();
     assert_eq!(dicts.len(), shards, "shutdown must return every shard");
@@ -359,6 +374,7 @@ fn soak_service(secs: u64, threads: usize) {
          {overloaded} overloaded, {total} resident, invariants OK",
         "service"
     );
+    print_counters(&[&stats, &mem]);
 }
 
 fn main() {
@@ -385,6 +401,7 @@ fn main() {
             .unwrap_or_else(|e| panic!("sorted list invariant violated: {e}"));
         d.audit_refcounts()
             .unwrap_or_else(|e| panic!("sorted list refcount drift: {e}"));
+        print_counters(&[&d.list_stats(), &d.mem_stats()]);
     }
     if want("hash") {
         let mut d: HashDict<u64, u64> = HashDict::with_buckets(64);
@@ -393,6 +410,7 @@ fn main() {
             .unwrap_or_else(|e| panic!("hash invariant violated: {e}"));
         d.audit_refcounts()
             .unwrap_or_else(|e| panic!("hash refcount drift: {e}"));
+        print_counters(&[&d.list_stats(), &d.mem_stats()]);
     }
     if want("resizable") {
         // Start at 2 buckets so the churn (≈ 256 live keys at
@@ -416,6 +434,7 @@ fn main() {
             d.bucket_count(),
             d.doublings()
         );
+        print_counters(&[&d.list_stats(), &d.mem_stats()]);
     }
     if want("skip") {
         let mut d: SkipListDict<u64, u64> = SkipListDict::new();
@@ -424,6 +443,7 @@ fn main() {
             .unwrap_or_else(|e| panic!("skip list invariant violated: {e}"));
         d.audit_refcounts()
             .unwrap_or_else(|e| panic!("skip list refcount drift: {e}"));
+        print_counters(&[&d.list_stats(), &d.mem_stats()]);
     }
     if want("bst") {
         let mut d: BstDict<u64, u64> = BstDict::new();
@@ -432,6 +452,7 @@ fn main() {
             .unwrap_or_else(|e| panic!("bst invariant violated: {e}"));
         d.audit_refcounts()
             .unwrap_or_else(|e| panic!("bst refcount drift: {e}"));
+        print_counters(&[&d.mem_stats()]);
     }
     if want("queue") {
         soak_queue(args.secs, args.threads);
@@ -441,14 +462,6 @@ fn main() {
     }
     if want("service") {
         soak_service(args.secs, args.threads);
-    }
-    // Flight-recorder summary (non-empty only with `--features trace`):
-    // protocol-level counters and histograms aggregated across all soak
-    // threads — CAS failure rate, SafeRead/Release traffic per hop,
-    // backoff and batch-size distributions.
-    let metrics = valois_trace::snapshot();
-    if !metrics.is_empty() {
-        println!("--- flight recorder ---\n{metrics}");
     }
     assert!(
         !args.inject_failure,

@@ -56,6 +56,6 @@ pub mod telemetry;
 
 pub use request::{Op, Outcome, Request, Response};
 pub use server::{route, BlockingClient, Server, ServiceConfig};
-pub use shard::{Shard, ShardStats};
+pub use shard::{Shard, ShardCounters, ShardStats};
 pub use sim::{run_service, ServiceMix, SimConfig, SimReport};
 pub use telemetry::{StatsFeed, Tick};

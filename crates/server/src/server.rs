@@ -14,7 +14,7 @@ use valois_mem::{AllocError, MemStats, Reclaimer};
 use valois_sync::shim::atomic::{AtomicU64, Ordering};
 
 use crate::request::{Op, Outcome, Request, Response};
-use crate::shard::{total_mem_stats, worker_loop, Shard, ShardStats, WorkerConfig};
+use crate::shard::{total_mem_stats, total_stats, worker_loop, Shard, ShardStats, WorkerConfig};
 
 /// Routes a key to a shard. Stable for the life of the process — that
 /// stability is the per-key FIFO contract: one key always flows through
@@ -73,7 +73,7 @@ impl<R: Reclaimer> std::fmt::Debug for Server<R> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Server")
             .field("shards", &self.shards.len())
-            .field("completed", &self.completed())
+            .field("stats", &self.stats())
             .finish_non_exhaustive()
     }
 }
@@ -99,7 +99,7 @@ impl<R: Reclaimer> Server<R> {
                     RandomState::new(),
                     config.arena,
                 ),
-                stats: ShardStats::default(),
+                stats: Default::default(),
                 latency: LatencyHistogram::new(),
             });
             let (tx, rx): (Sender<Request>, Receiver<Request>) = channel();
@@ -149,20 +149,10 @@ impl<R: Reclaimer> Server<R> {
         self.next_conn.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// Total requests served across shards.
-    pub fn completed(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.stats.completed.load(Ordering::Relaxed))
-            .sum()
-    }
-
-    /// Total `Put`s refused with [`Outcome::Overloaded`].
-    pub fn overloaded(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.stats.overloaded.load(Ordering::Relaxed))
-            .sum()
+    /// Request counters summed across shards (`completed` = requests
+    /// served).
+    pub fn stats(&self) -> ShardStats {
+        total_stats(&self.shards)
     }
 
     /// All shards' latency histograms merged into one.

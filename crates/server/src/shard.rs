@@ -17,24 +17,29 @@ use valois_core::{AllocError, HINT_ROUND};
 use valois_dict::{Dictionary, ResizableHashDict};
 use valois_harness::LatencyHistogram;
 use valois_mem::{MemStats, Reclaimer};
-use valois_sync::shim::atomic::{AtomicU64, Ordering};
 
 use crate::request::{Op, Outcome, Request, Response};
 use crate::server::route;
 
-/// Live counters for one shard. All relaxed: these are monitoring
-/// counters read by the telemetry sampler, not synchronization.
-#[derive(Debug, Default)]
-pub struct ShardStats {
-    /// Requests served (reply sent).
-    pub completed: AtomicU64,
-    /// Drain batches processed.
-    pub batches: AtomicU64,
-    /// Simulated group commits performed (see
-    /// [`ServiceConfig::commit_group`](crate::ServiceConfig)).
-    pub commits: AtomicU64,
-    /// `Put`s refused with [`Outcome::Overloaded`].
-    pub overloaded: AtomicU64,
+valois_sync::counter_table! {
+    /// Snapshot of a shard's request counters, or of their sum over
+    /// shards ([`Server::stats`](crate::Server::stats)).
+    pub struct ShardStats;
+    /// Sharded live counters behind [`ShardStats`], bumped by the
+    /// shard's worker. Monitoring counters, not synchronization.
+    pub struct ShardCounters;
+    counters {
+        /// Requests served: bumped before the reply is sent, so a client
+        /// holding every reply reads them all counted.
+        completed,
+        /// Drain batches processed.
+        batches,
+        /// Simulated group commits performed (see
+        /// [`ServiceConfig::commit_group`](crate::ServiceConfig)).
+        commits,
+        /// `Put`s refused with [`Outcome::Overloaded`].
+        overloaded,
+    }
 }
 
 /// One shard: the dictionary it owns plus its live stats.
@@ -47,7 +52,7 @@ pub struct Shard<R: Reclaimer> {
     /// The shard's store.
     pub dict: ResizableHashDict<u64, u64, std::hash::RandomState, R>,
     /// Live counters.
-    pub stats: ShardStats,
+    pub stats: ShardCounters,
     /// Issue-to-served latency (includes channel queueing delay).
     pub latency: LatencyHistogram,
 }
@@ -56,7 +61,7 @@ impl<R: Reclaimer> std::fmt::Debug for Shard<R> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Shard")
             .field("id", &self.id)
-            .field("completed", &self.stats.completed)
+            .field("stats", &self.stats)
             .finish_non_exhaustive()
     }
 }
@@ -72,7 +77,7 @@ impl<R: Reclaimer> Shard<R> {
                 // windows closed) and retried; a service answers rather
                 // than panics.
                 Err(AllocError) => {
-                    self.stats.overloaded.fetch_add(1, Ordering::Relaxed);
+                    self.stats.bump(|s| &s.overloaded);
                     Outcome::Overloaded
                 }
             },
@@ -103,6 +108,14 @@ impl<R: Reclaimer> Shard<R> {
     pub fn mem_stats(&self) -> MemStats {
         self.dict.mem_stats()
     }
+}
+
+/// Request counters summed across `shards`.
+pub(crate) fn total_stats<R: Reclaimer>(shards: &[Arc<Shard<R>>]) -> ShardStats {
+    shards.iter().fold(ShardStats::default(), |mut total, s| {
+        total += s.stats.snapshot();
+        total
+    })
 }
 
 /// Memory-protocol counters summed across `shards`. Counters and the
@@ -144,8 +157,8 @@ pub(crate) fn worker_loop<R: Reclaimer>(
     // shard-count scaling honestly measurable even on one core.
     let mut uncommitted_puts: u32 = 0;
     // WAIT-FREE: not a CAS retry loop — one iteration per drained batch,
-    // bounded by channel disconnection; the RMWs inside are single
-    // fetch_add stat counters, which cannot fail and be retried.
+    // bounded by channel disconnection; the RMWs inside are counter-table
+    // bumps, which cannot fail and be retried.
     loop {
         batch.clear();
         match rx.recv() {
@@ -159,14 +172,14 @@ pub(crate) fn worker_loop<R: Reclaimer>(
             }
         }
         valois_trace::probe!(ServiceBatch, batch.len() as u64, shard.id as u64);
-        shard.stats.batches.fetch_add(1, Ordering::Relaxed);
+        shard.stats.bump(|s| &s.batches);
         for req in batch.drain(..) {
             let outcome = shard.serve(&req.op);
             if matches!(req.op, Op::Put(..)) {
                 uncommitted_puts += 1;
             }
             shard.latency.record(req.issued.elapsed());
-            shard.stats.completed.fetch_add(1, Ordering::Relaxed);
+            shard.stats.bump(|s| &s.completed);
             // A client that hung up mid-request is not an error.
             let _ = req.reply.send(Response {
                 conn: req.conn,
@@ -176,11 +189,11 @@ pub(crate) fn worker_loop<R: Reclaimer>(
         }
         if cfg.commit_group > 0 {
             // WAIT-FREE: bounded arithmetic countdown, not a CAS retry —
-            // each pass subtracts a full commit group; the fetch_add is a
-            // stat counter.
+            // each pass subtracts a full commit group; the bump is a
+            // counter-table add.
             while uncommitted_puts >= cfg.commit_group {
                 std::thread::sleep(cfg.commit_stall);
-                shard.stats.commits.fetch_add(1, Ordering::Relaxed);
+                shard.stats.bump(|s| &s.commits);
                 uncommitted_puts -= cfg.commit_group;
             }
         }

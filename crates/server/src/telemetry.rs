@@ -1,18 +1,20 @@
 //! The live stats feed: a sampler thread turning the service's always-on
 //! counters into per-interval [`Tick`]s.
 //!
-//! Three layers feed one tick, none of them added for monitoring's sake:
+//! Two layers feed one tick, none of them added for monitoring's sake:
 //!
-//! 1. **Shard counters** — completed/batches/commits, plus the latency
-//!    histogram (racy snapshot reads, as all live monitoring is).
+//! 1. **Shard counters** — the [`ShardStats`] counter table
+//!    (completed/batches/commits/overloaded), plus the latency histogram
+//!    (racy snapshot reads, as all live monitoring is).
 //! 2. **Structure + protocol counters** — [`ListStats`]/[`MemStats`]
 //!    from the shard dictionaries. These advance *mid-operation* because
 //!    cursors flush their batched tallies periodically, not only on
 //!    drop; without that flush a long-lived cursor froze the feed (the
 //!    stale-live-stats bug, pinned by the `live_*` bodies of
 //!    `tests/list_conformance.rs`).
-//! 3. **Flight recorder** — [`valois_trace::snapshot`] deltas when the
-//!    `trace` feature armed the recorder; all-zero otherwise.
+//!
+//! A tick's `shard`, `list` and `mem` are `counter_table!` snapshots'
+//! `since` deltas, so the feed and `stress` read one set of names.
 //!
 //! See `docs/OBSERVABILITY.md` for the workflow.
 
@@ -25,21 +27,20 @@ use valois_harness::LatencySummary;
 use valois_mem::{MemStats, Reclaimer};
 use valois_sync::shim::atomic::{AtomicBool, Ordering};
 
-use crate::shard::{total_mem_stats, Shard};
+use crate::shard::{total_mem_stats, total_stats, Shard, ShardStats};
 
 /// One interval's worth of service statistics.
 #[derive(Debug, Clone, Copy)]
 pub struct Tick {
     /// Tick index (0-based).
     pub index: u64,
-    /// Requests served, cumulative.
-    pub completed: u64,
-    /// Requests served during this interval.
-    pub delta_completed: u64,
     /// Serving rate over this interval.
     pub ops_per_sec: f64,
     /// Cumulative latency quantiles (`None` before the first sample).
     pub latency: Option<LatencySummary>,
+    /// Request counters during this interval, summed over shards
+    /// (`completed` = requests served).
+    pub shard: ShardStats,
     /// List-operation counters during this interval, summed over shards
     /// (`next_steps` = traversal steps, `insert_successes`/
     /// `delete_successes` = completed inserts/deletes).
@@ -48,9 +49,6 @@ pub struct Tick {
     /// The gauges are current values, not deltas (`epoch_limbo_depth` =
     /// nodes parked in limbo service-wide).
     pub mem: MemStats,
-    /// Flight-recorder events during this interval (0 when the recorder
-    /// is off).
-    pub trace_events: u64,
 }
 
 impl std::fmt::Display for Tick {
@@ -58,7 +56,7 @@ impl std::fmt::Display for Tick {
         write!(
             f,
             "t={:>4}  {:>9.0} ops/s  served {:>8}",
-            self.index, self.ops_per_sec, self.delta_completed,
+            self.index, self.ops_per_sec, self.shard.completed,
         )?;
         if let Some(l) = self.latency {
             write!(
@@ -76,6 +74,15 @@ impl std::fmt::Display for Tick {
             self.mem.epoch_limbo_depth
         )
     }
+}
+
+/// The shards' three counter tables, each summed over shards.
+fn totals<R: Reclaimer>(shards: &[Arc<Shard<R>>]) -> (ShardStats, ListStats, MemStats) {
+    let list = shards.iter().fold(ListStats::default(), |mut list, s| {
+        list += s.dict.list_stats();
+        list
+    });
+    (total_stats(shards), list, total_mem_stats(shards))
 }
 
 /// A running sampler: reads every shard's counters at a fixed interval
@@ -102,6 +109,10 @@ impl StatsFeed {
         print: bool,
     ) -> Self {
         let shards: Vec<Arc<Shard<R>>> = shards.to_vec();
+        // The baseline is read here, not on the sampler thread: the
+        // ticks' deltas then cover everything served after `start`
+        // returns, however late the sampler is first scheduled.
+        let (mut prev_shard, mut prev_list, mut prev_mem) = totals(&shards);
         let ticks = Arc::new(Mutex::new(Vec::new()));
         let stop = Arc::new(AtomicBool::new(false));
         let ticks_in = Arc::clone(&ticks);
@@ -111,26 +122,12 @@ impl StatsFeed {
             .spawn(move || {
                 let stop = stop_in;
                 let mut index = 0u64;
-                let mut prev_completed = 0u64;
-                let totals = || {
-                    let list = shards.iter().fold(ListStats::default(), |mut list, s| {
-                        list += s.dict.list_stats();
-                        list
-                    });
-                    (list, total_mem_stats(&shards))
-                };
-                let (mut prev_list, mut prev_mem) = totals();
-                let mut prev_trace = valois_trace::snapshot();
                 // ORDER: Acquire pairs with the Release store in
                 // `StatsFeed::stop`/`Drop` — the plain stop-flag
                 // handshake before the join.
                 while !stop.load(Ordering::Acquire) {
                     std::thread::sleep(interval);
-                    let completed: u64 = shards
-                        .iter()
-                        .map(|s| s.stats.completed.load(Ordering::Relaxed))
-                        .sum();
-                    let (list, mem) = totals();
+                    let (shard, list, mem) = totals(&shards);
                     let latency = {
                         let merged = valois_harness::LatencyHistogram::new();
                         for s in &shards {
@@ -138,32 +135,23 @@ impl StatsFeed {
                         }
                         merged.summary()
                     };
-                    let trace = valois_trace::snapshot();
-                    let trace_events: u64 = trace
-                        .counts
-                        .iter()
-                        .zip(prev_trace.counts.iter())
-                        .map(|(now, then)| now.saturating_sub(*then))
-                        .sum();
+                    let served = shard.since(&prev_shard);
                     let tick = Tick {
                         index,
-                        completed,
-                        delta_completed: completed.saturating_sub(prev_completed),
-                        ops_per_sec: completed.saturating_sub(prev_completed) as f64
+                        ops_per_sec: served.completed as f64
                             / interval.as_secs_f64().max(f64::EPSILON),
                         latency,
+                        shard: served,
                         list: list.since(&prev_list),
                         mem: mem.since(&prev_mem),
-                        trace_events,
                     };
                     if print {
                         println!("{tick}");
                     }
                     ticks_in.lock().expect("feed mutex").push(tick);
-                    prev_completed = completed;
+                    prev_shard = shard;
                     prev_list = list;
                     prev_mem = mem;
-                    prev_trace = trace;
                     index += 1;
                 }
             })

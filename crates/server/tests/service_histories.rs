@@ -11,7 +11,7 @@ use valois_harness::{check_linearizable, History, KeyDist, Op as HOp};
 use valois_mem::{AllocError, Epoch, Reclaimer, RefCount};
 use valois_server::{
     route, run_service, Op, Outcome, Request, Response, Server, ServiceConfig, ServiceMix,
-    SimConfig, StatsFeed,
+    ShardStats, SimConfig, StatsFeed,
 };
 use valois_sync::rng::SmallRng;
 
@@ -154,48 +154,64 @@ fn seeded_same_key_histories_linearizable<R: Reclaimer + 'static>() {
 }
 
 /// The live stats feed must advance *while traffic is in flight* — ticks
-/// sampled mid-run show growing completion counts and latency samples.
+/// sampled mid-run show completions, traversal and latency samples — and
+/// its per-interval shard deltas add up to the run: every request served,
+/// batches drained and, with a group commit configured, commits taken.
 fn live_feed_advances_under_traffic<R: Reclaimer + 'static>() {
-    let server: Server<R> = Server::start(&small_config(2));
-    let feed = StatsFeed::start(server.shards(), Duration::from_millis(5), false);
-    let report = run_service(
-        &server,
-        &SimConfig {
-            client_threads: 2,
-            connections: 256,
-            requests_per_conn: 40,
-            window: 32,
-            mix: ServiceMix::scan_heavy(),
-            keys: KeyDist::Zipf { range: 4096 },
-            scan_len: 8,
-            seed: 0xFEED,
-        },
-    );
-    assert_eq!(report.issued, 256 * 40);
-    // Give the sampler one more interval, then stop it.
-    std::thread::sleep(Duration::from_millis(15));
-    let ticks = feed.stop();
-    assert!(
-        ticks.len() >= 2,
-        "sampler should have ticked during the run: {} ticks",
-        ticks.len()
-    );
-    let last = ticks.last().expect("nonempty");
-    assert_eq!(
-        last.completed, report.issued,
-        "feed must converge on the served total"
-    );
-    assert!(
-        ticks
-            .iter()
-            .any(|t| t.delta_completed > 0 && t.list.next_steps > 0),
-        "some tick must observe live progress (completions + traversal)"
-    );
-    assert!(
-        last.latency.is_some(),
-        "latency summary present once requests were served"
-    );
-    server.shutdown();
+    for commit_group in [0, 16] {
+        let server: Server<R> = Server::start(&ServiceConfig {
+            commit_group,
+            ..small_config(2)
+        });
+        let feed = StatsFeed::start(server.shards(), Duration::from_millis(5), false);
+        let report = run_service(
+            &server,
+            &SimConfig {
+                client_threads: 2,
+                connections: 256,
+                requests_per_conn: 40,
+                window: 32,
+                mix: ServiceMix::scan_heavy(),
+                keys: KeyDist::Zipf { range: 4096 },
+                scan_len: 8,
+                seed: 0xFEED,
+            },
+        );
+        assert_eq!(report.issued, 256 * 40);
+        // Give the sampler one more interval, then stop it.
+        std::thread::sleep(Duration::from_millis(15));
+        let ticks = feed.stop();
+        assert!(
+            ticks.len() >= 2,
+            "sampler should have ticked during the run: {} ticks",
+            ticks.len()
+        );
+        let mut total = ShardStats::default();
+        for t in &ticks {
+            total += t.shard;
+        }
+        assert_eq!(
+            total.completed, report.issued,
+            "feed must converge on the served total"
+        );
+        assert!(total.batches > 0, "the feed must see drained batches");
+        assert_eq!(
+            total.commits > 0,
+            commit_group > 0,
+            "commits counted iff a group commit is configured: {total:?}"
+        );
+        assert!(
+            ticks
+                .iter()
+                .any(|t| t.shard.completed > 0 && t.list.next_steps > 0),
+            "some tick must observe live progress (completions + traversal)"
+        );
+        assert!(
+            ticks.last().expect("nonempty").latency.is_some(),
+            "latency summary present once requests were served"
+        );
+        server.shutdown();
+    }
 }
 
 /// Shutdown drains every channel, joins every worker, and the returned
@@ -214,7 +230,7 @@ fn shutdown_returns_consistent_dicts<R: Reclaimer + 'static>() {
         },
     );
     assert_eq!(report.issued, 128 * 30);
-    assert_eq!(server.completed(), report.issued);
+    assert_eq!(server.stats().completed, report.issued);
     let len_before = server.len();
     let dicts = server.shutdown();
     assert_eq!(dicts.len(), 3);
@@ -295,7 +311,7 @@ fn server_mem_stats_folds_the_shards<R: Reclaimer + 'static>() {
             seed: 0xB0B,
         },
     );
-    assert_eq!(server.completed(), report.issued);
+    assert_eq!(server.stats().completed, report.issued);
     let total = server.mem_stats();
     let shards: Vec<_> = server.shards().iter().map(|s| s.mem_stats()).collect();
     assert_eq!(shards.len(), 2);

@@ -31,9 +31,11 @@
 //!   sequence number and writes a binary `.vtrace` file;
 //!   `cargo xtask trace-dump <file>` renders it. See
 //!   `docs/OBSERVABILITY.md` for the workflow.
-//! * **Metrics façade.** Per-lane event counters and log₂ histograms are
-//!   summed into a [`Metrics`] snapshot (CAS failure rate, releases per
-//!   hop, backoff spin distribution) printed by the `stress` binary.
+//!
+//! The recorder keeps events, not counts: every count the workspace
+//! reports lives in a layer's `counter_table!` (`ListStats`, `MemStats`,
+//! the server's `ShardStats`), and the renderer tallies a dump's events
+//! per kind from the events themselves.
 //!
 //! Lanes are recycled: a thread exiting returns its ring to a free pool,
 //! so thread-churny workloads (spawn-per-round hammers) stay bounded at
@@ -49,7 +51,6 @@
 #![warn(missing_debug_implementations)]
 
 use std::cell::RefCell;
-use std::fmt;
 use std::io::{Read as _, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -65,14 +66,7 @@ pub const ENABLED: bool = cfg!(feature = "recorder");
 /// several complete operations per thread.
 pub const RING_CAP: usize = 4096;
 
-/// Log₂ histogram buckets: bucket *i* counts values in `[2^(i-1), 2^i)`
-/// (bucket 0 counts zeros), saturating at the top.
-pub const HIST_BUCKETS: usize = 16;
-
-/// Number of histogram families (see [`Hist`]).
-pub const NHISTS: usize = 6;
-
-/// Number of event kinds (one counter per kind).
+/// Number of event kinds.
 pub const NKINDS: usize = 28;
 
 /// Every protocol event the stack records. The three `u64` payload words
@@ -87,7 +81,7 @@ pub enum EventKind {
     CasSuccess = 1,
     /// CAS failed: `(cell, expected, found)`.
     CasFailure = 2,
-    /// A backoff wait completed: `(spins, 0, 0)` (histogrammed).
+    /// A backoff wait completed: `(spins, 0, 0)`.
     BackoffDone = 3,
     /// Fig. 15 SafeRead took a count: `(node, prev_count, 0)`.
     SafeRead = 4,
@@ -126,20 +120,20 @@ pub enum EventKind {
     /// An invariant check failed: free-form marker `(code, 0, 0)`.
     Invariant = 21,
     /// A cursor back-walked `back_link`s to resume a retry:
-    /// `(hops, landed, 0)` (hops histogrammed — the resume distance).
+    /// `(hops, landed, 0)` (hops is the resume distance).
     CursorResume = 22,
     /// Epoch backend: a thread took an outermost pin: `(epoch, depth, 0)`.
     EpochPin = 23,
     /// Epoch backend: the global epoch advanced: `(new_epoch, 0, 0)`.
     EpochAdvance = 24,
     /// Epoch backend: a limbo collection freed nodes:
-    /// `(freed, kept, 0)` (freed histogrammed — the drain batch).
+    /// `(freed, kept, 0)`.
     EpochDrain = 25,
     /// A memory-pressure shed ran (magazines flushed + limbo drained):
     /// `(reclaimed, 0, 0)`.
     MemShed = 26,
     /// A service shard drained one request batch:
-    /// `(requests, shard, 0)` (requests histogrammed — the batch size).
+    /// `(requests, shard, 0)`.
     ServiceBatch = 27,
 }
 
@@ -242,55 +236,6 @@ impl EventKind {
             EventKind::ServiceBatch => ["requests", "shard", ""],
         }
     }
-
-    /// The histogram family this kind feeds, if any (the first payload
-    /// word is the histogrammed value).
-    fn hist(self) -> Option<Hist> {
-        match self {
-            EventKind::BackoffDone => Some(Hist::BackoffSpins),
-            EventKind::MagFlush => Some(Hist::MagazineBatch),
-            EventKind::DeferFlush => Some(Hist::DeferBatch),
-            EventKind::CursorResume => Some(Hist::ResumeHops),
-            EventKind::EpochDrain => Some(Hist::EpochDrainBatch),
-            EventKind::ServiceBatch => Some(Hist::ServiceBatch),
-            _ => None,
-        }
-    }
-}
-
-/// Histogram families exported by the metrics façade.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Hist {
-    /// Spins burned per completed backoff wait.
-    BackoffSpins = 0,
-    /// Nodes per magazine flush.
-    MagazineBatch = 1,
-    /// Releases per deferred-release drain.
-    DeferBatch = 2,
-    /// Back-link hops per cursor resume (the resume distance).
-    ResumeHops = 3,
-    /// Limbo nodes freed per epoch drain.
-    EpochDrainBatch = 4,
-    /// Requests per service-shard drain batch.
-    ServiceBatch = 5,
-}
-
-impl Hist {
-    /// Short stable name.
-    pub fn name(self) -> &'static str {
-        match self {
-            Hist::BackoffSpins => "backoff_spins",
-            Hist::MagazineBatch => "magazine_batch",
-            Hist::DeferBatch => "defer_batch",
-            Hist::ResumeHops => "resume_hops",
-            Hist::EpochDrainBatch => "epoch_drain_batch",
-            Hist::ServiceBatch => "service_batch",
-        }
-    }
-}
-
-fn bucket_of(v: u64) -> usize {
-    ((64 - v.leading_zeros()) as usize).min(HIST_BUCKETS - 1)
 }
 
 /// One ring slot: payload words are written first (`Relaxed`), then `meta`
@@ -311,14 +256,12 @@ struct Slot {
 #[derive(Default)]
 struct PaddedCursor(AtomicU64);
 
-/// One thread's lane: cursor, event slots, and metric counters.
+/// One thread's lane: cursor and event slots.
 struct Ring {
     /// Stable id for rendering (recycled lanes keep theirs).
     lane: u64,
     cursor: PaddedCursor,
     slots: Box<[Slot]>,
-    counters: [AtomicU64; NKINDS],
-    hists: [[AtomicU64; HIST_BUCKETS]; NHISTS],
 }
 
 impl Ring {
@@ -327,17 +270,11 @@ impl Ring {
             lane,
             cursor: PaddedCursor::default(),
             slots: (0..RING_CAP).map(|_| Slot::default()).collect(),
-            counters: std::array::from_fn(|_| AtomicU64::new(0)),
-            hists: std::array::from_fn(|_| std::array::from_fn(|_| AtomicU64::new(0))),
         }
     }
 
     #[inline]
     fn push(&self, seq: u64, kind: EventKind, a: u64, b: u64, c: u64) {
-        self.counters[kind as usize].fetch_add(1, Ordering::Relaxed);
-        if let Some(h) = kind.hist() {
-            self.hists[h as usize][bucket_of(a)].fetch_add(1, Ordering::Relaxed);
-        }
         // ORDER: Relaxed Fetch&Add — the cursor is single-writer (one lane
         // per live thread); atomicity is only for concurrent dump readers.
         let idx = self.cursor.0.fetch_add(1, Ordering::Relaxed) as usize & (RING_CAP - 1);
@@ -454,113 +391,6 @@ macro_rules! probe {
 }
 
 // ---------------------------------------------------------------------------
-// Metrics façade
-// ---------------------------------------------------------------------------
-
-/// A point-in-time sum of every lane's counters and histograms.
-#[derive(Clone, Debug, Default)]
-pub struct Metrics {
-    /// Events recorded per [`EventKind`], indexed by the kind's byte.
-    pub counts: [u64; NKINDS],
-    /// Log₂ histograms per [`Hist`] family.
-    pub hists: [[u64; HIST_BUCKETS]; NHISTS],
-}
-
-impl Metrics {
-    /// Events of one kind.
-    pub fn count(&self, kind: EventKind) -> u64 {
-        self.counts[kind as usize]
-    }
-
-    /// Fraction of decided CAS operations that failed (`None` if no CAS
-    /// outcome was recorded).
-    pub fn cas_failure_rate(&self) -> Option<f64> {
-        let ok = self.count(EventKind::CasSuccess);
-        let fail = self.count(EventKind::CasFailure);
-        let total = ok + fail;
-        (total > 0).then(|| fail as f64 / total as f64)
-    }
-
-    /// `Release` operations per cursor hop (`None` before any hop) — the
-    /// per-hop refcount traffic the batching layers exist to amortize.
-    pub fn releases_per_hop(&self) -> Option<f64> {
-        let hops = self.count(EventKind::CursorHop);
-        (hops > 0).then(|| self.count(EventKind::Release) as f64 / hops as f64)
-    }
-
-    /// Total samples in a histogram family.
-    pub fn hist_samples(&self, h: Hist) -> u64 {
-        self.hists[h as usize].iter().sum()
-    }
-
-    /// `true` iff nothing was recorded (e.g. the recorder is off).
-    pub fn is_empty(&self) -> bool {
-        self.counts.iter().all(|&c| c == 0)
-    }
-}
-
-impl fmt::Display for Metrics {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "trace metrics:")?;
-        for i in 0..NKINDS {
-            let kind = EventKind::from_u8(i as u8).expect("kind index in range");
-            if self.counts[i] > 0 {
-                writeln!(f, "  {:<18} {:>12}", kind.name(), self.counts[i])?;
-            }
-        }
-        if let Some(r) = self.cas_failure_rate() {
-            writeln!(f, "  cas_failure_rate   {:>12.4}", r)?;
-        }
-        if let Some(r) = self.releases_per_hop() {
-            writeln!(f, "  releases_per_hop   {:>12.2}", r)?;
-        }
-        for h in [
-            Hist::BackoffSpins,
-            Hist::MagazineBatch,
-            Hist::DeferBatch,
-            Hist::ResumeHops,
-            Hist::EpochDrainBatch,
-            Hist::ServiceBatch,
-        ] {
-            let row = &self.hists[h as usize];
-            if row.iter().any(|&c| c > 0) {
-                write!(f, "  {:<18} [", h.name())?;
-                for (i, &c) in row.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, " ")?;
-                    }
-                    write!(f, "{c}")?;
-                }
-                writeln!(f, "]  (log2 buckets)")?;
-            }
-        }
-        Ok(())
-    }
-}
-
-/// Sums every lane's counters into a [`Metrics`] snapshot. Cheap (reads
-/// `O(lanes)` counters, touches no event slots); all-zero when the
-/// recorder is off.
-pub fn snapshot() -> Metrics {
-    let mut m = Metrics::default();
-    if !ENABLED {
-        return m;
-    }
-    let reg = registry().lock().unwrap();
-    for ring in &reg.rings {
-        for (i, ctr) in ring.counters.iter().enumerate() {
-            m.counts[i] += ctr.load(Ordering::Relaxed);
-        }
-        for (hi, hist) in ring.hists.iter().enumerate() {
-            for (bi, b) in hist.iter().enumerate() {
-                m.hists[hi][bi] += b.load(Ordering::Relaxed);
-            }
-        }
-    }
-    m
-}
-
-// ---------------------------------------------------------------------------
 // Post-mortem dump
 // ---------------------------------------------------------------------------
 
@@ -584,11 +414,11 @@ pub struct TraceFile {
     pub reason: String,
     /// Events merged across lanes, ascending `seq`.
     pub events: Vec<Event>,
-    /// Counter totals at dump time.
-    pub counts: Vec<u64>,
 }
 
-const MAGIC: &[u8; 8] = b"VTRACE01";
+/// Current dump format: the reason string, then the merged events.
+/// `VTRACE01` files also carried a per-kind counter table.
+const MAGIC: &[u8; 8] = b"VTRACE02";
 
 fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
@@ -603,8 +433,14 @@ impl TraceFile {
             bytes: &bytes,
             off: 0,
         };
-        if cur.take(8)? != MAGIC {
-            return Err(Reader::bad("not a VTRACE01 file"));
+        match cur.take(8)? {
+            m if m == MAGIC => {}
+            b"VTRACE01" => {
+                return Err(Reader::bad(
+                    "VTRACE01 dump from an older recorder; this renderer reads VTRACE02",
+                ))
+            }
+            _ => return Err(Reader::bad("not a VTRACE02 file")),
         }
         let reason_len = cur.u64()? as usize;
         let reason = String::from_utf8_lossy(cur.take(reason_len)?).into_owned();
@@ -622,16 +458,7 @@ impl TraceFile {
                 args,
             });
         }
-        let ncounts = cur.u64()? as usize;
-        let mut counts = Vec::with_capacity(ncounts.min(1 << 10));
-        for _ in 0..ncounts {
-            counts.push(cur.u64()?);
-        }
-        Ok(TraceFile {
-            reason,
-            events,
-            counts,
-        })
+        Ok(TraceFile { reason, events })
     }
 }
 
@@ -667,7 +494,7 @@ impl<'a> Reader<'a> {
 }
 
 /// Merges every lane's surviving events (time-ordered by the global
-/// stamp) and writes them, with the counter totals and `reason`, to a
+/// stamp) and writes them, with `reason`, to a
 /// `.vtrace` file. The file lands in `$VALOIS_TRACE_DIR` (default: the
 /// current directory). Returns the path, or `None` when the recorder is
 /// off or the write failed (a dump must never turn a failing test into a
@@ -676,7 +503,6 @@ pub fn dump(reason: &str) -> Option<PathBuf> {
     if !ENABLED {
         return None;
     }
-    let metrics = snapshot();
     let mut events: Vec<Event> = Vec::new();
     {
         let reg = registry().lock().ok()?;
@@ -715,10 +541,6 @@ pub fn dump(reason: &str) -> Option<PathBuf> {
         for &a in &e.args {
             put_u64(&mut out, a);
         }
-    }
-    put_u64(&mut out, NKINDS as u64);
-    for &c in &metrics.counts {
-        put_u64(&mut out, c);
     }
 
     let dir = std::env::var_os("VALOIS_TRACE_DIR")
@@ -761,27 +583,54 @@ pub fn arm_panic_dump() {
 mod tests {
     use super::*;
 
+    /// Events recorded by the calling thread's lane, newest last.
+    fn own_lane_events() -> Vec<(u64, u64)> {
+        LANE.with(|slot| match &*slot.borrow() {
+            Some(handle) => {
+                let mut events: Vec<(u64, u64)> = handle
+                    .ring
+                    .slots
+                    .iter()
+                    .map(|s| s.meta.load(Ordering::Acquire))
+                    .filter(|&meta| meta != 0)
+                    .map(|meta| (meta >> 8, meta & 0xff))
+                    .collect();
+                events.sort_unstable();
+                events
+            }
+            None => Vec::new(),
+        })
+    }
+
     #[test]
     fn probe_compiles_and_respects_gate() {
         probe!(CasAttempt, 1, 2, 3);
         probe!(SafeRead, 7);
         probe!(Invariant);
-        let m = snapshot();
+        let kinds: Vec<u64> = own_lane_events().iter().map(|&(_, k)| k).collect();
         if ENABLED {
-            assert!(m.count(EventKind::CasAttempt) >= 1);
+            assert!(kinds.ends_with(&[
+                EventKind::CasAttempt as u64,
+                EventKind::SafeRead as u64,
+                EventKind::Invariant as u64,
+            ]));
         } else {
-            assert!(m.is_empty());
+            assert!(kinds.is_empty(), "the recorder is off: no lane");
         }
     }
 
     #[test]
-    fn bucket_boundaries() {
-        assert_eq!(bucket_of(0), 0);
-        assert_eq!(bucket_of(1), 1);
-        assert_eq!(bucket_of(2), 2);
-        assert_eq!(bucket_of(3), 2);
-        assert_eq!(bucket_of(4), 3);
-        assert_eq!(bucket_of(u64::MAX), HIST_BUCKETS - 1);
+    fn read_rejects_a_vtrace01_file() {
+        let path = std::env::temp_dir().join(format!("valois-v1-{}.vtrace", std::process::id()));
+        let mut v1 = b"VTRACE01".to_vec();
+        put_u64(&mut v1, 0);
+        put_u64(&mut v1, 0);
+        put_u64(&mut v1, 0);
+        std::fs::write(&path, v1).expect("write");
+        let err = TraceFile::read(&path).expect_err("a VTRACE01 file must not parse");
+        std::fs::remove_file(path).ok();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("VTRACE01"), "{err}");
     }
 
     #[cfg(feature = "recorder")]
@@ -793,11 +642,12 @@ mod tests {
         let dir = std::env::temp_dir();
         std::env::set_var("VALOIS_TRACE_DIR", &dir);
         let path = dump("roundtrip test").expect("dump written");
+        let bytes = std::fs::read(&path).expect("dump readable");
+        assert_eq!(&bytes[..8], b"VTRACE02");
         let parsed = TraceFile::read(&path).expect("parses");
         assert_eq!(parsed.reason, "roundtrip test");
         assert!(parsed.events.len() >= 100);
         assert!(parsed.events.windows(2).all(|w| w[0].seq <= w[1].seq));
-        assert_eq!(parsed.counts.len(), NKINDS);
         std::fs::remove_file(path).ok();
     }
 }

@@ -26,7 +26,7 @@
 //! `cargo xtask trace-dump <file.vtrace>` renders a flight-recorder
 //! post-mortem (written by `valois_trace::dump` when an invariant fails
 //! under `--features trace`) as a human-readable, time-ordered event log
-//! plus the counter summary — see `docs/OBSERVABILITY.md`.
+//! plus per-kind event counts — see `docs/OBSERVABILITY.md`.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -108,12 +108,13 @@ fn trace_dump(path: &Path) -> ExitCode {
         println!();
     }
     println!();
-    println!("# counters");
-    for (kind, &count) in tf.counts.iter().enumerate() {
-        if count == 0 {
-            continue;
-        }
-        let name = valois_trace::EventKind::from_u8(kind as u8)
+    println!("# counters (events in this dump, per kind)");
+    let mut counts = std::collections::BTreeMap::new();
+    for ev in &tf.events {
+        *counts.entry(ev.kind).or_insert(0u64) += 1;
+    }
+    for (kind, count) in counts {
+        let name = valois_trace::EventKind::from_u8(kind)
             .map(valois_trace::EventKind::name)
             .unwrap_or("?unknown");
         println!("{name:<20} {count}");
