@@ -3,29 +3,33 @@
 //!
 //! The §5 SafeRead/Release protocol hangs its safety argument on
 //! conventions no type checker sees: every counted reference is released
-//! or transferred exactly once, every `unsafe` dereference is justified by
-//! the counting invariant, every CAS retry loop makes a progress argument,
-//! and every atomic flows through the loom-instrumentable shim. This crate
-//! machine-checks those conventions at the token/syntax level — not line
-//! by line — so multi-line declarations, renames, grouped imports, and
-//! comments inside expressions are all seen for what they are.
+//! or transferred exactly once, every dereference stays inside its
+//! protection window, every CAS retry loop makes a progress argument, and
+//! every pointer ordering is justified. This crate machine-checks those
+//! conventions at the token/syntax level — not line by line — so
+//! multi-line declarations and comments inside expressions are all seen
+//! for what they are.
 //!
 //! Passes (rule ids):
 //!
 //! | Rule | Checks | Escape hatch |
 //! |---|---|---|
-//! | `shim-import` | atomics only via `valois_sync::shim` | shim dir itself |
 //! | `relaxed-ptr-order` | no unjustified relaxed pointer orderings | `// ORDER:` |
-//! | `unsafe-comment` | every unsafe site carries a justification | `// SAFETY:` / `# Safety` |
 //! | `cas-progress` | CAS retry loops back off | `// WAIT-FREE:` |
 //! | `spin-guard` | no spinlock guard across protocol calls | (baselines by path) |
-//! | `probe-discipline` | probes via `valois_trace::probe!`, never bare `record` calls | trace crate itself |
 //! | `refcount-balance` | per-path dataflow proof of acquire/release balance | `// COUNT:` (checked) |
 //! | `order-pairing` | Release writes pair with Acquire reads per location | `// ORDER:` |
 //! | `seqcst-fence` | SeqCst ops documented; fences cite an invariant | `// ORDER:` + `// INVARIANT:` |
 //! | `invariant-ref` | `// INVARIANT: I<n>` resolves in docs/PROTOCOL.md | (none) |
 //! | `protection-window` | per-path proof that derefs stay inside the §5 window (I11) | `// GUARD:` (checked) |
 //! | `guard-contract` | unsafe fns deref-ing raw-ptr params declare `// GUARD:` | (none) |
+//!
+//! Three rules that stock clippy expresses are configured in the root
+//! `clippy.toml`: `// SAFETY:` comments on unsafe blocks and impls
+//! (`undocumented_unsafe_blocks`), `# Safety` sections on every unsafe fn
+//! (`missing_safety_doc`), and atomics only through `valois_sync::shim`,
+//! probes only through `valois_trace::probe!` (`disallowed_types` and
+//! `disallowed_methods` under `--cfg loom`).
 //!
 //! All four ordering rules (`relaxed-ptr-order`, `order-pairing`,
 //! `seqcst-fence`, `invariant-ref`) are owned by
@@ -156,13 +160,10 @@ pub fn protocol_invariants(text: &str) -> BTreeSet<u32> {
 /// Analyzes one file's source text with every pass, applying path-based
 /// exemptions keyed on `label` (use workspace-relative paths):
 ///
-/// * `crates/sync/src/shim/**` — exempt from `shim-import` (it *is* the
-///   shim);
-/// * `crates/trace/**` — exempt from `shim-import` (the flight recorder
-///   sits *below* `valois-sync` in the dependency DAG, so it cannot
-///   import the shim; its rings are deliberately un-modeled — recording
-///   must never perturb the schedule being modeled) and from
-///   `probe-discipline` (it defines `record` and the `probe!` macro);
+/// * `crates/sync/src/shim/**`, `crates/trace/**` — exempt from
+///   `seqcst-fence`, `invariant-ref` and the workspace `order-pairing`
+///   graph (the shim's wrappers forward caller orderings verbatim, and
+///   the trace crate's rings are deliberately un-modeled);
 /// * `crates/baseline/**` — exempt from `cas-progress` and `spin-guard`
 ///   (coarse locking around whole operations is the baseline's design);
 /// * `crates/bench/**`, `crates/harness/**` — exempt from `cas-progress`
@@ -192,14 +193,13 @@ pub fn analyze_source_with(label: &str, content: &str, ctx: &Context) -> Vec<Fin
     analyze_file(&file, &ast, &ctx, &mut BTreeMap::new()).0
 }
 
-/// Path-keyed exemptions for one file. The shim directory is additionally
-/// exempt from the ordering-graph rules: its wrappers forward caller
-/// orderings verbatim, so its `Ordering` mentions are parameters, not
-/// protocol decisions. Same for the trace crate's internal rings, which
-/// are deliberately un-modeled (recording must not perturb the schedule).
+/// Path-keyed exemptions for one file. The shim directory is exempt
+/// from the ordering-graph rules: its wrappers forward caller orderings
+/// verbatim, so its `Ordering` mentions are parameters, not protocol
+/// decisions. Same for the trace crate's internal rings, which are
+/// deliberately un-modeled (recording must not perturb the schedule).
 struct Exemptions {
-    is_shim: bool,
-    is_trace: bool,
+    order_graph_exempt: bool,
     progress_exempt: bool,
 }
 
@@ -207,15 +207,12 @@ impl Exemptions {
     fn for_label(label: &str) -> Exemptions {
         let norm = label.replace('\\', "/");
         Exemptions {
-            is_shim: norm.contains("crates/sync/src/shim"),
-            is_trace: norm.contains("crates/trace/"),
+            order_graph_exempt: norm.contains("crates/sync/src/shim")
+                || norm.contains("crates/trace/"),
             progress_exempt: ["crates/baseline/", "crates/bench/", "crates/harness/"]
                 .iter()
                 .any(|p| norm.contains(p)),
         }
-    }
-    fn order_graph_exempt(&self) -> bool {
-        self.is_shim || self.is_trace
     }
 }
 
@@ -250,20 +247,9 @@ fn analyze_file(
     }
     let ex = Exemptions::for_label(&file.label);
     let mut out = Vec::new();
-    if !ex.is_shim && !ex.is_trace {
-        out.extend(timed(timings, "shim-import", || passes::shim::run(file)));
-    }
-    out.extend(timed(timings, "unsafe-comment", || {
-        passes::unsafe_audit::run(file)
-    }));
     if !ex.progress_exempt {
         out.extend(timed(timings, "cas-progress/spin-guard", || {
             passes::progress::run(file)
-        }));
-    }
-    if !ex.is_trace {
-        out.extend(timed(timings, "probe-discipline", || {
-            passes::probes::run(file)
         }));
     }
     let fns = timed(timings, "cfg", || lower_fns(file, ast));
@@ -281,7 +267,7 @@ fn analyze_file(
     let t0 = Instant::now();
     let mut sites = passes::order_graph::collect(file);
     out.extend(passes::order_graph::relaxed_findings(&sites));
-    if ex.order_graph_exempt() {
+    if ex.order_graph_exempt {
         sites = Vec::new();
     } else {
         out.extend(passes::order_graph::seqcst_findings(&sites));

@@ -4,13 +4,9 @@
 //! driver in [`crate::analyze_source`], so the passes themselves stay
 //! testable on bare snippets.
 
-pub mod probes;
-pub mod progress;
-pub mod shim;
-pub mod unsafe_audit;
-
 pub mod balance;
 pub mod order_graph;
+pub mod progress;
 pub mod protection;
 
 use crate::flow::FlowFinding;

@@ -50,7 +50,7 @@ pub struct Related {
 /// One lint finding.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
-    /// Stable rule identifier (e.g. `unsafe-comment`).
+    /// Stable rule identifier (e.g. `refcount-balance`).
     pub rule: &'static str,
     /// Severity class.
     pub severity: Severity,
@@ -89,22 +89,10 @@ pub struct RuleInfo {
 /// The rule registry: every pass's rules, in reporting order.
 pub const RULES: &[RuleInfo] = &[
     RuleInfo {
-        id: "shim-import",
-        summary: "atomics must be imported through valois_sync::shim so --cfg loom \
-                  can instrument them",
-        severity: Severity::Error,
-    },
-    RuleInfo {
         id: "relaxed-ptr-order",
         summary: "Ordering::Relaxed on a pointer-valued atomic requires an adjacent \
                   // ORDER: justification",
         severity: Severity::Error,
-    },
-    RuleInfo {
-        id: "unsafe-comment",
-        summary: "every unsafe block/fn/impl needs an adjacent // SAFETY: comment \
-                  (or a # Safety doc section on an unsafe fn)",
-        severity: Severity::Warning,
     },
     RuleInfo {
         id: "cas-progress",
@@ -117,12 +105,6 @@ pub const RULES: &[RuleInfo] = &[
         summary: "a spinlock guard must not live across a call into the protocol \
                   layer",
         severity: Severity::Warning,
-    },
-    RuleInfo {
-        id: "probe-discipline",
-        summary: "flight-recorder probes must use the zero-cost valois_trace::probe! \
-                  macro, never a direct valois_trace::record call",
-        severity: Severity::Error,
     },
     RuleInfo {
         id: "refcount-balance",
@@ -189,15 +171,6 @@ pub struct RuleDoc {
 /// One doc per registered rule, same order as [`RULES`].
 pub const RULE_DOCS: &[RuleDoc] = &[
     RuleDoc {
-        id: "shim-import",
-        rationale: "All atomics must route through valois_sync::shim so that \
-                    `--cfg loom` builds swap in the model-checking scheduler. A \
-                    direct std::sync::atomic import compiles fine but silently \
-                    escapes every loom model.",
-        bad: "use std::sync::atomic::AtomicPtr;",
-        good: "use valois_sync::shim::AtomicPtr;",
-    },
-    RuleDoc {
         id: "relaxed-ptr-order",
         rationale: "A Relaxed load/store on a pointer-valued atomic publishes no \
                     happens-before edge, so the pointee's initialization may not \
@@ -212,16 +185,6 @@ pub const RULE_DOCS: &[RuleDoc] = &[
                // ORDER: Relaxed is fine: the value is re-validated under\n        \
                // the subsequent Acquire CAS before any deref.\n        \
                self.head.load(Ordering::Relaxed)\n    }\n}",
-    },
-    RuleDoc {
-        id: "unsafe-comment",
-        rationale: "Every unsafe block/fn/impl encodes a proof obligation the \
-                    compiler cannot check. The // SAFETY: comment (or # Safety \
-                    doc section) records that proof where the audit happens.",
-        bad: "let k = unsafe { (*p).key };",
-        good: "// SAFETY: p was acquired via safe_read and not yet released,\n\
-               // so the §5 window keeps the node alive.\n\
-               let k = unsafe { (*p).key };",
     },
     RuleDoc {
         id: "cas-progress",
@@ -244,15 +207,6 @@ pub const RULE_DOCS: &[RuleDoc] = &[
                let g = self.spin.lock();\n        \
                // ... touch only the locked state ...\n    }\n    \
                self.list.try_insert(cursor, node);\n}",
-    },
-    RuleDoc {
-        id: "probe-discipline",
-        rationale: "The flight recorder's zero-cost guarantee lives in the \
-                    probe! macro, whose argument expressions compile away when \
-                    the `recorder` feature is off. A direct valois_trace::record \
-                    call evaluates its arguments unconditionally on the hot path.",
-        bad: "valois_trace::record(Event::CursorHop, p as usize);",
-        good: "probe!(CursorHop, p as usize);",
     },
     RuleDoc {
         id: "refcount-balance",
@@ -492,23 +446,23 @@ mod tests {
     fn sample() -> Vec<Finding> {
         vec![
             Finding {
-                rule: "unsafe-comment",
+                rule: "cas-progress",
                 severity: Severity::Warning,
                 file: "crates/core/src/list.rs".into(),
                 line: 42,
-                message: "unsafe block without `// SAFETY:`".into(),
+                message: "CAS retry loop without `Backoff`".into(),
                 related: vec![],
             },
             Finding {
-                rule: "shim-import",
+                rule: "refcount-balance",
                 severity: Severity::Error,
                 file: "src/lib.rs".into(),
                 line: 7,
-                message: "direct \"std::sync::atomic\" import".into(),
+                message: "count acquired by \"safe_read\" leaks on return".into(),
                 related: vec![Related {
                     file: "src/lib.rs".into(),
                     line: 3,
-                    note: "shim re-export is here".into(),
+                    note: "count acquired here".into(),
                 }],
             },
         ]
@@ -519,13 +473,13 @@ mod tests {
         let t = render_text(&sample());
         assert_eq!(t.lines().count(), 3);
         assert!(t.contains("crates/core/src/list.rs:42"));
-        assert!(t.contains("    note: src/lib.rs:3: shim re-export is here"));
+        assert!(t.contains("    note: src/lib.rs:3: count acquired here"));
     }
 
     #[test]
     fn json_escapes_quotes_and_counts() {
         let j = render_json(&sample());
-        assert!(j.contains("\\\"std::sync::atomic\\\""));
+        assert!(j.contains("\\\"safe_read\\\""));
         assert!(j.contains("\"errors\": 1"));
         assert!(j.contains("\"warnings\": 1"));
     }

@@ -358,15 +358,15 @@ impl<N: Managed + Default, R: Reclaimer> Arena<N, R> {
         tally: &mut MemStats,
     ) -> Option<*mut N> {
         let first = self.pop_free_global(tally)?;
-        let mut refilled = 0u64;
-        for _ in 1..REFILL_BATCH {
-            match self.pop_free_global(tally) {
-                Some(p) => {
-                    mag.push(p);
-                    refilled += 1;
-                }
-                None => break,
-            }
+        let mut refilled = 0;
+        // A `while`, not `for _ in 1..REFILL_BATCH`: under `--cfg loom` the
+        // batch is 1, and a constant empty range is a clippy error.
+        while refilled + 1 < REFILL_BATCH {
+            let Some(p) = self.pop_free_global(tally) else {
+                break;
+            };
+            mag.push(p);
+            refilled += 1;
         }
         valois_trace::probe!(MagRefill, refilled);
         Some(first)

@@ -281,6 +281,13 @@ fn capped_pool_service_survives<R: Reclaimer + 'static>() {
 fn overloaded_put_is_an_error<R: Reclaimer + 'static>() {
     let server: Server<R> = Server::start(&ServiceConfig {
         arena: ArenaConfig::new().initial_capacity(64).max_nodes(64),
+        // Each key and each bucket sentinel takes two of the 64 nodes, so
+        // the fill is 30 minus the sentinels it touched. Starting from 64
+        // buckets, the random hash seed decides how many (17 to 23 in 300
+        // runs, leaving room for only 7 keys in 2% of them). From one
+        // bucket, the table holds at most 8 sentinels until 25 keys, so
+        // every seed fits at least 22.
+        initial_buckets: 1,
         ..small_config(1)
     });
     let client = server.client();

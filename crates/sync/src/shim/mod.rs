@@ -2,13 +2,14 @@
 //! model-checking scheduler under `--cfg loom`.
 //!
 //! Every crate in this workspace imports atomics, `UnsafeCell`, threads,
-//! and blocking mutexes **exclusively** through this module (enforced by
-//! `cargo xtask analyze`). In a normal build the re-exports below compile
-//! to the `std` types with zero overhead. When built with
-//! `RUSTFLAGS="--cfg loom"`, the same paths resolve to instrumented
-//! wrappers that funnel every atomic operation through the deterministic
-//! scheduler in [`sched`], which explores thread interleavings
-//! exhaustively (up to a preemption bound) the way
+//! and blocking mutexes **exclusively** through this module (enforced for
+//! atomics by clippy's `disallowed_types` and `disallowed_methods` under
+//! `--cfg loom`; see the root `clippy.toml`). In a normal build the
+//! re-exports below compile to the `std` types with zero overhead. When
+//! built with `RUSTFLAGS="--cfg loom"`, the same paths resolve to
+//! instrumented wrappers that funnel every atomic operation through the
+//! deterministic scheduler in [`sched`], which explores thread
+//! interleavings exhaustively (up to a preemption bound) the way
 //! [loom](https://docs.rs/loom) / CHESS do.
 //!
 //! The crates registry is unreachable in this build environment, so the
@@ -46,6 +47,9 @@
 //!     assert_eq!(x.load(Ordering::Acquire), 2);
 //! });
 //! ```
+
+// The shim is the one place that names the std atomics it wraps.
+#![allow(clippy::disallowed_types, clippy::disallowed_methods)]
 
 #[cfg(loom)]
 pub mod sched;

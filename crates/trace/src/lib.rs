@@ -24,8 +24,8 @@
 //!   `if valois_trace::ENABLED { record(...) }`; [`ENABLED`] is a `const`
 //!   evaluated when *this* crate is compiled, so with the feature off the
 //!   branch folds to `if false` and the event arguments are never even
-//!   evaluated. `crates/analyze` enforces that hot paths only ever use the
-//!   macro form (rule `probe-discipline`).
+//!   evaluated. Clippy's `disallowed_methods` (configured in the root
+//!   `clippy.toml`) rejects a bare `record` call anywhere else.
 //! * **Post-mortem dumps.** On an invariant failure (or any panic, once
 //!   [`arm_panic_dump`] is installed) the recorder merges every lane by
 //!   sequence number and writes a binary `.vtrace` file;
@@ -43,12 +43,14 @@
 //! events until overwritten — the global sequence keeps the merge honest.
 //!
 //! This crate sits **below** `valois-sync` so the CAS primitives themselves
-//! can carry probes; it therefore uses `std::sync::atomic` directly and is
-//! exempt from the shim-import lint (recorded traces are diagnostic, not
-//! part of the modeled protocol).
+//! can carry probes; it therefore uses `std::sync::atomic` directly and
+//! allows clippy's `disallowed_types` (recorded traces are diagnostic, not
+//! part of the modeled protocol). It defines `record`, so it allows
+//! `disallowed_methods` too.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+#![allow(clippy::disallowed_types, clippy::disallowed_methods)]
 
 use std::cell::RefCell;
 use std::io::{Read as _, Write as _};
@@ -338,8 +340,8 @@ fn acquire_lane() -> LaneHandle {
 
 /// Records one event in the calling thread's lane. **Do not call this
 /// directly from protocol code** — use [`probe!`], which compiles to
-/// nothing when the recorder is off (`cargo xtask analyze` rejects bare
-/// `record` calls outside this crate).
+/// nothing when the recorder is off (clippy's `disallowed_methods`
+/// rejects bare `record` calls outside this crate).
 #[inline]
 pub fn record(kind: EventKind, a: u64, b: u64, c: u64) {
     if !ENABLED {
@@ -385,6 +387,7 @@ macro_rules! probe {
     };
     ($kind:ident, $a:expr, $b:expr, $c:expr) => {
         if $crate::ENABLED {
+            #[allow(clippy::disallowed_methods)]
             $crate::record($crate::EventKind::$kind, $a as u64, $b as u64, $c as u64);
         }
     };

@@ -3,8 +3,8 @@
 //! `cargo xtask analyze` runs the `valois-analyze` syntax-aware protocol
 //! linter over the workspace's library sources (`crates/*/src`, `src/`) —
 //! see `crates/analyze` for the passes and `docs/ANALYSIS.md` for the
-//! comment contracts they enforce (`SAFETY:` / `ORDER:` / `COUNT:` /
-//! `WAIT-FREE:`).
+//! comment contracts they enforce (`ORDER:` / `COUNT:` / `WAIT-FREE:` /
+//! `INVARIANT:` / `GUARD:`; `SAFETY:` is clippy's).
 //!
 //! ```text
 //! cargo xtask analyze [--format text|json|sarif] [--deny warn] [--output PATH] [--stats]
@@ -209,9 +209,9 @@ fn main() -> ExitCode {
     let warnings = findings.len() - errors;
     if findings.is_empty() {
         eprintln!(
-            "xtask analyze: OK (shim, ordering, unsafe-audit, cas-progress, \
-             spin-guard, probe-discipline, refcount-balance, order-graph, \
-             invariant-refs, protection-window, guard-contract)"
+            "xtask analyze: OK (ordering, cas-progress, spin-guard, \
+             refcount-balance, order-graph, invariant-refs, protection-window, \
+             guard-contract)"
         );
         ExitCode::SUCCESS
     } else {
