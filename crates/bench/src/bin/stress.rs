@@ -401,6 +401,11 @@ fn main() {
             .unwrap_or_else(|e| panic!("sorted list invariant violated: {e}"));
         d.audit_refcounts()
             .unwrap_or_else(|e| panic!("sorted list refcount drift: {e}"));
+        println!(
+            "{:>12}: {} cursor-cache slots in use",
+            "sorted list",
+            d.cached_slots()
+        );
         print_counters(&[&d.list_stats(), &d.mem_stats()]);
     }
     if want("hash") {

@@ -132,6 +132,9 @@ pub struct Cursor<'a, T: Send + Sync, R: Reclaimer = RefCount, const L: usize = 
     /// [`STATS_FLUSH_EVERY`] the batches auto-flush so live monitoring
     /// reads fresh counters (the stale-live-stats fix).
     unflushed: u32,
+    /// Fig. 7 `Next` steps since the cursor was opened (the batched
+    /// `next_steps` tally is cleared at every flush).
+    hops: u32,
 }
 
 // SAFETY: a refcount cursor is three counted references plus a shared
@@ -163,6 +166,7 @@ impl<'a, T: Send + Sync, R: Reclaimer, const L: usize> Cursor<'a, T, R, L> {
             tally: MemStats::default(),
             ops: ListStats::default(),
             unflushed: 0,
+            hops: 0,
         }
     }
 
@@ -503,8 +507,17 @@ impl<'a, T: Send + Sync, R: Reclaimer, const L: usize> Cursor<'a, T, R, L> {
         }
         self.update(); // Fig. 7 line 7
         self.ops.next_steps += 1;
+        self.hops = self.hops.wrapping_add(1);
         valois_trace::probe!(CursorHop, self.pre_cell as usize, self.target as usize);
         true
+    }
+
+    /// Fig. 7 `Next` steps this cursor has taken since it was opened
+    /// (a clone starts at 0): the cells an operation walked, for callers
+    /// that size their start positions by it (the sorted list's cursor
+    /// cache).
+    pub fn hops(&self) -> u64 {
+        u64::from(self.hops)
     }
 
     /// Whether the cursor is at the end-of-list position (visiting no
@@ -922,6 +935,7 @@ impl<T: Send + Sync, R: Reclaimer, const L: usize> Clone for Cursor<'_, T, R, L>
             tally: MemStats::default(),
             ops: ListStats::default(),
             unflushed: 0,
+            hops: 0,
         }
     }
 }

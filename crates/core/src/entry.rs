@@ -306,12 +306,15 @@ impl<T: Send + Sync, R: Reclaimer> List<T, R> {
     /// still running. If the slot moved meanwhile (some thread re-cached
     /// it) or is busy, nothing happens.
     // INVARIANT: I10, I12
-    pub fn cursor_at_nearest<'a>(
+    pub fn cursor_at_nearest<'a, 's>(
         &'a self,
-        slots: &[CacheSlot<T>],
+        slots: impl IntoIterator<Item = &'s CacheSlot<T>>,
         mut usable: impl FnMut(&T) -> bool,
         mut order: impl FnMut(&T, &T) -> KeyOrder,
-    ) -> Option<Cursor<'a, T, R>> {
+    ) -> Option<Cursor<'a, T, R>>
+    where
+        T: 's,
+    {
         // Under `Epoch` the cursor's pin opens before the first probe and
         // covers every candidate; under `RefCount` the slot pin does.
         let mut cursor = Cursor::unpositioned(self, 0);

@@ -121,6 +121,15 @@ where
         self.buckets.iter().map(|b| b.len()).max().unwrap_or(0)
     }
 
+    /// Cursor-cache slots in use in each bucket (see
+    /// [`SortedListDict::cached_slots`]).
+    pub fn cached_slots(&self) -> Vec<usize> {
+        self.buckets
+            .iter()
+            .map(SortedListDict::cached_slots)
+            .collect()
+    }
+
     /// Aggregated list-operation retries across buckets (E4's "extra
     /// work" measure).
     pub fn total_retries(&self) -> u64 {

@@ -194,6 +194,14 @@ where
         self.list.stats()
     }
 
+    /// Cursor-cache slots in use, the `k` recent positions an open
+    /// probes: 0 for a short list, then the floor round(√(2n)) − 2 (at
+    /// most 64) for a list of n cells, raised towards round(√(60n)) − 2
+    /// (at most 256) when the measured walks are long (a diagnostic).
+    pub fn cached_slots(&self) -> usize {
+        self.cache.k()
+    }
+
     /// Memory-protocol counters of the underlying arena (§5 traffic).
     pub fn mem_stats(&self) -> MemStats {
         self.list.mem_stats()
@@ -558,15 +566,18 @@ mod tests {
         );
     }
 
-    /// Fills `d` with keys `0..64` and fits the cache to that length, so
-    /// the rotation's period `k` is known however this thread's samples
-    /// fall; no test list grows past 64 cells, so `k` stays put.
-    fn fill_64_and_fit(d: &SortedListDict<u64, u64>) -> usize {
-        for k in 0..64 {
+    /// Fills `d` with keys `0..n`, fits the floor and raises `k` through
+    /// the raise path to `raised_for(n)`, the most any sample can give a list of at most
+    /// `n` cells, so the rotation's period `k` stays put whatever the
+    /// test's walks are. No test list grows past its `n` cells.
+    fn fill_and_pin(d: &SortedListDict<u64, u64>, n: u64) -> usize {
+        for k in 0..n {
             d.insert(k, k);
         }
-        d.cache.fit(64);
-        let k = crate::cursor_cache::slots_for(64);
+        d.cache.fit(n, None);
+        d.cache.fit(n, Some((1, n)));
+        let k = crate::cursor_cache::raised_for(n);
+        assert_eq!(d.cache.k(), k, "the raise lands at once");
         assert!(k > 1, "the tests need a rotation of several slots");
         k
     }
@@ -579,7 +590,7 @@ mod tests {
         // back_link chain) until an open picks the slot, back-walks, and
         // swings it to the live cell it landed on.
         let mut d: SortedListDict<u64, u64> = SortedListDict::new();
-        let k = fill_64_and_fit(&d);
+        let k = fill_and_pin(&d, 64);
         // `k` saves point every slot in use at cell 0; the exited helper
         // then re-points one of them at cell 40.
         for _ in 0..k {
@@ -631,7 +642,7 @@ mod tests {
         // region finds them usable, so no open repairs them; the next
         // `k` saves of any one thread overwrite every slot instead.
         let mut d: SortedListDict<u64, u64> = SortedListDict::new();
-        let k = fill_64_and_fit(&d);
+        let k = fill_and_pin(&d, 64);
         on_exiting_thread(|| {
             for i in 0..64 {
                 let k = 41 + i % 8;
@@ -675,7 +686,7 @@ mod tests {
         // the cursor drops, whether the `k` slots name one anchor or `k`
         // distinct ones.
         let d: SortedListDict<u64, u64> = SortedListDict::new();
-        let k = fill_64_and_fit(&d);
+        let k = fill_and_pin(&d, 64);
         let open_counts = |d: &SortedListDict<u64, u64>| {
             let before = d.mem_stats();
             drop(d.cursor_for(&60));
@@ -687,11 +698,10 @@ mod tests {
         }
         assert_eq!(slot_keys(&d), vec![0; k]);
         assert_eq!(open_counts(&d), (2, 3), "{k} copies of one anchor");
-        for i in 0..k as u64 {
-            assert_eq!(d.find(&(2 * i + 1)), Some(2 * i + 1));
+        for key in 1..=k as u64 {
+            assert_eq!(d.find(&key), Some(key));
         }
-        let distinct: Vec<u64> = (0..k as u64).map(|i| 2 * i).collect();
-        assert_eq!(slot_keys(&d), distinct);
+        assert_eq!(slot_keys(&d), (0..k as u64).collect::<Vec<u64>>());
         assert_eq!(open_counts(&d), (2, 3), "{k} distinct anchors");
     }
 
@@ -700,20 +710,20 @@ mod tests {
         // A thread that interleaves saves over several dictionaries must
         // still write every slot of each: the rotation belongs to the
         // cache, not to the thread. (One rotation per thread advanced
-        // once per dictionary per round, so with three dictionaries and
-        // k = 9 each cache only ever saw every third position.)
+        // once per dictionary per round, so with three dictionaries each
+        // cache only ever saw every third position.)
         let dicts: [SortedListDict<u64, u64>; 3] = std::array::from_fn(|_| SortedListDict::new());
-        let k = dicts.iter().map(fill_64_and_fit).max().unwrap();
-        for round in 0..100u64 {
+        let k = dicts.iter().map(|d| fill_and_pin(d, 64)).max().unwrap() as u64;
+        for round in 0..126u64 {
             for d in &dicts {
-                let key = round % 50 + 1;
+                let key = round % 63 + 1;
                 assert_eq!(d.find(&key), Some(key));
             }
         }
-        // The last `k` rounds found 42..=50, each saving its cell's
-        // predecessor, so every slot holds one of 41..=49.
+        // The last `k` rounds found the keys up to 63, each saving its
+        // cell's predecessor, so every slot holds one of `63 - k..63`.
         for d in &dicts {
-            assert_eq!(slot_keys(d), (50 - k as u64..50).collect::<Vec<u64>>());
+            assert_eq!(slot_keys(d), (63 - k..63).collect::<Vec<u64>>());
         }
     }
 
@@ -724,16 +734,29 @@ mod tests {
         // anchor and one displaced count, and later saves to it skip, so
         // the slots' counts stop growing after the first round. Once the
         // pin ends, the next write to each slot releases its displaced
-        // count and the garbage those counts held drains.
+        // count and the garbage those counts held drains. Run on the
+        // first slots alone and on slot storage grown past them.
+        for n in [64, 128] {
+            stalled_probe_pin_bounds_slot_counts(n);
+        }
+    }
+
+    fn stalled_probe_pin_bounds_slot_counts(n: u64) {
         let mut d: SortedListDict<u64, u64> = SortedListDict::new();
-        let k = fill_64_and_fit(&d);
+        let k = fill_and_pin(&d, n);
+        // `k` saves give every slot in use an anchor.
+        for key in 1..=k as u64 {
+            assert_eq!(d.find(&key), Some(key));
+        }
         let baseline = d.mem_stats().live_nodes();
         let held =
             |d: &SortedListDict<u64, u64>| d.cache.roots().filter(|r| r.is_published()).count();
         let pin = d.list.arena().epoch_domain().pin_guard();
         let mut per_round = Vec::new();
         for _ in 0..8 {
-            for key in 0..64 {
+            // Cell 0 stays, so no repair walks back to the head and
+            // empties its slot.
+            for key in 1..n {
                 assert!(d.remove(&key));
                 assert!(d.insert(key, key));
             }
@@ -742,7 +765,7 @@ mod tests {
         assert_eq!(
             per_round,
             vec![2 * k; 8],
-            "every slot holds its anchor and one displaced count, and no more"
+            "every slot holds its anchor and one displaced count, and no more (k = {k})"
         );
         assert!(
             d.mem_stats().live_nodes() > baseline,
@@ -758,6 +781,7 @@ mod tests {
             k,
             "the first write to each slot after the unpin drained it"
         );
+        assert_eq!(d.cache.k(), k, "k stayed pinned");
         d.check_invariants().unwrap();
         d.audit_refcounts().unwrap();
         assert_eq!(d.mem_stats().live_nodes(), baseline);

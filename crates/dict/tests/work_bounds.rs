@@ -122,13 +122,14 @@ fn sorted_list_work_grows_linearly() {
 /// SafeReads per cell. The probe reads the slots without counting and
 /// opens at the anchor it picks with two SafeReads (the anchor's
 /// auxiliary node and the next cell), so a find costs about
-/// 2n/(k + 2) + 2 SafeReads, with `k` = round(√(2n)) − 2 (at most 64);
-/// both rungs are held to the model within 25%.
+/// 2n/(k + 2) + 2 SafeReads, with `k` the cache's slots in use; both
+/// rungs are held to the model within 25%. Uniform finds walk far from
+/// the recent anchors, so the cache rises past its floor
+/// round(√(2n)) − 2 (at most 64) towards round(√(60n)) − 2: the raise's
+/// side where it pays.
 #[test]
 fn sorted_list_finds_start_near_a_recent_anchor() {
     for n in [1_000, 10_000] {
-        let k = ((2.0 * n as f64).sqrt().round() - 2.0).min(64.0);
-        let walk = n as f64 / (k + 2.0);
         let d: SortedListDict<u64, u64> = SortedListDict::new();
         let mut keys = fill(&d, n);
         let (steps, reads) = (d.list_stats().next_steps, d.mem_stats().safe_reads);
@@ -139,6 +140,12 @@ fn sorted_list_finds_start_near_a_recent_anchor() {
         let per_op = |now: u64, before: u64| (now - before) as f64 / SORTED_CHURN_OPS as f64;
         let steps = per_op(d.list_stats().next_steps, steps);
         let reads = per_op(d.mem_stats().safe_reads, reads);
+        let k = d.cached_slots() as f64;
+        assert!(
+            k > 64.0,
+            "uniform finds over {n} cells left the cache at k={k}"
+        );
+        let walk = n as f64 / (k + 2.0);
         assert!(
             steps <= 1.25 * walk,
             "a find walked {steps:.1} cells on average at n={n}; k={k} recent anchors \
@@ -152,6 +159,35 @@ fn sorted_list_finds_start_near_a_recent_anchor() {
             1.25 * (2.0 * walk + 2.0)
         );
     }
+}
+
+/// The cursor cache's raise on the side where it does not pay: two
+/// threads filling a 16-bucket table with ascending keys land every
+/// insert just past a recent anchor, so no bucket's measured walk comes
+/// near what uniform traffic walks, and every bucket stays on the floor
+/// for its length.
+#[test]
+fn an_ascending_fill_keeps_every_bucket_on_the_floor() {
+    let n: u64 = 10_000;
+    let d: HashDict<u64, u64, BuildHasherDefault<DefaultHasher>> =
+        HashDict::with_buckets_and_hasher(16, BuildHasherDefault::default());
+    std::thread::scope(|s| {
+        for t in 0..2 {
+            let d = &d;
+            s.spawn(move || {
+                for k in (t..n).step_by(2) {
+                    assert!(d.insert(k, k));
+                }
+            });
+        }
+    });
+    let longest = d.max_bucket_len() as f64;
+    let floor = ((2.0 * longest).sqrt().round() as usize - 2).min(64);
+    let slots = d.cached_slots();
+    assert!(
+        slots.iter().all(|&k| (1..=floor).contains(&k)),
+        "every bucket must sit on its floor (at most {floor} for {longest} cells): {slots:?}"
+    );
 }
 
 /// Fills `d` to `n` keys, then returns the SafeReads per uniform find
